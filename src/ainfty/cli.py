@@ -20,6 +20,7 @@ from .core import (
     check_quasi_equivalence,
     kernel_acyclicity,
 )
+from .fields import Field, FieldError
 from .documents import (
     DocumentError,
     RawCertificates,
@@ -67,18 +68,17 @@ def _finish(payload: dict, strict: bool) -> int:
     return 0
 
 
-def _load_any(path: str):
+def _load_any(path: str, cap: Optional[int]):
     with open(path, "r", encoding="utf-8") as fh:
         head = fh.readline().strip()
     if head == "acat":
-        return "category", load_category(path)
+        return "category", load_category(path, cap)
     if head == "afun":
-        return "functor", load_functor(path).functor
+        return "functor", load_functor(path, cap).functor
     raise DocumentError(path, 1, f"unknown document header {head!r}")
 
 
 def _expected_field(args):
-    from .fields import Field
     name = getattr(args, "field", None)
     if name is None:
         return None
@@ -86,7 +86,10 @@ def _expected_field(args):
         return Field.rationals()
     if getattr(args, "p", None) is None:
         raise DocumentError("<args>", 0, "--field Fp needs --p <prime>")
-    return Field.prime(args.p)
+    try:
+        return Field.prime(args.p)
+    except FieldError as exc:
+        raise DocumentError("<args>", 0, str(exc)) from exc
 
 
 def _check_field(args, path: str, fld) -> None:
@@ -96,11 +99,24 @@ def _check_field(args, path: str, fld) -> None:
                             f"document field {fld.kind} does not match --field")
 
 
+def _ref_path(doc_path: str, ref: str) -> str:
+    """A path named inside a functor document, made absolute; relative
+    paths are read from the document's directory."""
+    return os.path.abspath(os.path.join(os.path.dirname(doc_path), ref))
+
+
+def _write(out_dir: str, name: str, text: str) -> None:
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def cmd_validate(args) -> int:
+    _expected_field(args)   # a bad --field/--p is a usage error, not a failed document
     checks: Dict[str, CheckReport] = {}
     for path in args.paths:
         try:
-            kind, value = _load_any(path)
+            kind, value = _load_any(path, args.max_arity)
             fld = value.fld if kind == "category" else value.source.fld
             _check_field(args, path, fld)
             details = {"kind": kind, "arity_bound": value.arity_bound,
@@ -118,12 +134,12 @@ def _certs(args) -> RawCertificates:
 
 
 def cmd_classify(args) -> int:
-    doc = load_functor(args.functor)
+    doc = load_functor(args.functor, args.max_arity)
     functor = doc.functor
     _check_field(args, args.functor, functor.source.fld)
     certs = _certs(args)
     tags = set(certs.isolifts) | set(certs.essentials) or {"self"}
-    tag = "self" if "self" in tags else (sorted(tags)[0] if tags else "self")
+    tag = "self" if "self" in tags else sorted(tags)[0]
     checks: Dict[str, CheckReport] = {}
     f1 = check_F1(functor)
     checks["f1"] = CheckReport(
@@ -132,23 +148,18 @@ def cmd_classify(args) -> int:
         {"kernel_dims": {f"{x},{y}": s.kernel.dim
                          for (x, y), s in f1.splits.items()}},
     )
-    unital = functor.source.units is not None and functor.target.units is not None
-    if unital:
+    essentials = None
+    if functor.source.units is not None and functor.target.units is not None:
         checks["f2_isofibration"] = check_isofibration(
             functor, certs.resolve_isolifts(tag, functor))
-        qe = check_quasi_equivalence(
-            functor, certs.resolve_essentials(tag, functor))
-        checks["quasi_equivalence"] = CheckReport(
-            qe.verdict, qe.hom_level.witnesses + qe.essential.witnesses,
-            {"hom_level": qe.hom_level.verdict,
-             "essential_surjectivity": qe.essential.verdict})
+        essentials = certs.resolve_essentials(tag, functor)
     else:
         checks["f2_isofibration"] = CheckReport("undecided", ["units required"])
-        qe = check_quasi_equivalence(functor)
-        checks["quasi_equivalence"] = CheckReport(
-            qe.verdict, qe.hom_level.witnesses + qe.essential.witnesses,
-            {"hom_level": qe.hom_level.verdict,
-             "essential_surjectivity": qe.essential.verdict})
+    qe = check_quasi_equivalence(functor, essentials)
+    checks["quasi_equivalence"] = CheckReport(
+        qe.verdict, qe.hom_level.witnesses + qe.essential.witnesses,
+        {"hom_level": qe.hom_level.verdict,
+         "essential_surjectivity": qe.essential.verdict})
     if f1.passed:
         checks["kernel_acyclicity"] = kernel_acyclicity(functor, f1)
     extra = {"arity_bound": functor.arity_bound, "total": functor.total}
@@ -160,22 +171,15 @@ def cmd_strictify(args) -> int:
     functor = doc.functor
     _check_field(args, args.functor, functor.source.fld)
     s = strictify(functor, max_arity=args.max_arity)
-    os.makedirs(args.out, exist_ok=True)
-    model_path = os.path.join(args.out, "model.acat")
-    with open(model_path, "w", encoding="utf-8") as fh:
-        fh.write(serialize_category(s.transported))
-    target_abs = os.path.abspath(
-        doc.target_path if os.path.isabs(doc.target_path)
-        else os.path.join(os.path.dirname(args.functor), doc.target_path))
-    source_abs = os.path.abspath(
-        doc.source_path if os.path.isabs(doc.source_path)
-        else os.path.join(os.path.dirname(args.functor), doc.source_path))
-    with open(os.path.join(args.out, "projection.afun"), "w", encoding="utf-8") as fh:
-        fh.write(serialize_functor(s.projection, "model.acat", target_abs))
-    with open(os.path.join(args.out, "phi.afun"), "w", encoding="utf-8") as fh:
-        fh.write(serialize_functor(s.phi_functor, source_abs, "model.acat"))
-    with open(os.path.join(args.out, "psi.afun"), "w", encoding="utf-8") as fh:
-        fh.write(serialize_functor(s.psi_functor, "model.acat", source_abs))
+    _write(args.out, "model.acat", serialize_category(s.transported))
+    target_abs = _ref_path(args.functor, doc.target_path)
+    source_abs = _ref_path(args.functor, doc.source_path)
+    _write(args.out, "projection.afun",
+           serialize_functor(s.projection, "model.acat", target_abs))
+    _write(args.out, "phi.afun",
+           serialize_functor(s.phi_functor, source_abs, "model.acat"))
+    _write(args.out, "psi.afun",
+           serialize_functor(s.psi_functor, "model.acat", source_abs))
     checks = {
         "strictification": CheckReport(
             "pass", [],
@@ -214,19 +218,11 @@ def cmd_pullback(args) -> int:
         alpha_essentials=certs.resolve_essentials("alpha", p.alpha),
     )
     checks.update(fib.sections)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "pullback.acat"), "w", encoding="utf-8") as fh:
-        fh.write(serialize_category(p.category))
-    gsrc_abs = os.path.abspath(
-        gdoc.source_path if os.path.isabs(gdoc.source_path)
-        else os.path.join(os.path.dirname(args.g), gdoc.source_path))
-    fsrc_abs = os.path.abspath(
-        fdoc.source_path if os.path.isabs(fdoc.source_path)
-        else os.path.join(os.path.dirname(args.f), fdoc.source_path))
-    with open(os.path.join(args.out, "alpha.afun"), "w", encoding="utf-8") as fh:
-        fh.write(serialize_functor(p.alpha, "pullback.acat", gsrc_abs))
-    with open(os.path.join(args.out, "beta.afun"), "w", encoding="utf-8") as fh:
-        fh.write(serialize_functor(p.beta, "pullback.acat", fsrc_abs))
+    _write(args.out, "pullback.acat", serialize_category(p.category))
+    _write(args.out, "alpha.afun", serialize_functor(
+        p.alpha, "pullback.acat", _ref_path(args.g, gdoc.source_path)))
+    _write(args.out, "beta.afun", serialize_functor(
+        p.beta, "pullback.acat", _ref_path(args.f, fdoc.source_path)))
     extra = {"arity_bound": p.arity_bound, "total": p.total,
              "objects": list(p.category.objects)}
     return _finish(_report_json("pullback", checks, extra), args.strict)
@@ -247,14 +243,9 @@ def cmd_induce(args) -> int:
         "triangles": CheckReport("pass" if rep.triangles else "fail"),
         "uniqueness": CheckReport("pass" if rep.uniqueness else "fail"),
     }
-    os.makedirs(args.out, exist_ok=True)
-    isrc_abs = os.path.abspath(
-        idoc.source_path if os.path.isabs(idoc.source_path)
-        else os.path.join(os.path.dirname(args.cone_i), idoc.source_path))
-    with open(os.path.join(args.out, "induced.afun"), "w", encoding="utf-8") as fh:
-        fh.write(serialize_functor(rep.functor, isrc_abs, "pullback.acat"))
-    with open(os.path.join(args.out, "pullback.acat"), "w", encoding="utf-8") as fh:
-        fh.write(serialize_category(p.category))
+    _write(args.out, "induced.afun", serialize_functor(
+        rep.functor, _ref_path(args.cone_i, idoc.source_path), "pullback.acat"))
+    _write(args.out, "pullback.acat", serialize_category(p.category))
     extra = {"arity_bound": rep.functor.arity_bound, "total": rep.functor.total}
     return _finish(_report_json("induce", checks, extra), args.strict)
 
@@ -266,54 +257,44 @@ def main(argv: Optional[List[str]] = None) -> int:
                     "graded-split surjective functors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--max-arity", type=int, default=None)
+    common.add_argument("--field", choices=["Q", "Fp"], default=None)
+    common.add_argument("--p", type=int, default=None)
+    common.add_argument("--strict", action="store_true")
 
-    pv = sub.add_parser("validate", help="validate category/functor documents")
+    pv = sub.add_parser("validate", parents=[common],
+                        help="validate category/functor documents")
     pv.add_argument("paths", nargs="+")
-    pv.add_argument("--max-arity", type=int, default=None)
-    pv.add_argument("--field", choices=["Q", "Fp"], default=None)
-    pv.add_argument("--p", type=int, default=None)
-    pv.add_argument("--strict", action="store_true")
     pv.set_defaults(fn=cmd_validate)
 
-    pc = sub.add_parser("classify", help="F1/F2/quasi-equivalence classifiers")
+    pc = sub.add_parser("classify", parents=[common],
+                        help="F1/F2/quasi-equivalence classifiers")
     pc.add_argument("functor")
     pc.add_argument("--certificates", default=None)
-    pc.add_argument("--max-arity", type=int, default=None)
-    pc.add_argument("--field", choices=["Q", "Fp"], default=None)
-    pc.add_argument("--p", type=int, default=None)
-    pc.add_argument("--strict", action="store_true")
     pc.set_defaults(fn=cmd_classify)
 
-    ps = sub.add_parser("strictify", help="split model, phi/psi, projection")
+    ps = sub.add_parser("strictify", parents=[common],
+                        help="split model, phi/psi, projection")
     ps.add_argument("functor")
     ps.add_argument("--out", required=True)
-    ps.add_argument("--max-arity", type=int, default=None)
-    ps.add_argument("--field", choices=["Q", "Fp"], default=None)
-    ps.add_argument("--p", type=int, default=None)
-    ps.add_argument("--strict", action="store_true")
     ps.set_defaults(fn=cmd_strictify)
 
-    pp = sub.add_parser("pullback", help="build and certify the pullback")
+    pp = sub.add_parser("pullback", parents=[common],
+                        help="build and certify the pullback")
     pp.add_argument("f", help="functor document satisfying F1")
     pp.add_argument("g", help="functor document with the same target")
     pp.add_argument("--out", required=True)
     pp.add_argument("--certificates", default=None)
-    pp.add_argument("--max-arity", type=int, default=None)
-    pp.add_argument("--field", choices=["Q", "Fp"], default=None)
-    pp.add_argument("--p", type=int, default=None)
-    pp.add_argument("--strict", action="store_true")
     pp.set_defaults(fn=cmd_pullback)
 
-    pi = sub.add_parser("induce", help="universal functor from a cone")
+    pi = sub.add_parser("induce", parents=[common],
+                        help="universal functor from a cone")
     pi.add_argument("f")
     pi.add_argument("g")
     pi.add_argument("cone_i", help="cone leg into the source of F")
     pi.add_argument("cone_l", help="cone leg into the source of G")
     pi.add_argument("--out", required=True)
-    pi.add_argument("--max-arity", type=int, default=None)
-    pi.add_argument("--field", choices=["Q", "Fp"], default=None)
-    pi.add_argument("--p", type=int, default=None)
-    pi.add_argument("--strict", action="store_true")
     pi.set_defaults(fn=cmd_induce)
 
     args = parser.parse_args(argv)

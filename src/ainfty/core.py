@@ -243,24 +243,11 @@ def check_strict_units(cat: AInftyCategory) -> CheckReport:
     for (n, objs), table in sorted(cat.structure.components.items()):
         if n == 2:
             continue
-        for slot in range(n):
-            xa, xb = objs[n - 1 - slot], objs[n - slot]
-            if xa != xb or xa not in cat.units:
-                continue
-            unit = cat.units[xa]
-            groups: Dict[Tuple[int, ...], Vec] = {}
-            for in_t, vec in table.items():
-                w = unit.get(in_t[slot])
-                if w is None:
-                    continue
-                red = in_t[:slot] + in_t[slot + 1:]
-                groups[red] = vec_add(fld, groups.get(red, {}), vec_scale(fld, w, vec))
-            for red, vec in groups.items():
-                if not vec_is_zero(vec):
-                    violations.append(
-                        f"u1 fails: arity {n} at {objs}, unit in slot {slot}, "
-                        f"other inputs {red}"
-                    )
+        for slot, red in _unit_slot_residues(fld, cat.units, objs, table):
+            violations.append(
+                f"u1 fails: arity {n} at {objs}, unit in slot {slot}, "
+                f"other inputs {red}"
+            )
     # u2 on every basis morphism
     for (x, y), sp in sorted(cat.quiver.hom.items()):
         if x not in cat.units or y not in cat.units:
@@ -278,6 +265,31 @@ def check_strict_units(cat: AInftyCategory) -> CheckReport:
                 )
     verdict = "pass" if not violations else "fail"
     return CheckReport(verdict, violations)
+
+
+def _unit_slot_residues(fld: Field, units: Dict[str, Vec],
+                        objs: Tuple[str, ...], table):
+    """Contract one component with a unit in each slot that can hold one.
+
+    Yields (slot, other inputs) for every nonzero contraction, slots in
+    increasing order.
+    """
+    n = len(objs) - 1
+    for slot in range(n):
+        xa, xb = objs[n - 1 - slot], objs[n - slot]
+        if xa != xb or xa not in units:
+            continue
+        unit = units[xa]
+        groups: Dict[Tuple[int, ...], Vec] = {}
+        for in_t, vec in table.items():
+            w = unit.get(in_t[slot])
+            if w is None:
+                continue
+            red = in_t[:slot] + in_t[slot + 1:]
+            groups[red] = vec_add(fld, groups.get(red, {}), vec_scale(fld, w, vec))
+        for red, vec in groups.items():
+            if not vec_is_zero(vec):
+                yield slot, red
 
 
 # -- functors -----------------------------------------------------------------
@@ -364,22 +376,8 @@ def _strictly_unital(morphism: FormalMorphism, source: AInftyCategory,
         if img != target.units[fx]:
             return False
     for (n, objs), table in morphism.components.items():
-        if n < 2:
-            continue
-        for slot in range(n):
-            xa, xb = objs[n - 1 - slot], objs[n - slot]
-            if xa != xb:
-                continue
-            unit = source.units[xa]
-            groups: Dict[Tuple[int, ...], Vec] = {}
-            for in_t, vec in table.items():
-                w = unit.get(in_t[slot])
-                if w is None:
-                    continue
-                red = in_t[:slot] + in_t[slot + 1:]
-                groups[red] = vec_add(fld, groups.get(red, {}), vec_scale(fld, w, vec))
-            if any(not vec_is_zero(v) for v in groups.values()):
-                return False
+        if n >= 2 and any(_unit_slot_residues(fld, source.units, objs, table)):
+            return False
     return True
 
 

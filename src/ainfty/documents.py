@@ -89,22 +89,92 @@ def _format_vec(fld: Field, space: GradedSpace, vec: Vec) -> str:
     )
 
 
+def _records(text: str, path: str, header: str, kind: str) -> List[Tuple[int, str]]:
+    """(line number, text) of every record after the header line; blank
+    lines and ``#`` comments are skipped."""
+    lines = text.splitlines()
+    if not lines or lines[0].strip() != header:
+        raise DocumentError(path, 1, f"{kind} documents start with {header!r}")
+    stripped = ((ln, raw.strip()) for ln, raw in enumerate(lines[1:], start=2))
+    return [(ln, line) for ln, line in stripped
+            if line and not line.startswith("#")]
+
+
+def _parse_entry(path: str, ln: int, fields: List[str], fld: Field,
+                 source: GradedQuiver, target: GradedQuiver,
+                 object_map: Dict[str, str]):
+    """One ``mu`` or ``comp`` record: ``kind n ; objects ; inputs ; output``.
+
+    Inputs name basis elements of `source`; the output names basis elements
+    of `target` at the images of the end objects.  Returns the component
+    key, the input tuple and the output vector.
+    """
+    head = fields[0].split()
+    kind = head[0]
+    if len(fields) != 4:
+        raise DocumentError(path, ln,
+                            f"{kind} record: {kind} n ; objects ; inputs ; output")
+    try:
+        n = int(head[1])
+    except (IndexError, ValueError) as exc:
+        raise DocumentError(path, ln, f"{kind} arity must be an integer") from exc
+    objs = tuple(fields[1].split())
+    if len(objs) != n + 1:
+        raise DocumentError(path, ln, f"{kind} arity {n} needs {n + 1} objects")
+    in_names = fields[2].split()
+    if len(in_names) != n:
+        raise DocumentError(path, ln, f"{kind} arity {n} needs {n} inputs")
+    in_t = []
+    for i, name in enumerate(in_names):
+        sp = source.space(objs[n - 1 - i], objs[n - i])
+        try:
+            in_t.append(sp.index(name))
+        except ValueError as exc:
+            raise DocumentError(path, ln, str(exc)) from exc
+    out_space = target.space(object_map.get(objs[0]), object_map.get(objs[-1]))
+    vec = _parse_vec(path, ln, fld, out_space, fields[3].split())
+    return (n, objs), tuple(in_t), vec
+
+
+def _format_entries(kind: str, fld: Field, source: GradedQuiver,
+                    target: GradedQuiver, object_map: Dict[str, str],
+                    components: Components) -> List[str]:
+    """The sorted ``mu`` or ``comp`` records of a component family."""
+    records = []
+    for (n, objs), table in components.items():
+        out_space = target.space(object_map[objs[0]], object_map[objs[-1]])
+        for in_t, vec in table.items():
+            if not vec:
+                continue
+            names = [
+                source.space(objs[n - 1 - i], objs[n - i]).name(b)
+                for i, b in enumerate(in_t)
+            ]
+            records.append(
+                f"{kind} {n} ; {' '.join(objs)} ; {' '.join(names)} ; "
+                f"{_format_vec(fld, out_space, vec)}"
+            )
+    return sorted(records)
+
+
+def _capped(max_arity: Optional[int], cap: Optional[int]) -> Optional[int]:
+    """A document's own arity bound, lowered to `cap` when one is given."""
+    if cap is None:
+        return max_arity
+    return cap if max_arity is None else min(max_arity, cap)
+
+
 # -- category documents -----------------------------------------------------
 
-def parse_category(text: str, path: str = "<category>") -> AInftyCategory:
+def parse_category(text: str, path: str = "<category>",
+                   cap: Optional[int] = None) -> AInftyCategory:
     fld: Optional[Field] = None
     max_arity: Optional[int] = None
     objects: List[str] = []
     basis: Dict[Tuple[str, str], List[Tuple[str, int]]] = {}
     unit_lines: List[Tuple[int, str, List[str]]] = []
     mu_lines: List[Tuple[int, List[str]]] = []
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "acat":
-        raise DocumentError(path, 1, "category documents start with 'acat'")
-    for ln, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, line in _records(text, path, "acat", "category"):
         parts = line.split()
         kind = parts[0]
         if kind == "field":
@@ -148,32 +218,11 @@ def parse_category(text: str, path: str = "<category>") -> AInftyCategory:
     except ValueError as exc:
         raise DocumentError(path, 1, str(exc)) from exc
     comps: Components = {}
+    ident = {x: x for x in objects}
     for ln, fields in mu_lines:
-        head = fields[0].split()
-        if len(fields) != 4:
-            raise DocumentError(path, ln,
-                                "mu record: mu n ; objects ; inputs ; output")
-        try:
-            n = int(head[1])
-        except (IndexError, ValueError) as exc:
-            raise DocumentError(path, ln, "mu arity must be an integer") from exc
-        objs = tuple(fields[1].split())
-        if len(objs) != n + 1:
-            raise DocumentError(path, ln, f"mu arity {n} needs {n + 1} objects")
-        in_names = fields[2].split()
-        if len(in_names) != n:
-            raise DocumentError(path, ln, f"mu arity {n} needs {n} inputs")
-        in_t = []
-        for i, name in enumerate(in_names):
-            sp = quiver.space(objs[n - 1 - i], objs[n - i])
-            try:
-                in_t.append(sp.index(name))
-            except ValueError as exc:
-                raise DocumentError(path, ln, str(exc)) from exc
-        out_space = quiver.space(objs[0], objs[-1])
-        vec = _parse_vec(path, ln, fld, out_space, fields[3].split())
+        key, in_t, vec = _parse_entry(path, ln, fields, fld, quiver, quiver, ident)
         if vec:
-            comps.setdefault((n, objs), {})[tuple(in_t)] = vec
+            comps.setdefault(key, {})[in_t] = vec
     units = None
     if unit_lines:
         units = {}
@@ -186,7 +235,7 @@ def parse_category(text: str, path: str = "<category>") -> AInftyCategory:
             raise DocumentError(path, 1, f"units missing for {missing}")
     try:
         return AInftyCategory.build(quiver, comps, units=units,
-                                    max_arity=max_arity)
+                                    max_arity=_capped(max_arity, cap))
     except AInftyError as exc:
         raise DocumentError(path, 1, str(exc)) from exc
 
@@ -205,27 +254,16 @@ def serialize_category(cat: AInftyCategory) -> str:
         for x in cat.objects:
             vec = cat.units[x]
             out.append(f"unit {x} ; {_format_vec(fld, cat.quiver.space(x, x), vec)}")
-    mu_records = []
-    for (n, objs), table in cat.structure.components.items():
-        for in_t, vec in table.items():
-            if not vec:
-                continue
-            names = [
-                cat.quiver.space(objs[n - 1 - i], objs[n - i]).name(b)
-                for i, b in enumerate(in_t)
-            ]
-            out_space = cat.quiver.space(objs[0], objs[-1])
-            mu_records.append(
-                f"mu {n} ; {' '.join(objs)} ; {' '.join(names)} ; "
-                f"{_format_vec(fld, out_space, vec)}"
-            )
-    out.extend(sorted(mu_records))
+    out.extend(_format_entries("mu", fld, cat.quiver, cat.quiver,
+                               {x: x for x in cat.objects},
+                               cat.structure.components))
     return "\n".join(out) + "\n"
 
 
-def load_category(path: str) -> AInftyCategory:
+def load_category(path: str, cap: Optional[int] = None) -> AInftyCategory:
+    """Parse a category document; `cap` lowers its verification bound."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_category(fh.read(), path)
+        return parse_category(fh.read(), path, cap)
 
 
 # -- functor documents ------------------------------------------------------
@@ -238,19 +276,15 @@ class FunctorDocument:
 
 
 def parse_functor(text: str, path: str = "<functor>",
-                  base_dir: Optional[str] = None) -> FunctorDocument:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "afun":
-        raise DocumentError(path, 1, "functor documents start with 'afun'")
+                  base_dir: Optional[str] = None,
+                  cap: Optional[int] = None) -> FunctorDocument:
+    records = _records(text, path, "afun", "functor")
     base_dir = base_dir if base_dir is not None else os.path.dirname(path)
     source_path = target_path = None
     max_arity: Optional[int] = None
     objmap: Dict[str, str] = {}
     comp_lines: List[Tuple[int, List[str]]] = []
-    for ln, raw in enumerate(lines[1:], start=2):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, line in records:
         parts = line.split()
         kind = parts[0]
         if kind == "source":
@@ -272,10 +306,8 @@ def parse_functor(text: str, path: str = "<functor>",
             raise DocumentError(path, ln, f"unknown record {kind!r}")
     if source_path is None or target_path is None:
         raise DocumentError(path, 1, "functor documents need source and target")
-    source = load_category(os.path.join(base_dir, source_path)
-                           if not os.path.isabs(source_path) else source_path)
-    target = load_category(os.path.join(base_dir, target_path)
-                           if not os.path.isabs(target_path) else target_path)
+    source = load_category(os.path.join(base_dir, source_path), cap)
+    target = load_category(os.path.join(base_dir, target_path), cap)
     for x in source.objects:
         if x not in objmap:
             raise DocumentError(path, 1, f"objmap missing for {x!r}")
@@ -284,35 +316,14 @@ def parse_functor(text: str, path: str = "<functor>",
     if fld != target.fld:
         raise DocumentError(path, 1, "source and target fields differ")
     for ln, fields in comp_lines:
-        head = fields[0].split()
-        if len(fields) != 4:
-            raise DocumentError(path, ln,
-                                "comp record: comp n ; objects ; inputs ; output")
-        try:
-            n = int(head[1])
-        except (IndexError, ValueError) as exc:
-            raise DocumentError(path, ln, "comp arity must be an integer") from exc
-        objs = tuple(fields[1].split())
-        if len(objs) != n + 1:
-            raise DocumentError(path, ln, f"comp arity {n} needs {n + 1} objects")
-        in_names = fields[2].split()
-        if len(in_names) != n:
-            raise DocumentError(path, ln, f"comp arity {n} needs {n} inputs")
-        in_t = []
-        for i, name in enumerate(in_names):
-            sp = source.quiver.space(objs[n - 1 - i], objs[n - i])
-            try:
-                in_t.append(sp.index(name))
-            except ValueError as exc:
-                raise DocumentError(path, ln, str(exc)) from exc
-        out_space = target.quiver.space(objmap[objs[0]], objmap[objs[-1]])
-        vec = _parse_vec(path, ln, fld, out_space, fields[3].split())
+        key, in_t, vec = _parse_entry(path, ln, fields, fld, source.quiver,
+                                      target.quiver, objmap)
         if vec:
-            comps.setdefault((n, objs), {})[tuple(in_t)] = vec
+            comps.setdefault(key, {})[in_t] = vec
     morphism = FormalMorphism(source.quiver, target.quiver, objmap, comps)
     try:
         functor = AInftyFunctor.build(morphism, source, target,
-                                      max_arity=max_arity)
+                                      max_arity=_capped(max_arity, cap))
     except AInftyError as exc:
         raise DocumentError(path, 1, str(exc)) from exc
     return FunctorDocument(functor, source_path, target_path)
@@ -325,30 +336,17 @@ def serialize_functor(functor: AInftyFunctor, source_path: str,
            f"maxarity {functor.arity_bound}"]
     for x in functor.source.objects:
         out.append(f"objmap {x} {functor.object_map[x]}")
-    records = []
-    src_q = functor.source.quiver
-    tgt_q = functor.target.quiver
-    for (n, objs), table in functor.morphism.components.items():
-        for in_t, vec in table.items():
-            if not vec:
-                continue
-            names = [
-                src_q.space(objs[n - 1 - i], objs[n - i]).name(b)
-                for i, b in enumerate(in_t)
-            ]
-            out_space = tgt_q.space(functor.object_map[objs[0]],
-                                    functor.object_map[objs[-1]])
-            records.append(
-                f"comp {n} ; {' '.join(objs)} ; {' '.join(names)} ; "
-                f"{_format_vec(fld, out_space, vec)}"
-            )
-    out.extend(sorted(records))
+    out.extend(_format_entries("comp", fld, functor.source.quiver,
+                               functor.target.quiver, functor.object_map,
+                               functor.morphism.components))
     return "\n".join(out) + "\n"
 
 
-def load_functor(path: str) -> FunctorDocument:
+def load_functor(path: str, cap: Optional[int] = None) -> FunctorDocument:
+    """Parse a functor document and the category documents it names; `cap`
+    lowers the verification bound of all three."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_functor(fh.read(), path)
+        return parse_functor(fh.read(), path, cap=cap)
 
 
 # -- certificates -----------------------------------------------------------
@@ -392,16 +390,10 @@ class RawCertificates:
 
 
 def parse_certificates(text: str, path: str = "<certificates>") -> RawCertificates:
-    lines = text.splitlines()
-    if not lines or lines[0].strip() != "acert":
-        raise DocumentError(path, 1, "certificate documents start with 'acert'")
     raw = RawCertificates()
-    for ln, line in enumerate(lines[1:], start=2):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for ln, line in _records(text, path, "acert", "certificate"):
         fields = [f.strip() for f in line.split(";")]
-        head = fields[0].split()
+        head = fields[0].split() or [""]
         if head[0] == "isolift":
             # isolift tag ; x ; b ; iso-vec ; a ; lift-vec
             if len(head) != 2 or len(fields) != 6:

@@ -63,10 +63,6 @@ def vec_is_zero(v: Vec) -> bool:
     return not v
 
 
-def vec_eq(u: Vec, v: Vec) -> bool:
-    return u == v
-
-
 @dataclass(frozen=True)
 class GradedSpace:
     """Finite based Z-graded space: an ordered basis of (name, degree)."""

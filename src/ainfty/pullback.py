@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .linear import GradedSpace, Vec
+from .linear import GradedSpace, Vec, vec_sub
 from .core import (
     AInftyCategory,
     AInftyError,
@@ -44,7 +44,13 @@ from .quiver import (
     normalize_components,
     r_compose,
 )
-from .strictify import Strictification, strictify, sum_space
+from .strictify import (
+    Strictification,
+    strictify,
+    sum_space,
+    sum_vec,
+    summand_projection,
+)
 
 PAIR_SEP = "&"
 
@@ -110,48 +116,16 @@ def build_pullback_quiver(
                 hom[(p1, p2)] = sp
     quiver = GradedQuiver(fld, objects, hom)
 
-    # Lemma: the product morphism lands in the model's object set
-    for (x, y) in pairs.values():
-        assert f.object_map[x] == g.object_map[y]
-
+    # arity 1: (k, a'') |-> (k, G1 a''); arity n >= 2: all-A'' tuples |-> (0, G^n)
     comps: Components = {}
-    # arity 1: (k, a'') |-> (k, G1 a'')
     for p1 in objects:
         for p2 in objects:
-            (x1, y1), (x2, y2) = pairs[p1], pairs[p2]
-            src = quiver.space(p1, p2)
-            tgt = strict.model.quiver.space(x1, x2)
-            kdim = model.splits[(x1, x2)].kernel.dim
-            tgt_kdim = kdim  # model kernel block uses the same split
-            table: Dict[Tuple[int, ...], Vec] = {}
-            for i in range(kdim):
-                table[(i,)] = {i: fld.one}
-            g1 = g.morphism.component(1, (y1, y2))
-            for (bi,), vec in g1.items():
-                out = {tgt_kdim + oi: c for oi, c in vec.items()}
-                if out:
-                    table[(kdim + bi,)] = out
-            if table:
-                comps[(1, (p1, p2))] = table
-    # arity n >= 2: all-A'' tuples |-> (0, G^n)
-    for (n, yobjs), table in g.morphism.components.items():
-        if n < 2:
-            continue
-        for pobjs in _pullback_paths(pairs, objects, yobjs):
-            ptable: Dict[Tuple[int, ...], Vec] = {}
-            xs = [pairs[p][0] for p in pobjs]
-            out_kdim = model.splits[(xs[0], xs[-1])].kernel.dim
-            for in_t, vec in table.items():
-                shifted = tuple(
-                    model.splits[(pairs[pobjs[n - 1 - i]][0],
-                                  pairs[pobjs[n - i]][0])].kernel.dim + b
-                    for i, b in enumerate(in_t)
-                )
-                out = {out_kdim + oi: c for oi, c in vec.items()}
-                if out:
-                    ptable[shifted] = out
-            if ptable:
-                comps[(n, pobjs)] = ptable
+            kdim = model.splits[(pairs[p1][0], pairs[p2][0])].kernel.dim
+            if kdim:
+                comps[(1, (p1, p2))] = {(i,): {i: fld.one} for i in range(kdim)}
+    for key, table in g.morphism.components.items():
+        for pkey, ptable in _embed_a(pairs, model.splits, objects, key, table):
+            comps.setdefault(pkey, {}).update(ptable)
     object_map = {p: pairs[p][0] for p in objects}
     product = FormalMorphism(quiver, strict.model.quiver, object_map, comps)
     return quiver, product, pairs
@@ -172,85 +146,73 @@ def _pullback_paths(pairs, objects, yobjs):
     yield from rec(0, [])
 
 
-def _a_projection_morphism(quiver: GradedQuiver, pairs, g: AInftyFunctor,
-                           splits) -> FormalMorphism:
-    """Strict projection of the pullback quiver onto the A''-summand."""
-    fld = quiver.fld
-    comps: Components = {}
-    for (p1, p2), sp in quiver.hom.items():
-        (x1, y1), (x2, y2) = pairs[p1], pairs[p2]
-        kdim = splits[(x1, x2)].kernel.dim
-        table = {
-            (kdim + bi,): {bi: fld.one}
-            for bi in range(g.source.quiver.space(y1, y2).dim)
-        }
-        if table:
-            comps[(1, (p1, p2))] = table
-    return FormalMorphism(quiver, g.source.quiver,
-                          {p: pairs[p][1] for p in quiver.objects}, comps)
+def _embed_a(pairs, splits, objects, key, table):
+    """One A''-table, keyed (n, yobjs), along every pullback path over yobjs.
+
+    Every input and the output move past the kernel block of their pair;
+    yields ((n, pobjs), table in pullback coordinates) for nonempty tables.
+    """
+    n, yobjs = key
+    for pobjs in _pullback_paths(pairs, objects, yobjs):
+        xs = [pairs[p][0] for p in pobjs]
+        kdims = [splits[(xs[n - 1 - i], xs[n - i])].kernel.dim for i in range(n)]
+        out_kdim = splits[(xs[0], xs[-1])].kernel.dim
+        ptable: Dict[Tuple[int, ...], Vec] = {}
+        for in_t, vec in table.items():
+            out = {out_kdim + oi: c for oi, c in vec.items()}
+            if out:
+                ptable[tuple(k + b for k, b in zip(kdims, in_t))] = out
+        if ptable:
+            yield (n, pobjs), ptable
+
+
+def _kernel_part(vec: Vec, kdim: int) -> Vec:
+    return {i: c for i, c in vec.items() if i < kdim}
+
+
+def _model_kernel_dim(p: PullbackCategory, object_map, cobjs) -> int:
+    """Kernel block size of the output hom of a functor into the pullback."""
+    x1 = p.object_pairs[object_map[cobjs[0]]][0]
+    x2 = p.object_pairs[object_map[cobjs[-1]]][0]
+    return p.strictification.model.splits[(x1, x2)].kernel.dim
 
 
 def solve_pullback_arity(
     quiver: GradedQuiver,
     pairs: Dict[str, Tuple[str, str]],
     product: FormalMorphism,
-    m_model: Prenatural,
+    rhs: Prenatural,
     g: AInftyFunctor,
     splits,
     partial: Prenatural,
     n: int,
 ) -> Prenatural:
-    """Extend the structure to arity n; the two defining equations hold
-    exactly afterwards (re-verified by the caller)."""
+    """Extend the structure to arity n, given rhs = r_compose(product,
+    m_model, n); the product-morphism equation holds exactly afterwards
+    (re-verified by the caller)."""
     fld = quiver.fld
     ident = identity_formal(quiver)
-    comps = {k: {it: dict(v) for it, v in t.items()}
-             for k, t in partial.components.items()}
+    # only arity-n tables are written below, and partial has none
+    comps = dict(partial.components)
     # forced A''-component: m''^n of the A''-parts
-    for (m, yobjs), table in g.source.structure.components.items():
-        if m != n:
-            continue
-        for pobjs in _pullback_paths(pairs, quiver.objects, yobjs):
-            xs = [pairs[p][0] for p in pobjs]
-            out_kdim = splits[(xs[0], xs[-1])].kernel.dim
-            ptable: Dict[Tuple[int, ...], Vec] = {}
-            for in_t, vec in table.items():
-                shifted = tuple(
-                    splits[(pairs[pobjs[n - 1 - i]][0],
-                            pairs[pobjs[n - i]][0])].kernel.dim + b
-                    for i, b in enumerate(in_t)
-                )
-                out = {out_kdim + oi: c for oi, c in vec.items()}
-                if out:
-                    ptable[shifted] = out
-            if ptable:
-                comps.setdefault((n, pobjs), {}).update(ptable)
+    for key, table in g.source.structure.components.items():
+        if key[0] == n:
+            for pkey, ptable in _embed_a(pairs, splits, quiver.objects, key, table):
+                comps.setdefault(pkey, {}).update(ptable)
     trial = Prenatural(ident, ident, 2, normalize_components(fld, comps))
     # defect of the product-morphism equation with the kernel unknown at zero
-    defect = l_compose(product, trial, n).sub(
-        r_compose(product, m_model, n)).arity_part(n)
+    defect = l_compose(product, trial, n).sub(rhs).arity_part(n)
     for (m, pobjs), table in defect.components.items():
-        x1 = pairs[pobjs[0]][0]
-        x2 = pairs[pobjs[-1]][0]
-        kdim = splits[(x1, x2)].kernel.dim
+        kdim = splits[(pairs[pobjs[0]][0], pairs[pobjs[-1]][0])].kernel.dim
         for in_t, vec in table.items():
-            kpart = {i: c for i, c in vec.items() if i < kdim}
-            rest = {i: c for i, c in vec.items() if i >= kdim}
-            if rest:
+            if any(i >= kdim for i in vec):
                 raise InternalConsistencyError(
                     f"split-off component of the arity-{n} defect is nonzero "
                     f"at {pobjs}, inputs {in_t}"
                 )
-            if kpart:
+            if vec:
                 tbl = comps.setdefault((n, pobjs), {})
-                cur = dict(tbl.get(in_t, {}))
-                for i, c in kpart.items():
-                    s = fld.sub(cur.get(i, fld.zero), c)
-                    if fld.is_zero(s):
-                        cur.pop(i, None)
-                    else:
-                        cur[i] = s
-                tbl[in_t] = cur
+                tbl[in_t] = vec_sub(fld, tbl.get(in_t, {}), vec)
     return Prenatural(ident, ident, 2, normalize_components(fld, comps))
 
 
@@ -263,29 +225,24 @@ def build_pullback_structure(
     splits,
     max_arity: int,
 ) -> Prenatural:
-    """Iterate the arity recursion and re-verify both defining equations.
+    """Iterate the arity recursion and re-verify the product-morphism
+    equation from scratch after every substitution (the definitional
+    oracle, independent of the solving path).
 
-    After every substitution the product-morphism equation and the
-    projection equation are evaluated from scratch at that arity (the
-    definitional oracle, independent of the solving path); the caller
-    certifies the self-composition through the category builder.
+    The projection equation is alpha's functor equation and the
+    self-composition is the category's; the caller certifies both through
+    the builders.
     """
     ident = identity_formal(quiver)
     structure = Prenatural(ident, ident, 2, {})
-    pr_a = _a_projection_morphism(quiver, pairs, g, splits)
     for n in range(1, max_arity + 1):
+        rhs = r_compose(product, m_model, n)
         structure = solve_pullback_arity(
-            quiver, pairs, product, m_model, g, splits, structure, n)
-        eq1 = l_compose(product, structure, n).sub(
-            r_compose(product, m_model, n)).arity_part(n)
+            quiver, pairs, product, rhs, g, splits, structure, n)
+        eq1 = l_compose(product, structure, n).sub(rhs).arity_part(n)
         if not eq1.is_zero():
             raise InternalConsistencyError(
                 f"product-morphism equation nonzero at arity {n}")
-        eq2 = l_compose(pr_a, structure, n).sub(
-            r_compose(pr_a, g.source.structure, n)).arity_part(n)
-        if not eq2.is_zero():
-            raise InternalConsistencyError(
-                f"projection equation nonzero at arity {n}")
     return structure
 
 
@@ -312,19 +269,18 @@ def build_pullback(
     m_model = strict.transported.structure
     structure = build_pullback_structure(quiver, pairs, product, m_model, g,
                                          splits, bound)
-    pr_a = _a_projection_morphism(quiver, pairs, g, splits)
+    pr_a = summand_projection(quiver, g.source.quiver,
+                              {p: pairs[p][1] for p in quiver.objects})
 
     units = None
     if (f.source.units is not None and g.source.units is not None
             and f.strictly_unital and g.strictly_unital):
-        units = {}
-        for p, (x, y) in pairs.items():
-            kpart = splits[(x, x)].retract.apply(f.source.unit_vec(x))
-            kdim = splits[(x, x)].kernel.dim
-            vec = dict(kpart)
-            for i, c in g.source.unit_vec(y).items():
-                vec[kdim + i] = c
-            units[p] = vec
+        units = {
+            p: sum_vec(quiver.fld,
+                       splits[(x, x)].retract.apply(f.source.unit_vec(x)),
+                       g.source.unit_vec(y), splits[(x, x)].kernel.dim)
+            for p, (x, y) in pairs.items()
+        }
     category = AInftyCategory.build(quiver, structure.components, units,
                                     max_arity=bound)
     alpha = AInftyFunctor.build(pr_a, category, g.source, max_arity=bound)
@@ -411,19 +367,13 @@ def induce_functor(
     comps: Components = {}
     keys = set(i_model.components) | set(cone_l.morphism.components)
     for (n, cobjs) in keys:
-        ptable: Dict[Tuple[int, ...], Vec] = {}
-        pobjs = tuple(object_map[c] for c in cobjs)
-        xs = [p.object_pairs[q][0] for q in pobjs]
-        kdim_model = p.strictification.model.splits[(xs[0], xs[-1])].kernel.dim
+        kdim = _model_kernel_dim(p, object_map, cobjs)
         im_table = i_model.components.get((n, cobjs), {})
         l_table = cone_l.morphism.components.get((n, cobjs), {})
+        ptable: Dict[Tuple[int, ...], Vec] = {}
         for in_t in set(im_table) | set(l_table):
-            vec: Vec = {}
-            for oi, c in im_table.get(in_t, {}).items():
-                if oi < kdim_model:
-                    vec[oi] = c
-            for oi, c in l_table.get(in_t, {}).items():
-                vec[kdim_model + oi] = c
+            vec = sum_vec(fld, _kernel_part(im_table.get(in_t, {}), kdim),
+                          l_table.get(in_t, {}), kdim)
             if vec:
                 ptable[in_t] = vec
         if ptable:
@@ -449,32 +399,19 @@ def _rederive_components(p: PullbackCategory, functor: AInftyFunctor,
                              dict(functor.object_map), {})
     for n in range(1, bound + 1):
         lower = compose_formal(p.product_morphism, partial, n)
-        keys = {k for k in set(i_model.components) | set(lower.components)
-                if k[0] == n}
-        keys |= {k for k in cone_l.morphism.components if k[0] == n}
+        keys = {k for k in (*i_model.components, *lower.components,
+                            *cone_l.morphism.components) if k[0] == n}
         forced: Components = {}
         for (m, cobjs) in keys:
-            pobjs = tuple(functor.object_map[c] for c in cobjs)
-            xs = [p.object_pairs[q][0] for q in pobjs]
-            kdim = p.strictification.model.splits[(xs[0], xs[-1])].kernel.dim
-            table: Dict[Tuple[int, ...], Vec] = {}
+            kdim = _model_kernel_dim(p, functor.object_map, cobjs)
             im_t = i_model.components.get((m, cobjs), {})
             lo_t = lower.components.get((m, cobjs), {})
             l_t = cone_l.morphism.components.get((m, cobjs), {})
+            table: Dict[Tuple[int, ...], Vec] = {}
             for in_t in set(im_t) | set(lo_t) | set(l_t):
-                vec: Vec = {}
-                for oi, c in im_t.get(in_t, {}).items():
-                    if oi < kdim:
-                        vec[oi] = c
-                for oi, c in lo_t.get(in_t, {}).items():
-                    if oi < kdim:
-                        s = fld.sub(vec.get(oi, fld.zero), c)
-                        if fld.is_zero(s):
-                            vec.pop(oi, None)
-                        else:
-                            vec[oi] = s
-                for oi, c in l_t.get(in_t, {}).items():
-                    vec[kdim + oi] = c
+                kpart = vec_sub(fld, _kernel_part(im_t.get(in_t, {}), kdim),
+                                _kernel_part(lo_t.get(in_t, {}), kdim))
+                vec = sum_vec(fld, kpart, l_t.get(in_t, {}), kdim)
                 if vec:
                     table[in_t] = vec
             if table:

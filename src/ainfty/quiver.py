@@ -114,9 +114,6 @@ class FormalMorphism:
     def shift(self, n: int) -> int:
         return 1 - n
 
-    def is_strict(self) -> bool:
-        return all(n <= 1 for (n, _) in self.components)
-
     def component(self, n: int, objs: Tuple[str, ...]) -> Dict[Tuple[int, ...], Vec]:
         return self.components.get((n, objs), {})
 

@@ -62,10 +62,22 @@ def sum_vec(fld, left: Vec, right: Vec, left_dim: int) -> Vec:
     return {i: c for i, c in out.items() if not fld.is_zero(c)}
 
 
-def split_parts(vec: Vec, left_dim: int) -> Tuple[Vec, Vec]:
-    left = {i: c for i, c in vec.items() if i < left_dim}
-    right = {i - left_dim: c for i, c in vec.items() if i >= left_dim}
-    return left, right
+def summand_projection(source: GradedQuiver, target: GradedQuiver,
+                       object_map: Dict[str, str]) -> FormalMorphism:
+    """The strict morphism (k, a) |-> a onto the second summand.
+
+    Every hom of `source` is K (+) M, kernel block first, with M the hom of
+    `target` between the images of its end objects.
+    """
+    fld = source.fld
+    comps: Components = {}
+    for (x, y), sp in source.hom.items():
+        adim = target.space(object_map[x], object_map[y]).dim
+        kdim = sp.dim - adim
+        table = {(kdim + bi,): {bi: fld.one} for bi in range(adim)}
+        if table:
+            comps[(1, (x, y))] = table
+    return FormalMorphism(source, target, dict(object_map), comps)
 
 
 @dataclass
@@ -76,9 +88,6 @@ class SplitModel:
     quiver: GradedQuiver
     decompose: FormalMorphism     # strict: A -> model, f |-> (r1 f, F1 f)
     recompose: FormalMorphism     # strict: model -> A, (g, h) |-> i1 g + s1 h
-
-    def kernel_dim(self, x: str, y: str) -> int:
-        return self.splits[(x, y)].kernel.dim
 
 
 def build_split_model(functor: AInftyFunctor, f1: F1Result) -> SplitModel:
@@ -197,7 +206,6 @@ def transport_structure(model: SplitModel, phi: FormalMorphism,
     all-ones partition of the right-hand block sum.
     """
     base = model.base
-    fld = base.fld
     ident = identity_formal(base.quiver)
     m_hat = Prenatural(ident, ident, 2, {})
     lhs = l_compose(phi, base.structure, max_arity)
@@ -209,7 +217,7 @@ def transport_structure(model: SplitModel, phi: FormalMorphism,
             if key[0] == n and table:
                 comps[key] = table
         m_hat = Prenatural(ident, ident, 2, comps)
-    if l_compose(phi, base.structure, max_arity) != r_compose(phi, m_hat, max_arity):
+    if lhs != r_compose(phi, m_hat, max_arity):
         raise StrictifyError("transport recursion failed to close")
     return m_hat
 
@@ -222,23 +230,10 @@ def strict_projection(model: SplitModel, transported: AInftyCategory,
     statement that the split-off component of every transported operation
     is the target operation of the split-off parts.
     """
-    fld = model.base.fld
     functor = model.functor
-    comps: Components = {}
-    for x in model.base.objects:
-        for y in model.base.objects:
-            split = model.splits[(x, y)]
-            kdim = split.kernel.dim
-            table = {
-                (kdim + bi,): {bi: fld.one}
-                for bi in range(split.surjection.target.dim)
-            }
-            if table:
-                comps[(1, (x, y))] = table
-    morphism = FormalMorphism(
+    morphism = summand_projection(
         model.quiver, functor.target.quiver,
-        {x: functor.object_map[x] for x in model.base.objects}, comps,
-    )
+        {x: functor.object_map[x] for x in model.base.objects})
     return AInftyFunctor.build(morphism, transported, functor.target,
                                max_arity=max_arity)
 

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import pathlib
 import random
+import shutil
 
 import pytest
 
@@ -158,3 +162,70 @@ def test_usage_error_exit_two(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert json.loads(out)["overall"] == "error"
+
+
+# -- byte stability of the README worked example --------------------------------
+
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "readme"
+README_INPUTS = ("a.acat", "b.acat", "f.afun", "g.afun")
+# (command, arguments relative to the work directory, documents it writes)
+README_RUNS = (
+    ("validate", ["a.acat", "b.acat", "f.afun", "g.afun"], ()),
+    ("classify", ["f.afun"], ()),
+    ("strictify", ["f.afun", "--out", "st"],
+     ("st/model.acat", "st/projection.afun", "st/phi.afun", "st/psi.afun")),
+    ("pullback", ["f.afun", "g.afun", "--out", "pb"],
+     ("pb/pullback.acat", "pb/alpha.afun", "pb/beta.afun")),
+    ("induce", ["f.afun", "g.afun", "pb/beta.afun", "pb/alpha.afun",
+                "--out", "ind"],
+     ("ind/induced.afun", "ind/pullback.acat")),
+)
+
+
+def readme_outputs(work: pathlib.Path):
+    """Run the five commands on the README example inside `work`; return
+    {golden file name: (exit code, text)} with `work` relabelled `<tmp>`."""
+    for name in README_INPUTS:
+        shutil.copy(GOLDEN / name, work / name)
+    out = {}
+    for command, args, written in README_RUNS:
+        argv = [a if a.startswith("--") else str(work / a) for a in args]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main([command] + argv)
+        out[f"{command}.json"] = (code, buf.getvalue())
+        for rel in written:
+            out[rel] = (code, (work / rel).read_text())
+    return {name: (code, text.replace(str(work), "<tmp>"))
+            for name, (code, text) in out.items()}
+
+
+def test_readme_example_bytes_stable(tmp_path):
+    for name, (code, text) in readme_outputs(tmp_path).items():
+        assert code == 0, name
+        assert text == (GOLDEN / "expected" / name).read_text(), name
+
+
+@pytest.mark.parametrize("command", ["classify", "validate"])
+def test_field_fp_not_prime_exit_two(tmp_path, capsys, command):
+    write_sq(tmp_path, F5)
+    code, rep = run(capsys, command, str(tmp_path / "f.afun"),
+                    "--field", "Fp", "--p", "4")
+    assert code == 2 and rep["overall"] == "error"
+    assert rep["error"].startswith("<args>:0: ")
+
+
+def test_semicolon_certificate_line_exit_two(tmp_path, capsys):
+    write_sq(tmp_path, F5)
+    (tmp_path / "c.acert").write_text("acert\n;\n")
+    code, rep = run(capsys, "classify", str(tmp_path / "f.afun"),
+                    "--certificates", str(tmp_path / "c.acert"))
+    assert code == 2 and rep["overall"] == "error"
+    assert rep["error"] == f"{tmp_path / 'c.acert'}:2: unknown record ''"
+
+
+def test_validate_max_arity_caps_bound(capsys):
+    code, rep = run(capsys, "validate", str(GOLDEN / "a.acat"),
+                    "--max-arity", "2")
+    assert code == 0
+    assert rep["checks"][str(GOLDEN / "a.acat")]["details"]["arity_bound"] == 2
