@@ -299,6 +299,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     args = parser.parse_args(argv)
     try:
+        if args.max_arity is not None and args.max_arity < 1:
+            raise DocumentError("<args>", 0, "--max-arity must be at least 1")
         return args.fn(args)
     except (DocumentError, OSError) as exc:
         print(json.dumps({"command": args.command, "error": str(exc),

@@ -25,7 +25,6 @@ from .linear import (
     solve_dense,
     split_surjection,
     vec_add,
-    vec_is_zero,
     vec_scale,
 )
 from .quiver import (
@@ -288,7 +287,7 @@ def _unit_slot_residues(fld: Field, units: Dict[str, Vec],
             red = in_t[:slot] + in_t[slot + 1:]
             groups[red] = vec_add(fld, groups.get(red, {}), vec_scale(fld, w, vec))
         for red, vec in groups.items():
-            if not vec_is_zero(vec):
+            if vec:
                 yield slot, red
 
 
@@ -669,7 +668,7 @@ def kernel_acyclicity(functor: AInftyFunctor,
                 v = split.include.column(ki)
                 w = eval_multilinear(functor.source.structure, 1, (x, y), [v])
                 img = eval_multilinear(functor.morphism, 1, (x, y), [w])
-                if not vec_is_zero(img):
+                if img:
                     raise AInftyError(
                         f"m1 does not preserve Ker F1 at ({x},{y})"
                     )

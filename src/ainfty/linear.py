@@ -59,10 +59,6 @@ def vec_sub(fld: Field, u: Vec, v: Vec) -> Vec:
     return vec_add(fld, u, vec_scale(fld, fld.from_int(-1), v))
 
 
-def vec_is_zero(v: Vec) -> bool:
-    return not v
-
-
 @dataclass(frozen=True)
 class GradedSpace:
     """Finite based Z-graded space: an ordered basis of (name, degree)."""
@@ -277,12 +273,6 @@ def solve_linear(m: GradedMap, target: Vec) -> Optional[Vec]:
     for d in degrees:
         rows, cols, block = _degree_block(m, d)
         rhs = [target.get(ti, m.fld.zero) for ti in rows]
-        stray = [
-            ti for ti in target
-            if m.target.degree(ti) == d + m.shift and ti not in rows
-        ]
-        if stray:  # cannot happen: rows covers the degree
-            return None
         if not rows:
             continue
         sol = solve_dense(m.fld, block, rhs)
@@ -335,70 +325,49 @@ class SplitData:
 def split_surjection(m: GradedMap) -> SplitData:
     """Split a degreewise surjection of shift 0.
 
-    Raises NotSurjectiveError naming the first offending degree.  The kernel
-    basis is the echelon nullspace basis, ordered by (degree, column).
+    Each degree block is eliminated once, as ``rref([block | I])``.  A pivot
+    in the ``I`` half means the block is not surjective: NotSurjectiveError
+    names the first such degree.  Otherwise the ``I`` half is the section
+    (free variables set to zero), the block half gives the echelon nullspace
+    basis (one kernel vector per free column, ordered by (degree, column)),
+    and the retract keeps the free coordinates.
     """
     if m.shift != 0:
         raise LinearError("only shift-0 maps can satisfy the splitting condition")
     fld = m.fld
     degrees = sorted(set(m.source.degrees()) | set(m.target.degrees()))
     kernel_basis: List[Tuple[str, int]] = []
-    kernel_cols: List[Vec] = []
+    include_entries: Dict[Tuple[int, int], Scalar] = {}
+    retract_entries: Dict[Tuple[int, int], Scalar] = {}
     section_entries: Dict[Tuple[int, int], Scalar] = {}
     for d in degrees:
         rows, cols, block = _degree_block(m, d)
-        if rows and not cols:
+        ncols = len(cols)
+        mat, pivots = rref(fld, [
+            row + [fld.one if j == r else fld.zero for j in range(len(rows))]
+            for r, row in enumerate(block)
+        ]) if rows else ([], [])
+        if pivots and pivots[-1] >= ncols:
             raise NotSurjectiveError(d)
-        if rows:
-            _, pivots = rref(fld, block)
-            if len(pivots) < len(rows):
-                raise NotSurjectiveError(d)
+        for i, pc in enumerate(pivots):
             for r, ti in enumerate(rows):
-                rhs = [fld.one if i == r else fld.zero for i in range(len(rows))]
-                sol = solve_dense(fld, block, rhs)
-                assert sol is not None
-                for si, x in zip(cols, sol):
-                    if not fld.is_zero(x):
-                        section_entries[(si, ti)] = x
-        if cols:
-            for nv in nullspace_dense(fld, block) if rows else [
-                [fld.one if j == i else fld.zero for j in range(len(cols))]
-                for i in range(len(cols))
-            ]:
-                k = len(kernel_basis)
-                kernel_basis.append((f"ker{k}", d))
-                kernel_cols.append({
-                    cols[j]: x for j, x in enumerate(nv) if not fld.is_zero(x)
-                })
+                if not fld.is_zero(mat[i][ncols + r]):
+                    section_entries[(cols[pc], ti)] = mat[i][ncols + r]
+        for fc in range(ncols):
+            if fc in pivots:
+                continue
+            k = len(kernel_basis)
+            kernel_basis.append((f"ker{k}", d))
+            include_entries[(cols[fc], k)] = fld.one
+            retract_entries[(k, cols[fc])] = fld.one
+            for i, pc in enumerate(pivots):
+                if not fld.is_zero(mat[i][fc]):
+                    include_entries[(cols[pc], k)] = fld.neg(mat[i][fc])
     kernel = GradedSpace(tuple(kernel_basis))
-    include = GradedMap(fld, kernel, m.source, 0, {
-        (si, ki): c for ki, col in enumerate(kernel_cols) for si, c in col.items()
-    })
-    section = GradedMap(fld, m.target, m.source, 0, section_entries)
-    # retract: express (id - section*m) in the kernel basis, degreewise
-    proj = GradedMap.identity(fld, m.source).add(
-        GradedMap(fld, m.source, m.source, 0, {
-            key: fld.neg(c) for key, c in section.compose(m).entries.items()
-        })
-    )
-    retract_entries: Dict[Tuple[int, int], Scalar] = {}
-    for d in degrees:
-        src_idx = m.source.indices_of_degree(d)
-        ker_idx = kernel.indices_of_degree(d)
-        if not src_idx:
-            continue
-        kmat = [[kernel_cols[ki].get(si, fld.zero) for ki in ker_idx] for si in src_idx]
-        for si in src_idx:
-            pv = proj.column(si)
-            rhs = [pv.get(sj, fld.zero) for sj in src_idx]
-            sol = solve_dense(fld, kmat, rhs)
-            if sol is None:
-                raise LinearError("kernel basis does not span the complement")
-            for kpos, x in zip(ker_idx, sol):
-                if not fld.is_zero(x):
-                    retract_entries[(kpos, si)] = x
-    retract = GradedMap(fld, m.source, kernel, 0, retract_entries)
-    data = SplitData(m, kernel, include, retract, section)
+    data = SplitData(m, kernel,
+                     GradedMap(fld, kernel, m.source, 0, include_entries),
+                     GradedMap(fld, m.source, kernel, 0, retract_entries),
+                     GradedMap(fld, m.target, m.source, 0, section_entries))
     data.verify()
     return data
 

@@ -517,6 +517,25 @@ def perturb_structure(rng: random.Random, cat: AInftyCategory,
     return None
 
 
+def bump_coefficient(fld: Field, comps: Components, arity: int,
+                     allowed=lambda key, out: True) -> Components:
+    """A copy of `comps` with its first nonzero arity-`arity` coefficient
+    (in sorted key, input, output order; `allowed` filters the outputs)
+    raised by one."""
+    for key in sorted(k for k in comps if k[0] == arity):
+        for in_t in sorted(comps[key]):
+            outs = sorted(o for o in comps[key][in_t] if allowed(key, o))
+            if outs:
+                new = {k: {it: dict(v) for it, v in t.items()}
+                       for k, t in comps.items()}
+                vec = new[key][in_t]
+                vec[outs[0]] = fld.add(vec[outs[0]], fld.one)
+                if fld.is_zero(vec[outs[0]]):
+                    del vec[outs[0]]
+                return normalize_components(fld, new)
+    raise ValueError(f"no coefficient of arity {arity} to change")
+
+
 # -- word-level bar calculus (for strictification cross-checks) -----------------
 
 # a word is (objects tuple x_0..x_n, letters tuple in f_n..f_1 order);

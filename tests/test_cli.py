@@ -229,3 +229,19 @@ def test_validate_max_arity_caps_bound(capsys):
                     "--max-arity", "2")
     assert code == 0
     assert rep["checks"][str(GOLDEN / "a.acat")]["details"]["arity_bound"] == 2
+
+
+@pytest.mark.parametrize("command, args", [
+    ("validate", ["{d}/a.acat", "--max-arity", "-3"]),
+    ("pullback", ["{d}/f.afun", "{d}/g.afun", "--out", "{d}/o",
+                  "--max-arity", "0"]),
+])
+def test_max_arity_below_one_exit_two(tmp_path, capsys, command, args):
+    # a bound below 1 certifies nothing: a usage error, not a pass or a
+    # failed check
+    for name in README_INPUTS:
+        shutil.copy(GOLDEN / name, tmp_path / name)
+    code, rep = run(capsys, command, *(a.format(d=tmp_path) for a in args))
+    assert code == 2 and rep["overall"] == "error"
+    assert rep["error"] == "<args>:0: --max-arity must be at least 1"
+    assert not (tmp_path / "o").exists()

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 
 import pytest
@@ -12,6 +13,9 @@ from ainfty.linear import (
     NotSquareZeroError,
     NotSurjectiveError,
     cohomology,
+    nullspace_dense,
+    rref,
+    solve_dense,
     solve_linear,
     split_surjection,
 )
@@ -107,30 +111,73 @@ def test_split_shift_rejected(qq):
         split_surjection(GradedMap(qq, src, tgt, 1, {(0, 0): qq.one}))
 
 
-def test_split_identities_random(qq, rng):
-    # degreewise-random surjections: all five identities must hold exactly
-    for _ in range(25):
-        n, m = rng.randint(1, 4), rng.randint(1, 3)
-        if m > n:
-            n, m = m, n
-        deg = rng.randint(-2, 2)
-        src = GradedSpace(tuple((f"s{i}", deg) for i in range(n)))
-        tgt = GradedSpace(tuple((f"t{j}", deg) for j in range(m)))
-        entries = {}
-        for j in range(m):
-            entries[(j, j)] = qq.one
-            for i in range(n):
-                if rng.random() < 0.5:
-                    key = (j, i)
-                    entries[key] = qq.from_int(rng.randint(-3, 3))
-                    if entries[key] == 0:
-                        del entries[key]
-        for j in range(m):
-            entries[(j, j)] = qq.one
-        gm = GradedMap(qq, src, tgt, 0, entries)
-        data = split_surjection(gm)
-        data.verify()
-        assert data.kernel.dim == n - m
+def test_split_identities_random(qq, f5, rng):
+    # random graded maps of mixed degrees: a surjection must split into the
+    # echelon kernel (nullspace_dense per block) and the section that
+    # solve_dense finds row by row; any other map must be rejected at its
+    # first rank-short degree
+    for fld in (qq, f5):
+        outcomes = {True: 0, False: 0}
+        for _ in range(80):
+            outcomes[_check_random_split(fld, rng)] += 1
+        assert min(outcomes.values()) >= 20
+
+
+def _check_random_split(fld, rng) -> bool:
+    src = GradedSpace(tuple((f"s{i}", rng.randint(-1, 1))
+                            for i in range(rng.randint(0, 6))))
+    tgt = GradedSpace(tuple((f"t{j}", rng.randint(-1, 1))
+                            for j in range(rng.randint(0, 3))))
+    gm = GradedMap(fld, src, tgt, 0, {
+        (j, i): fld.from_int(rng.randint(-3, 3))
+        for j in range(tgt.dim) for i in range(src.dim)
+        if tgt.degree(j) == src.degree(i) and rng.random() < 0.8
+    })
+    blocks = {}
+    for d in sorted(set(src.degrees()) | set(tgt.degrees())):
+        rows, cols = tgt.indices_of_degree(d), src.indices_of_degree(d)
+        blocks[d] = (rows, cols, [[gm.entries.get((ti, si), fld.zero)
+                                   for si in cols] for ti in rows])
+    short = [d for d, (rows, _, block) in blocks.items()
+             if len(rref(fld, block)[1]) < len(rows)]
+    if short:
+        with pytest.raises(NotSurjectiveError) as exc:
+            split_surjection(gm)
+        assert exc.value.degree == short[0]
+        return False
+    data = split_surjection(gm)
+    data.verify()
+    k = 0
+    for d, (rows, cols, block) in blocks.items():
+        for r, ti in enumerate(rows):
+            e_r = [fld.one if i == r else fld.zero for i in range(len(rows))]
+            col = [data.section.entries.get((si, ti), fld.zero) for si in cols]
+            assert col == solve_dense(fld, block, e_r)
+        null = nullspace_dense(fld, block) if rows else [
+            [fld.one if j == i else fld.zero for j in range(len(cols))]
+            for i in range(len(cols))]
+        for v in null:
+            assert data.kernel.degree(k) == d
+            assert [data.include.entries.get((si, k), fld.zero)
+                    for si in cols] == v
+            k += 1
+    assert k == data.kernel.dim == src.dim - tgt.dim
+    return True
+
+
+def test_split_retract_tampering_rejected(qq):
+    src = GradedSpace((("1", 0), ("e", 0), ("t", -1)))
+    tgt = GradedSpace((("1'", 0),))
+    data = split_surjection(GradedMap(qq, src, tgt, 0, {(0, 0): qq.one, (0, 1): qq.one}))
+    # the retract keeps the free coordinates: e (kernel vector e - 1) and t
+    assert data.retract.entries == {(0, 2): qq.one, (1, 1): qq.one}
+    for key in [(0, 2), (1, 1), (1, 0)]:
+        entries = dict(data.retract.entries)
+        entries[key] = qq.add(entries.get(key, qq.zero), qq.one)
+        bad = dataclasses.replace(data, retract=GradedMap(
+            qq, src, data.kernel, 0, entries))
+        with pytest.raises(LinearError):
+            bad.verify()
 
 
 def test_solve_linear_always_recovers_image(qq, rng):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import random
 
 import pytest
@@ -14,6 +16,7 @@ from ainfty.quiver import (
     identity_formal,
 )
 from ainfty.core import (
+    AInftyError,
     AInftyFunctor,
     check_F1,
     check_strict_units,
@@ -31,6 +34,7 @@ from ainfty.pullback import (
 from ainfty.strictify import strictify
 
 from helpers import (
+    bump_coefficient,
     doubled_object_functor,
     formal_inverse,
     nilpotent_category,
@@ -433,3 +437,29 @@ def test_beta_lands_in_original_source():
     from ainfty.core import functor_defect
     assert functor_defect(p.beta.morphism, p.category, f.source,
                           p.arity_bound).is_zero()
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_tampered_kernel_block_is_rejected(monkeypatch, arity):
+    # the solved product-morphism equation is not re-checked per arity; the
+    # pullback's m.m = 0 and beta's functor equation must still catch a
+    # wrong kernel-block coefficient
+    pullback = importlib.import_module("ainfty.pullback")
+    f, g = twisted_pair(seed=3)
+    solve = pullback.solve_pullback_arity
+
+    def tampered(quiver, pairs, product, rhs, g, splits, partial, n):
+        structure = solve(quiver, pairs, product, rhs, g, splits, partial, n)
+        if n != arity:
+            return structure
+
+        def kernel_block(key, out):
+            x1, x2 = pairs[key[1][0]][0], pairs[key[1][-1]][0]
+            return out < splits[(x1, x2)].kernel.dim
+
+        return dataclasses.replace(structure, components=bump_coefficient(
+            quiver.fld, structure.components, n, kernel_block))
+
+    monkeypatch.setattr(pullback, "solve_pullback_arity", tampered)
+    with pytest.raises(AInftyError):
+        build_pullback(f, g, max_arity=3)

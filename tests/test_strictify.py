@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import importlib
 import random
 
 import pytest
@@ -16,7 +18,13 @@ from ainfty.quiver import (
     l_compose,
     r_compose,
 )
-from ainfty.core import AInftyFunctor, check_F1, check_strict_units, functor_defect
+from ainfty.core import (
+    AInftyError,
+    AInftyFunctor,
+    check_F1,
+    check_strict_units,
+    functor_defect,
+)
 from ainfty.strictify import (
     StrictifyError,
     build_phi_psi,
@@ -28,6 +36,7 @@ from ainfty.strictify import (
 from helpers import (
     bar_expand_combo,
     bar_expand_word,
+    bump_coefficient,
     coderivation_expand_combo,
     nilpotent_category,
     point_category,
@@ -51,7 +60,8 @@ def test_split_model_sq():
     model = build_split_model(f, check_F1(f))
     sp = model.quiver.space("o", "o")
     assert [n for n, _ in sp.basis] == ["k:ker0", "k:ker1", "a:1'"]
-    # decompose/recompose are verified mutually inverse inside the builder
+    # decompose/recompose are mutually inverse because split_surjection
+    # certifies the five splitting identities of every split
 
 
 def test_split_model_identity_functor():
@@ -291,3 +301,24 @@ def test_strictify_requires_f1(qq):
     f = AInftyFunctor.build(morphism, small, big)
     with pytest.raises(StrictifyError):
         strictify(f)
+
+
+# `from ainfty import strictify` is the function; patch through the module
+STRICTIFY = importlib.import_module("ainfty.strictify")
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+def test_tampered_transport_is_rejected(monkeypatch, arity):
+    # the transport recursion is not re-checked; the transported category's
+    # m.m = 0 and phi's functor equation must still catch a wrong coefficient
+    f = fixture_functor()
+    solve = STRICTIFY.transport_structure
+
+    def tampered(model, phi, max_arity):
+        m_hat = solve(model, phi, max_arity)
+        return dataclasses.replace(m_hat, components=bump_coefficient(
+            QQ, m_hat.components, arity))
+
+    monkeypatch.setattr(STRICTIFY, "transport_structure", tampered)
+    with pytest.raises(AInftyError):
+        strictify(f, max_arity=3)
