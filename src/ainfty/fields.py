@@ -1,9 +1,10 @@
 """Exact scalar arithmetic over the rationals and over prime fields.
 
-Scalars are plain Python values: ``fractions.Fraction`` over the rationals,
-``int`` residues in ``[0, p)`` over a prime field.  A :class:`Field` value
-bundles the operations so that all linear algebra stays exact and
-field-agnostic.
+Scalars are plain Python values: over the rationals ``int`` for integral
+values the field makes (zero, one, ``from_int``, parses, inverses) and
+``fractions.Fraction`` otherwise, the two mixing exactly; ``int`` residues in
+``[0, p)`` over a prime field.  A :class:`Field` value bundles the operations
+so that all linear algebra stays exact and field-agnostic.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Union
 
-Scalar = Union[Fraction, int]
+Scalar = Union[Fraction, int]  # Q: int if made integral, else Fraction; F_p: int
 
 
 class FieldError(ValueError):
@@ -57,15 +58,15 @@ class Field:
 
     @property
     def zero(self) -> Scalar:
-        return Fraction(0) if self.characteristic == 0 else 0
+        return 0
 
     @property
     def one(self) -> Scalar:
-        return Fraction(1) if self.characteristic == 0 else 1
+        return 1
 
     def from_int(self, n: int) -> Scalar:
         if self.characteristic == 0:
-            return Fraction(n)
+            return n
         return n % self.characteristic
 
     def add(self, a: Scalar, b: Scalar) -> Scalar:
@@ -92,7 +93,8 @@ class Field:
         if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero")
         if self.characteristic == 0:
-            return 1 / a
+            r = Fraction(1, a)
+            return r.numerator if r.denominator == 1 else r
         return pow(a, self.characteristic - 2, self.characteristic)
 
     def div(self, a: Scalar, b: Scalar) -> Scalar:
@@ -126,9 +128,10 @@ class Field:
                     raise FieldError(f"malformed scalar {text!r}") from exc
                 if den == 0:
                     raise FieldError(f"malformed scalar {text!r}: zero denominator")
-                return Fraction(num, den)
+                r = Fraction(num, den)
+                return r.numerator if r.denominator == 1 else r
             try:
-                return Fraction(int(text))
+                return int(text)
             except ValueError as exc:
                 raise FieldError(f"malformed scalar {text!r}") from exc
         if "/" in text or "." in text:

@@ -381,23 +381,42 @@ class Cohomology:
     dims: Dict[int, int]
     reps: Dict[int, List[Vec]]
     _image: Dict[int, List[Vec]]
+    # degree -> (indices, len(reps + image), rref([reps | image | I]), its pivots)
+    _reduced: Dict[int, tuple] = field(default_factory=dict, repr=False, compare=False)
 
     def coords(self, v: Vec, degree: int) -> Optional[List[Scalar]]:
-        """Class coordinates of a degree-homogeneous cocycle, or None."""
+        """Class coordinates of a degree-homogeneous cocycle, or None.
+
+        The degree's ``[reps | image]`` block is eliminated once, as
+        ``rref([block | I])``; with T its ``I`` half, block . x = v is solvable
+        iff T . v vanishes past the block's rank, and then x (free coordinates
+        zero) reads off T . v.
+        """
         fld = self.d.fld
-        idx = self.space.indices_of_degree(degree)
-        reps = self.reps.get(degree, [])
-        img = self._image.get(degree, [])
-        cols = reps + img
-        rows = [[col.get(si, fld.zero) for col in cols] for si in idx]
-        rhs = [v.get(si, fld.zero) for si in idx]
         for si, c in v.items():
             if self.space.degree(si) != degree and not fld.is_zero(c):
                 raise LinearError("vector is not homogeneous of the stated degree")
-        sol = solve_dense(fld, rows, rhs) if idx else ([] if not v else None)
-        if sol is None:
+        if degree not in self._reduced:
+            idx = self.space.indices_of_degree(degree)
+            cols = self.reps.get(degree, []) + self._image.get(degree, [])
+            mat, pivots = rref(fld, [
+                [col.get(si, fld.zero) for col in cols]
+                + [fld.one if j == r else fld.zero for j in range(len(idx))]
+                for r, si in enumerate(idx)
+            ]) if idx else ([], [])
+            self._reduced[degree] = (idx, len(cols), mat,
+                                     [pc for pc in pivots if pc < len(cols)])
+        idx, ncols, mat, pivots = self._reduced[degree]
+        if not idx:
+            return [] if not v else None
+        tv = [fld.zero] * len(mat)
+        for r, si in enumerate(idx):
+            if not fld.is_zero(v.get(si, fld.zero)):
+                tv = [fld.add(t, fld.mul(row[ncols + r], v[si])) for t, row in zip(tv, mat)]
+        if any(not fld.is_zero(t) for t in tv[len(pivots):]):
             return None
-        return sol[: len(reps)]
+        x = dict(zip(pivots, tv))
+        return [x.get(c, fld.zero) for c in range(len(self.reps.get(degree, [])))]
 
     def total_dim(self) -> int:
         return sum(self.dims.values())

@@ -277,21 +277,6 @@ def _invert(fam) -> _Inv:
     return inv
 
 
-def _outer_items(fam):
-    """((r, Y), in_t, out_vec) over components of arity >= 1."""
-    for (r, Y), table in fam.components.items():
-        if r == 0:
-            continue
-        for in_t, vec in table.items():
-            if vec:
-                yield (r, Y), in_t, vec
-
-
-def _accumulate(fld: Field, comps: Components, key, in_t, vec) -> None:
-    table = comps.setdefault(key, {})
-    table[in_t] = vec_add(fld, table.get(in_t, {}), vec)
-
-
 def _expand(
     fld: Field,
     outer,
@@ -300,46 +285,56 @@ def _expand(
     bar_sign: int,     # reduced degree of the inserted operator (0 if none)
     max_arity: int,
 ) -> Components:
+    add, mul, neg, zero = fld.add, fld.mul, fld.neg, fld.zero
     result: Components = {}
-    for (r, Y), in_t, out_vec in _outer_items(outer):
-        for k in insert_slots(r):
-            invs = invs_for(r, k)
+    for (r, Y), table in outer.components.items():
+        for in_t, out_vec in table.items():
+            if r == 0 or not out_vec:
+                continue
+            for k in insert_slots(r):
+                invs = invs_for(r, k)
+                signed = bar_sign % 2 == 1 and k is not None
 
-            def rec(j: int, start: Optional[str], path: Tuple[str, ...],
-                    acc_in: Tuple[int, ...], coeff: Scalar, red_below: int) -> None:
-                if j > r:
-                    sign_neg = bar_sign % 2 == 1 and red_below % 2 == 1 and k is not None
-                    c = fld.neg(coeff) if sign_neg else coeff
-                    _accumulate(fld, result, (len(acc_in), path), acc_in,
-                                vec_scale(fld, c, out_vec))
-                    return
-                need = ((Y[j - 1], Y[j]), in_t[r - j])
-                buckets = invs[j - 1].get(need)
-                if not buckets:
-                    return
-                cand = (
-                    [e for lst in buckets.values() for e in lst]
-                    if start is None
-                    else buckets.get(start, [])
-                )
-                remaining_min = sum(
-                    1 for jj in range(j + 1, r + 1) if jj != k
-                )
-                for (epath, ein, ec, ered) in cand:
-                    total = len(acc_in) + len(ein)
-                    if total + remaining_min > max_arity:
-                        continue
-                    new_path = epath if start is None else path + epath[1:]
-                    rec(
-                        j + 1,
-                        epath[-1],
-                        new_path,
-                        ein + acc_in,
-                        fld.mul(coeff, ec),
-                        red_below + (ered if (k is not None and j < k) else 0),
+                def rec(j: int, start: Optional[str], path: Tuple[str, ...],
+                        acc_in: Tuple[int, ...], coeff: Scalar, red_below: int) -> None:
+                    if j > r:
+                        if signed and red_below % 2 == 1:
+                            coeff = neg(coeff)
+                        # in place; normalize_components drops emptied vectors
+                        vec = result.setdefault((len(acc_in), path), {}).setdefault(acc_in, {})
+                        for oi, x in out_vec.items():
+                            s = add(vec.get(oi, zero), mul(coeff, x))
+                            if s:
+                                vec[oi] = s
+                            else:
+                                vec.pop(oi, None)
+                        return
+                    need = ((Y[j - 1], Y[j]), in_t[r - j])
+                    buckets = invs[j - 1].get(need)
+                    if not buckets:
+                        return
+                    cand = (
+                        [e for lst in buckets.values() for e in lst]
+                        if start is None
+                        else buckets.get(start, [])
                     )
+                    # later blocks have arity >= 1, except an insertion (arity 0)
+                    before_ins = k is not None and j < k
+                    room = max_arity - len(acc_in) - (r - j - before_ins)
+                    for (epath, ein, ec, ered) in cand:
+                        if len(ein) > room:
+                            continue
+                        new_path = epath if start is None else path + epath[1:]
+                        rec(
+                            j + 1,
+                            epath[-1],
+                            new_path,
+                            ein + acc_in,
+                            mul(coeff, ec),
+                            red_below + ered if before_ins else red_below,
+                        )
 
-            rec(1, None, (), (), fld.one, 0)
+                rec(1, None, (), (), fld.one, 0)
     return normalize_components(fld, result)
 
 
@@ -443,18 +438,22 @@ def eval_multilinear(fam, n: int, objs: Tuple[str, ...], vecs: Sequence[Vec]) ->
     """Evaluate on a tuple of vectors by multilinear expansion."""
     fld = fam.source.fld
     table = fam.components.get((n, objs), {})
+    add, mul, zero = fld.add, fld.mul, fld.zero
     out: Vec = {}
     if len(vecs) != n:
         raise QuiverError("wrong number of inputs")
     for in_t, vec in table.items():
         coeff = fld.one
-        ok = True
         for i, b in enumerate(in_t):
             x = vecs[i].get(b)
             if x is None:
-                ok = False
                 break
-            coeff = fld.mul(coeff, x)
-        if ok and not fld.is_zero(coeff):
-            out = vec_add(fld, out, vec_scale(fld, coeff, vec))
+            coeff = mul(coeff, x)
+        else:
+            for oi, y in vec.items():
+                s = add(out.get(oi, zero), mul(coeff, y))
+                if s:
+                    out[oi] = s
+                else:
+                    out.pop(oi, None)
     return out

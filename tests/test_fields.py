@@ -64,3 +64,31 @@ def test_parse_format_round_trip(n):
     for fld in (Field.rationals(), Field.prime(11)):
         x = fld.from_int(n)
         assert fld.parse(fld.format(x)) == x
+
+
+def test_rationals_integral_values_are_int(qq):
+    for x in (qq.parse("5"), qq.parse("4/2"), qq.parse("-6/3"), qq.from_int(3),
+              qq.one, qq.zero, qq.inv(-1), qq.inv(1), qq.inv(Fraction(1, 3))):
+        assert type(x) is int
+    assert qq.parse("4/2") == 2 and qq.inv(Fraction(1, 3)) == 3
+    assert qq.inv(2) == Fraction(1, 2) and type(qq.inv(2)) is Fraction
+    assert qq.format(3) == "3/1"
+    assert qq.format(qq.parse("-6/3")) == "-2/1"
+
+
+_rational_operand = st.one_of(
+    st.integers(-30, 30),
+    st.builds(Fraction, st.integers(-30, 30), st.integers(1, 30)),
+)
+
+
+@given(_rational_operand, _rational_operand)
+def test_rationals_never_float(a, b):
+    qq = Field.rationals()
+    results = [qq.add(a, b), qq.sub(a, b), qq.mul(a, b), qq.neg(a)]
+    if not qq.is_zero(b):
+        results += [qq.inv(b), qq.div(a, b)]
+    for x in results:
+        assert type(x) in (int, Fraction)
+    if not qq.is_zero(b):
+        assert qq.mul(qq.inv(b), b) == 1 and qq.div(a, b) == Fraction(a) / b

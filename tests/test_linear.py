@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import ainfty.linear as linear_module
 from ainfty.fields import Field
 from ainfty.linear import (
     GradedMap,
@@ -18,6 +19,8 @@ from ainfty.linear import (
     solve_dense,
     solve_linear,
     split_surjection,
+    vec_add,
+    vec_scale,
 )
 
 
@@ -252,3 +255,78 @@ def test_cohomology_coords(qq):
     assert coh.coords({2: qq.one}, 0) == [qq.one]
     assert coh.coords({0: qq.one}, 0) == [qq.zero]
     assert coh.coords({0: qq.one, 2: qq.from_int(2)}, 0) == [qq.from_int(2)]
+
+
+def _coords_by_solve(coh, v, degree):
+    """The reference answer: one solve of [reps | image] x = v per call."""
+    fld = coh.d.fld
+    idx = coh.space.indices_of_degree(degree)
+    reps = coh.reps.get(degree, [])
+    cols = reps + coh._image.get(degree, [])
+    rows = [[col.get(si, fld.zero) for col in cols] for si in idx]
+    rhs = [v.get(si, fld.zero) for si in idx]
+    sol = solve_dense(fld, rows, rhs) if idx else ([] if not v else None)
+    return None if sol is None else sol[: len(reps)]
+
+
+def _random_complex(fld, rng):
+    """A square-zero differential on degrees -1, 0, 1 with random blocks."""
+    dims = [rng.randint(0, 3), rng.randint(1, 4), rng.randint(0, 3)]
+    sp = GradedSpace(tuple((f"v{d}_{i}", d - 1)
+                           for d, n in enumerate(dims) for i in range(n)))
+    lo, mid, hi = (sp.indices_of_degree(d) for d in (-1, 0, 1))
+    r = lambda: fld.from_int(rng.randint(-2, 2))
+    d_lo = [[r() for _ in lo] for _ in mid]
+    # rows of d_mid lie in the left nullspace of d_lo, so d_mid . d_lo = 0
+    left_null = (nullspace_dense(fld, [list(c) for c in zip(*d_lo)]) if lo
+                 else [[fld.one if j == i else fld.zero for j in range(len(mid))]
+                       for i in range(len(mid))])
+    entries = {(mid[i], lo[j]): c for i, row in enumerate(d_lo)
+               for j, c in enumerate(row)}
+    for t in hi:
+        row = [fld.zero] * len(mid)
+        for w in left_null:
+            a = r()
+            row = [fld.add(x, fld.mul(a, y)) for x, y in zip(row, w)]
+        entries.update({(t, mid[j]): c for j, c in enumerate(row)})
+    return sp, GradedMap(fld, sp, sp, 1, entries)
+
+
+@pytest.mark.parametrize("fld", [Field.rationals(), Field.prime(5)])
+def test_cohomology_coords_match_per_call_solve(fld, rng):
+    answers = {"none": 0, "class": 0}
+    for _ in range(40):
+        sp, d = _random_complex(fld, rng)
+        coh = cohomology(sp, d)
+        for deg in (-1, 0, 1, 2):
+            idx = sp.indices_of_degree(deg)
+            r = lambda: fld.from_int(rng.randint(-3, 3))
+            cocycle = {}
+            for rep in coh.reps.get(deg, []):
+                cocycle = vec_add(fld, cocycle, vec_scale(fld, r(), rep))
+            below = {si: r() for si in sp.indices_of_degree(deg - 1)}
+            boundary = d.apply(below)
+            arbitrary = {si: r() for si in idx}
+            for v in (cocycle, boundary, vec_add(fld, cocycle, boundary),
+                      arbitrary, {}):
+                want = _coords_by_solve(coh, v, deg)
+                assert coh.coords(v, deg) == want
+                answers["none" if want is None else "class"] += 1
+            if idx and sp.degrees() != [deg]:
+                other = next(i for i in range(sp.dim) if sp.degree(i) != deg)
+                with pytest.raises(LinearError):
+                    coh.coords({idx[0]: fld.one, other: fld.one}, deg)
+    assert answers["none"] > 10 and answers["class"] > 10
+
+
+def test_cohomology_coords_reduce_each_degree_once(qq, monkeypatch):
+    sp = GradedSpace((("e", 0), ("t", -1), ("z", 0)))
+    coh = cohomology(sp, GradedMap(qq, sp, sp, 1, {(0, 1): qq.one}))
+    calls = []
+    real = linear_module.rref
+    monkeypatch.setattr(linear_module, "rref",
+                        lambda *a: calls.append(1) or real(*a))
+    for v in ({2: qq.one}, {0: qq.one}, {0: qq.one, 2: qq.from_int(2)}):
+        coh.coords(v, 0)
+    assert coh.coords({1: qq.one}, -1) is None
+    assert len(calls) == 2

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,6 +18,7 @@ from ainfty.quiver import (
     identity_formal,
 )
 from ainfty.core import (
+    AInftyCategory,
     AInftyError,
     AInftyFunctor,
     check_F1,
@@ -31,6 +34,7 @@ from ainfty.pullback import (
     induce_functor,
     pair_name,
 )
+from ainfty.documents import load_functor
 from ainfty.strictify import strictify
 
 from helpers import (
@@ -463,3 +467,43 @@ def test_tampered_kernel_block_is_rejected(monkeypatch, arity):
     monkeypatch.setattr(pullback, "solve_pullback_arity", tampered)
     with pytest.raises(AInftyError):
         build_pullback(f, g, max_arity=3)
+
+
+def _coefficients(obj):
+    """Every scalar stored in a category, functor or family."""
+    if isinstance(obj, AInftyCategory):
+        yield from _coefficients(obj.structure)
+        for vec in (obj.units or {}).values():
+            yield from vec.values()
+    elif isinstance(obj, AInftyFunctor):
+        yield from _coefficients(obj.morphism)
+    else:
+        for table in obj.components.values():
+            for vec in table.values():
+                yield from vec.values()
+
+
+def test_readme_example_over_q_has_no_float_coefficients(tmp_path):
+    # integral rationals are ints and the rest Fractions; an int reaching a
+    # true division makes a float, which an identity check can miss
+    golden = pathlib.Path(__file__).parent / "golden" / "readme"
+    for name in ("a.acat", "b.acat", "f.afun", "g.afun"):
+        text = (golden / name).read_text()
+        (tmp_path / name).write_text(
+            text.replace("field Fp 5", "field Q").replace(" t 4\n", " t -1\n"))
+    f = load_functor(str(tmp_path / "f.afun")).functor
+    g = load_functor(str(tmp_path / "g.afun")).functor
+    assert f.source.fld == Field.rationals()
+    s = strictify(f)
+    p = build_pullback(f, g)
+    induced = induce_functor(p, p.beta, p.alpha).functor
+    results = [s.gamma, s.phi, s.psi, s.m_hat, s.transported, s.projection,
+               s.phi_functor, s.psi_functor, s.model.decompose,
+               s.model.recompose, p.category, p.alpha, p.beta,
+               p.product_morphism, induced]
+    seen = 0
+    for obj in results:
+        for c in _coefficients(obj):
+            assert type(c) in (int, Fraction), (obj, c)
+            seen += 1
+    assert seen
