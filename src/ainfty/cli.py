@@ -18,6 +18,7 @@ from .core import (
     check_F1,
     check_isofibration,
     check_quasi_equivalence,
+    check_strict_units,
     kernel_acyclicity,
 )
 from .fields import Field, FieldError
@@ -208,7 +209,6 @@ def cmd_pullback(args) -> int:
     checks["structure_squares_to_zero"] = CheckReport("pass")
     checks["square_commutativity"] = CheckReport("pass")
     if p.category.units is not None:
-        from .core import check_strict_units
         checks["unit_closure"] = check_strict_units(p.category)
     fib = certify_fibration_closure(
         p,
@@ -233,7 +233,9 @@ def cmd_induce(args) -> int:
     gdoc = load_functor(args.g)
     idoc = load_functor(args.cone_i)
     ldoc = load_functor(args.cone_l)
-    _check_field(args, args.f, fdoc.functor.source.fld)
+    for path, doc in ((args.f, fdoc), (args.g, gdoc), (args.cone_i, idoc),
+                      (args.cone_l, ldoc)):
+        _check_field(args, path, doc.functor.source.fld)
     p = build_pullback(fdoc.functor, gdoc.functor, max_arity=args.max_arity)
     rep = induce_functor(p, idoc.functor, ldoc.functor,
                          max_arity=args.max_arity)

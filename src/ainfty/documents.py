@@ -28,7 +28,7 @@ from .core import (
     EssentialCertificate,
     IsoLiftCertificate,
 )
-from .quiver import Components, FormalMorphism, GradedQuiver
+from .quiver import Components, FormalMorphism, GradedQuiver, QuiverError
 
 
 class DocumentError(ValueError):
@@ -236,7 +236,7 @@ def parse_category(text: str, path: str = "<category>",
     try:
         return AInftyCategory.build(quiver, comps, units=units,
                                     max_arity=_capped(max_arity, cap))
-    except AInftyError as exc:
+    except (AInftyError, QuiverError) as exc:
         raise DocumentError(path, 1, str(exc)) from exc
 
 

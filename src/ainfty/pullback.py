@@ -189,10 +189,10 @@ def solve_pullback_arity(
     n: int,
 ) -> Prenatural:
     """Extend the structure to arity n, given rhs = r_compose(product,
-    m_model, n).  The kernel substitution forces the arity-n
-    product-morphism equation, so it is not re-checked; through the
-    certified psi functor it is beta's functor equation, which
-    build_pullback certifies."""
+    m_model, max_arity) for any max_arity >= n: only its arity-n part is
+    read.  The kernel substitution forces the arity-n product-morphism
+    equation, so it is not re-checked; through the certified psi functor it
+    is beta's functor equation, which build_pullback certifies."""
     fld = quiver.fld
     ident = identity_formal(quiver)
     # only arity-n tables are written below, and partial has none
@@ -237,10 +237,10 @@ def build_pullback_structure(
     """
     ident = identity_formal(quiver)
     structure = Prenatural(ident, ident, 2, {})
+    rhs = r_compose(product, m_model, max_arity)
     for n in range(1, max_arity + 1):
         structure = solve_pullback_arity(
-            quiver, pairs, product, r_compose(product, m_model, n), g, splits,
-            structure, n)
+            quiver, pairs, product, rhs, g, splits, structure, n)
     return structure
 
 

@@ -117,9 +117,6 @@ class FormalMorphism:
     def component(self, n: int, objs: Tuple[str, ...]) -> Dict[Tuple[int, ...], Vec]:
         return self.components.get((n, objs), {})
 
-    def max_arity_support(self) -> int:
-        return max((n for (n, _) in self.components), default=0)
-
     def validate(self) -> None:
         _validate_family(self, allow_arity0=False)
 
@@ -164,9 +161,6 @@ class Prenatural:
 
     def is_zero(self) -> bool:
         return not normalize_components(self.source.fld, self.components)
-
-    def max_arity_support(self) -> int:
-        return max((n for (n, _) in self.components), default=0)
 
     def validate(self) -> None:
         _validate_family(self, allow_arity0=True)
@@ -277,23 +271,32 @@ def _invert(fam) -> _Inv:
     return inv
 
 
-def _expand(
-    fld: Field,
-    outer,
-    invs_for,          # (r, insert_slot) -> list of r inverted indexes
-    insert_slots,      # callable r -> iterable of insert positions (or [None])
-    bar_sign: int,     # reduced degree of the inserted operator (0 if none)
-    max_arity: int,
-) -> Components:
+def _expand(outer, right, ins: Optional[Prenatural], left,
+            max_arity: int) -> Components:
+    """Sum, under each component of `outer`, over words of blocks.
+
+    With `ins` None the word is a plain block sum, every block from one
+    family (`right` and `left` are then the same family).  With a prenatural
+    `ins` the word has exactly one `ins` block: the blocks right of it
+    (applied first) come from `right`, the insertion's domain morphism, the
+    blocks left of it from `left`, its codomain morphism, and the insertion
+    carries the Koszul sign (-1)**((deg ins - 1) * reduced degree of the
+    inputs to its right).  A family given on both sides is inverted once.
+    """
+    fld = right.source.fld
     add, mul, neg, zero = fld.add, fld.mul, fld.neg, fld.zero
+    right_inv = _invert(right)
+    left_inv = right_inv if left is right else _invert(left)
+    ins_inv = None if ins is None else _invert(ins)
+    signed = ins is not None and (ins.degree - 1) % 2 == 1
     result: Components = {}
     for (r, Y), table in outer.components.items():
         for in_t, out_vec in table.items():
             if r == 0 or not out_vec:
                 continue
-            for k in insert_slots(r):
-                invs = invs_for(r, k)
-                signed = bar_sign % 2 == 1 and k is not None
+            for k in ([None] if ins is None else range(1, r + 1)):
+                invs = ([left_inv] * r if k is None
+                        else [right_inv] * (k - 1) + [ins_inv] + [left_inv] * (r - k))
 
                 def rec(j: int, start: Optional[str], path: Tuple[str, ...],
                         acc_in: Tuple[int, ...], coeff: Scalar, red_below: int) -> None:
@@ -338,19 +341,21 @@ def _expand(
     return normalize_components(fld, result)
 
 
+def _composites(g_frm: FormalMorphism, g_to: FormalMorphism, f_frm: FormalMorphism,
+                f_to: FormalMorphism, max_arity: int) -> Tuple[FormalMorphism, FormalMorphism]:
+    """The endpoints g_frm . f_frm and g_to . f_to of a composite; one
+    shared object when both pairs share theirs."""
+    frm = compose_formal(g_frm, f_frm, max_arity)
+    if g_frm is g_to and f_frm is f_to:
+        return frm, frm
+    return frm, compose_formal(g_to, f_to, max_arity)
+
+
 def compose_formal(g: FormalMorphism, f: FormalMorphism, max_arity: int) -> FormalMorphism:
     """Composition (g . f)^n as the partition sum over blocks of f."""
     if f.target.objects != g.source.objects:
         raise QuiverError("compose_formal: target(f) must be source(g)")
-    fld = f.source.fld
-    blocks = _invert(f)
-    comps = _expand(
-        fld, g,
-        invs_for=lambda r, k: [blocks] * r,
-        insert_slots=lambda r: [None],
-        bar_sign=0,
-        max_arity=max_arity,
-    )
+    comps = _expand(g, f, None, f, max_arity)
     obj_map = {x: g.object_map[f.object_map[x]] for x in f.source.objects}
     return FormalMorphism(f.source, g.target, obj_map, comps)
 
@@ -359,15 +364,7 @@ def r_compose(f: FormalMorphism, t: Prenatural, max_arity: int) -> Prenatural:
     """Precompose a prenatural with a formal morphism: t^r over f-blocks."""
     if f.target.objects != t.source.objects:
         raise QuiverError("r_compose: target(f) must be the prenatural's source")
-    fld = f.source.fld
-    blocks = _invert(f)
-    comps = _expand(
-        fld, t,
-        invs_for=lambda r, k: [blocks] * r,
-        insert_slots=lambda r: [None],
-        bar_sign=0,
-        max_arity=max_arity,
-    )
+    comps = _expand(t, f, None, f, max_arity)
     for x in f.source.objects:
         key = (0, (f.object_map[x],))
         table = t.components.get(key)
@@ -375,9 +372,18 @@ def r_compose(f: FormalMorphism, t: Prenatural, max_arity: int) -> Prenatural:
             vec = table.get((), {})
             if vec:
                 comps[(0, (x,))] = {(): dict(vec)}
-    frm = compose_formal(t.frm, f, max_arity)
-    to = compose_formal(t.to, f, max_arity)
-    return Prenatural(frm, to, t.degree, normalize_components(fld, comps))
+    frm, to = _composites(t.frm, t.to, f, f, max_arity)
+    return Prenatural(frm, to, t.degree, normalize_components(f.source.fld, comps))
+
+
+def _insert(outer, outer_frm: FormalMorphism, outer_to: FormalMorphism,
+            outer_degree: int, t: Prenatural, max_arity: int) -> Prenatural:
+    """outer over words with one t-block: t.to-blocks left of the insertion,
+    t.frm-blocks right of it.  A formal morphism enters as its own endpoints
+    with degree 1, so the result has degree outer_degree + deg t - 1."""
+    comps = _expand(outer, t.frm, t, t.to, max_arity)
+    frm, to = _composites(outer_frm, outer_to, t.frm, t.to, max_arity)
+    return Prenatural(frm, to, outer_degree + t.degree - 1, comps)
 
 
 def l_compose(f: FormalMorphism, t: Prenatural, max_arity: int) -> Prenatural:
@@ -389,20 +395,7 @@ def l_compose(f: FormalMorphism, t: Prenatural, max_arity: int) -> Prenatural:
     """
     if t.target.objects != f.source.objects:
         raise QuiverError("l_compose: the prenatural must land in source(f)")
-    fld = t.source.fld
-    left = _invert(t.to)
-    right = _invert(t.frm)
-    ins = _invert(t)
-    comps = _expand(
-        fld, f,
-        invs_for=lambda r, k: [right] * (k - 1) + [ins] + [left] * (r - k),
-        insert_slots=lambda r: range(1, r + 1),
-        bar_sign=(t.degree - 1) % 2,
-        max_arity=max_arity,
-    )
-    frm = compose_formal(f, t.frm, max_arity)
-    to = compose_formal(f, t.to, max_arity)
-    return Prenatural(frm, to, t.degree, comps)
+    return _insert(f, f, f, 1, t, max_arity)
 
 
 def compose_prenatural(d: Prenatural, d_prime: Prenatural, max_arity: int) -> Prenatural:
@@ -412,20 +405,7 @@ def compose_prenatural(d: Prenatural, d_prime: Prenatural, max_arity: int) -> Pr
     """
     if d_prime.target.objects != d.source.objects:
         raise QuiverError("compose_prenatural: endpoint mismatch")
-    fld = d_prime.source.fld
-    left = _invert(d_prime.to)
-    right = _invert(d_prime.frm)
-    ins = _invert(d_prime)
-    comps = _expand(
-        fld, d,
-        invs_for=lambda r, k: [right] * (k - 1) + [ins] + [left] * (r - k),
-        insert_slots=lambda r: range(1, r + 1),
-        bar_sign=(d_prime.degree - 1) % 2,
-        max_arity=max_arity,
-    )
-    frm = compose_formal(d.frm, d_prime.frm, max_arity)
-    to = compose_formal(d.to, d_prime.to, max_arity)
-    return Prenatural(frm, to, d.degree + d_prime.degree - 1, comps)
+    return _insert(d, d.frm, d.to, d.degree, d_prime, max_arity)
 
 
 # -- evaluation --------------------------------------------------------------

@@ -436,12 +436,21 @@ def random_flat_prenatural(rng: random.Random, quiver: GradedQuiver,
                            degree: int, max_arity: int,
                            density: float = 0.4) -> Prenatural:
     """Unconstrained degree-g flat prenatural over the identity."""
-    fld = quiver.fld
     ident = identity_formal(quiver)
+    return random_prenatural(rng, ident, ident, degree, 1, max_arity, density)
+
+
+def random_prenatural(rng: random.Random, frm: FormalMorphism,
+                      to: FormalMorphism, degree: int, min_arity: int,
+                      max_arity: int, density: float = 0.4) -> Prenatural:
+    """Unconstrained degree-g prenatural frm => to with components of arity
+    min_arity..max_arity (arity 0 allowed); frm and to share an object map."""
+    quiver, fld = frm.source, frm.source.fld
     comps: Components = {}
-    for n in range(1, max_arity + 1):
+    for n in range(min_arity, max_arity + 1):
         for objs in quiver.paths(n):
-            sp_out = quiver.space(objs[0], objs[-1])
+            sp_out = frm.target.space(frm.object_map[objs[0]],
+                                      to.object_map[objs[-1]])
             table: Dict[Tuple[int, ...], Vec] = {}
             for in_t in quiver.basis_tuples(objs):
                 if rng.random() > density:
@@ -454,15 +463,18 @@ def random_flat_prenatural(rng: random.Random, quiver: GradedQuiver,
                     [-2, -1, 1, 2, 3]))}
             if table:
                 comps[(n, objs)] = table
-    return Prenatural(ident, ident, degree, comps)
+    return Prenatural(frm, to, degree, comps)
 
 
 def random_formal_morphism(rng: random.Random, src: GradedQuiver,
                            tgt: GradedQuiver, max_arity: int,
-                           density: float = 0.4) -> FormalMorphism:
-    """Unconstrained formal morphism with a random object map."""
+                           density: float = 0.4,
+                           object_map: Optional[Dict[str, str]] = None
+                           ) -> FormalMorphism:
+    """Unconstrained formal morphism with the given or a random object map."""
     fld = src.fld
-    object_map = {x: rng.choice(list(tgt.objects)) for x in src.objects}
+    if object_map is None:
+        object_map = {x: rng.choice(list(tgt.objects)) for x in src.objects}
     comps: Components = {}
     for n in range(1, max_arity + 1):
         for objs in src.paths(n):
@@ -621,6 +633,57 @@ def coderivation_expand_word(pren: Prenatural, word: Word) -> Dict[Word, Scalar]
                 _word_add(fld, out, (new_objs, new_letters),
                           fld.mul(sign, c))
     return out
+
+
+def insertion_expand_word(t: Prenatural, word: Word) -> Dict[Word, Scalar]:
+    """Bar-level image of a basis word under a prenatural t: frm => to with
+    any endpoints: every split left . middle . right of the word, the middle
+    (possibly empty) mapped by t, the left part by the bar extension of
+    t.to, the right part (applied first) by that of t.frm, with the Koszul
+    sign (-1)**((deg t - 1) * reduced degree of the right letters)."""
+    fld = t.source.fld
+    objs, letters = word
+    n = len(letters)
+    bar = (t.degree - 1) % 2
+    degs = t.source.input_degrees(objs, letters)
+    out: Dict[Word, Scalar] = {}
+    for d in range(0, n + 1):              # letters right of the middle
+        red_right = sum(degs[n - 1 - j] - 1 for j in range(d))
+        sign = fld.one if (bar * red_right) % 2 == 0 else fld.from_int(-1)
+        right = bar_expand_word(t.frm, (objs[:d + 1], letters[n - d:]))
+        for m in range(0, n - d + 1):       # middle size (arity 0 allowed)
+            lo = n - d - m
+            mid = eval_basis(t, m, tuple(objs[d:d + m + 1]), letters[lo:n - d])
+            if not mid:
+                continue
+            left = bar_expand_word(t.to, (objs[d + m:], letters[:lo]))
+            for (l_objs, l_letters), cl in left.items():
+                for oi, cm in mid.items():
+                    for (r_objs, r_letters), cr in right.items():
+                        _word_add(fld, out,
+                                  (r_objs + l_objs, l_letters + (oi,) + r_letters),
+                                  fld.mul(sign, fld.mul(cl, fld.mul(cm, cr))))
+    return out
+
+
+def outer_after_words(outer, quiver: GradedQuiver, max_arity: int,
+                      expand) -> Components:
+    """Components of `outer`, as one block, on expand(word) for every basis
+    word of the quiver up to max_arity (arity 0 included): with
+    insertion_expand_word the oracle for l_compose and compose_prenatural,
+    with bar_expand_word the one for r_compose."""
+    fld = quiver.fld
+    comps: Components = {}
+    for n in range(0, max_arity + 1):
+        for objs in quiver.paths(n):
+            for in_t in quiver.basis_tuples(objs):
+                vec: Vec = {}
+                for (w_objs, w_letters), c in expand((objs, in_t)).items():
+                    img = eval_basis(outer, len(w_letters), w_objs, w_letters)
+                    vec = vec_add(fld, vec, vec_scale(fld, c, img))
+                if vec:
+                    comps.setdefault((n, objs), {})[in_t] = vec
+    return comps
 
 
 def coderivation_expand_combo(pren: Prenatural,

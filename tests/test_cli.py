@@ -245,3 +245,37 @@ def test_max_arity_below_one_exit_two(tmp_path, capsys, command, args):
     assert code == 2 and rep["overall"] == "error"
     assert rep["error"] == "<args>:0: --max-arity must be at least 1"
     assert not (tmp_path / "o").exists()
+
+
+def test_degree_violating_mu_is_a_document_error(tmp_path, capsys):
+    # t . 1 must have degree -1; an output of degree 0 breaks the degree rule
+    for name in README_INPUTS:
+        shutil.copy(GOLDEN / name, tmp_path / name)
+    a = tmp_path / "a.acat"
+    a.write_text(a.read_text().replace("mu 2 ; o o o ; 1 t ; t 4",
+                                       "mu 2 ; o o o ; 1 t ; e 4"))
+    code, rep = run(capsys, "validate", str(a))
+    assert code == 1 and rep["overall"] == "fail"
+    (witness,) = rep["checks"][str(a)]["witnesses"]
+    assert witness.startswith(f"{a}:1: degree violation at arity 2")
+    code, rep = run(capsys, "classify", str(tmp_path / "f.afun"))
+    assert code == 2 and rep["overall"] == "error"
+    assert rep["error"].startswith(f"{a}:1: degree violation")
+
+
+@pytest.mark.parametrize("slot", [1, 2, 3])
+def test_induce_checks_field_of_every_document(tmp_path, capsys, slot):
+    for name in README_INPUTS:
+        shutil.copy(GOLDEN / name, tmp_path / name)
+    (tmp_path / "qb.acat").write_text(
+        (GOLDEN / "b.acat").read_text().replace("field Fp 5", "field Q"))
+    (tmp_path / "gq.afun").write_text(
+        (GOLDEN / "g.afun").read_text().replace("b.acat", "qb.acat"))
+    docs = [str(tmp_path / n) for n in ("f.afun", "g.afun", "f.afun", "g.afun")]
+    docs[slot] = str(tmp_path / "gq.afun")
+    code, rep = run(capsys, "induce", *docs, "--out", str(tmp_path / "o"),
+                    "--field", "Fp", "--p", "5")
+    assert code == 2 and rep["overall"] == "error"
+    assert rep["error"] == (f"{tmp_path / 'gq.afun'}:1: "
+                            "document field rationals does not match --field")
+    assert not (tmp_path / "o").exists()

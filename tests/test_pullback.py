@@ -23,6 +23,7 @@ from ainfty.core import (
     AInftyFunctor,
     check_F1,
     check_strict_units,
+    functor_defect,
     structure_defect,
 )
 from ainfty.pullback import (
@@ -507,3 +508,52 @@ def test_readme_example_over_q_has_no_float_coefficients(tmp_path):
             assert type(c) in (int, Fraction), (obj, c)
             seen += 1
     assert seen
+
+
+def _count_calls(monkeypatch, name, when=lambda: True):
+    """Count calls of ainfty.quiver.<name> through every module that binds
+    it, the quiver module's own callers included."""
+    quiver = importlib.import_module("ainfty.quiver")
+    fn = getattr(quiver, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        if when():
+            calls.append(args)
+        return fn(*args, **kwargs)
+    for mod in ("ainfty.quiver", "ainfty.core", "ainfty.pullback", "ainfty.strictify"):
+        mod = importlib.import_module(mod)
+        if getattr(mod, name, None) is fn:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_readme_engine_call_counts(monkeypatch):
+    # an endpoint shared by frm and to is composed once, and the pullback's
+    # right-hand side is solved once for every arity
+    golden = pathlib.Path(__file__).parent / "golden" / "readme"
+    f = load_functor(str(golden / "f.afun")).functor
+    g = load_functor(str(golden / "g.afun")).functor
+    bound = f.source.arity_bound
+    composed = _count_calls(monkeypatch, "compose_formal")
+    structure_defect(f.source.quiver, f.source.structure, bound)
+    assert len(composed) == 1
+    composed.clear()
+    functor_defect(f.morphism, f.source, f.target, bound)
+    assert len(composed) == 2
+
+    pb = importlib.import_module("ainfty.pullback")
+    inside = []
+    build = pb.build_pullback_structure
+
+    def traced(*args, **kwargs):
+        inside.append(True)
+        try:
+            return build(*args, **kwargs)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(pb, "build_pullback_structure", traced)
+    solved = _count_calls(monkeypatch, "r_compose", when=lambda: bool(inside))
+    p = build_pullback(f, g)
+    assert p.arity_bound > 1
+    assert len(solved) == 1

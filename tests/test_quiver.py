@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import copy
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ainfty.fields import Field
 from ainfty.linear import GradedSpace
@@ -21,10 +22,14 @@ from ainfty.quiver import (
 )
 
 from helpers import (
+    bar_expand_word,
     double_sum_defect,
     engine_defect_map,
+    insertion_expand_word,
+    outer_after_words,
     random_flat_prenatural,
     random_formal_morphism,
+    random_prenatural,
 )
 
 QQ = Field.rationals()
@@ -317,3 +322,63 @@ def test_degree_bookkeeping_validates(rng):
         r_compose(f, random_flat_prenatural(r, qb, 2, 2), 4).validate()
         compose_prenatural(d, d, 4).validate()
         compose_formal(f, identity_formal(qa), 4).validate()
+
+
+def _differing_endpoints(rng, src, tgt):
+    """Two random formal morphisms src -> tgt with one object map."""
+    f = random_formal_morphism(rng, src, tgt, max_arity=2, density=0.9)
+    g = random_formal_morphism(rng, src, tgt, max_arity=2, density=0.9,
+                               object_map=dict(f.object_map))
+    return f, g
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=25, deadline=None)
+def test_differing_endpoints_match_bar_oracle(seed):
+    # t: f => g with f != g; g-blocks left of the insertion, f-blocks right
+    rng = random.Random(seed)
+    q0, qa, qb, qc = (small_quiver(rng, n_objects=2, max_dim=3) for _ in range(4))
+    f, g = _differing_endpoints(rng, qa, qb)
+    assume(f != g)
+    t = random_prenatural(rng, f, g, rng.choice([1, 2]), 0, 2, density=0.9)
+    h = random_formal_morphism(rng, qb, qc, max_arity=2, density=0.9)
+    k = random_formal_morphism(rng, q0, qa, max_arity=2, density=0.9)
+    p, q = _differing_endpoints(rng, qb, qc)
+    d = random_prenatural(rng, p, q, rng.choice([1, 2]), 0, 2, density=0.9)
+    bound = 3
+
+    def insertion(w):
+        return insertion_expand_word(t, w)
+
+    lt = l_compose(h, t, bound)
+    assert lt.components == outer_after_words(h, qa, bound, insertion)
+    assert (lt.frm, lt.to) == (compose_formal(h, f, bound), compose_formal(h, g, bound))
+    dt = compose_prenatural(d, t, bound)
+    assert dt.components == outer_after_words(d, qa, bound, insertion)
+    assert (dt.frm, dt.to) == (compose_formal(p, f, bound), compose_formal(q, g, bound))
+    assert dt.degree == d.degree + t.degree - 1
+    rt = r_compose(k, t, bound)
+    assert rt.components == outer_after_words(
+        t, q0, bound, lambda w: bar_expand_word(k, w))
+    assert (rt.frm, rt.to) == (compose_formal(f, k, bound), compose_formal(g, k, bound))
+
+
+@given(st.integers(0, 10 ** 6))
+@settings(max_examples=10, deadline=None)
+def test_shared_endpoint_equals_copied_endpoint(seed):
+    rng = random.Random(seed)
+    q0, qa, qb = (small_quiver(rng, n_objects=2, max_dim=3) for _ in range(3))
+    f = random_formal_morphism(rng, qa, qb, max_arity=2, density=0.9)
+    shared = random_prenatural(rng, f, f, rng.choice([1, 2]), 0, 2, density=0.9)
+    copied = Prenatural(f, copy.copy(f), shared.degree, shared.components)
+    h = random_formal_morphism(rng, qb, q0, max_arity=2, density=0.9)
+    k = random_formal_morphism(rng, q0, qa, max_arity=2, density=0.9)
+    d = random_flat_prenatural(rng, qb, 2, 2, density=0.9)
+    bound = 3
+    for op in (lambda t: l_compose(h, t, bound),
+               lambda t: r_compose(k, t, bound),
+               lambda t: compose_prenatural(d, t, bound)):
+        a, b = op(shared), op(copied)
+        assert a.components == b.components and a.degree == b.degree
+        assert a.frm == b.frm and a.to == b.to
+        assert a.frm is a.to and b.frm is not b.to
