@@ -453,44 +453,21 @@ class H0Category:
         fld = self.cat.fld
         return itertools.product(list(fld.elements()), repeat=self.dim(x, y))
 
-    def verify(self) -> None:
-        """Associativity and unitality on basis classes, exactly."""
-        objs = self.cat.objects
-        fld = self.cat.fld
-        for x in objs:
-            for y in objs:
-                dxy = self.dim(x, y)
-                basis = [
-                    [fld.one if j == i else fld.zero for j in range(dxy)]
-                    for i in range(dxy)
-                ]
-                for e in basis:
-                    if self.compose(x, x, y, e, self.unit_coords[x]) != list(e):
-                        raise AInftyError("H0 right unit law fails")
-                    if self.compose(x, y, y, self.unit_coords[y], e) != list(e):
-                        raise AInftyError("H0 left unit law fails")
-                for z in objs:
-                    for w in objs:
-                        for i in range(dxy):
-                            f1 = [fld.one if j == i else fld.zero for j in range(dxy)]
-                            for i2 in range(self.dim(y, z)):
-                                f2 = [fld.one if j == i2 else fld.zero
-                                      for j in range(self.dim(y, z))]
-                                for i3 in range(self.dim(z, w)):
-                                    f3 = [fld.one if j == i3 else fld.zero
-                                          for j in range(self.dim(z, w))]
-                                    lhs = self.compose(
-                                        x, z, w, f3, self.compose(x, y, z, f2, f1))
-                                    rhs = self.compose(
-                                        x, y, w, self.compose(y, z, w, f3, f2), f1)
-                                    if lhs != rhs:
-                                        raise AInftyError("H0 associativity fails")
-
 
 def build_h0(cat: AInftyCategory) -> H0Category:
-    """Degree-0 cohomology category; requires strict units."""
+    """Degree-0 cohomology category; requires strict units.
+
+    Its laws are not re-checked: the certified u2 gives the unit laws, and
+    the arity-3 structure relation makes m2 associative on classes (Seidel,
+    Fukaya Categories and Picard-Lefschetz Theory, ch. I (1c)).  So a
+    structure certified below arity 3, and not totally, is certified to 3.
+    """
     if cat.units is None:
         raise AInftyError("units required")
+    if cat.arity_bound < 3 and not cat.total:
+        bad = structure_defect(cat.quiver, cat.structure, 3).first_nonzero()
+        if bad is not None:
+            raise StructureDefectError(bad)
     coh: Dict[Pair, Cohomology] = {}
     for x in cat.objects:
         for y in cat.objects:
@@ -501,9 +478,7 @@ def build_h0(cat: AInftyCategory) -> H0Category:
         if coords is None:
             raise AInftyError(f"unit of {x} is not a degree-0 cocycle class")
         unit_coords[x] = coords
-    h0 = H0Category(cat, coh, unit_coords)
-    h0.verify()
-    return h0
+    return H0Category(cat, coh, unit_coords)
 
 
 def h0_functor_matrix(functor: AInftyFunctor, h0s: H0Category, h0t: H0Category,
@@ -594,7 +569,7 @@ def check_isofibration(
             for coords in h0t.all_classes(px, b):
                 if not h0t.is_iso(px, b, list(coords)):
                     continue
-                if not _find_lift(functor, h0s, h0t, x, b, list(coords),
+                if not _find_lift(functor, h0s, h0t, x, list(coords),
                                   fibers.get(b, [])):
                     return CheckReport(
                         "fail",
@@ -605,16 +580,17 @@ def check_isofibration(
     return CheckReport("pass", [], {"method": "enumeration"})
 
 
-def _find_lift(functor, h0s, h0t, x, b, coords, fiber) -> bool:
+def _find_lift(functor, h0s, h0t, x, coords, fiber) -> bool:
     fld = functor.source.fld
-    px = functor.object_map[x]
     for a in fiber:
-        mat = h0_functor_matrix(functor, h0s, h0t, x, a)
-        part = solve_dense(fld, mat, coords) if mat else (None if any(
-            not fld.is_zero(c) for c in coords) else [])
+        mat, rhs = h0_functor_matrix(functor, h0s, h0t, x, a), coords
+        if not mat:
+            # H0(Fx, Fa) = 0: one zero row keeps the dim H0(x, a) columns
+            mat, rhs = [[fld.zero] * h0s.dim(x, a)], [fld.zero]
+        part = solve_dense(fld, mat, rhs)
         if part is None:
             continue
-        null = nullspace_dense(fld, mat) if mat else []
+        null = nullspace_dense(fld, mat)
         for combo in itertools.product(list(fld.elements()), repeat=len(null)):
             cand = list(part)
             for c, nv in zip(combo, null):

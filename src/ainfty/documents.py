@@ -229,7 +229,9 @@ def parse_category(text: str, path: str = "<category>",
         for ln, x, tokens in unit_lines:
             if x not in objects:
                 raise DocumentError(path, ln, f"unit names unknown object {x!r}")
-            units[x] = _parse_vec(path, ln, fld, quiver.space(x, x), tokens)
+            # a zero unit (an object with no homs) is written with no pairs
+            units[x] = (_parse_vec(path, ln, fld, quiver.space(x, x), tokens)
+                        if tokens else {})
         missing = [x for x in objects if x not in units]
         if missing:
             raise DocumentError(path, 1, f"units missing for {missing}")

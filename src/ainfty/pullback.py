@@ -9,6 +9,11 @@ block of the product morphism's arity-1 part, so the solve forces the
 product-morphism equation.  The builders certify the rest exactly: the
 category's vanishing self-composition, alpha's functor equation (the
 projection equation) and beta's, and the pullback square F.beta = G.alpha.
+
+A commuting cone induces N with cone_l as its A''-part, so alpha.N = cone_l
+holds by construction; the triangles through beta and the product morphism
+are certified, and uniqueness is the product morphism being the identity on
+kernel parts, checked by one scan of its components.
 """
 from __future__ import annotations
 
@@ -171,10 +176,9 @@ def _kernel_part(vec: Vec, kdim: int) -> Vec:
     return {i: c for i, c in vec.items() if i < kdim}
 
 
-def _model_kernel_dim(p: PullbackCategory, object_map, cobjs) -> int:
-    """Kernel block size of the output hom of a functor into the pullback."""
-    x1 = p.object_pairs[object_map[cobjs[0]]][0]
-    x2 = p.object_pairs[object_map[cobjs[-1]]][0]
+def _kernel_dim(p: PullbackCategory, p1: str, p2: str) -> int:
+    """Kernel block size of the pullback hom (p1, p2)."""
+    x1, x2 = p.object_pairs[p1][0], p.object_pairs[p2][0]
     return p.strictification.model.splits[(x1, x2)].kernel.dim
 
 
@@ -204,7 +208,7 @@ def solve_pullback_arity(
                 comps.setdefault(pkey, {}).update(ptable)
     trial = Prenatural(ident, ident, 2, normalize_components(fld, comps))
     # defect of the product-morphism equation with the kernel unknown at zero
-    defect = l_compose(product, trial, n).sub(rhs).arity_part(n)
+    defect = l_compose(product, trial, n).arity_part(n).sub(rhs.arity_part(n))
     for (m, pobjs), table in defect.components.items():
         kdim = splits[(pairs[pobjs[0]][0], pairs[pobjs[-1]][0])].kernel.dim
         for in_t, vec in table.items():
@@ -315,6 +319,11 @@ def _total_bound_pullback(f: AInftyFunctor, g: AInftyFunctor) -> Optional[int]:
 
 @dataclass
 class UniversalReport:
+    """triangles: beta.N = cone_i and product.N = phi.cone_i, exactly
+    (alpha.N = cone_l holds by construction: alpha is the strict A''
+    projection and N's A''-part is cone_l).  uniqueness: the product
+    morphism's arity-1 kernel block is the identity and its other outputs
+    have zero kernel part, so those triangles force N's kernel part."""
     functor: AInftyFunctor
     triangles: bool
     uniqueness: bool
@@ -330,7 +339,8 @@ def induce_functor(
 
     cone_i lands in the original source of F (it is carried into the split
     model through phi and decompose); cone_l lands in the source of G.
-    Commutation of F . cone_i = G . cone_l is checked exactly first.
+    Commutation of F . cone_i = G . cone_l is checked exactly first.  N is
+    cone_l on A'' and phi . cone_i on the kernel; see UniversalReport.
     """
     bound = min(p.arity_bound, max_arity) if max_arity else p.arity_bound
     if cone_i.source.quiver.objects != cone_l.source.quiver.objects:
@@ -359,65 +369,37 @@ def induce_functor(
             raise ConeError(0, (c,), ())
         object_map[c] = name
     comps: Components = {}
-    keys = set(i_model.components) | set(cone_l.morphism.components)
-    for (n, cobjs) in keys:
-        kdim = _model_kernel_dim(p, object_map, cobjs)
-        im_table = i_model.components.get((n, cobjs), {})
-        l_table = cone_l.morphism.components.get((n, cobjs), {})
-        ptable: Dict[Tuple[int, ...], Vec] = {}
-        for in_t in set(im_table) | set(l_table):
-            vec = sum_vec(fld, _kernel_part(im_table.get(in_t, {}), kdim),
+    for key in set(i_model.components) | set(cone_l.morphism.components):
+        kdim = _kernel_dim(p, object_map[key[1][0]], object_map[key[1][-1]])
+        im_table = i_model.components.get(key, {})
+        l_table = cone_l.morphism.components.get(key, {})
+        comps[key] = {
+            in_t: sum_vec(fld, _kernel_part(im_table.get(in_t, {}), kdim),
                           l_table.get(in_t, {}), kdim)
-            if vec:
-                ptable[in_t] = vec
-        if ptable:
-            comps[(n, cobjs)] = ptable
+            for in_t in set(im_table) | set(l_table)}
     morphism = FormalMorphism(cone_i.source.quiver, p.category.quiver,
-                              object_map, comps)
+                              object_map, normalize_components(fld, comps))
     functor = AInftyFunctor.build(morphism, cone_i.source, p.category,
                                   max_arity=bound)
-    tri1 = compose_formal(p.alpha.morphism, morphism, bound) == cone_l.morphism
-    tri2 = compose_formal(p.beta.morphism, morphism, bound) == cone_i.morphism
-    tri3 = compose_formal(p.product_morphism, morphism, bound) == i_model
-    uniq = _rederive_components(p, functor, i_model, cone_l, bound)
-    return UniversalReport(functor, tri1 and tri2 and tri3, uniq)
+    tri_b = compose_formal(p.beta.morphism, morphism, bound) == cone_i.morphism
+    tri_p = compose_formal(p.product_morphism, morphism, bound) == i_model
+    return UniversalReport(functor, tri_b and tri_p, _kernel_block_is_identity(p))
 
 
-def _rederive_components(p: PullbackCategory, functor: AInftyFunctor,
-                         i_model: FormalMorphism, cone_l: AInftyFunctor,
-                         bound: int) -> bool:
-    """Force each component from the two projections alone (uniqueness)."""
-    fld = p.category.fld
-    src_q = functor.morphism.source
-    partial = FormalMorphism(src_q, p.category.quiver,
-                             dict(functor.object_map), {})
-    for n in range(1, bound + 1):
-        lower = compose_formal(p.product_morphism, partial, n)
-        keys = {k for k in (*i_model.components, *lower.components,
-                            *cone_l.morphism.components) if k[0] == n}
-        forced: Components = {}
-        for (m, cobjs) in keys:
-            kdim = _model_kernel_dim(p, functor.object_map, cobjs)
-            im_t = i_model.components.get((m, cobjs), {})
-            lo_t = lower.components.get((m, cobjs), {})
-            l_t = cone_l.morphism.components.get((m, cobjs), {})
-            table: Dict[Tuple[int, ...], Vec] = {}
-            for in_t in set(im_t) | set(lo_t) | set(l_t):
-                kpart = vec_sub(fld, _kernel_part(im_t.get(in_t, {}), kdim),
-                                _kernel_part(lo_t.get(in_t, {}), kdim))
-                vec = sum_vec(fld, kpart, l_t.get(in_t, {}), kdim)
-                if vec:
-                    table[in_t] = vec
-            if table:
-                forced[(n, cobjs)] = table
-        got = {k: t for k, t in functor.morphism.components.items() if k[0] == n}
-        if normalize_components(fld, forced) != normalize_components(fld, got):
-            return False
-        comps = dict(partial.components)
-        comps.update(got)
-        partial = FormalMorphism(src_q, p.category.quiver,
-                                 dict(functor.object_map), comps)
-    return True
+def _kernel_block_is_identity(p: PullbackCategory) -> bool:
+    """The uniqueness lemma's hypothesis: the product morphism maps the
+    kernel part of its input, and nothing else, to its output's."""
+    one = p.category.fld.one
+    seen = 0
+    for (n, pobjs), table in p.product_morphism.components.items():
+        kdim = _kernel_dim(p, pobjs[0], pobjs[-1])
+        for in_t, vec in table.items():
+            identity = n == 1 and in_t[0] < kdim
+            if _kernel_part(vec, kdim) != ({in_t[0]: one} if identity else {}):
+                return False
+            seen += identity
+    objs = p.category.objects
+    return seen == sum(_kernel_dim(p, p1, p2) for p1 in objs for p2 in objs)
 
 
 # -- fibration closure ----------------------------------------------------------

@@ -868,3 +868,117 @@ def doubled_object_functor(base: AInftyCategory) -> AInftyFunctor:
             m_comps[(1, (a, b))] = {(i,): {i: fld.one} for i in range(sp.dim)}
     morphism = FormalMorphism(quiver, base.quiver, {a: o for a in objs}, m_comps)
     return AInftyFunctor.build(morphism, doubled, base)
+
+
+# -- reference H0 laws -----------------------------------------------------------
+
+def h0_basis_law_failures(h0) -> List[str]:
+    """The unit and associativity laws of an H0 category, checked on every
+    basis class by composing classes; the laws that fail."""
+    fld = h0.cat.fld
+    objs = h0.cat.objects
+
+    def basis(x, y):
+        d = h0.dim(x, y)
+        return [[fld.one if j == i else fld.zero for j in range(d)]
+                for i in range(d)]
+    failures = []
+    for x, y in itertools.product(objs, repeat=2):
+        for e in basis(x, y):
+            if h0.compose(x, x, y, e, h0.unit_coords[x]) != e:
+                failures.append(f"right unit law at ({x},{y})")
+            if h0.compose(x, y, y, h0.unit_coords[y], e) != e:
+                failures.append(f"left unit law at ({x},{y})")
+        for z, w in itertools.product(objs, repeat=2):
+            for f1, f2, f3 in itertools.product(basis(x, y), basis(y, z),
+                                                basis(z, w)):
+                lhs = h0.compose(x, z, w, f3, h0.compose(x, y, z, f2, f1))
+                rhs = h0.compose(x, y, w, h0.compose(y, z, w, f3, f2), f1)
+                if lhs != rhs:
+                    failures.append(f"associativity at ({x},{y},{z},{w})")
+    return failures
+
+
+# -- the terminal category and products over it ----------------------------------
+
+def terminal_category(fld: Field) -> AInftyCategory:
+    """One object ``*`` with no homs and the zero unit."""
+    quiver = GradedQuiver(fld, ("*",), {})
+    return AInftyCategory.build(quiver, {}, units={"*": {}})
+
+
+def to_terminal(cat: AInftyCategory, term: AInftyCategory) -> AInftyFunctor:
+    """The functor into the terminal category: it has no components."""
+    morphism = FormalMorphism(cat.quiver, term.quiver,
+                              {x: "*" for x in cat.objects}, {})
+    return AInftyFunctor.build(morphism, cat, term)
+
+
+def product_mismatches(p) -> List[str]:
+    """Where the pullback of F: A -> T along G: B -> T, T terminal, is not
+    the product A x B.
+
+    A x B has every pair of objects, homs A(x1, x2) (+) B(y1, y2) degree by
+    degree, m_A on all-kernel tuples (read through the split's include),
+    m_B on all-B tuples and zero on mixed tuples; alpha and beta are the two
+    projections.  Checked on every basis tuple up to the arity bound.
+    """
+    a_cat, b_cat = p.f.source, p.g.source
+    fld = a_cat.fld
+    quiver = p.category.quiver
+    pairs = p.object_pairs
+    out = []
+    if sorted(pairs.values()) != sorted(itertools.product(a_cat.objects,
+                                                          b_cat.objects)):
+        out.append("objects are not all pairs")
+
+    def split(p1, p2):
+        return p.strictification.model.splits[(pairs[p1][0], pairs[p2][0])]
+
+    def halves(p1, p2, vec):
+        """(the A-part through include, the B-part) of a pullback vector."""
+        inc = split(p1, p2).include
+        kdim = inc.source.dim
+        return (inc.apply({i: c for i, c in vec.items() if i < kdim}),
+                {i - kdim: c for i, c in vec.items() if i >= kdim})
+
+    for p1, p2 in itertools.product(quiver.objects, repeat=2):
+        (x1, y1), (x2, y2) = pairs[p1], pairs[p2]
+        sp, ker = quiver.space(p1, p2), split(p1, p2).kernel
+        b_sp = b_cat.quiver.space(y1, y2)
+        if (ker.dims_by_degree() != a_cat.quiver.space(x1, x2).dims_by_degree()
+                or [d for _, d in sp.basis]
+                != [d for _, d in ker.basis] + [d for _, d in b_sp.basis]):
+            out.append(f"hom({p1},{p2}) is not A({x1},{x2}) (+) B({y1},{y2})")
+        for i in range(sp.dim):
+            e = {i: fld.one}
+            a_part, b_part = halves(p1, p2, e)
+            if (eval_multilinear(p.beta.morphism, 1, (p1, p2), [e]) != a_part
+                    or eval_multilinear(p.alpha.morphism, 1, (p1, p2), [e])
+                    != b_part):
+                out.append(f"a projection is wrong on {sp.name(i)} in "
+                           f"hom({p1},{p2})")
+    for leg in (p.alpha, p.beta):
+        if any(n > 1 for n, _ in normalize_components(
+                fld, leg.morphism.components)):
+            out.append("a projection has a component above arity 1")
+    for n in range(1, p.arity_bound + 1):
+        for objs in quiver.paths(n):
+            for in_t in quiver.basis_tuples(objs):
+                ins = [halves(objs[n - 1 - i], objs[n - i], {b: fld.one})
+                       for i, b in enumerate(in_t)]
+                got = halves(objs[0], objs[-1],
+                             eval_basis(p.category.structure, n, objs, in_t))
+                if not any(b for _, b in ins):
+                    want = (eval_multilinear(
+                        a_cat.structure, n, tuple(pairs[q][0] for q in objs),
+                        [a for a, _ in ins]), {})
+                elif not any(a for a, _ in ins):
+                    want = ({}, eval_multilinear(
+                        b_cat.structure, n, tuple(pairs[q][1] for q in objs),
+                        [b for _, b in ins]))
+                else:
+                    want = ({}, {})
+                if got != want:
+                    out.append(f"structure at arity {n}, {objs}, {in_t}")
+    return out

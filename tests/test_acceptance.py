@@ -314,6 +314,9 @@ def test_criterion_7_universal_property():
         rep = induce_functor(p, p.beta, p.alpha)   # the self-cone
         assert rep.functor.morphism == identity_formal(p.category.quiver)
         assert rep.triangles and rep.uniqueness
+        # alpha . N = cone_l holds by construction and is not in triangles
+        assert compose_formal(p.alpha.morphism, rep.functor.morphism,
+                              p.arity_bound) == p.alpha.morphism
         n_cones += 1
         for j in range(3):
             u = random_diffeo(rng, p.category.quiver, max_arity=2,
@@ -322,8 +325,11 @@ def test_criterion_7_universal_property():
             v = formal_inverse(u, p.arity_bound)
             t = AInftyFunctor.build(v, c_cat, p.category,
                                     max_arity=p.arity_bound)
-            rep = induce_functor(p, p.beta.compose(t), p.alpha.compose(t))
+            cone_l = p.alpha.compose(t)
+            rep = induce_functor(p, p.beta.compose(t), cone_l)
             assert rep.triangles and rep.uniqueness
+            assert compose_formal(p.alpha.morphism, rep.functor.morphism,
+                                  p.arity_bound) == cone_l.morphism
             assert rep.functor.morphism == t.morphism
             n_cones += 1
     assert n_cones == 20

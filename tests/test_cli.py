@@ -206,6 +206,18 @@ def test_readme_example_bytes_stable(tmp_path):
         assert text == (GOLDEN / "expected" / name).read_text(), name
 
 
+def test_classify_functor_into_terminal_category(tmp_path, capsys):
+    # a zero unit reads back, and every functor into T is an isofibration
+    shutil.copy(GOLDEN / "a.acat", tmp_path / "a.acat")
+    (tmp_path / "t.acat").write_text("acat\nfield Fp 5\nobject *\nunit * ;\n")
+    (tmp_path / "f.afun").write_text(
+        "afun\nsource a.acat\ntarget t.acat\nobjmap o *\n")
+    code, rep = run(capsys, "classify", str(tmp_path / "f.afun"))
+    assert code == 1 and rep["overall"] == "fail"
+    assert rep["checks"]["f1"]["verdict"] == "pass"
+    assert rep["checks"]["f2_isofibration"]["verdict"] == "pass"
+
+
 @pytest.mark.parametrize("command", ["classify", "validate"])
 def test_field_fp_not_prime_exit_two(tmp_path, capsys, command):
     write_sq(tmp_path, F5)

@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ainfty.fields import Field
 from ainfty.linear import GradedSpace
@@ -17,6 +18,7 @@ from ainfty.core import (
     AInftyError,
     AInftyFunctor,
     FunctorDefectError,
+    IsoLiftCertificate,
     StructureDefectError,
     UnitAxiomError,
     arity_feasibility_bound,
@@ -33,6 +35,7 @@ from ainfty.core import (
 
 from helpers import (
     doubled_object_functor,
+    h0_basis_law_failures,
     m3_category,
     nilpotent_category,
     point_category,
@@ -42,6 +45,10 @@ from helpers import (
     sq_target,
     square_zero_extension,
     perturb_structure,
+    random_diffeo,
+    terminal_category,
+    to_terminal,
+    twist_structure,
     twisted_functor,
 )
 
@@ -280,6 +287,46 @@ def test_h0_functoriality_on_composite(rng):
             assert m_c == prod
 
 
+@given(st.integers(0, 10 ** 6), st.booleans())
+@settings(max_examples=20, deadline=None)
+def test_h0_laws_hold_by_construction(seed, rational):
+    # build_h0 checks no law on classes: u2 and the arity-3 relation imply
+    # them, as the basis-class reference confirms on random unital
+    # categories, DG and twisted to nonzero m3
+    rng = random.Random(seed)
+    cat = random_dg_category(rng, QQ if rational else F5, rng.randint(1, 2), 2)
+    u = random_diffeo(rng, cat.quiver, max_arity=3, unital_for=cat.units)
+    for c in (cat, twist_structure(cat, u, 3)):
+        assert h0_basis_law_failures(c.h0()) == []
+
+
+def _degree_zero_algebra(fld, products):
+    """One object with basis 1, a, b in degree 0 and unit 1; m2 is the unit
+    laws plus `products`, (g, f) -> g.f by basis index; certified to
+    arity 2 only, which is not total."""
+    sp = GradedSpace((("1", 0), ("a", 0), ("b", 0)))
+    q = GradedQuiver(fld, ("o",), {("o", "o"): sp})
+    m2 = {(i, j): {j if i == 0 else i: fld.one}
+          for i in range(3) for j in range(3) if 0 in (i, j)}
+    m2.update({k: {v: fld.one} for k, v in products.items()})
+    return AInftyCategory.build(q, {(2, ("o",) * 3): m2},
+                                units={"o": {0: fld.one}}, max_arity=2)
+
+
+def test_h0_certifies_arity_three_below_it():
+    # a.a = b and b.a = a: (a.a).a = a but a.(a.a) = a.b = 0
+    bad = _degree_zero_algebra(F5, {(1, 1): 2, (2, 1): 1})
+    assert bad.arity_bound == 2 and not bad.total
+    with pytest.raises(StructureDefectError) as exc:
+        bad.h0()
+    assert exc.value.witness[0] == 3
+    # a.a = b and every other product of a and b zero: associative
+    good = _degree_zero_algebra(F5, {(1, 1): 2})
+    assert good.arity_bound == 2 and not good.total
+    assert good.h0().dim("o", "o") == 3
+    assert h0_basis_law_failures(good.h0()) == []
+
+
 # -- isofibration ------------------------------------------------------------------
 
 def test_isofibration_identity():
@@ -309,6 +356,21 @@ def test_isofibration_unlifted_cross_iso_fails():
 def test_isofibration_rationals_undecided_without_certificates():
     rep = check_isofibration(sq_functor(QQ))
     assert rep.verdict == "undecided"
+
+
+def test_isofibration_into_terminal_category():
+    # every functor into the terminal category is an isofibration: its one
+    # iso 0 = 1_* lifts to 1_o, though the H0 matrix into H0(*,*) = 0 has
+    # no rows to carry its dim H0(o,o) columns
+    rep = check_isofibration(to_terminal(sq_source(F5), terminal_category(F5)))
+    assert rep.verdict == "pass" and rep.details["method"] == "enumeration"
+
+
+def test_isofibration_into_terminal_category_by_certificate():
+    src = sq_source(QQ)
+    f = to_terminal(src, terminal_category(QQ))
+    cert = IsoLiftCertificate("o", "*", {}, "o", src.unit_vec("o"))
+    assert check_isofibration(f, [cert]).verdict == "pass"
 
 
 # -- quasi-equivalence and kernels ----------------------------------------------------

@@ -22,6 +22,7 @@ from helpers import (
     sq_functor,
     sq_source,
     square_zero_extension,
+    terminal_category,
     twisted_functor,
 )
 
@@ -45,6 +46,20 @@ def test_category_round_trip_random(rng):
         cat = random_dg_category(r, QQ if seed % 2 else F5, 1, 2)
         text = serialize_category(cat)
         assert serialize_category(parse_category(text)) == text
+
+
+def test_zero_unit_round_trip():
+    # an object with no homs has the zero unit, written with no pairs
+    text = serialize_category(terminal_category(F5))
+    assert "unit * ; \n" in text
+    cat = parse_category(text, "t.acat")
+    assert cat.units == {"*": {}}
+    assert serialize_category(cat) == text
+    # only unit records may be empty: a mu record still needs its pairs
+    with pytest.raises(DocumentError) as exc:
+        parse_category("acat\nfield Q\nobject o\nbasis o o x 0\n"
+                       "mu 1 ; o o ; x ;\n", "m.acat")
+    assert "m.acat:5: vector needs 'name scalar' pairs" in str(exc.value)
 
 
 def test_functor_round_trip(tmp_path):

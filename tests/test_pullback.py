@@ -35,7 +35,7 @@ from ainfty.pullback import (
     induce_functor,
     pair_name,
 )
-from ainfty.documents import load_functor
+from ainfty.documents import load_category, load_functor
 from ainfty.strictify import strictify
 
 from helpers import (
@@ -44,9 +44,13 @@ from helpers import (
     formal_inverse,
     nilpotent_category,
     point_category,
+    product_mismatches,
     random_diffeo,
+    random_dg_category,
     sq_functor,
     square_zero_extension,
+    terminal_category,
+    to_terminal,
     twist_structure,
     twisted_functor,
 )
@@ -304,11 +308,19 @@ def test_strict_dg_matches_componentwise_fiber_product():
 
 # -- universal property --------------------------------------------------------------
 
+def _alpha_triangle(p, rep, cone_l):
+    """alpha . N = cone_l, which induce_functor does not check: it holds by
+    construction."""
+    return (compose_formal(p.alpha.morphism, rep.functor.morphism,
+                           rep.functor.arity_bound) == cone_l.morphism)
+
+
 def test_self_cone_gives_identity():
     p = sq_pullback(0)
     rep = induce_functor(p, p.beta, p.alpha)
     assert rep.functor.morphism == identity_formal(p.category.quiver)
     assert rep.triangles and rep.uniqueness
+    assert _alpha_triangle(p, rep, p.alpha)
 
 
 def test_twisted_cone_recovers_inverse():
@@ -323,7 +335,26 @@ def test_twisted_cone_recovers_inverse():
     cone_l = p.alpha.compose(t)
     rep = induce_functor(p, cone_i, cone_l)
     assert rep.triangles and rep.uniqueness
+    assert _alpha_triangle(p, rep, cone_l)
     assert rep.functor.morphism == t.morphism    # uniqueness pins N = t
+
+
+def test_bumped_kernel_block_breaks_uniqueness():
+    # uniqueness is the product morphism's identity kernel block: change
+    # one of its coefficients and the lemma's hypothesis no longer holds
+    p = twisted_pullback(seed=37, f_density=0.6, g_density=0.6)
+    product = p.product_morphism
+
+    def kernel_block(key, out):
+        x1, x2 = p.object_pairs[key[1][0]][0], p.object_pairs[key[1][-1]][0]
+        return out < p.strictification.model.splits[(x1, x2)].kernel.dim
+
+    bumped = dataclasses.replace(product, components=bump_coefficient(
+        QQ, product.components, 1, kernel_block))
+    assert induce_functor(p, p.beta, p.alpha).uniqueness
+    rep = induce_functor(dataclasses.replace(p, product_morphism=bumped),
+                         p.beta, p.alpha)
+    assert not rep.uniqueness
 
 
 def test_broken_cone_is_rejected():
@@ -355,6 +386,35 @@ def test_broken_cone_names_arity_and_tuple():
     with pytest.raises(ConeError) as exc:
         induce_functor(p, p.beta, fake)
     assert exc.value.arity >= 1 and exc.value.objs
+
+
+# -- products: pullbacks over the terminal category ------------------------------------
+
+def test_readme_pullback_over_terminal_is_product():
+    golden = pathlib.Path(__file__).parent / "golden" / "readme"
+    a, b = (load_category(str(golden / n)) for n in ("a.acat", "b.acat"))
+    term = terminal_category(a.fld)
+    p = build_pullback(to_terminal(a, term), to_terminal(b, term))
+    assert p.category.objects == ("o&p",) and p.total
+    assert p.category.quiver.space("o&p", "o&p").dim == 4     # 3 + 1
+    assert product_mismatches(p) == []
+    rep = certify_fibration_closure(p)
+    assert rep.sections["alpha_f1"].verdict == "pass"
+    assert rep.sections["f_isofibration"].verdict == "pass"
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_seeded_dg_pullback_over_terminal_is_product(seed):
+    rng = random.Random(seed)
+    a = random_dg_category(rng, F5, 1 + seed % 2, 2)
+    b = random_dg_category(rng, F5, 1, 2)
+    term = terminal_category(F5)
+    p = build_pullback(to_terminal(a, term), to_terminal(b, term), max_arity=3)
+    assert len(p.category.objects) == len(a.objects) * len(b.objects)
+    assert product_mismatches(p) == []
+    rep = certify_fibration_closure(p)
+    assert rep.sections["alpha_f1"].verdict == "pass"
+    assert rep.sections["f_isofibration"].verdict == "pass"
 
 
 # -- fibration closure ----------------------------------------------------------------
@@ -557,3 +617,23 @@ def test_readme_engine_call_counts(monkeypatch):
     p = build_pullback(f, g)
     assert p.arity_bound > 1
     assert len(solved) == 1
+
+    # induce_functor composes five times outside N's certification: the two
+    # sides of the cone, phi . cone_i, and the triangles through beta and
+    # the product morphism; alpha's triangle and uniqueness take none
+    certifying = []
+    build_functor = AInftyFunctor.build
+
+    def certified(*args, **kwargs):
+        certifying.append(True)
+        try:
+            return build_functor(*args, **kwargs)
+        finally:
+            certifying.pop()
+    monkeypatch.setattr(AInftyFunctor, "build", staticmethod(certified))
+    induced = _count_calls(monkeypatch, "compose_formal",
+                           when=lambda: not certifying)
+    rep = induce_functor(p, p.beta, p.alpha)
+    assert len(induced) == 5
+    assert rep.triangles and rep.uniqueness
+    assert _alpha_triangle(p, rep, p.alpha)
