@@ -25,9 +25,11 @@ from .fields import Field, FieldError
 from .documents import (
     DocumentError,
     RawCertificates,
-    load_category,
+    _read_document,
     load_certificates,
     load_functor,
+    parse_category,
+    parse_functor,
     serialize_category,
     serialize_functor,
 )
@@ -70,12 +72,12 @@ def _finish(payload: dict, strict: bool) -> int:
 
 
 def _load_any(path: str, cap: Optional[int]):
-    with open(path, "r", encoding="utf-8") as fh:
-        head = fh.readline().strip()
+    text = _read_document(path)
+    head = (text.splitlines() or [""])[0].strip()
     if head == "acat":
-        return "category", load_category(path, cap)
+        return "category", parse_category(text, path, cap)
     if head == "afun":
-        return "functor", load_functor(path, cap).functor
+        return "functor", parse_functor(text, path, cap=cap).functor
     raise DocumentError(path, 1, f"unknown document header {head!r}")
 
 
@@ -303,6 +305,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if args.max_arity is not None and args.max_arity < 1:
             raise DocumentError("<args>", 0, "--max-arity must be at least 1")
+        if args.p is not None and args.field != "Fp":
+            raise DocumentError("<args>", 0, "--p needs --field Fp")
         return args.fn(args)
     except (DocumentError, OSError) as exc:
         print(json.dumps({"command": args.command, "error": str(exc),

@@ -164,12 +164,41 @@ def _capped(max_arity: Optional[int], cap: Optional[int]) -> Optional[int]:
     return cap if max_arity is None else min(max_arity, cap)
 
 
+def _parse_maxarity(path: str, ln: int, parts: List[str]) -> Tuple[int, int]:
+    """A maxarity record's bound and line."""
+    try:
+        return int(parts[1]), ln
+    except (IndexError, ValueError) as exc:
+        raise DocumentError(path, ln, "maxarity needs an integer") from exc
+
+
+def _certifies(path: str, ln: int, max_arity: Optional[int], built):
+    """`built` (a category or functor), unless its document's maxarity
+    record is below 1 and not total for it: such a bound certifies nothing."""
+    if max_arity is not None and max_arity < 1 and not built.total:
+        raise DocumentError(path, ln, f"maxarity {max_arity} certifies nothing "
+                                      "(below 1 and not total)")
+    return built
+
+
+def _read_document(path: str) -> str:
+    """A document's text; a byte that is not UTF-8 is a document error."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DocumentError(path, data.count(b"\n", 0, exc.start) + 1,
+                            f"not UTF-8 text: {exc.reason}") from exc
+
+
 # -- category documents -----------------------------------------------------
 
 def parse_category(text: str, path: str = "<category>",
                    cap: Optional[int] = None) -> AInftyCategory:
     fld: Optional[Field] = None
     max_arity: Optional[int] = None
+    arity_ln = 0
     objects: List[str] = []
     basis: Dict[Tuple[str, str], List[Tuple[str, int]]] = {}
     unit_lines: List[Tuple[int, str, List[str]]] = []
@@ -180,10 +209,7 @@ def parse_category(text: str, path: str = "<category>",
         if kind == "field":
             fld = _parse_field_record(path, ln, parts[1:])
         elif kind == "maxarity":
-            try:
-                max_arity = int(parts[1])
-            except (IndexError, ValueError) as exc:
-                raise DocumentError(path, ln, "maxarity needs an integer") from exc
+            max_arity, arity_ln = _parse_maxarity(path, ln, parts)
         elif kind == "object":
             if len(parts) != 2:
                 raise DocumentError(path, ln, "object record needs one name")
@@ -236,10 +262,11 @@ def parse_category(text: str, path: str = "<category>",
         if missing:
             raise DocumentError(path, 1, f"units missing for {missing}")
     try:
-        return AInftyCategory.build(quiver, comps, units=units,
-                                    max_arity=_capped(max_arity, cap))
+        cat = AInftyCategory.build(quiver, comps, units=units,
+                                   max_arity=_capped(max_arity, cap))
     except (AInftyError, QuiverError) as exc:
         raise DocumentError(path, 1, str(exc)) from exc
+    return _certifies(path, arity_ln, max_arity, cat)
 
 
 def serialize_category(cat: AInftyCategory) -> str:
@@ -264,8 +291,7 @@ def serialize_category(cat: AInftyCategory) -> str:
 
 def load_category(path: str, cap: Optional[int] = None) -> AInftyCategory:
     """Parse a category document; `cap` lowers its verification bound."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_category(fh.read(), path, cap)
+    return parse_category(_read_document(path), path, cap)
 
 
 # -- functor documents ------------------------------------------------------
@@ -284,6 +310,7 @@ def parse_functor(text: str, path: str = "<functor>",
     base_dir = base_dir if base_dir is not None else os.path.dirname(path)
     source_path = target_path = None
     max_arity: Optional[int] = None
+    arity_ln = 0
     objmap: Dict[str, str] = {}
     comp_lines: List[Tuple[int, List[str]]] = []
     for ln, line in records:
@@ -294,10 +321,7 @@ def parse_functor(text: str, path: str = "<functor>",
         elif kind == "target":
             target_path = line.split(None, 1)[1].strip()
         elif kind == "maxarity":
-            try:
-                max_arity = int(parts[1])
-            except (IndexError, ValueError) as exc:
-                raise DocumentError(path, ln, "maxarity needs an integer") from exc
+            max_arity, arity_ln = _parse_maxarity(path, ln, parts)
         elif kind == "objmap":
             if len(parts) != 3:
                 raise DocumentError(path, ln, "objmap record: objmap x Fx")
@@ -328,7 +352,8 @@ def parse_functor(text: str, path: str = "<functor>",
                                       max_arity=_capped(max_arity, cap))
     except AInftyError as exc:
         raise DocumentError(path, 1, str(exc)) from exc
-    return FunctorDocument(functor, source_path, target_path)
+    return FunctorDocument(_certifies(path, arity_ln, max_arity, functor),
+                           source_path, target_path)
 
 
 def serialize_functor(functor: AInftyFunctor, source_path: str,
@@ -347,8 +372,7 @@ def serialize_functor(functor: AInftyFunctor, source_path: str,
 def load_functor(path: str, cap: Optional[int] = None) -> FunctorDocument:
     """Parse a functor document and the category documents it names; `cap`
     lowers the verification bound of all three."""
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_functor(fh.read(), path, cap=cap)
+    return parse_functor(_read_document(path), path, cap=cap)
 
 
 # -- certificates -----------------------------------------------------------
@@ -419,5 +443,4 @@ def parse_certificates(text: str, path: str = "<certificates>") -> RawCertificat
 
 
 def load_certificates(path: str) -> RawCertificates:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_certificates(fh.read(), path)
+    return parse_certificates(_read_document(path), path)

@@ -194,28 +194,15 @@ def build_phi_psi(model: SplitModel, max_arity: int
 
 
 def transport_structure(model: SplitModel, phi: FormalMorphism,
-                        max_arity: int) -> Prenatural:
-    """The structure on the base quiver making phi an A-infinity functor
-    from the original category to the transported one.
-
-    Since phi^1 = id, the arity-n functor equation determines the arity-n
-    component uniquely from lower data: the unknown enters only through the
-    all-ones partition of the right-hand block sum.  The solve forces the
-    equation; strictify certifies it as phi_functor's functor equation.
-    """
-    base = model.base
-    ident = identity_formal(base.quiver)
-    m_hat = Prenatural(ident, ident, 2, {})
-    lhs = l_compose(phi, base.structure, max_arity)
-    for n in range(1, max_arity + 1):
-        rhs_lower = r_compose(phi, m_hat, n).arity_part(n)
-        top = lhs.arity_part(n).sub(rhs_lower)
-        comps = dict(m_hat.components)
-        for key, table in top.components.items():
-            if key[0] == n and table:
-                comps[key] = table
-        m_hat = Prenatural(ident, ident, 2, comps)
-    return m_hat
+                        psi: FormalMorphism, max_arity: int) -> Prenatural:
+    """phi . m . psi on the base quiver, the structure that makes phi an
+    A-infinity functor: phi . m = (phi . m . psi) . phi holds by construction
+    because psi is phi's two-sided inverse to max_arity (build_phi_psi forces
+    one side and checks the other).  strictify certifies it as phi_functor's
+    functor equation."""
+    m = model.base.structure
+    conj = l_compose(phi, r_compose(psi, m, max_arity), max_arity)
+    return Prenatural(m.frm, m.to, m.degree, conj.components)
 
 
 def strict_projection(model: SplitModel, transported: AInftyCategory,
@@ -266,7 +253,7 @@ def strictify(functor: AInftyFunctor, f1: Optional[F1Result] = None,
     full = _total_bound(model)
     bound, total = _choose_bound(max_arity, full)
     gamma, phi, psi = build_phi_psi(model, bound)
-    m_hat = transport_structure(model, phi, bound)
+    m_hat = transport_structure(model, phi, psi, bound)
 
     base = model.base
     conj = l_compose(model.decompose, r_compose(model.recompose, m_hat, bound), bound)

@@ -982,3 +982,44 @@ def product_mismatches(p) -> List[str]:
                 if got != want:
                     out.append(f"structure at arity {n}, {objs}, {in_t}")
     return out
+
+
+# -- reference pullback structure -------------------------------------------------
+
+def pullback_structure_by_recursion(quiver: GradedQuiver, pairs, product,
+                                    m_model: Prenatural, g: AInftyFunctor,
+                                    splits, max_arity: int) -> Prenatural:
+    """The pullback structure solved arity by arity from the product-morphism
+    equation product . m = m_model . product.
+
+    At arity n the A''-part is m''^n and the kernel unknown is set to zero;
+    the kernel part of the equation's defect is then subtracted, and its
+    split-off part must vanish (a ValueError names the first place where it
+    does not).
+    """
+    from ainfty.pullback import _embed_a
+
+    fld = quiver.fld
+    ident = identity_formal(quiver)
+    rhs = r_compose(product, m_model, max_arity)
+    comps: Components = {}
+    for n in range(1, max_arity + 1):
+        for key, table in g.source.structure.components.items():
+            if key[0] == n:
+                for pkey, ptable in _embed_a(pairs, splits, quiver.objects,
+                                             key, table):
+                    comps.setdefault(pkey, {}).update(ptable)
+        trial = Prenatural(ident, ident, 2, normalize_components(fld, comps))
+        defect = l_compose(product, trial, n).arity_part(n).sub(
+            rhs.arity_part(n))
+        for (_, pobjs), table in defect.components.items():
+            kdim = splits[(pairs[pobjs[0]][0], pairs[pobjs[-1]][0])].kernel.dim
+            for in_t, vec in table.items():
+                if any(i >= kdim for i in vec):
+                    raise ValueError(
+                        f"split-off component of the arity-{n} defect is "
+                        f"nonzero at {pobjs}, inputs {in_t}")
+                tbl = comps.setdefault((n, pobjs), {})
+                tbl[in_t] = vec_add(fld, tbl.get(in_t, {}),
+                                    vec_scale(fld, fld.from_int(-1), vec))
+    return Prenatural(ident, ident, 2, normalize_components(fld, comps))

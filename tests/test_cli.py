@@ -291,3 +291,48 @@ def test_induce_checks_field_of_every_document(tmp_path, capsys, slot):
     assert rep["error"] == (f"{tmp_path / 'gq.afun'}:1: "
                             "document field rationals does not match --field")
     assert not (tmp_path / "o").exists()
+
+
+def test_validate_fails_maxarity_below_one(tmp_path, capsys):
+    # the README category with a broken m2 and a maxarity record of -3
+    a = tmp_path / "a.acat"
+    a.write_text((GOLDEN / "a.acat").read_text().replace(
+        "field Fp 5\n", "field Fp 5\nmaxarity -3\n")
+        + "mu 2 ; o o o ; e e ; e 1\n")
+    code, rep = run(capsys, "validate", str(a))
+    assert code == 1 and rep["overall"] == "fail"
+    (witness,) = rep["checks"][str(a)]["witnesses"]
+    assert witness.startswith(f"{a}:3: maxarity -3 certifies nothing")
+
+
+@pytest.mark.parametrize("command, code, overall", [
+    ("validate", 1, "fail"), ("classify", 2, "error")])
+def test_non_utf8_document_keeps_the_contract(tmp_path, capsys, command,
+                                              code, overall):
+    bad = tmp_path / "x.acat"
+    bad.write_bytes(b"acat\nfield Q\n\xff\n")
+    got, rep = run(capsys, command, str(bad))
+    assert got == code and rep["overall"] == overall
+    message = (rep["checks"][str(bad)]["witnesses"][0]
+               if command == "validate" else rep["error"])
+    assert message.startswith(f"{bad}:3: not UTF-8 text")
+
+
+def test_non_utf8_certificates_exit_two(tmp_path, capsys):
+    write_sq(tmp_path, F5)
+    (tmp_path / "c.acert").write_bytes(b"acert\n\xfe\n")
+    code, rep = run(capsys, "classify", str(tmp_path / "f.afun"),
+                    "--certificates", str(tmp_path / "c.acert"))
+    assert code == 2 and rep["overall"] == "error"
+    assert rep["error"].startswith(f"{tmp_path / 'c.acert'}:2: not UTF-8")
+
+
+@pytest.mark.parametrize("command", ["validate", "classify"])
+@pytest.mark.parametrize("flags", [["--p", "7"], ["--field", "Q", "--p", "5"]])
+def test_p_without_field_fp_exit_two(tmp_path, capsys, command, flags):
+    # --p only names the prime of --field Fp; anywhere else it is a usage
+    # error, not a silently ignored flag
+    write_sq(tmp_path, F5)
+    code, rep = run(capsys, command, str(tmp_path / "f.afun"), *flags)
+    assert code == 2 and rep["overall"] == "error"
+    assert rep["error"] == "<args>:0: --p needs --field Fp"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import pathlib
 import random
 
 import pytest
@@ -8,6 +9,9 @@ from ainfty.fields import Field
 from ainfty.core import AInftyFunctor
 from ainfty.documents import (
     DocumentError,
+    load_category,
+    load_certificates,
+    load_functor,
     parse_category,
     parse_certificates,
     parse_functor,
@@ -60,6 +64,37 @@ def test_zero_unit_round_trip():
         parse_category("acat\nfield Q\nobject o\nbasis o o x 0\n"
                        "mu 1 ; o o ; x ;\n", "m.acat")
     assert "m.acat:5: vector needs 'name scalar' pairs" in str(exc.value)
+
+
+README = pathlib.Path(__file__).parent / "golden" / "readme"
+
+
+@pytest.mark.parametrize("bound", [-3, 0])
+def test_maxarity_below_one_is_a_document_error(tmp_path, bound):
+    # a bound below 1 certifies nothing: m(e, e) = e breaks m.m = 0 at
+    # arity 2, and such a record would hide that
+    text = (README / "a.acat").read_text().replace(
+        "field Fp 5\n", f"field Fp 5\nmaxarity {bound}\n")
+    text += "mu 2 ; o o o ; e e ; e 1\n"
+    with pytest.raises(DocumentError) as exc:
+        parse_category(text, "a.acat")
+    assert str(exc.value).startswith(f"a.acat:3: maxarity {bound} certifies")
+    for name in ("a.acat", "b.acat"):
+        (tmp_path / name).write_text((README / name).read_text())
+    text = (README / "f.afun").read_text() + f"maxarity {bound}\n"
+    ln = text.count("\n")
+    with pytest.raises(DocumentError) as exc:
+        parse_functor(text, str(tmp_path / "f.afun"))
+    assert exc.value.line == ln and "certifies nothing" in str(exc.value)
+
+
+def test_non_utf8_document_is_a_document_error(tmp_path):
+    bad = tmp_path / "x.doc"
+    bad.write_bytes(b"acat\nfield Q\n\xff\n")
+    for load in (load_category, load_functor, load_certificates):
+        with pytest.raises(DocumentError) as exc:
+            load(str(bad))
+        assert exc.value.line == 3 and "not UTF-8" in str(exc.value)
 
 
 def test_functor_round_trip(tmp_path):

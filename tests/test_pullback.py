@@ -31,6 +31,7 @@ from ainfty.pullback import (
     F1Error,
     build_pullback,
     build_pullback_quiver,
+    build_pullback_structure,
     certify_fibration_closure,
     induce_functor,
     pair_name,
@@ -45,8 +46,11 @@ from helpers import (
     nilpotent_category,
     point_category,
     product_mismatches,
+    pullback_structure_by_recursion,
     random_diffeo,
     random_dg_category,
+    random_f1_functor,
+    random_g_functor,
     sq_functor,
     square_zero_extension,
     terminal_category,
@@ -504,26 +508,45 @@ def test_beta_lands_in_original_source():
                           p.arity_bound).is_zero()
 
 
+@pytest.mark.parametrize("char", [0, 5])
+def test_pullback_closed_form_matches_recursion(char):
+    # m'' on A'' plus the kernel part of m_model . (Id_K x G) equals the
+    # structure solved arity by arity, whose split-off defect vanishes
+    fld = QQ if char == 0 else F5
+    pairs_fg = [twisted_pair(seed, char) for seed in (1, 2, 3)]
+    for seed in range(4):
+        rng = random.Random(seed)
+        f = random_f1_functor(rng, fld, density=0.35)
+        pairs_fg.append((f, random_g_functor(rng, f.target)))
+    for f, g in pairs_fg:
+        for bound in range(3, 7):
+            s = strictify(f, max_arity=bound)
+            quiver, product, pairs = build_pullback_quiver(s, g)
+            args = (quiver, pairs, product, s.transported.structure, g,
+                    s.model.splits, bound)
+            assert (build_pullback_structure(*args)
+                    == pullback_structure_by_recursion(*args))
+
+
 @pytest.mark.parametrize("arity", [1, 2, 3])
 def test_tampered_kernel_block_is_rejected(monkeypatch, arity):
-    # the solved product-morphism equation is not re-checked per arity; the
-    # pullback's m.m = 0 and beta's functor equation must still catch a
-    # wrong kernel-block coefficient
+    # the closed-form structure is not re-checked; the pullback's m.m = 0
+    # and beta's functor equation must still catch a wrong kernel-block
+    # coefficient
     pullback = importlib.import_module("ainfty.pullback")
     f, g = twisted_pair(seed=3)
     solve = pullback.solve_pullback_arity
 
-    def tampered(quiver, pairs, product, rhs, g, splits, partial, n):
-        structure = solve(quiver, pairs, product, rhs, g, splits, partial, n)
+    def tampered(quiver, pairs, rhs, g, splits, n):
+        comps = solve(quiver, pairs, rhs, g, splits, n)
         if n != arity:
-            return structure
+            return comps
 
         def kernel_block(key, out):
             x1, x2 = pairs[key[1][0]][0], pairs[key[1][-1]][0]
             return out < splits[(x1, x2)].kernel.dim
 
-        return dataclasses.replace(structure, components=bump_coefficient(
-            quiver.fld, structure.components, n, kernel_block))
+        return bump_coefficient(quiver.fld, comps, n, kernel_block)
 
     monkeypatch.setattr(pullback, "solve_pullback_arity", tampered)
     with pytest.raises(AInftyError):
@@ -588,9 +611,24 @@ def _count_calls(monkeypatch, name, when=lambda: True):
     return calls
 
 
+def _while_in(monkeypatch, module, name):
+    """A list that is nonempty exactly while <module>.<name> runs."""
+    mod = importlib.import_module(module)
+    fn = getattr(mod, name)
+    inside = []
+
+    def traced(*args, **kwargs):
+        inside.append(True)
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            inside.pop()
+    monkeypatch.setattr(mod, name, traced)
+    return inside
+
+
 def test_readme_engine_call_counts(monkeypatch):
-    # an endpoint shared by frm and to is composed once, and the pullback's
-    # right-hand side is solved once for every arity
+    # an endpoint shared by frm and to is composed once
     golden = pathlib.Path(__file__).parent / "golden" / "readme"
     f = load_functor(str(golden / "f.afun")).functor
     g = load_functor(str(golden / "g.afun")).functor
@@ -602,21 +640,23 @@ def test_readme_engine_call_counts(monkeypatch):
     functor_defect(f.morphism, f.source, f.target, bound)
     assert len(composed) == 2
 
-    pb = importlib.import_module("ainfty.pullback")
-    inside = []
-    build = pb.build_pullback_structure
-
-    def traced(*args, **kwargs):
-        inside.append(True)
-        try:
-            return build(*args, **kwargs)
-        finally:
-            inside.pop()
-    monkeypatch.setattr(pb, "build_pullback_structure", traced)
-    solved = _count_calls(monkeypatch, "r_compose", when=lambda: bool(inside))
+    # the pullback structure and the transported structure are closed
+    # forms: one right-hand side, and one conjugation phi . m . psi
+    engine = {}
+    for module, name in (("ainfty.pullback", "build_pullback_structure"),
+                         ("ainfty.strictify", "transport_structure")):
+        inside = _while_in(monkeypatch, module, name)
+        for op in ("r_compose", "l_compose"):
+            engine[(name, op)] = _count_calls(
+                monkeypatch, op, when=lambda inside=inside: bool(inside))
     p = build_pullback(f, g)
     assert p.arity_bound > 1
-    assert len(solved) == 1
+    assert {key: len(calls) for key, calls in engine.items()} == {
+        ("build_pullback_structure", "r_compose"): 1,
+        ("build_pullback_structure", "l_compose"): 0,
+        ("transport_structure", "r_compose"): 1,
+        ("transport_structure", "l_compose"): 1,
+    }
 
     # induce_functor composes five times outside N's certification: the two
     # sides of the cone, phi . cone_i, and the triangles through beta and

@@ -40,12 +40,15 @@ from helpers import (
     coderivation_expand_combo,
     nilpotent_category,
     point_category,
+    random_f1_functor,
     sq_functor,
     square_zero_extension,
+    twist_structure,
     twisted_functor,
 )
 
 QQ = Field.rationals()
+F5 = Field.prime(5)
 
 
 def fixture_functor(seed=3, density=0.5, base_gens=(("a", -1), ("b", 0))):
@@ -214,11 +217,24 @@ def test_transport_identity_at_arity_one():
     f = fixture_functor(seed=13)
     model = build_split_model(f, check_F1(f))
     gamma, phi, psi = build_phi_psi(model, 4)
-    m_hat = transport_structure(model, phi, 4)
+    m_hat = transport_structure(model, phi, psi, 4)
     base = f.source
     for (n, objs), table in base.structure.components.items():
         if n == 1:
             assert m_hat.components[(1, objs)] == table
+
+
+@pytest.mark.parametrize("fld", [QQ, F5], ids=["Q", "F5"])
+@pytest.mark.parametrize("seed", range(4))
+def test_transport_closed_form_matches_recursion(fld, seed):
+    # phi . m . psi equals the structure solved arity by arity from
+    # phi . m = m_hat . phi (the reference recursion twist_structure)
+    f = random_f1_functor(random.Random(seed), fld, density=0.5)
+    model = build_split_model(f, check_F1(f))
+    for bound in range(3, 7):
+        gamma, phi, psi = build_phi_psi(model, bound)
+        assert (transport_structure(model, phi, psi, bound)
+                == twist_structure(f.source, phi, bound).structure)
 
 
 def test_transport_matches_conjugated_differential():
@@ -226,7 +242,7 @@ def test_transport_matches_conjugated_differential():
     f = fixture_functor(seed=17, density=0.7)
     model = build_split_model(f, check_F1(f))
     gamma, phi, psi = build_phi_psi(model, 4)
-    m_hat = transport_structure(model, phi, 4)
+    m_hat = transport_structure(model, phi, psi, 4)
     base = f.source
     quiver = base.quiver
     fld = QQ
@@ -314,8 +330,8 @@ def test_tampered_transport_is_rejected(monkeypatch, arity):
     f = fixture_functor()
     solve = STRICTIFY.transport_structure
 
-    def tampered(model, phi, max_arity):
-        m_hat = solve(model, phi, max_arity)
+    def tampered(model, phi, psi, max_arity):
+        m_hat = solve(model, phi, psi, max_arity)
         return dataclasses.replace(m_hat, components=bump_coefficient(
             QQ, m_hat.components, arity))
 
