@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .fields import Field, Scalar
 from .linear import (
@@ -85,6 +85,14 @@ class CheckReport:
         return self.verdict == "pass"
 
 
+def combined_verdict(verdicts: Iterable[str]) -> str:
+    """fail if any verdict fails, pass if all pass, undecided otherwise."""
+    verdicts = set(verdicts)
+    if "fail" in verdicts:
+        return "fail"
+    return "pass" if verdicts <= {"pass"} else "undecided"
+
+
 # -- arity bounds from degree feasibility ------------------------------------
 
 def arity_feasibility_bound(
@@ -153,6 +161,18 @@ def _choose_bound(max_arity: Optional[int], full: Optional[int]) -> Tuple[int, b
 
 # -- categories ---------------------------------------------------------------
 
+def arity1_map(fam, x: str, y: str) -> GradedMap:
+    """The arity-1 component of a formal morphism or prenatural at (x, y)
+    as a graded map: a functor's F1 (shift 0), a structure's m1 (shift 1)."""
+    entries: Dict[Tuple[int, int], Scalar] = {}
+    for in_t, vec in fam.component(1, (x, y)).items():
+        for oi, c in vec.items():
+            entries[(oi, in_t[0])] = c
+    return GradedMap(fam.source.fld, fam.source.space(x, y),
+                     fam.target.space(*fam.out_pair((x, y))), fam.shift(1),
+                     entries)
+
+
 def structure_defect(quiver: GradedQuiver, structure: Prenatural, max_arity: int) -> Prenatural:
     """Self-composition of the candidate structure; zero certifies it."""
     structure.validate()
@@ -205,21 +225,14 @@ class AInftyCategory:
             raise AInftyError("units required")
         return self.units[x]
 
-    def m1_map(self, x: str, y: str) -> GradedMap:
-        sp = self.quiver.space(x, y)
-        entries: Dict[Tuple[int, int], Scalar] = {}
-        for in_t, vec in self.structure.component(1, (x, y)).items():
-            for oi, c in vec.items():
-                entries[(oi, in_t[0])] = c
-        return GradedMap(self.fld, sp, sp, 1, entries)
-
     def h0(self) -> "H0Category":
         if self._h0 is None:
             self._h0 = build_h0(self)
         return self._h0
 
     def pair_cohomology(self, x: str, y: str) -> Cohomology:
-        return cohomology(self.quiver.space(x, y), self.m1_map(x, y))
+        return cohomology(self.quiver.space(x, y),
+                          arity1_map(self.structure, x, y))
 
 
 def check_strict_units(cat: AInftyCategory) -> CheckReport:
@@ -356,15 +369,6 @@ class AInftyFunctor:
         morphism = compose_formal(self.morphism, other.morphism, bound)
         return AInftyFunctor.build(morphism, other.source, self.target, bound)
 
-    def arity1_map(self, x: str, y: str) -> GradedMap:
-        src = self.source.quiver.space(x, y)
-        tgt = self.target.quiver.space(self.object_map[x], self.object_map[y])
-        entries: Dict[Tuple[int, int], Scalar] = {}
-        for in_t, vec in self.morphism.component(1, (x, y)).items():
-            for oi, c in vec.items():
-                entries[(oi, in_t[0])] = c
-        return GradedMap(self.source.fld, src, tgt, 0, entries)
-
 
 def _strictly_unital(morphism: FormalMorphism, source: AInftyCategory,
                      target: AInftyCategory) -> bool:
@@ -394,7 +398,7 @@ def check_F1(functor: AInftyFunctor) -> F1Result:
     splits: Dict[Pair, SplitData] = {}
     for x in functor.source.objects:
         for y in functor.source.objects:
-            m = functor.arity1_map(x, y)
+            m = arity1_map(functor.morphism, x, y)
             try:
                 splits[(x, y)] = split_surjection(m)
             except NotSurjectiveError as exc:
@@ -506,7 +510,7 @@ def _arity1_iso_everywhere(functor: AInftyFunctor) -> bool:
     fld = functor.source.fld
     for x in src_objs:
         for y in src_objs:
-            m = functor.arity1_map(x, y)
+            m = arity1_map(functor.morphism, x, y)
             if m.source.dim != m.target.dim:
                 return False
             rows = [
@@ -681,13 +685,7 @@ def check_quasi_equivalence(
     """Hom-level quasi-isomorphisms plus essential surjectivity of H0."""
     hom = _hom_level_quasi_iso(functor)
     ess = _essential_surjectivity(functor, certificates)
-    if hom.verdict == "fail" or ess.verdict == "fail":
-        verdict = "fail"
-    elif hom.verdict == "pass" and ess.verdict == "pass":
-        verdict = "pass"
-    else:
-        verdict = "undecided"
-    return QEReport(verdict, hom, ess)
+    return QEReport(combined_verdict([hom.verdict, ess.verdict]), hom, ess)
 
 
 def _hom_level_quasi_iso(functor: AInftyFunctor) -> CheckReport:

@@ -55,10 +55,6 @@ def vec_scale(fld: Field, c: Scalar, v: Vec) -> Vec:
     return {i: fld.mul(c, x) for i, x in v.items()}
 
 
-def vec_sub(fld: Field, u: Vec, v: Vec) -> Vec:
-    return vec_add(fld, u, vec_scale(fld, fld.from_int(-1), v))
-
-
 @dataclass(frozen=True)
 class GradedSpace:
     """Finite based Z-graded space: an ordered basis of (name, degree)."""

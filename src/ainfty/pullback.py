@@ -35,6 +35,7 @@ from .core import (
     check_F1,
     check_isofibration,
     check_quasi_equivalence,
+    combined_verdict,
     _essential_surjectivity,
     _hom_level_quasi_iso,
     kernel_acyclicity,
@@ -87,7 +88,7 @@ def pair_name(x: str, y: str) -> str:
 class PullbackCategory:
     category: AInftyCategory
     alpha: AInftyFunctor                  # strict projection onto A''
-    beta: AInftyFunctor                   # psi . recompose . (Id_K x G)
+    beta: AInftyFunctor                   # psi_functor . (Id_K x G)
     product_morphism: FormalMorphism      # (Id_K x G): P -> model
     object_pairs: Dict[str, Tuple[str, str]]
     strictification: Strictification
@@ -267,9 +268,9 @@ def build_pullback(
     category = AInftyCategory.build(quiver, structure.components, units,
                                     max_arity=bound)
     alpha = AInftyFunctor.build(pr_a, category, g.source, max_arity=bound)
-    beta_m = compose_formal(
-        strict.psi, compose_formal(strict.model.recompose, product, bound), bound)
-    beta = AInftyFunctor.build(beta_m, category, f.source, max_arity=bound)
+    beta = AInftyFunctor.build(
+        compose_formal(strict.psi_functor.morphism, product, bound),
+        category, f.source, max_arity=bound)
 
     # square commutativity, exact at the formal-morphism level
     if (compose_formal(f.morphism, beta.morphism, bound)
@@ -427,7 +428,8 @@ def certify_fibration_closure(
     sections["f_quasi_equivalence"] = CheckReport(
         f_qe.verdict, f_qe.hom_level.witnesses + f_qe.essential.witnesses)
     if f_iso.passed and f_qe.passed:
-        sections["alpha_kernel_acyclicity_ff"] = kernel_acyclicity(p.alpha)
+        sections["alpha_kernel_acyclicity_ff"] = kernel_acyclicity(
+            p.alpha, alpha_f1)
         sections["alpha_hom_level_ff"] = _hom_level_quasi_iso(p.alpha)
         sections["alpha_essential_surjectivity_exsurj"] = _essential_surjectivity(
             p.alpha, alpha_essentials)
@@ -435,12 +437,6 @@ def certify_fibration_closure(
             "alpha_f1", "alpha_isofibration_isofib", "alpha_kernel_acyclicity_ff",
             "alpha_hom_level_ff", "alpha_essential_surjectivity_exsurj",
         ]
-        verdicts = [sections[k].verdict for k in clause_keys]
-        if all(v == "pass" for v in verdicts):
-            overall = "pass"
-        elif any(v == "fail" for v in verdicts):
-            overall = "fail"
-        else:
-            overall = "undecided"
-        sections["alpha_acyclic_fibration"] = CheckReport(overall)
+        sections["alpha_acyclic_fibration"] = CheckReport(
+            combined_verdict(sections[k].verdict for k in clause_keys))
     return FibrationReport(sections)

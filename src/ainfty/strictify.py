@@ -1,11 +1,12 @@
 """Strictification of a graded-split surjective functor.
 
 Given F: A ->> A' with split arity-1 components, build the split model
-quiver with homs Ker(F1) (+) A'-hom, the automorphism phi = Id + gamma of
-the underlying formal calculus (phi^1 = id, phi^n = s1 . F^n for n >= 2),
-its inverse psi, the transported structure that makes phi an A-infinity
-functor from the original category to the model, and the strict projection
-onto the A'-summand.
+quiver with homs Ker(F1) (+) A'-hom, the automorphism phi of the underlying
+formal calculus (phi^1 = id, phi^n = s1 . F^n for n >= 2), its inverse psi,
+the transported structure that makes decompose . phi an A-infinity functor
+from the original category to the model, and the strict projection onto
+the A'-summand.  The structure is transported once, straight into model
+coordinates: m_model = (decompose . phi) . m . (psi . recompose).
 
 Basis names in model homs carry a "k:" prefix for the kernel part and an
 "a:" prefix for the split-off part.
@@ -141,8 +142,8 @@ def build_split_model(functor: AInftyFunctor, f1: F1Result) -> SplitModel:
 
 
 def build_phi_psi(model: SplitModel, max_arity: int
-                  ) -> Tuple[FormalMorphism, FormalMorphism, FormalMorphism]:
-    """gamma, phi = Id + gamma, and the two-sided inverse psi.
+                  ) -> Tuple[FormalMorphism, FormalMorphism]:
+    """phi and its two-sided inverse psi on the base quiver.
 
     phi^n = s1 . F^n for n >= 2 (sections indexed by the block endpoints),
     phi^1 = id; psi is solved arity by arity from phi . psi = Id, which the
@@ -151,26 +152,21 @@ def build_phi_psi(model: SplitModel, max_arity: int
     """
     base = model.base
     fld = base.fld
-    gamma_comps: Components = {}
-    for (n, objs), table in model.functor.morphism.components.items():
-        if n < 2:
-            continue
-        section = model.splits[(objs[0], objs[-1])].section
-        gtable: Dict[Tuple[int, ...], Vec] = {}
-        for in_t, vec in table.items():
-            img = section.apply(vec)
-            if img:
-                gtable[in_t] = img
-        if gtable:
-            gamma_comps[(n, objs)] = gtable
-    ident_map = {x: x for x in base.objects}
-    gamma = FormalMorphism(base.quiver, base.quiver, dict(ident_map), gamma_comps)
     ident = identity_formal(base.quiver)
     phi_comps: Components = {k: {it: dict(v) for it, v in t.items()}
                              for k, t in ident.components.items()}
-    for key, table in gamma_comps.items():
-        if key[0] <= max_arity:
-            phi_comps[key] = {it: dict(v) for it, v in table.items()}
+    for (n, objs), table in model.functor.morphism.components.items():
+        if not 2 <= n <= max_arity:
+            continue
+        section = model.splits[(objs[0], objs[-1])].section
+        ptable: Dict[Tuple[int, ...], Vec] = {}
+        for in_t, vec in table.items():
+            img = section.apply(vec)
+            if img:
+                ptable[in_t] = img
+        if ptable:
+            phi_comps[(n, objs)] = ptable
+    ident_map = {x: x for x in base.objects}
     phi = FormalMorphism(base.quiver, base.quiver, dict(ident_map), phi_comps)
     psi_comps: Components = {k: {it: dict(v) for it, v in t.items()}
                              for k, t in ident.components.items()}
@@ -190,19 +186,21 @@ def build_phi_psi(model: SplitModel, max_arity: int
                          normalize_components(fld, psi_comps))
     if compose_formal(psi, phi, max_arity) != ident:
         raise StrictifyError("psi . phi is not the identity")
-    return gamma, phi, psi
+    return phi, psi
 
 
 def transport_structure(model: SplitModel, phi: FormalMorphism,
                         psi: FormalMorphism, max_arity: int) -> Prenatural:
-    """phi . m . psi on the base quiver, the structure that makes phi an
-    A-infinity functor: phi . m = (phi . m . psi) . phi holds by construction
-    because psi is phi's two-sided inverse to max_arity (build_phi_psi forces
-    one side and checks the other).  strictify certifies it as phi_functor's
-    functor equation."""
+    """phi . m . psi, the base structure m conjugated once.
+
+    strictify passes decompose . phi and psi . recompose, which gives the
+    model's structure m_model: (decompose . phi) . m = m_model . (decompose .
+    phi) holds by construction, because decompose/recompose are strict
+    mutual inverses and psi is phi's two-sided inverse to max_arity
+    (build_phi_psi forces one side and checks the other).  strictify
+    certifies it as phi_functor's functor equation."""
     m = model.base.structure
-    conj = l_compose(phi, r_compose(psi, m, max_arity), max_arity)
-    return Prenatural(m.frm, m.to, m.degree, conj.components)
+    return l_compose(phi, r_compose(psi, m, max_arity), max_arity)
 
 
 def strict_projection(model: SplitModel, transported: AInftyCategory,
@@ -224,14 +222,12 @@ def strict_projection(model: SplitModel, transported: AInftyCategory,
 @dataclass
 class Strictification:
     model: SplitModel
-    gamma: FormalMorphism
-    phi: FormalMorphism
-    psi: FormalMorphism
-    m_hat: Prenatural                 # transported structure on the base quiver
-    transported: AInftyCategory       # the same structure on the model quiver
-    projection: AInftyFunctor         # strict: (model, m_hat) -> A'
-    phi_functor: AInftyFunctor        # (A, m) -> (model, m_hat)
-    psi_functor: AInftyFunctor        # (model, m_hat) -> (A, m)
+    phi: FormalMorphism               # base quiver automorphism, Id at arity 1
+    psi: FormalMorphism               # its two-sided inverse
+    transported: AInftyCategory       # (model, m_model): m conjugated into the model
+    projection: AInftyFunctor         # strict: (model, m_model) -> A'
+    phi_functor: AInftyFunctor        # decompose . phi: (A, m) -> (model, m_model)
+    psi_functor: AInftyFunctor        # psi . recompose: (model, m_model) -> (A, m)
     arity_bound: int
     total: bool
 
@@ -252,29 +248,28 @@ def strictify(functor: AInftyFunctor, f1: Optional[F1Result] = None,
     model = build_split_model(functor, f1)
     full = _total_bound(model)
     bound, total = _choose_bound(max_arity, full)
-    gamma, phi, psi = build_phi_psi(model, bound)
-    m_hat = transport_structure(model, phi, psi, bound)
+    phi, psi = build_phi_psi(model, bound)
+    phi_model = compose_formal(model.decompose, phi, bound)
+    psi_model = compose_formal(psi, model.recompose, bound)
+    m_model = transport_structure(model, phi_model, psi_model, bound)
 
     base = model.base
-    conj = l_compose(model.decompose, r_compose(model.recompose, m_hat, bound), bound)
     units_model = None
     if base.units is not None:
         units_model = {
             x: eval_multilinear(model.decompose, 1, (x, x), [base.unit_vec(x)])
             for x in base.objects
         }
-    transported = AInftyCategory.build(model.quiver, conj.components,
+    transported = AInftyCategory.build(model.quiver, m_model.components,
                                        units_model, max_arity=bound)
     projection = strict_projection(model, transported, bound)
-    phi_functor = AInftyFunctor.build(
-        compose_formal(model.decompose, phi, bound), base, transported,
-        max_arity=bound)
-    psi_functor = AInftyFunctor.build(
-        compose_formal(psi, model.recompose, bound), transported, base,
-        max_arity=bound)
+    phi_functor = AInftyFunctor.build(phi_model, base, transported,
+                                      max_arity=bound)
+    psi_functor = AInftyFunctor.build(psi_model, transported, base,
+                                      max_arity=bound)
 
-    s = Strictification(model, gamma, phi, psi, m_hat, transported,
-                        projection, phi_functor, psi_functor, bound, total)
+    s = Strictification(model, phi, psi, transported, projection,
+                        phi_functor, psi_functor, bound, total)
     # commuting square (the formal-morphism reading of the bar-level
     # diagrams); F . psi = f1_strict follows from it and phi . psi = id
     if compose_formal(s.f1_strict, phi, bound) != functor.morphism:

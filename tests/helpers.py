@@ -1023,3 +1023,21 @@ def pullback_structure_by_recursion(quiver: GradedQuiver, pairs, product,
                 tbl[in_t] = vec_add(fld, tbl.get(in_t, {}),
                                     vec_scale(fld, fld.from_int(-1), vec))
     return Prenatural(ident, ident, 2, normalize_components(fld, comps))
+
+
+# -- two-step references for the transported structure and beta ----------------
+
+def transported_structure_two_step(s, max_arity: int) -> Prenatural:
+    """decompose . (phi . m . psi) . recompose: m conjugated on the base
+    quiver first, then carried into model coordinates."""
+    m = s.model.base.structure
+    m_hat = l_compose(s.phi, r_compose(s.psi, m, max_arity), max_arity)
+    return l_compose(s.model.decompose,
+                     r_compose(s.model.recompose, m_hat, max_arity), max_arity)
+
+
+def beta_two_step(p, max_arity: int) -> FormalMorphism:
+    """psi . (recompose . product): beta composed through the base quiver."""
+    s = p.strictification
+    through = compose_formal(s.model.recompose, p.product_morphism, max_arity)
+    return compose_formal(s.psi, through, max_arity)

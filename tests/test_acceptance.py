@@ -34,7 +34,7 @@ from ainfty.core import (
     EssentialCertificate,
     IsoLiftCertificate,
 )
-from ainfty.strictify import strictify
+from ainfty.strictify import strictify, transport_structure
 from ainfty.pullback import build_pullback, certify_fibration_closure, induce_functor
 from ainfty.documents import (
     parse_category,
@@ -185,8 +185,8 @@ def test_criterion_4_strictification():
         assert compose_formal(s.psi, s.phi, 6) == ident
         assert compose_formal(s.f1_strict, s.phi, 6) == f.morphism
         assert l_compose(s.phi, f.source.structure, 6) == \
-            r_compose(s.phi, s.m_hat, 6)
-        # the split-off component law: pr^1 of m_hat is the target structure
+            r_compose(s.phi, transport_structure(s.model, s.phi, s.psi, 6), 6)
+        # the split-off component law: pr^1 of m_model is the target structure
         pr = s.projection.morphism
         tgt = f.target
         for (n, objs), table in s.transported.structure.components.items():

@@ -40,6 +40,7 @@ from ainfty.documents import load_category, load_functor
 from ainfty.strictify import strictify
 
 from helpers import (
+    beta_two_step,
     bump_coefficient,
     doubled_object_functor,
     formal_inverse,
@@ -55,6 +56,7 @@ from helpers import (
     square_zero_extension,
     terminal_category,
     to_terminal,
+    transported_structure_two_step,
     twist_structure,
     twisted_functor,
 )
@@ -528,6 +530,25 @@ def test_pullback_closed_form_matches_recursion(char):
                     == pullback_structure_by_recursion(*args))
 
 
+@pytest.mark.parametrize("char", [0, 5])
+def test_one_step_transport_and_beta_match_two_step(char):
+    # m conjugated once into model coordinates, and beta as one composite,
+    # equal the two-step paths through the base quiver
+    fld = QQ if char == 0 else F5
+    for seed in range(4):
+        rng = random.Random(seed)
+        f = random_f1_functor(rng, fld, density=0.35)
+        g = random_g_functor(rng, f.target)
+        for bound in range(3, 7):
+            p = build_pullback(f, g, max_arity=bound)
+            s = p.strictification
+            assert p.arity_bound == s.arity_bound == bound
+            assert (s.transported.structure.components
+                    == transported_structure_two_step(s, bound).components)
+            assert (p.beta.morphism.components
+                    == beta_two_step(p, bound).components)
+
+
 @pytest.mark.parametrize("arity", [1, 2, 3])
 def test_tampered_kernel_block_is_rejected(monkeypatch, arity):
     # the closed-form structure is not re-checked; the pullback's m.m = 0
@@ -581,7 +602,7 @@ def test_readme_example_over_q_has_no_float_coefficients(tmp_path):
     s = strictify(f)
     p = build_pullback(f, g)
     induced = induce_functor(p, p.beta, p.alpha).functor
-    results = [s.gamma, s.phi, s.psi, s.m_hat, s.transported, s.projection,
+    results = [s.phi, s.psi, s.transported, s.projection,
                s.phi_functor, s.psi_functor, s.model.decompose,
                s.model.recompose, p.category, p.alpha, p.beta,
                p.product_morphism, induced]
@@ -640,15 +661,35 @@ def test_readme_engine_call_counts(monkeypatch):
     functor_defect(f.morphism, f.source, f.target, bound)
     assert len(composed) == 2
 
+    # the builders' certification (m.m, functor equations) is counted apart
+    certifying = []
+    for cls in (AInftyCategory, AInftyFunctor):
+        def certified(*args, _build=cls.build, **kwargs):
+            certifying.append(True)
+            try:
+                return _build(*args, **kwargs)
+            finally:
+                certifying.pop()
+        monkeypatch.setattr(cls, "build", staticmethod(certified))
+
     # the pullback structure and the transported structure are closed
     # forms: one right-hand side, and one conjugation phi . m . psi
     engine = {}
+    inside_of = {}
     for module, name in (("ainfty.pullback", "build_pullback_structure"),
-                         ("ainfty.strictify", "transport_structure")):
-        inside = _while_in(monkeypatch, module, name)
+                         ("ainfty.strictify", "transport_structure"),
+                         ("ainfty.pullback", "strictify")):
+        inside = inside_of[name] = _while_in(monkeypatch, module, name)
         for op in ("r_compose", "l_compose"):
             engine[(name, op)] = _count_calls(
-                monkeypatch, op, when=lambda inside=inside: bool(inside))
+                monkeypatch, op,
+                when=lambda inside=inside: bool(inside) and not certifying)
+    # outside strictify, the structure and certification, build_pullback
+    # composes for beta and for the two sides of the square F.beta = G.alpha
+    composed = _count_calls(
+        monkeypatch, "compose_formal",
+        when=lambda: not (certifying or inside_of["strictify"]
+                          or inside_of["build_pullback_structure"]))
     p = build_pullback(f, g)
     assert p.arity_bound > 1
     assert {key: len(calls) for key, calls in engine.items()} == {
@@ -656,21 +697,19 @@ def test_readme_engine_call_counts(monkeypatch):
         ("build_pullback_structure", "l_compose"): 0,
         ("transport_structure", "r_compose"): 1,
         ("transport_structure", "l_compose"): 1,
+        # strictify transports once, straight into model coordinates
+        ("strictify", "r_compose"): 1,
+        ("strictify", "l_compose"): 1,
     }
+    # beta is one composite, psi_functor . product
+    beta_calls = [args for args in composed
+                  if args[0] is not f.morphism and args[0] is not g.morphism]
+    assert len(beta_calls) == 1
+    assert beta_calls[0][1] is p.product_morphism
 
     # induce_functor composes five times outside N's certification: the two
     # sides of the cone, phi . cone_i, and the triangles through beta and
     # the product morphism; alpha's triangle and uniqueness take none
-    certifying = []
-    build_functor = AInftyFunctor.build
-
-    def certified(*args, **kwargs):
-        certifying.append(True)
-        try:
-            return build_functor(*args, **kwargs)
-        finally:
-            certifying.pop()
-    monkeypatch.setattr(AInftyFunctor, "build", staticmethod(certified))
     induced = _count_calls(monkeypatch, "compose_formal",
                            when=lambda: not certifying)
     rep = induce_functor(p, p.beta, p.alpha)

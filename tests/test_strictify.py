@@ -140,7 +140,6 @@ def test_strict_functor_gives_identity_phi_psi():
     ident = identity_formal(f.source.quiver)
     assert s.phi == ident
     assert s.psi == ident
-    assert s.gamma.components == {}
 
 
 def test_phi_psi_f2_only_fixture():
@@ -148,7 +147,7 @@ def test_phi_psi_f2_only_fixture():
     assert any(n == 2 for (n, _) in f.morphism.components)
     f1 = check_F1(f)
     model = build_split_model(f, f1)
-    gamma, phi, psi = build_phi_psi(model, 4)
+    phi, psi = build_phi_psi(model, 4)
     # phi^2 = s1 . F^2 and psi^2 = -s1 . F^2 when F^3 = 0
     for (n, objs), table in f.morphism.components.items():
         if n != 2:
@@ -165,7 +164,7 @@ def test_phi_psi_f2_only_fixture():
 def test_phi_psi_two_sided_inverse_arity_three():
     f = fixture_functor(seed=11, density=0.9)
     model = build_split_model(f, check_F1(f))
-    gamma, phi, psi = build_phi_psi(model, 5)
+    phi, psi = build_phi_psi(model, 5)
     ident = identity_formal(f.source.quiver)
     assert compose_formal(phi, psi, 5) == ident
     assert compose_formal(psi, phi, 5) == ident
@@ -176,7 +175,7 @@ def test_psi_equals_truncated_geometric_series():
     # gamma = bar(phi) - id at the word level
     f = fixture_functor(seed=7, density=0.8)
     model = build_split_model(f, check_F1(f))
-    gamma, phi, psi = build_phi_psi(model, 4)
+    phi, psi = build_phi_psi(model, 4)
     quiver = f.source.quiver
     fld = QQ
     for n in range(1, 4):
@@ -216,7 +215,7 @@ def test_psi_equals_truncated_geometric_series():
 def test_transport_identity_at_arity_one():
     f = fixture_functor(seed=13)
     model = build_split_model(f, check_F1(f))
-    gamma, phi, psi = build_phi_psi(model, 4)
+    phi, psi = build_phi_psi(model, 4)
     m_hat = transport_structure(model, phi, psi, 4)
     base = f.source
     for (n, objs), table in base.structure.components.items():
@@ -232,7 +231,7 @@ def test_transport_closed_form_matches_recursion(fld, seed):
     f = random_f1_functor(random.Random(seed), fld, density=0.5)
     model = build_split_model(f, check_F1(f))
     for bound in range(3, 7):
-        gamma, phi, psi = build_phi_psi(model, bound)
+        phi, psi = build_phi_psi(model, bound)
         assert (transport_structure(model, phi, psi, bound)
                 == twist_structure(f.source, phi, bound).structure)
 
@@ -241,7 +240,7 @@ def test_transport_matches_conjugated_differential():
     # m_hat^n equals the corestriction of bar(phi) . D . bar(psi) on words
     f = fixture_functor(seed=17, density=0.7)
     model = build_split_model(f, check_F1(f))
-    gamma, phi, psi = build_phi_psi(model, 4)
+    phi, psi = build_phi_psi(model, 4)
     m_hat = transport_structure(model, phi, psi, 4)
     base = f.source
     quiver = base.quiver
@@ -269,7 +268,7 @@ def test_strictification_bundle_fixture():
     strict_part = s.f1_strict
     assert compose_formal(strict_part, s.phi, 5) == f.morphism
     assert compose_formal(f.morphism, s.psi, 5) == strict_part
-    # phi is an A-infinity functor (A, m) -> (model, m_hat)
+    # decompose . phi is an A-infinity functor (A, m) -> (model, m_model)
     assert functor_defect(s.phi_functor.morphism, f.source, s.transported,
                           5).is_zero()
     # the transported structure is strictly unital with decomposed units
@@ -282,7 +281,7 @@ def test_strictification_bundle_fixture():
 
 
 def test_projection_display():
-    # the split-off component of m_hat is the target structure of the parts
+    # the split-off component of m_model is the target structure of the parts
     f = fixture_functor(seed=29, density=0.8)
     s = strictify(f, max_arity=4)
     target = f.target
