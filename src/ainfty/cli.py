@@ -158,7 +158,7 @@ def cmd_classify(args) -> int:
         {"hom_level": qe.hom_level.verdict,
          "essential_surjectivity": qe.essential.verdict})
     if f1.passed:
-        checks["kernel_acyclicity"] = kernel_acyclicity(functor, f1)
+        checks["kernel_acyclicity"] = kernel_acyclicity(functor)
     extra = {"arity_bound": functor.arity_bound, "total": functor.total}
     return _finish(_report_json("classify", checks, extra), args.strict)
 
@@ -201,7 +201,7 @@ def cmd_pullback(args) -> int:
             "fail", [f"pair {f1.failure[0]}, degree {f1.failure[1]}"])
         return _finish(_report_json("pullback", checks), args.strict)
     checks["f1"] = CheckReport("pass")
-    p = build_pullback(f, g, max_arity=args.max_arity, f1=f1)
+    p = build_pullback(f, g, max_arity=args.max_arity)
     checks["structure_squares_to_zero"] = CheckReport("pass")
     checks["square_commutativity"] = CheckReport("pass")
     if p.category.units is not None:

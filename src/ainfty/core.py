@@ -186,7 +186,8 @@ class AInftyCategory:
     units: Optional[Dict[str, Vec]]
     arity_bound: int
     total: bool
-    _h0: Optional["H0Category"] = field(default=None, repr=False)
+    _h0: Optional["H0Category"] = field(default=None, repr=False, compare=False)
+    _coh: Dict[Pair, Cohomology] = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def fld(self) -> Field:
@@ -231,8 +232,11 @@ class AInftyCategory:
         return self._h0
 
     def pair_cohomology(self, x: str, y: str) -> Cohomology:
-        return cohomology(self.quiver.space(x, y),
-                          arity1_map(self.structure, x, y))
+        """Cohomology of (hom(x, y), m1), computed once per pair and kept."""
+        if (x, y) not in self._coh:
+            self._coh[(x, y)] = cohomology(self.quiver.space(x, y),
+                                           arity1_map(self.structure, x, y))
+        return self._coh[(x, y)]
 
 
 def check_strict_units(cat: AInftyCategory) -> CheckReport:
@@ -325,6 +329,7 @@ class AInftyFunctor:
     arity_bound: int
     total: bool
     strictly_unital: bool = False
+    _f1: Optional["F1Result"] = field(default=None, repr=False, compare=False)
 
     @property
     def object_map(self) -> Dict[str, str]:
@@ -394,38 +399,48 @@ class F1Result:
 
 
 def check_F1(functor: AInftyFunctor) -> F1Result:
-    """Split every arity-1 component, or report the first failing pair."""
-    splits: Dict[Pair, SplitData] = {}
-    for x in functor.source.objects:
-        for y in functor.source.objects:
-            m = arity1_map(functor.morphism, x, y)
+    """Split every arity-1 component, or report the first failing pair.
+    Computed once per functor and kept on it: strictify, build_pullback and
+    the classifiers read the same splits."""
+    if functor._f1 is None:
+        splits: Dict[Pair, SplitData] = {}
+        failure = None
+        for x, y in itertools.product(functor.source.objects, repeat=2):
             try:
-                splits[(x, y)] = split_surjection(m)
+                splits[(x, y)] = split_surjection(arity1_map(functor.morphism, x, y))
             except NotSurjectiveError as exc:
-                return F1Result(False, splits, ((x, y), exc.degree))
-    return F1Result(True, splits)
+                failure = ((x, y), exc.degree)
+                break
+        functor._f1 = F1Result(failure is None, splits, failure)
+    return functor._f1
 
 
 # -- H0 and isomorphism testing ------------------------------------------------
 
 @dataclass
 class H0Category:
+    """Degree-0 cohomology of a strictly unital category, read off
+    cat.pair_cohomology (computed once per pair), and its unit classes."""
     cat: AInftyCategory
-    coh: Dict[Pair, Cohomology]
     unit_coords: Dict[str, List[Scalar]]
 
     def dim(self, x: str, y: str) -> int:
-        return self.coh[(x, y)].dims.get(0, 0)
+        return self.cat.pair_cohomology(x, y).dims.get(0, 0)
 
     def class_vec(self, x: str, y: str, coords: Sequence[Scalar]) -> Vec:
         fld = self.cat.fld
         out: Vec = {}
-        for c, rep in zip(coords, self.coh[(x, y)].reps.get(0, [])):
+        for c, rep in zip(coords, self.cat.pair_cohomology(x, y).reps.get(0, [])):
             out = vec_add(fld, out, vec_scale(fld, c, rep))
         return out
 
     def coords_of(self, x: str, y: str, vec: Vec) -> Optional[List[Scalar]]:
-        return self.coh[(x, y)].coords(vec, 0)
+        """Class coordinates of a degree-0 cocycle, else None."""
+        coh = self.cat.pair_cohomology(x, y)
+        if any(coh.space.degree(i) != 0 and not self.cat.fld.is_zero(c)
+               for i, c in vec.items()):
+            return None
+        return coh.coords(vec, 0)
 
     def compose(self, x: str, y: str, z: str,
                 g: Sequence[Scalar], f: Sequence[Scalar]) -> List[Scalar]:
@@ -433,7 +448,7 @@ class H0Category:
         gv = self.class_vec(y, z, g)
         fv = self.class_vec(x, y, f)
         prod = eval_multilinear(self.cat.structure, 2, (x, y, z), [gv, fv])
-        coords = self.coords_of(x, z, prod)
+        coords = self.cat.pair_cohomology(x, z).coords(prod, 0)
         assert coords is not None
         return coords
 
@@ -452,10 +467,13 @@ class H0Category:
         rhs = list(self.unit_coords[x]) + list(self.unit_coords[y])
         return solve_dense(fld, rows, rhs) is not None
 
-    def all_classes(self, x: str, y: str):
-        """All H0 coordinate tuples; prime fields only."""
+    def isos(self, x: str, y: str):
+        """The invertible classes x -> y, in coordinate order; prime fields only."""
         fld = self.cat.fld
-        return itertools.product(list(fld.elements()), repeat=self.dim(x, y))
+        for coords in itertools.product(list(fld.elements()),
+                                        repeat=self.dim(x, y)):
+            if self.is_iso(x, y, list(coords)):
+                yield list(coords)
 
 
 def build_h0(cat: AInftyCategory) -> H0Category:
@@ -472,54 +490,40 @@ def build_h0(cat: AInftyCategory) -> H0Category:
         bad = structure_defect(cat.quiver, cat.structure, 3).first_nonzero()
         if bad is not None:
             raise StructureDefectError(bad)
-    coh: Dict[Pair, Cohomology] = {}
-    for x in cat.objects:
-        for y in cat.objects:
-            coh[(x, y)] = cat.pair_cohomology(x, y)
     unit_coords: Dict[str, List[Scalar]] = {}
     for x in cat.objects:
-        coords = coh[(x, x)].coords(cat.unit_vec(x), 0)
+        coords = cat.pair_cohomology(x, x).coords(cat.unit_vec(x), 0)
         if coords is None:
             raise AInftyError(f"unit of {x} is not a degree-0 cocycle class")
         unit_coords[x] = coords
-    return H0Category(cat, coh, unit_coords)
+    return H0Category(cat, unit_coords)
 
 
-def h0_functor_matrix(functor: AInftyFunctor, h0s: H0Category, h0t: H0Category,
-                      x: str, y: str) -> List[List[Scalar]]:
-    """Matrix of [F]: H0(x,y) -> H0(F x, F y), columns over source classes."""
-    fld = functor.source.fld
+def cohomology_matrix(functor: AInftyFunctor, x: str, y: str,
+                      degree: int) -> List[List[Scalar]]:
+    """Matrix of [F1]: H^degree(x, y) -> H^degree(F x, F y), columns over
+    source classes."""
     fx, fy = functor.object_map[x], functor.object_map[y]
+    target = functor.target.pair_cohomology(fx, fy)
     cols = []
-    for rep in h0s.coh[(x, y)].reps.get(0, []):
+    for rep in functor.source.pair_cohomology(x, y).reps.get(degree, []):
         img = eval_multilinear(functor.morphism, 1, (x, y), [rep])
-        coords = h0t.coords_of(fx, fy, img)
+        coords = target.coords(img, degree)
         assert coords is not None
         cols.append(coords)
-    n_rows = h0t.dim(fx, fy)
-    return [[cols[j][i] for j in range(len(cols))] for i in range(n_rows)]
+    return [[col[i] for col in cols] for i in range(target.dims.get(degree, 0))]
 
 
 # -- classifiers ----------------------------------------------------------------
 
 def _arity1_iso_everywhere(functor: AInftyFunctor) -> bool:
+    """F is bijective on objects and F1 invertible on every hom, read off
+    check_F1: a shift-0 map is invertible iff split surjective, kernel 0."""
     om = functor.object_map
-    src_objs, tgt_objs = functor.source.objects, functor.target.objects
-    if sorted(om[x] for x in src_objs) != sorted(tgt_objs):
+    if sorted(om[x] for x in functor.source.objects) != sorted(functor.target.objects):
         return False
-    fld = functor.source.fld
-    for x in src_objs:
-        for y in src_objs:
-            m = arity1_map(functor.morphism, x, y)
-            if m.source.dim != m.target.dim:
-                return False
-            rows = [
-                [m.entries.get((ti, si), fld.zero) for si in range(m.source.dim)]
-                for ti in range(m.target.dim)
-            ]
-            if rows and len(rref(fld, rows)[1]) != m.source.dim:
-                return False
-    return True
+    f1 = check_F1(functor)
+    return f1.passed and all(s.kernel.dim == 0 for s in f1.splits.values())
 
 
 @dataclass
@@ -570,24 +574,21 @@ def check_isofibration(
     for x in src.objects:
         px = functor.object_map[x]
         for b in tgt.objects:
-            for coords in h0t.all_classes(px, b):
-                if not h0t.is_iso(px, b, list(coords)):
-                    continue
-                if not _find_lift(functor, h0s, h0t, x, list(coords),
-                                  fibers.get(b, [])):
+            for coords in h0t.isos(px, b):
+                if not _find_lift(functor, h0s, x, coords, fibers.get(b, [])):
                     return CheckReport(
                         "fail",
-                        [f"iso at H0({px},{b}) with coords {list(coords)} "
+                        [f"iso at H0({px},{b}) with coords {coords} "
                          f"has no lift from {x}"],
                         {"method": "enumeration"},
                     )
     return CheckReport("pass", [], {"method": "enumeration"})
 
 
-def _find_lift(functor, h0s, h0t, x, coords, fiber) -> bool:
+def _find_lift(functor, h0s, x, coords, fiber) -> bool:
     fld = functor.source.fld
     for a in fiber:
-        mat, rhs = h0_functor_matrix(functor, h0s, h0t, x, a), coords
+        mat, rhs = cohomology_matrix(functor, x, a, 0), coords
         if not mat:
             # H0(Fx, Fa) = 0: one zero row keeps the dim H0(x, a) columns
             mat, rhs = [[fld.zero] * h0s.dim(x, a)], [fld.zero]
@@ -629,11 +630,10 @@ def _verify_iso_lift(functor, h0s, h0t, cert: IsoLiftCertificate) -> Optional[st
     return None
 
 
-def kernel_acyclicity(functor: AInftyFunctor,
-                      f1: Optional[F1Result] = None) -> CheckReport:
-    """Per pair, cohomology of (Ker F1, m1 restricted); pass iff all vanish."""
-    if f1 is None:
-        f1 = check_F1(functor)
+def kernel_acyclicity(functor: AInftyFunctor) -> CheckReport:
+    """Per pair, cohomology of (Ker F1, m1 restricted); pass iff all vanish.
+    The kernels are check_F1's; raises when F1 fails."""
+    f1 = check_F1(functor)
     if not f1.passed:
         raise AInftyError("F1 not established; kernels are not defined")
     fld = functor.source.fld
@@ -706,13 +706,7 @@ def _hom_level_quasi_iso(functor: AInftyFunctor) -> CheckReport:
                     continue
                 if ds == 0:
                     continue
-                cols = []
-                for rep in cs.reps[d]:
-                    img = eval_multilinear(functor.morphism, 1, (x, y), [rep])
-                    coords = ct.coords(img, d)
-                    assert coords is not None
-                    cols.append(coords)
-                rows = [[cols[j][i] for j in range(ds)] for i in range(dt)]
+                rows = cohomology_matrix(functor, x, y, d)
                 if len(rref(fld, rows)[1]) != ds:
                     witnesses.append(
                         f"H^{d}({x},{y}): induced map is not an isomorphism"
@@ -738,14 +732,8 @@ def _essential_surjectivity(
     for b in missing:
         found = False
         if fld.characteristic != 0:
-            for a in src.objects:
-                fa = functor.object_map[a]
-                for coords in h0t.all_classes(fa, b):
-                    if h0t.is_iso(fa, b, list(coords)):
-                        found = True
-                        break
-                if found:
-                    break
+            found = any(next(h0t.isos(functor.object_map[a], b), None) is not None
+                        for a in src.objects)
         elif certificates:
             for cert in certificates:
                 if cert.target_object != b:

@@ -27,7 +27,6 @@ from .core import (
     AInftyFunctor,
     CheckReport,
     EssentialCertificate,
-    F1Result,
     IsoLiftCertificate,
     Pair,
     _choose_bound,
@@ -94,7 +93,6 @@ class PullbackCategory:
     strictification: Strictification
     f: AInftyFunctor
     g: AInftyFunctor
-    f1: F1Result
     arity_bound: int
     total: bool
 
@@ -234,20 +232,17 @@ def build_pullback(
     f: AInftyFunctor,
     g: AInftyFunctor,
     max_arity: Optional[int] = None,
-    strict: Optional[Strictification] = None,
-    f1: Optional[F1Result] = None,
 ) -> PullbackCategory:
-    """The pullback category with both projections, fully certified."""
+    """The pullback category with both projections, fully certified; F is
+    strictified on check_F1's splits.  F1Error when F1 fails."""
     if g.target.quiver != f.target.quiver:
         raise AInftyError("the two functors must share their target")
-    if f1 is None:
-        f1 = check_F1(f)
+    f1 = check_F1(f)
     if not f1.passed:
         raise F1Error(f1.failure)
     full = _total_bound_pullback(f, g)
     bound, total = _choose_bound(max_arity, full)
-    if strict is None:
-        strict = strictify(f, f1, max_arity=bound)
+    strict = strictify(f, max_arity=bound)
     quiver, product, pairs = build_pullback_quiver(strict, g)
     splits = strict.model.splits
     m_model = strict.transported.structure
@@ -277,7 +272,7 @@ def build_pullback(
             != compose_formal(g.morphism, alpha.morphism, bound)):
         raise InternalConsistencyError("pullback square does not commute")
     return PullbackCategory(category, alpha, beta, product, pairs, strict,
-                            f, g, f1, bound, total)
+                            f, g, bound, total)
 
 
 def _total_bound_pullback(f: AInftyFunctor, g: AInftyFunctor) -> Optional[int]:
@@ -428,8 +423,7 @@ def certify_fibration_closure(
     sections["f_quasi_equivalence"] = CheckReport(
         f_qe.verdict, f_qe.hom_level.witnesses + f_qe.essential.witnesses)
     if f_iso.passed and f_qe.passed:
-        sections["alpha_kernel_acyclicity_ff"] = kernel_acyclicity(
-            p.alpha, alpha_f1)
+        sections["alpha_kernel_acyclicity_ff"] = kernel_acyclicity(p.alpha)
         sections["alpha_hom_level_ff"] = _hom_level_quasi_iso(p.alpha)
         sections["alpha_essential_surjectivity_exsurj"] = _essential_surjectivity(
             p.alpha, alpha_essentials)

@@ -253,20 +253,18 @@ def identity_formal(q: GradedQuiver) -> FormalMorphism:
 # -- sparse contraction engine ----------------------------------------------
 
 # inverted index: (target pair, output basis index) -> start object -> entries
-_Entry = Tuple[Tuple[str, ...], Tuple[int, ...], Scalar, int]
+_Entry = Tuple[Tuple[str, ...], Tuple[int, ...], Scalar]
 _Inv = Dict[Tuple[Tuple[str, str], int], Dict[str, List[_Entry]]]
 
 
 def _invert(fam) -> _Inv:
-    src = fam.source
     inv: _Inv = {}
     for (n, objs), table in fam.components.items():
         pair = fam.out_pair(objs)
         for in_t, vec in table.items():
-            red = sum(src.input_degrees(objs, in_t)) - n
             for oi, c in vec.items():
                 inv.setdefault((pair, oi), {}).setdefault(objs[0], []).append(
-                    (objs, in_t, c, red)
+                    (objs, in_t, c)
                 )
     return inv
 
@@ -282,6 +280,11 @@ def _expand(outer, right, ins: Optional[Prenatural], left,
     blocks left of it from `left`, its codomain morphism, and the insertion
     carries the Koszul sign (-1)**((deg ins - 1) * reduced degree of the
     inputs to its right).  A family given on both sides is inverted once.
+
+    That degree is read off the outer's inputs, once per (entry, slot):
+    each block right of the insertion is a formal-morphism component, and
+    (shift 1 - n) its inputs have the reduced degree of its output, the
+    outer's input at that slot.
     """
     fld = right.source.fld
     add, mul, neg, zero = fld.add, fld.mul, fld.neg, fld.zero
@@ -294,15 +297,15 @@ def _expand(outer, right, ins: Optional[Prenatural], left,
         for in_t, out_vec in table.items():
             if r == 0 or not out_vec:
                 continue
+            # slot j holds in_t[r - j]; degs[r - k + 1:] is slots 1..k-1
+            degs = outer.source.input_degrees(Y, in_t) if signed else None
             for k in ([None] if ins is None else range(1, r + 1)):
                 invs = ([left_inv] * r if k is None
                         else [right_inv] * (k - 1) + [ins_inv] + [left_inv] * (r - k))
 
                 def rec(j: int, start: Optional[str], path: Tuple[str, ...],
-                        acc_in: Tuple[int, ...], coeff: Scalar, red_below: int) -> None:
+                        acc_in: Tuple[int, ...], coeff: Scalar) -> None:
                     if j > r:
-                        if signed and red_below % 2 == 1:
-                            coeff = neg(coeff)
                         # in place; normalize_components drops emptied vectors
                         vec = result.setdefault((len(acc_in), path), {}).setdefault(acc_in, {})
                         for oi, x in out_vec.items():
@@ -324,20 +327,14 @@ def _expand(outer, right, ins: Optional[Prenatural], left,
                     # later blocks have arity >= 1, except an insertion (arity 0)
                     before_ins = k is not None and j < k
                     room = max_arity - len(acc_in) - (r - j - before_ins)
-                    for (epath, ein, ec, ered) in cand:
+                    for (epath, ein, ec) in cand:
                         if len(ein) > room:
                             continue
                         new_path = epath if start is None else path + epath[1:]
-                        rec(
-                            j + 1,
-                            epath[-1],
-                            new_path,
-                            ein + acc_in,
-                            mul(coeff, ec),
-                            red_below + ered if before_ins else red_below,
-                        )
+                        rec(j + 1, epath[-1], new_path, ein + acc_in, mul(coeff, ec))
 
-                rec(1, None, (), (), fld.one, 0)
+                odd = signed and sum(d - 1 for d in degs[r - k + 1:]) % 2 == 1
+                rec(1, None, (), (), neg(fld.one) if odd else fld.one)
     return normalize_components(fld, result)
 
 

@@ -21,7 +21,6 @@ from .core import (
     AInftyCategory,
     AInftyError,
     AInftyFunctor,
-    F1Result,
     Pair,
     _choose_bound,
     check_F1,
@@ -91,12 +90,14 @@ class SplitModel:
     recompose: FormalMorphism     # strict: model -> A, (g, h) |-> i1 g + s1 h
 
 
-def build_split_model(functor: AInftyFunctor, f1: F1Result) -> SplitModel:
-    """The split model quiver with its exact decompose/recompose pair.
+def build_split_model(functor: AInftyFunctor) -> SplitModel:
+    """The split model quiver with its exact decompose/recompose pair, on
+    check_F1's splits; StrictifyError when F1 fails.
 
     The two are mutually inverse because every split satisfies the five
     splitting identities, which split_surjection certifies per pair.
     """
+    f1 = check_F1(functor)
     if not f1.passed:
         raise StrictifyError("condition F1 failed; no split model exists")
     base = functor.source
@@ -240,12 +241,11 @@ class Strictification:
         return FormalMorphism(f.source, f.target, dict(f.object_map), comps)
 
 
-def strictify(functor: AInftyFunctor, f1: Optional[F1Result] = None,
+def strictify(functor: AInftyFunctor,
               max_arity: Optional[int] = None) -> Strictification:
-    """Full strictification bundle for an F1 functor."""
-    if f1 is None:
-        f1 = check_F1(functor)
-    model = build_split_model(functor, f1)
+    """Full strictification bundle for an F1 functor, on check_F1's splits
+    (computed once per functor); StrictifyError when F1 fails."""
+    model = build_split_model(functor)
     full = _total_bound(model)
     bound, total = _choose_bound(max_arity, full)
     phi, psi = build_phi_psi(model, bound)

@@ -17,8 +17,8 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from ainfty.fields import Field, Scalar
-from ainfty.linear import GradedSpace, Vec, vec_add, vec_scale
-from ainfty.core import AInftyCategory, AInftyFunctor
+from ainfty.linear import GradedSpace, Vec, rref, vec_add, vec_scale
+from ainfty.core import AInftyCategory, AInftyFunctor, arity1_map
 from ainfty.quiver import (
     Components,
     FormalMorphism,
@@ -868,6 +868,28 @@ def doubled_object_functor(base: AInftyCategory) -> AInftyFunctor:
             m_comps[(1, (a, b))] = {(i,): {i: fld.one} for i in range(sp.dim)}
     morphism = FormalMorphism(quiver, base.quiver, {a: o for a in objs}, m_comps)
     return AInftyFunctor.build(morphism, doubled, base)
+
+
+def arity1_iso_by_rank(functor: AInftyFunctor) -> bool:
+    """Reference: F is a bijection on objects and every F1(x, y) is a
+    square matrix of full rank, by row reduction."""
+    om = functor.object_map
+    src_objs, tgt_objs = functor.source.objects, functor.target.objects
+    if sorted(om[x] for x in src_objs) != sorted(tgt_objs):
+        return False
+    fld = functor.source.fld
+    for x in src_objs:
+        for y in src_objs:
+            m = arity1_map(functor.morphism, x, y)
+            if m.source.dim != m.target.dim:
+                return False
+            rows = [
+                [m.entries.get((ti, si), fld.zero) for si in range(m.source.dim)]
+                for ti in range(m.target.dim)
+            ]
+            if rows and len(rref(fld, rows)[1]) != m.source.dim:
+                return False
+    return True
 
 
 # -- reference H0 laws -----------------------------------------------------------

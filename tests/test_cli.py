@@ -1,11 +1,13 @@
 from __future__ import annotations
 
 import contextlib
+import importlib
 import io
 import json
 import pathlib
 import random
 import shutil
+import sys
 
 import pytest
 
@@ -79,17 +81,35 @@ def test_classify_rationals_undecided_and_strict(tmp_path, capsys):
     assert code2 == 1
 
 
+# a lift t (degree -1) is no degree-0 cocycle class: one report, exit 1
+CERT_LIFT_OUTSIDE_DEGREE_0 = (
+    1, "fail", ["certificate lift at (o,o) is not a cocycle class"])
+
+
 def test_classify_with_certificates(tmp_path, capsys):
     write_sq(tmp_path, QQ)
-    certs = (
-        "acert\n"
-        "isolift self ; o ; p ; 1' 1/1 ; o ; 1 1/1\n"
-    )
-    (tmp_path / "c.acert").write_text(certs)
-    code, rep = run(capsys, "classify", str(tmp_path / "f.afun"),
+    cases = {"1 1/1": (0, "pass", []), "t 1": CERT_LIFT_OUTSIDE_DEGREE_0}
+    for lift, (want_code, verdict, witnesses) in cases.items():
+        (tmp_path / "c.acert").write_text(
+            f"acert\nisolift self ; o ; p ; 1' 1 ; o ; {lift}\n")
+        code, rep = run(capsys, "classify", str(tmp_path / "f.afun"),
+                        "--certificates", str(tmp_path / "c.acert"))
+        check = rep["checks"]["f2_isofibration"]
+        assert (check["verdict"], check["witnesses"]) == (verdict, witnesses)
+        assert code == want_code and rep["overall"] == verdict
+
+
+def test_pullback_certificate_outside_degree_0(tmp_path, capsys):
+    write_sq(tmp_path, QQ)
+    (tmp_path / "c.acert").write_text(
+        "acert\nisolift F ; o ; p ; 1' 1 ; o ; t 1\n")
+    code, rep = run(capsys, "pullback", str(tmp_path / "f.afun"),
+                    str(tmp_path / "g.afun"), "--out", str(tmp_path / "pb"),
                     "--certificates", str(tmp_path / "c.acert"))
-    assert rep["checks"]["f2_isofibration"]["verdict"] == "pass"
-    assert code == 0 and rep["overall"] == "pass"
+    want_code, verdict, witnesses = CERT_LIFT_OUTSIDE_DEGREE_0
+    check = rep["checks"]["f_isofibration"]
+    assert (check["verdict"], check["witnesses"]) == (verdict, witnesses)
+    assert code == want_code and rep["overall"] == verdict
 
 
 def test_strictify_outputs_validate(tmp_path, capsys):
@@ -204,6 +224,33 @@ def test_readme_example_bytes_stable(tmp_path):
     for name, (code, text) in readme_outputs(tmp_path).items():
         assert code == 0, name
         assert text == (GOLDEN / "expected" / name).read_text(), name
+
+
+def test_readme_cohomology_and_f1_computed_once(tmp_path, monkeypatch, capsys):
+    # F1 and each hom's cohomology are computed once per functor and pair
+    calls = {"cohomology": 0, "split_surjection": 0}
+    for name in calls:
+        fn = getattr(importlib.import_module("ainfty.linear"), name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("ainfty")
+                    and getattr(mod, name, None) is fn):
+                monkeypatch.setattr(mod, name, counted)
+    for name in README_INPUTS:
+        shutil.copy(GOLDEN / name, tmp_path / name)
+    counts = {}
+    for command, args in (("classify", ["f.afun"]),
+                          ("pullback", ["f.afun", "g.afun", "--out", "pb"])):
+        calls.update(dict.fromkeys(calls, 0))
+        argv = [a if a.startswith("--") else str(tmp_path / a) for a in args]
+        code, _ = run(capsys, command, *argv)
+        assert code == 0
+        counts[command] = dict(calls)
+    assert counts == {"classify": {"cohomology": 3, "split_surjection": 1},
+                      "pullback": {"cohomology": 5, "split_surjection": 2}}
 
 
 def test_classify_functor_into_terminal_category(tmp_path, capsys):

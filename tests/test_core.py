@@ -27,13 +27,15 @@ from ainfty.core import (
     check_isofibration,
     check_quasi_equivalence,
     check_strict_units,
+    _arity1_iso_everywhere,
+    cohomology_matrix,
     functor_defect,
-    h0_functor_matrix,
     kernel_acyclicity,
     structure_defect,
 )
 
 from helpers import (
+    arity1_iso_by_rank,
     doubled_object_functor,
     h0_basis_law_failures,
     m3_category,
@@ -264,27 +266,63 @@ def test_h0_iso_detection():
 
 
 def test_h0_functoriality_on_composite(rng):
-    # the matrix of [g . f] is the product of the matrices of [g] and [f]
-    base = nilpotent_category(F5, (("e", 0),))
+    # in every degree present, the matrix of [g . f] on cohomology is the
+    # product of the matrices of [g] and [f]
+    base = nilpotent_category(F5, (("a", -1), ("e", 0)))
     g = doubled_object_functor(base)            # doubled -> base
     doubled = g.source
     from helpers import inclusion_functor, point_category
-    f = inclusion_functor(point_category(F5), doubled, "y1")
-    comp = g.compose(f)
-    h_pt, h_dbl, h_base = (build_h0(c) for c in
-                           (f.source, doubled, base))
-    for x in f.source.objects:
-        for y in f.source.objects:
-            fx, fy = f.object_map[x], f.object_map[y]
-            m_f = h0_functor_matrix(f, h_pt, h_dbl, x, y)
-            m_g = h0_functor_matrix(g, h_dbl, h_base, fx, fy)
-            m_c = h0_functor_matrix(comp, h_pt, h_base, x, y)
-            rows = len(m_g)
-            cols = len(m_f[0]) if m_f else 0
-            prod = [[sum((F5.mul(m_g[i][k], m_f[k][j]) for k in range(len(m_f))),
-                         start=F5.zero) % 5 for j in range(cols)]
-                    for i in range(rows)]
-            assert m_c == prod
+    for f in (inclusion_functor(point_category(F5), doubled, "y1"),
+              twisted_functor(AInftyFunctor.identity(doubled), rng,
+                              max_arity=2, density=0.5)):
+        comp = g.compose(f)
+        for x in f.source.objects:
+            for y in f.source.objects:
+                fx, fy = f.object_map[x], f.object_map[y]
+                cohs = (f.source.pair_cohomology(x, y),
+                        doubled.pair_cohomology(fx, fy),
+                        base.pair_cohomology(g.object_map[fx], g.object_map[fy]))
+                for d in sorted(set().union(*(c.dims for c in cohs))):
+                    m_f = cohomology_matrix(f, x, y, d)
+                    m_g = cohomology_matrix(g, fx, fy, d)
+                    m_c = cohomology_matrix(comp, x, y, d)
+                    cols = cohs[0].dims.get(d, 0)
+                    prod = [[sum((F5.mul(m_g[i][k], m_f[k][j])
+                                  for k in range(len(m_f))), start=F5.zero) % 5
+                             for j in range(cols)]
+                            for i in range(len(m_g))]
+                    assert m_c == prod, (x, y, d)
+
+
+def test_f1_and_pair_cohomology_computed_once():
+    f = sq_functor(QQ)
+    assert check_F1(f) is check_F1(f)
+    cat = f.source
+    assert cat.pair_cohomology("o", "o") is cat.pair_cohomology("o", "o")
+    # the memos are not part of the value
+    assert f == sq_functor(QQ)
+
+
+def test_arity1_iso_matches_rank_reference():
+    base = nilpotent_category(F5, (("e", 0),))
+    small, big = nilpotent_category(QQ, ()), nilpotent_category(QQ, (("w", 2),))
+    not_surjective = AInftyFunctor.build(
+        FormalMorphism(small.quiver, big.quiver, {"o0": "o0"},
+                       {(1, ("o0", "o0")): {(0,): {0: QQ.one}}}), small, big)
+    from helpers import inclusion_functor, random_f1_functor
+    functors = [
+        AInftyFunctor.identity(sq_source(QQ)),
+        sq_functor(QQ),
+        doubled_object_functor(base),
+        to_terminal(base, terminal_category(F5)),
+        inclusion_functor(point_category(F5), base, "o0"),
+        random_f1_functor(random.Random(3), QQ),
+        random_f1_functor(random.Random(4), F5),
+        not_surjective,
+    ]
+    verdicts = [_arity1_iso_everywhere(f) for f in functors]
+    assert verdicts == [arity1_iso_by_rank(f) for f in functors]
+    assert verdicts[0] and not all(verdicts)
 
 
 @given(st.integers(0, 10 ** 6), st.booleans())
@@ -442,7 +480,7 @@ def test_qe_with_f1_implies_kernel_acyclic(rng):
         qe = check_quasi_equivalence(f)
         assert res.passed
         if qe.hom_level.passed:
-            assert kernel_acyclicity(f, res).passed
+            assert kernel_acyclicity(f).passed
 
 
 def test_extension_with_non_acyclic_kernel():

@@ -1,6 +1,7 @@
 """Every module-level function in src/ainfty is either used elsewhere in the
-package or exported from ainfty/__init__.py, so a helper whose last caller
-goes away fails the suite instead of lingering."""
+package or exported from ainfty/__init__.py, and every dataclass field is
+read somewhere, so a helper whose last caller goes away, or a field whose
+last reader does, fails the suite instead of lingering."""
 from __future__ import annotations
 
 import ast
@@ -8,6 +9,7 @@ import pathlib
 from collections import Counter
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "ainfty"
+TESTS = pathlib.Path(__file__).resolve().parent
 
 
 def _references(node: ast.AST) -> Counter:
@@ -40,3 +42,31 @@ def test_every_module_function_is_used_or_exported():
             if outside == 0 and node.name not in exported:
                 dead.append(f"{module}:{node.name}")
     assert dead == []
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for dec in node.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def test_every_dataclass_field_is_read():
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    reads = set()
+    for path in paths:
+        for sub in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
+                reads.add(sub.attr)
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+                continue
+            for stmt in node.body:
+                if (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)
+                        and stmt.target.id not in reads):
+                    unread.append(f"{path.name}:{node.name}.{stmt.target.id}")
+    assert unread == []

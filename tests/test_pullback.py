@@ -487,11 +487,10 @@ def test_non_injective_object_map_f():
                         density=0.4)
     assert len(set(f.object_map.values())) < len(f.source.objects)
     assert check_F1(f).passed
-    s = strictify(f, max_arity=4)
     pt = point_category(QQ)
     from helpers import inclusion_functor
     g = inclusion_functor(pt, base, "o0")
-    p = build_pullback(f, g, max_arity=4, strict=s)
+    p = build_pullback(f, g, max_arity=4)
     # both copies of the collapsed object appear in the pullback
     assert len(p.category.objects) == 2
     assert structure_defect(p.category.quiver, p.category.structure,

@@ -60,7 +60,7 @@ def fixture_functor(seed=3, density=0.5, base_gens=(("a", -1), ("b", 0))):
 
 def test_split_model_sq():
     f = sq_functor(QQ)
-    model = build_split_model(f, check_F1(f))
+    model = build_split_model(f)
     sp = model.quiver.space("o", "o")
     assert [n for n, _ in sp.basis] == ["k:ker0", "k:ker1", "a:1'"]
     # decompose/recompose are mutually inverse because split_surjection
@@ -70,7 +70,7 @@ def test_split_model_sq():
 def test_split_model_identity_functor():
     cat = point_category(QQ)
     f = AInftyFunctor.identity(cat)
-    model = build_split_model(f, check_F1(f))
+    model = build_split_model(f)
     assert model.quiver.space("o0", "o0").dim == 1
     assert model.splits[("o0", "o0")].kernel.dim == 0
 
@@ -107,7 +107,7 @@ def test_decompose_chain_only_when_section_is():
     })
     f = AInftyFunctor.build(morphism, a, b)
     res = check_F1(f)
-    model = build_split_model(f, res)
+    model = build_split_model(f)
     split = res.splits[("o", "o")]
     # the echelon section sends c~ to t, which the differential does not fix
     assert split.section.apply({1: one}) == {T: one}
@@ -145,8 +145,7 @@ def test_strict_functor_gives_identity_phi_psi():
 def test_phi_psi_f2_only_fixture():
     f = fixture_functor()
     assert any(n == 2 for (n, _) in f.morphism.components)
-    f1 = check_F1(f)
-    model = build_split_model(f, f1)
+    model = build_split_model(f)
     phi, psi = build_phi_psi(model, 4)
     # phi^2 = s1 . F^2 and psi^2 = -s1 . F^2 when F^3 = 0
     for (n, objs), table in f.morphism.components.items():
@@ -163,7 +162,7 @@ def test_phi_psi_f2_only_fixture():
 
 def test_phi_psi_two_sided_inverse_arity_three():
     f = fixture_functor(seed=11, density=0.9)
-    model = build_split_model(f, check_F1(f))
+    model = build_split_model(f)
     phi, psi = build_phi_psi(model, 5)
     ident = identity_formal(f.source.quiver)
     assert compose_formal(phi, psi, 5) == ident
@@ -174,7 +173,7 @@ def test_psi_equals_truncated_geometric_series():
     # psi's components agree with the corestriction of sum (-1)^m gamma^m,
     # gamma = bar(phi) - id at the word level
     f = fixture_functor(seed=7, density=0.8)
-    model = build_split_model(f, check_F1(f))
+    model = build_split_model(f)
     phi, psi = build_phi_psi(model, 4)
     quiver = f.source.quiver
     fld = QQ
@@ -214,7 +213,7 @@ def test_psi_equals_truncated_geometric_series():
 
 def test_transport_identity_at_arity_one():
     f = fixture_functor(seed=13)
-    model = build_split_model(f, check_F1(f))
+    model = build_split_model(f)
     phi, psi = build_phi_psi(model, 4)
     m_hat = transport_structure(model, phi, psi, 4)
     base = f.source
@@ -229,7 +228,7 @@ def test_transport_closed_form_matches_recursion(fld, seed):
     # phi . m . psi equals the structure solved arity by arity from
     # phi . m = m_hat . phi (the reference recursion twist_structure)
     f = random_f1_functor(random.Random(seed), fld, density=0.5)
-    model = build_split_model(f, check_F1(f))
+    model = build_split_model(f)
     for bound in range(3, 7):
         phi, psi = build_phi_psi(model, bound)
         assert (transport_structure(model, phi, psi, bound)
@@ -239,7 +238,7 @@ def test_transport_closed_form_matches_recursion(fld, seed):
 def test_transport_matches_conjugated_differential():
     # m_hat^n equals the corestriction of bar(phi) . D . bar(psi) on words
     f = fixture_functor(seed=17, density=0.7)
-    model = build_split_model(f, check_F1(f))
+    model = build_split_model(f)
     phi, psi = build_phi_psi(model, 4)
     m_hat = transport_structure(model, phi, psi, 4)
     base = f.source
