@@ -2,7 +2,9 @@
 
 Every command prints one canonical JSON report to stdout and uses exit
 codes 0 (all checks pass), 1 (a check fails, or is undecided under
---strict), 2 (usage or parse errors).
+--strict), 2 (usage or parse errors).  A command loads each document once:
+its `loaded` dict hands every later load of the same resolved path and cap
+the value parsed and certified first.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from .fields import Field, FieldError
 from .documents import (
     DocumentError,
     RawCertificates,
+    _load_once,
     _read_document,
     load_certificates,
     load_functor,
@@ -65,13 +68,15 @@ def _finish(payload: dict, strict: bool) -> int:
     return 0
 
 
-def _load_any(path: str, cap: Optional[int]):
+def _load_any(path: str, cap: Optional[int], loaded: dict):
     text = _read_document(path)
     head = (text.splitlines() or [""])[0].strip()
     if head == "acat":
-        return "category", parse_category(text, path, cap)
+        return "category", _load_once(loaded, head, path, cap,
+                                      lambda: parse_category(text, path, cap))
     if head == "afun":
-        return "functor", parse_functor(text, path, cap=cap).functor
+        return "functor", _load_once(loaded, head, path, cap, lambda: parse_functor(
+            text, path, cap=cap, loaded=loaded)).functor
     raise DocumentError(path, 1, f"unknown document header {head!r}")
 
 
@@ -111,9 +116,10 @@ def _write(out_dir: str, name: str, text: str) -> None:
 def cmd_validate(args) -> int:
     _expected_field(args)   # a bad --field/--p is a usage error, not a failed document
     checks: Dict[str, CheckReport] = {}
+    loaded: dict = {}
     for path in args.paths:
         try:
-            kind, value = _load_any(path, args.max_arity)
+            kind, value = _load_any(path, args.max_arity, loaded)
             fld = value.fld if kind == "category" else value.source.fld
             _check_field(args, path, fld)
             details = {"kind": kind, "arity_bound": value.arity_bound,
@@ -131,7 +137,7 @@ def _certs(args) -> RawCertificates:
 
 
 def cmd_classify(args) -> int:
-    doc = load_functor(args.functor, args.max_arity)
+    doc = load_functor(args.functor, args.max_arity, loaded={})
     functor = doc.functor
     _check_field(args, args.functor, functor.source.fld)
     certs = _certs(args)
@@ -164,7 +170,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_strictify(args) -> int:
-    doc = load_functor(args.functor)
+    doc = load_functor(args.functor, loaded={})
     functor = doc.functor
     _check_field(args, args.functor, functor.source.fld)
     s = strictify(functor, max_arity=args.max_arity)
@@ -188,8 +194,9 @@ def cmd_strictify(args) -> int:
 
 
 def cmd_pullback(args) -> int:
-    fdoc = load_functor(args.f)
-    gdoc = load_functor(args.g)
+    loaded: dict = {}
+    fdoc = load_functor(args.f, loaded=loaded)
+    gdoc = load_functor(args.g, loaded=loaded)
     f, g = fdoc.functor, gdoc.functor
     _check_field(args, args.f, f.source.fld)
     _check_field(args, args.g, g.source.fld)
@@ -226,10 +233,9 @@ def cmd_pullback(args) -> int:
 
 
 def cmd_induce(args) -> int:
-    fdoc = load_functor(args.f)
-    gdoc = load_functor(args.g)
-    idoc = load_functor(args.cone_i)
-    ldoc = load_functor(args.cone_l)
+    loaded: dict = {}
+    fdoc, gdoc, idoc, ldoc = (load_functor(path, loaded=loaded) for path in
+                              (args.f, args.g, args.cone_i, args.cone_l))
     for path, doc in ((args.f, fdoc), (args.g, gdoc), (args.cone_i, idoc),
                       (args.cone_l, ldoc)):
         _check_field(args, path, doc.functor.source.fld)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .fields import Field, Scalar
 from .linear import (
@@ -419,20 +419,21 @@ def check_F1(functor: AInftyFunctor) -> F1Result:
 
 @dataclass
 class H0Category:
-    """Degree-0 cohomology of a strictly unital category, read off
-    cat.pair_cohomology (computed once per pair), and its unit classes."""
+    """Degree-0 cohomology of a strictly unital category as a finite
+    category with structure constants: classes are coordinate lists over
+    cat.pair_cohomology's degree-0 basis, and composition reads the table of
+    [m2(e_i, e_j)] on basis classes, built for a triple the first time it is
+    needed.  Exact, because m2 is bilinear and coords linear.  The invertible
+    classes of a hom are enumerated once and replayed."""
     cat: AInftyCategory
     unit_coords: Dict[str, List[Scalar]]
+    _tables: Dict[Tuple[str, str, str], List[List[List[Scalar]]]] = field(
+        default_factory=dict, repr=False, compare=False)
+    _isos: Dict[Pair, Tuple[List[List[Scalar]], Iterator[List[Scalar]]]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def dim(self, x: str, y: str) -> int:
         return self.cat.pair_cohomology(x, y).dims.get(0, 0)
-
-    def class_vec(self, x: str, y: str, coords: Sequence[Scalar]) -> Vec:
-        fld = self.cat.fld
-        out: Vec = {}
-        for c, rep in zip(coords, self.cat.pair_cohomology(x, y).reps.get(0, [])):
-            out = vec_add(fld, out, vec_scale(fld, c, rep))
-        return out
 
     def coords_of(self, x: str, y: str, vec: Vec) -> Optional[List[Scalar]]:
         """Class coordinates of a degree-0 cocycle, else None."""
@@ -442,38 +443,70 @@ class H0Category:
             return None
         return coh.coords(vec, 0)
 
+    def table(self, x: str, y: str, z: str) -> List[List[List[Scalar]]]:
+        """[i][j]: class coordinates of [m2(e_i, e_j)] for the basis classes
+        e_i of H0(y, z) and e_j of H0(x, y); built once per triple."""
+        key = (x, y, z)
+        if key not in self._tables:
+            coh, m = self.cat.pair_cohomology, self.cat.structure
+            self._tables[key] = [
+                [coh(x, z).coords(eval_multilinear(m, 2, key, [g, f]), 0)
+                 for f in coh(x, y).reps.get(0, [])]
+                for g in coh(y, z).reps.get(0, [])]
+        return self._tables[key]
+
     def compose(self, x: str, y: str, z: str,
                 g: Sequence[Scalar], f: Sequence[Scalar]) -> List[Scalar]:
         """Class coordinates of [m2(g, f)] for f: x->y, g: y->z."""
-        gv = self.class_vec(y, z, g)
-        fv = self.class_vec(x, y, f)
-        prod = eval_multilinear(self.cat.structure, 2, (x, y, z), [gv, fv])
-        coords = self.cat.pair_cohomology(x, z).coords(prod, 0)
-        assert coords is not None
-        return coords
+        fld, d = self.cat.fld, self.dim(x, z)
+        return _combine(fld, g, [_combine(fld, f, row, d)
+                                 for row in self.table(x, y, z)], d)
 
     def is_iso(self, x: str, y: str, f: Sequence[Scalar]) -> bool:
-        """Two-sided invertibility of a degree-0 class, by one linear solve."""
+        """Two-sided invertibility of a degree-0 class, by one linear solve
+        for g: y -> x with [m2(g, f)] = 1_x and [m2(f, g)] = 1_y."""
         fld = self.cat.fld
-        n = self.dim(y, x)
-        rows_len = self.dim(x, x) + self.dim(y, y)
-        cols: List[List[Scalar]] = []
-        for i in range(n):
-            e = [fld.one if j == i else fld.zero for j in range(n)]
-            gf = self.compose(x, y, x, e, f)
-            fg = self.compose(y, x, y, f, e)
-            cols.append(list(gf) + list(fg))
-        rows = [[cols[j][i] for j in range(n)] for i in range(rows_len)]
+        dx, dy = self.dim(x, x), self.dim(y, y)
+        gf = self.table(x, y, x)        # row i: g = e_i
+        fg = self.table(y, x, y)        # column i: g = e_i
+        cols = [_combine(fld, f, gf[i], dx)
+                + _combine(fld, f, [row[i] for row in fg], dy)
+                for i in range(self.dim(y, x))]
+        rows = [[col[r] for col in cols] for r in range(dx + dy)]
         rhs = list(self.unit_coords[x]) + list(self.unit_coords[y])
         return solve_dense(fld, rows, rhs) is not None
 
     def isos(self, x: str, y: str):
-        """The invertible classes x -> y, in coordinate order; prime fields only."""
-        fld = self.cat.fld
-        for coords in itertools.product(list(fld.elements()),
-                                        repeat=self.dim(x, y)):
-            if self.is_iso(x, y, list(coords)):
-                yield list(coords)
+        """The invertible classes x -> y, in coordinate order; prime fields
+        only.  Each class is tested once per H0: a later call replays the
+        classes found so far and goes on from there."""
+        if (x, y) not in self._isos:
+            fld = self.cat.fld
+            every = itertools.product(list(fld.elements()), repeat=self.dim(x, y))
+            self._isos[(x, y)] = ([], (c for c in map(list, every)
+                                       if self.is_iso(x, y, c)))
+        found, rest = self._isos[(x, y)]
+        i = 0
+        while True:
+            if i == len(found):
+                coords = next(rest, None)
+                if coords is None:
+                    return
+                found.append(coords)
+            yield found[i]
+            i += 1
+
+
+def _combine(fld: Field, coeffs: Sequence[Scalar], vecs, dim: int) -> List[Scalar]:
+    """sum of c * v over `coeffs` and the coordinate lists `vecs`."""
+    add, mul = fld.add, fld.mul
+    out = [fld.zero] * dim
+    for c, vec in zip(coeffs, vecs):
+        if fld.is_zero(c):
+            continue
+        for k, v in enumerate(vec):
+            out[k] = add(out[k], mul(c, v))
+    return out
 
 
 def build_h0(cat: AInftyCategory) -> H0Category:
@@ -571,11 +604,14 @@ def check_isofibration(
     fibers: Dict[str, List[str]] = {}
     for a in src.objects:
         fibers.setdefault(functor.object_map[a], []).append(a)
+    systems: Dict[Pair, Tuple[List[List[Scalar]], List[List[Scalar]]]] = {}
     for x in src.objects:
         px = functor.object_map[x]
         for b in tgt.objects:
+            # enumerated once per (px, b): isos replays it for every x over px
             for coords in h0t.isos(px, b):
-                if not _find_lift(functor, h0s, x, coords, fibers.get(b, [])):
+                if not _find_lift(functor, h0s, x, coords, fibers.get(b, []),
+                                  systems):
                     return CheckReport(
                         "fail",
                         [f"iso at H0({px},{b}) with coords {coords} "
@@ -585,17 +621,20 @@ def check_isofibration(
     return CheckReport("pass", [], {"method": "enumeration"})
 
 
-def _find_lift(functor, h0s, x, coords, fiber) -> bool:
+def _find_lift(functor, h0s, x, coords, fiber, systems) -> bool:
+    """Whether some iso class x -> a, a in the fiber, maps to `coords` under
+    [F1].  `systems` keeps each (x, a)'s matrix and nullspace across calls."""
     fld = functor.source.fld
     for a in fiber:
-        mat, rhs = cohomology_matrix(functor, x, a, 0), coords
-        if not mat:
+        if (x, a) not in systems:
             # H0(Fx, Fa) = 0: one zero row keeps the dim H0(x, a) columns
-            mat, rhs = [[fld.zero] * h0s.dim(x, a)], [fld.zero]
-        part = solve_dense(fld, mat, rhs)
+            mat = (cohomology_matrix(functor, x, a, 0)
+                   or [[fld.zero] * h0s.dim(x, a)])
+            systems[(x, a)] = mat, nullspace_dense(fld, mat)
+        mat, null = systems[(x, a)]
+        part = solve_dense(fld, mat, coords or [fld.zero])
         if part is None:
             continue
-        null = nullspace_dense(fld, mat)
         for combo in itertools.product(list(fld.elements()), repeat=len(null)):
             cand = list(part)
             for c, nv in zip(combo, null):

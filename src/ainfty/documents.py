@@ -289,9 +289,26 @@ def serialize_category(cat: AInftyCategory) -> str:
     return "\n".join(out) + "\n"
 
 
-def load_category(path: str, cap: Optional[int] = None) -> AInftyCategory:
-    """Parse a category document; `cap` lowers its verification bound."""
-    return parse_category(_read_document(path), path, cap)
+def _load_once(loaded: Optional[dict], kind: str, path: str,
+               cap: Optional[int], parse):
+    """parse(), or what it gave for the same kind (``acat`` or ``afun``),
+    resolved path and cap when `loaded` (one dict per command) has it; a
+    failed parse is not kept."""
+    if loaded is None:
+        return parse()
+    key = (kind, os.path.realpath(path), cap)
+    if key not in loaded:
+        loaded[key] = parse()
+    return loaded[key]
+
+
+def load_category(path: str, cap: Optional[int] = None,
+                  loaded: Optional[dict] = None) -> AInftyCategory:
+    """Parse a category document; `cap` lowers its verification bound.
+    With a `loaded` dict each (resolved path, cap) is parsed and certified
+    once, and later loads return the same category."""
+    return _load_once(loaded, "acat", path, cap,
+                      lambda: parse_category(_read_document(path), path, cap))
 
 
 # -- functor documents ------------------------------------------------------
@@ -305,7 +322,8 @@ class FunctorDocument:
 
 def parse_functor(text: str, path: str = "<functor>",
                   base_dir: Optional[str] = None,
-                  cap: Optional[int] = None) -> FunctorDocument:
+                  cap: Optional[int] = None,
+                  loaded: Optional[dict] = None) -> FunctorDocument:
     records = _records(text, path, "afun", "functor")
     base_dir = base_dir if base_dir is not None else os.path.dirname(path)
     source_path = target_path = None
@@ -332,8 +350,8 @@ def parse_functor(text: str, path: str = "<functor>",
             raise DocumentError(path, ln, f"unknown record {kind!r}")
     if source_path is None or target_path is None:
         raise DocumentError(path, 1, "functor documents need source and target")
-    source = load_category(os.path.join(base_dir, source_path), cap)
-    target = load_category(os.path.join(base_dir, target_path), cap)
+    source = load_category(os.path.join(base_dir, source_path), cap, loaded)
+    target = load_category(os.path.join(base_dir, target_path), cap, loaded)
     for x in source.objects:
         if x not in objmap:
             raise DocumentError(path, 1, f"objmap missing for {x!r}")
@@ -369,54 +387,62 @@ def serialize_functor(functor: AInftyFunctor, source_path: str,
     return "\n".join(out) + "\n"
 
 
-def load_functor(path: str, cap: Optional[int] = None) -> FunctorDocument:
+def load_functor(path: str, cap: Optional[int] = None,
+                 loaded: Optional[dict] = None) -> FunctorDocument:
     """Parse a functor document and the category documents it names; `cap`
-    lowers the verification bound of all three."""
-    return parse_functor(_read_document(path), path, cap=cap)
+    lowers the verification bound of all three.  With a `loaded` dict (one
+    per command) each (resolved path, cap), functor or category, is parsed
+    and certified once: functors naming the same category share it."""
+    return _load_once(loaded, "afun", path, cap, lambda: parse_functor(
+        _read_document(path), path, cap=cap, loaded=loaded))
 
 
 # -- certificates -----------------------------------------------------------
 
 @dataclass
 class RawCertificates:
-    """Certificate records with unresolved basis names, grouped by tag."""
+    """Certificate records with unresolved basis names, grouped by tag; each
+    record keeps its line, so that resolving reports ``path:line``."""
 
-    isolifts: Dict[str, List[Tuple[str, str, List[str], str, List[str]]]] = field(
+    path: str = "<certificates>"
+    isolifts: Dict[str, List[Tuple[int, str, str, List[str], str, List[str]]]] = field(
         default_factory=dict)
-    essentials: Dict[str, List[Tuple[str, str, List[str]]]] = field(
+    essentials: Dict[str, List[Tuple[int, str, str, List[str]]]] = field(
         default_factory=dict)
+
+    def _check_objects(self, ln: int, *named: Tuple[str, AInftyCategory]) -> None:
+        for x, cat in named:
+            if x not in cat.objects:
+                raise DocumentError(self.path, ln,
+                                    f"certificate names unknown object {x!r}")
 
     def resolve_isolifts(self, tag: str, functor: AInftyFunctor
                          ) -> List[IsoLiftCertificate]:
         out = []
-        fld = functor.source.fld
-        for (x, b, iso_tokens, a, lift_tokens) in self.isolifts.get(tag, []):
-            px = functor.object_map.get(x)
-            if px is None:
-                raise AInftyError(f"certificate names unknown object {x!r}")
-            iso = _parse_vec("<certificates>", 0, fld,
-                             functor.target.quiver.space(px, b), iso_tokens)
-            lift = _parse_vec("<certificates>", 0, fld,
-                              functor.source.quiver.space(x, a), lift_tokens)
+        src, tgt = functor.source, functor.target
+        for (ln, x, b, iso_tokens, a, lift_tokens) in self.isolifts.get(tag, []):
+            self._check_objects(ln, (x, src), (b, tgt), (a, src))
+            iso = _parse_vec(self.path, ln, src.fld,
+                             tgt.quiver.space(functor.object_map[x], b), iso_tokens)
+            lift = _parse_vec(self.path, ln, src.fld, src.quiver.space(x, a),
+                              lift_tokens)
             out.append(IsoLiftCertificate(x, b, iso, a, lift))
         return out
 
     def resolve_essentials(self, tag: str, functor: AInftyFunctor
                            ) -> List[EssentialCertificate]:
         out = []
-        fld = functor.source.fld
-        for (b, a, iso_tokens) in self.essentials.get(tag, []):
-            fa = functor.object_map.get(a)
-            if fa is None:
-                raise AInftyError(f"certificate names unknown object {a!r}")
-            iso = _parse_vec("<certificates>", 0, fld,
-                             functor.target.quiver.space(fa, b), iso_tokens)
+        src, tgt = functor.source, functor.target
+        for (ln, b, a, iso_tokens) in self.essentials.get(tag, []):
+            self._check_objects(ln, (b, tgt), (a, src))
+            iso = _parse_vec(self.path, ln, src.fld,
+                             tgt.quiver.space(functor.object_map[a], b), iso_tokens)
             out.append(EssentialCertificate(b, a, iso))
         return out
 
 
 def parse_certificates(text: str, path: str = "<certificates>") -> RawCertificates:
-    raw = RawCertificates()
+    raw = RawCertificates(path)
     for ln, line in _records(text, path, "acert", "certificate"):
         fields = [f.strip() for f in line.split(";")]
         head = fields[0].split() or [""]
@@ -429,14 +455,14 @@ def parse_certificates(text: str, path: str = "<certificates>") -> RawCertificat
             tag = head[1]
             x, b, a = fields[1], fields[2], fields[4]
             raw.isolifts.setdefault(tag, []).append(
-                (x, b, fields[3].split(), a, fields[5].split()))
+                (ln, x, b, fields[3].split(), a, fields[5].split()))
         elif head[0] == "essential":
             if len(head) != 2 or len(fields) != 4:
                 raise DocumentError(
                     path, ln, "essential record: essential tag ; b ; a ; iso-vec")
             tag = head[1]
             raw.essentials.setdefault(tag, []).append(
-                (fields[1], fields[2], fields[3].split()))
+                (ln, fields[1], fields[2], fields[3].split()))
         else:
             raise DocumentError(path, ln, f"unknown record {head[0]!r}")
     return raw

@@ -335,6 +335,7 @@ def _expand(outer, right, ins: Optional[Prenatural], left,
 
                 odd = signed and sum(d - 1 for d in degs[r - k + 1:]) % 2 == 1
                 rec(1, None, (), (), neg(fld.one) if odd else fld.one)
+                del rec   # rec refers to itself: free it now, not at the next gc
     return normalize_components(fld, result)
 
 

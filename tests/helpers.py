@@ -17,7 +17,7 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from ainfty.fields import Field, Scalar
-from ainfty.linear import GradedSpace, Vec, rref, vec_add, vec_scale
+from ainfty.linear import GradedSpace, Vec, rref, solve_dense, vec_add, vec_scale
 from ainfty.core import AInftyCategory, AInftyFunctor, arity1_map
 from ainfty.quiver import (
     Components,
@@ -919,6 +919,41 @@ def h0_basis_law_failures(h0) -> List[str]:
                 if lhs != rhs:
                     failures.append(f"associativity at ({x},{y},{z},{w})")
     return failures
+
+
+def h0_class_vec(h0, x: str, y: str, coords) -> Vec:
+    """The degree-0 cocycle sum c_i rep_i of a class of H0(x, y)."""
+    fld = h0.cat.fld
+    out: Vec = {}
+    for c, rep in zip(coords, h0.cat.pair_cohomology(x, y).reps.get(0, [])):
+        out = vec_add(fld, out, vec_scale(fld, c, rep))
+    return out
+
+
+def h0_compose_by_classes(h0, x: str, y: str, z: str, g, f) -> List[Scalar]:
+    """[m2(g, f)] by building both class vectors, evaluating m2 on them and
+    reducing the result: the path H0 took before its structure tables."""
+    prod = eval_multilinear(h0.cat.structure, 2, (x, y, z),
+                            [h0_class_vec(h0, y, z, g), h0_class_vec(h0, x, y, f)])
+    coords = h0.cat.pair_cohomology(x, z).coords(prod, 0)
+    assert coords is not None
+    return coords
+
+
+def h0_is_iso_by_classes(h0, x: str, y: str, f) -> bool:
+    """Two-sided invertibility of a class by one solve over columns
+    h0_compose_by_classes(e_i, f) and (f, e_i), e_i the basis of H0(y, x)."""
+    fld = h0.cat.fld
+    n = h0.dim(y, x)
+    cols = []
+    for i in range(n):
+        e = [fld.one if j == i else fld.zero for j in range(n)]
+        cols.append(h0_compose_by_classes(h0, x, y, x, e, f)
+                    + h0_compose_by_classes(h0, y, x, y, f, e))
+    rows = [[col[r] for col in cols]
+            for r in range(h0.dim(x, x) + h0.dim(y, y))]
+    rhs = list(h0.unit_coords[x]) + list(h0.unit_coords[y])
+    return solve_dense(fld, rows, rhs) is not None
 
 
 # -- the terminal category and products over it ----------------------------------

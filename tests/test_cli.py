@@ -99,6 +99,23 @@ def test_classify_with_certificates(tmp_path, capsys):
         assert code == want_code and rep["overall"] == verdict
 
 
+@pytest.mark.parametrize("record, message", [
+    ("isolift self ; o ; q ; 1' 1 ; o ; 1 1", "certificate names unknown object 'q'"),
+    ("isolift self ; o ; p ; 1' 1 ; z ; 1 1", "certificate names unknown object 'z'"),
+    ("essential self ; q ; o ; 1' 1", "certificate names unknown object 'q'"),
+    ("isolift self ; o ; p ; 1' 1 ; o ; w 1", "no basis element named 'w'"),
+])
+def test_certificate_errors_name_file_and_line(tmp_path, capsys, record, message):
+    # objects are checked before vectors, and the record's own line is named
+    write_sq(tmp_path, QQ)
+    cert = tmp_path / "c.acert"
+    cert.write_text(f"acert\n# a comment\n{record}\n")
+    code, rep = run(capsys, "classify", str(tmp_path / "f.afun"),
+                    "--certificates", str(cert))
+    assert code == 2 and rep["overall"] == "error"
+    assert rep["error"] == f"{cert}:3: {message}"
+
+
 def test_pullback_certificate_outside_degree_0(tmp_path, capsys):
     write_sq(tmp_path, QQ)
     (tmp_path / "c.acert").write_text(
@@ -226,11 +243,12 @@ def test_readme_example_bytes_stable(tmp_path):
         assert text == (GOLDEN / "expected" / name).read_text(), name
 
 
-def test_readme_cohomology_and_f1_computed_once(tmp_path, monkeypatch, capsys):
-    # F1 and each hom's cohomology are computed once per functor and pair
-    calls = {"cohomology": 0, "split_surjection": 0}
-    for name in calls:
-        fn = getattr(importlib.import_module("ainfty.linear"), name)
+def _counted(monkeypatch, module, names):
+    """{name: calls}, counting every call of `module`'s functions `names`
+    through whichever ainfty module names them."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        fn = getattr(importlib.import_module(module), name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
             calls[_name] += 1
@@ -239,6 +257,13 @@ def test_readme_cohomology_and_f1_computed_once(tmp_path, monkeypatch, capsys):
             if (getattr(mod, "__name__", "").startswith("ainfty")
                     and getattr(mod, name, None) is fn):
                 monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+def test_readme_cohomology_and_f1_computed_once(tmp_path, monkeypatch, capsys):
+    # F1 and each hom's cohomology are computed once per functor and pair;
+    # under pullback F and G share their target, loaded once
+    calls = _counted(monkeypatch, "ainfty.linear", ["cohomology", "split_surjection"])
     for name in README_INPUTS:
         shutil.copy(GOLDEN / name, tmp_path / name)
     counts = {}
@@ -250,7 +275,40 @@ def test_readme_cohomology_and_f1_computed_once(tmp_path, monkeypatch, capsys):
         assert code == 0
         counts[command] = dict(calls)
     assert counts == {"classify": {"cohomology": 3, "split_surjection": 1},
-                      "pullback": {"cohomology": 5, "split_surjection": 2}}
+                      "pullback": {"cohomology": 4, "split_surjection": 2}}
+
+
+def _named_categories(docs):
+    """Resolved paths of the category documents among `docs` and of those
+    that the functor documents among them name."""
+    out = set()
+    for doc in docs:
+        lines = doc.read_text().splitlines()
+        if lines[0] == "acat":
+            out.add(doc.resolve())
+        out.update((doc.parent / line.split(None, 1)[1]).resolve()
+                   for line in lines if line.split()[0] in ("source", "target"))
+    return out
+
+
+def test_readme_each_category_parsed_once_per_command(tmp_path, monkeypatch, capsys):
+    # a command parses and certifies each (resolved path, cap) once, however
+    # many of its documents name it
+    for name in README_INPUTS:
+        shutil.copy(GOLDEN / name, tmp_path / name)
+    code, _ = run(capsys, "pullback", str(tmp_path / "f.afun"),
+                  str(tmp_path / "g.afun"), "--out", str(tmp_path / "pb"))
+    assert code == 0
+    calls = _counted(monkeypatch, "ainfty.documents", ["parse_category"])
+    for command, docs, rest in (
+            ("induce", ["f.afun", "g.afun", "pb/beta.afun", "pb/alpha.afun"],
+             ["--out", str(tmp_path / "ind")]),
+            ("validate", ["pb/pullback.acat", "pb/alpha.afun", "pb/beta.afun"], [])):
+        calls["parse_category"] = 0
+        paths = [tmp_path / d for d in docs]
+        code, _ = run(capsys, command, *map(str, paths), *rest)
+        assert code == 0
+        assert calls["parse_category"] == len(_named_categories(paths)) == 3, command
 
 
 def test_classify_functor_into_terminal_category(tmp_path, capsys):

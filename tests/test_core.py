@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -37,7 +38,10 @@ from ainfty.core import (
 from helpers import (
     arity1_iso_by_rank,
     doubled_object_functor,
+    endo_complex_category,
     h0_basis_law_failures,
+    h0_compose_by_classes,
+    h0_is_iso_by_classes,
     m3_category,
     nilpotent_category,
     point_category,
@@ -336,6 +340,55 @@ def test_h0_laws_hold_by_construction(seed, rational):
     u = random_diffeo(rng, cat.quiver, max_arity=3, unital_for=cat.units)
     for c in (cat, twist_structure(cat, u, 3)):
         assert h0_basis_law_failures(c.h0()) == []
+
+
+def _quasi_isomorphic_pair(fld):
+    """c0 is two degree-0 lines, c1 the same plus an acyclic pair: every
+    H0 hom is 2 x 2 matrices, with isomorphisms between c0 and c1."""
+    complexes = {"c0": (("v0", 0), ("v1", 0)),
+                 "c1": (("v0", 0), ("v1", 0), ("a", -1), ("b", 0))}
+    return endo_complex_category(fld, complexes, {"c0": {}, "c1": {2: 3}})
+
+
+@given(st.integers(0, 10 ** 6), st.booleans())
+@settings(max_examples=15, deadline=None)
+def test_h0_tables_match_class_vector_reference(seed, rational):
+    # table-based compose and is_iso, and the order of isos, equal the path
+    # that builds class vectors and evaluates m2 on them; random strictly
+    # unital H0s with two objects and a hom of dimension >= 2: random DG,
+    # twisted to nonzero m3, and a pair of isomorphic objects
+    rng = random.Random(seed)
+    fld = QQ if rational else F5
+    scalars = [fld.from_int(k) for k in (-2, -1, 0, 1, 2)]
+    scalars.append(fld.div(fld.one, fld.from_int(2)))
+    pairs = list(itertools.product(("c0", "c1"), repeat=2))
+    cat = random_dg_category(rng, fld, 2, 2)
+    while max(cat.h0().dim(x, y) for x, y in pairs) < 2:
+        cat = random_dg_category(rng, fld, 2, 2)
+    u = random_diffeo(rng, cat.quiver, max_arity=3, unital_for=cat.units)
+    for c in (cat, twist_structure(cat, u, 3), _quasi_isomorphic_pair(fld)):
+        h0 = c.h0()
+
+        def classes(x, y):
+            d = h0.dim(x, y)
+            basis = [[fld.one if j == i else fld.zero for j in range(d)]
+                     for i in range(d)]
+            return basis + [[rng.choice(scalars) for _ in range(d)] for _ in range(3)]
+        for (x, y), z in itertools.product(pairs, ("c0", "c1")):
+            for g, f in itertools.product(classes(y, z), classes(x, y)):
+                assert h0.compose(x, y, z, g, f) == h0_compose_by_classes(
+                    h0, x, y, z, g, f)
+        for x, y in pairs:
+            units = [list(h0.unit_coords[x])] if x == y else []
+            for f in classes(x, y) + units:
+                assert h0.is_iso(x, y, f) == h0_is_iso_by_classes(h0, x, y, f)
+            if not rational and h0.dim(x, y) <= 3:
+                every = map(list, itertools.product(list(fld.elements()),
+                                                    repeat=h0.dim(x, y)))
+                want = [f for f in every if h0_is_iso_by_classes(h0, x, y, f)]
+                # a partial enumeration first, then two calls that replay it
+                next(h0.isos(x, y), None)
+                assert list(h0.isos(x, y)) == list(h0.isos(x, y)) == want
 
 
 def _degree_zero_algebra(fld, products):

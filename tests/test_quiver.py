@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import gc
 import random
 
 import pytest
@@ -30,6 +31,9 @@ from helpers import (
     random_flat_prenatural,
     random_formal_morphism,
     random_prenatural,
+    random_dg_category,
+    random_diffeo,
+    twist_structure,
 )
 
 QQ = Field.rationals()
@@ -382,3 +386,20 @@ def test_shared_endpoint_equals_copied_endpoint(seed):
         assert a.components == b.components and a.degree == b.degree
         assert a.frm == b.frm and a.to == b.to
         assert a.frm is a.to and b.frm is not b.to
+
+
+def test_compose_prenatural_leaves_no_garbage_cycles():
+    # the engine's recursion frees itself: one self-composition leaves
+    # nothing that only the cyclic garbage collector could free
+    rng = random.Random(7)
+    cat = random_dg_category(rng, QQ, 2, 2)
+    u = random_diffeo(rng, cat.quiver, max_arity=3, unital_for=cat.units)
+    cat = twist_structure(cat, u, 4)
+    assert cat.structure.components
+    gc.collect()
+    gc.disable()
+    try:
+        compose_prenatural(cat.structure, cat.structure, 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
