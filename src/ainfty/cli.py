@@ -280,7 +280,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     pc.set_defaults(fn=cmd_classify)
 
     ps = sub.add_parser("strictify", parents=[common],
-                        help="split model, phi/psi, projection")
+                        help="split model, phi = (r1, F), psi, projection")
     ps.add_argument("functor")
     ps.add_argument("--out", required=True)
     ps.set_defaults(fn=cmd_strictify)

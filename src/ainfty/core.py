@@ -341,7 +341,6 @@ class AInftyFunctor:
         source: AInftyCategory,
         target: AInftyCategory,
         max_arity: Optional[int] = None,
-        strictly_unital: Optional[bool] = None,
     ) -> "AInftyFunctor":
         for x in source.objects:
             if morphism.object_map.get(x) not in target.objects:
@@ -354,14 +353,8 @@ class AInftyFunctor:
         bad = defect.first_nonzero()
         if bad is not None:
             raise FunctorDefectError(bad)
-        unital = False
-        if source.units is not None and target.units is not None:
-            ok = _strictly_unital(morphism, source, target)
-            if strictly_unital and not ok:
-                raise UnitAxiomError(["declared strictly unital but fu1/fu2 fail"])
-            unital = ok
-        elif strictly_unital:
-            raise AInftyError("strict unitality needs units on both categories")
+        unital = (source.units is not None and target.units is not None
+                  and _strictly_unital(morphism, source, target))
         return AInftyFunctor(morphism, source, target, bound, total, unital)
 
     @staticmethod

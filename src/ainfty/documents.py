@@ -118,6 +118,8 @@ def _parse_entry(path: str, ln: int, fields: List[str], fld: Field,
         n = int(head[1])
     except (IndexError, ValueError) as exc:
         raise DocumentError(path, ln, f"{kind} arity must be an integer") from exc
+    if n < 1:
+        raise DocumentError(path, ln, f"{kind} arity must be at least 1")
     objs = tuple(fields[1].split())
     if len(objs) != n + 1:
         raise DocumentError(path, ln, f"{kind} arity {n} needs {n + 1} objects")
@@ -321,11 +323,10 @@ class FunctorDocument:
 
 
 def parse_functor(text: str, path: str = "<functor>",
-                  base_dir: Optional[str] = None,
                   cap: Optional[int] = None,
                   loaded: Optional[dict] = None) -> FunctorDocument:
     records = _records(text, path, "afun", "functor")
-    base_dir = base_dir if base_dir is not None else os.path.dirname(path)
+    base_dir = os.path.dirname(path)
     source_path = target_path = None
     max_arity: Optional[int] = None
     arity_ln = 0

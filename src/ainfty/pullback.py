@@ -317,7 +317,7 @@ def induce_functor(
     """The unique functor into the pullback induced by a commuting cone.
 
     cone_i lands in the original source of F (it is carried into the split
-    model through phi and decompose); cone_l lands in the source of G.
+    model through phi = (r1, F)); cone_l lands in the source of G.
     Commutation of F . cone_i = G . cone_l is checked exactly first.  N is
     cone_l on A'' and phi . cone_i on the kernel; see UniversalReport.
     """

@@ -1,12 +1,11 @@
 """Strictification of a graded-split surjective functor.
 
 Given F: A ->> A' with split arity-1 components, build the split model
-quiver with homs Ker(F1) (+) A'-hom, the automorphism phi of the underlying
-formal calculus (phi^1 = id, phi^n = s1 . F^n for n >= 2), its inverse psi,
-the transported structure that makes decompose . phi an A-infinity functor
-from the original category to the model, and the strict projection onto
-the A'-summand.  The structure is transported once, straight into model
-coordinates: m_model = (decompose . phi) . m . (psi . recompose).
+quiver with homs Ker(F1) (+) A'-hom and, in its coordinates, the
+isomorphism phi = (r1, F): A -> model (phi^1 = decompose, phi^n = (0, F^n)
+for n >= 2), its inverse psi, the structure m_model = phi . m . psi that
+makes phi an A-infinity functor, and the strict projection onto the
+A'-summand, under which F becomes projection . phi.
 
 Basis names in model homs carry a "k:" prefix for the kernel part and an
 "a:" prefix for the split-off part.
@@ -144,62 +143,53 @@ def build_split_model(functor: AInftyFunctor) -> SplitModel:
 
 def build_phi_psi(model: SplitModel, max_arity: int
                   ) -> Tuple[FormalMorphism, FormalMorphism]:
-    """phi and its two-sided inverse psi on the base quiver.
+    """phi: A -> model and its two-sided inverse psi: model -> A.
 
-    phi^n = s1 . F^n for n >= 2 (sections indexed by the block endpoints),
-    phi^1 = id; psi is solved arity by arity from phi . psi = Id, which the
-    arity filtration makes finite and the solve forces.  psi . phi = Id is
-    checked.
+    phi = (r1, F): phi^1 = decompose and, for n >= 2, phi^n = (0, F^n), F^n
+    shifted past the kernel block, since r1 . s1 = 0 and F1 . s1 = id.
+    psi^1 = recompose; phi . psi = Id solved arity by arity gives psi^n =
+    -s1 . (F . psi)^n for n >= 2, composed while psi^n is still zero and
+    read with the section of the split at the block's end objects.
+    psi . phi = Id is checked.
     """
     base = model.base
     fld = base.fld
-    ident = identity_formal(base.quiver)
-    phi_comps: Components = {k: {it: dict(v) for it, v in t.items()}
-                             for k, t in ident.components.items()}
-    for (n, objs), table in model.functor.morphism.components.items():
-        if not 2 <= n <= max_arity:
-            continue
-        section = model.splits[(objs[0], objs[-1])].section
-        ptable: Dict[Tuple[int, ...], Vec] = {}
-        for in_t, vec in table.items():
-            img = section.apply(vec)
-            if img:
-                ptable[in_t] = img
-        if ptable:
-            phi_comps[(n, objs)] = ptable
     ident_map = {x: x for x in base.objects}
-    phi = FormalMorphism(base.quiver, base.quiver, dict(ident_map), phi_comps)
-    psi_comps: Components = {k: {it: dict(v) for it, v in t.items()}
-                             for k, t in ident.components.items()}
+    f = model.functor.morphism
+    phi_comps: Components = dict(model.decompose.components)
+    for (n, objs), table in f.components.items():
+        if 2 <= n <= max_arity:
+            kdim = model.splits[(objs[0], objs[-1])].kernel.dim
+            phi_comps[(n, objs)] = {
+                in_t: {kdim + i: c for i, c in vec.items()}
+                for in_t, vec in table.items()}
+    phi = FormalMorphism(base.quiver, model.quiver, dict(ident_map),
+                         normalize_components(fld, phi_comps))
+    minus = fld.from_int(-1)
+    psi_comps: Components = dict(model.recompose.components)
     for n in range(2, max_arity + 1):
-        psi = FormalMorphism(base.quiver, base.quiver, dict(ident_map), psi_comps)
-        resid = compose_formal(phi, psi, n)
-        for (m, objs), table in resid.components.items():
-            if m != n:
-                continue
-            neg = {
-                it: vec_scale(fld, fld.from_int(-1), v)
-                for it, v in table.items() if v
-            }
-            if neg:
-                psi_comps[(n, objs)] = neg
-    psi = FormalMorphism(base.quiver, base.quiver, dict(ident_map),
+        psi = FormalMorphism(model.quiver, base.quiver, dict(ident_map), psi_comps)
+        for (m, objs), table in compose_formal(f, psi, n).components.items():
+            if m == n:
+                section = model.splits[(objs[0], objs[-1])].section
+                psi_comps[(n, objs)] = {
+                    in_t: vec_scale(fld, minus, section.apply(vec))
+                    for in_t, vec in table.items()}
+    psi = FormalMorphism(model.quiver, base.quiver, dict(ident_map),
                          normalize_components(fld, psi_comps))
-    if compose_formal(psi, phi, max_arity) != ident:
+    if compose_formal(psi, phi, max_arity) != identity_formal(base.quiver):
         raise StrictifyError("psi . phi is not the identity")
     return phi, psi
 
 
 def transport_structure(model: SplitModel, phi: FormalMorphism,
                         psi: FormalMorphism, max_arity: int) -> Prenatural:
-    """phi . m . psi, the base structure m conjugated once.
+    """m_model = phi . m . psi, the base structure m conjugated once into
+    model coordinates.
 
-    strictify passes decompose . phi and psi . recompose, which gives the
-    model's structure m_model: (decompose . phi) . m = m_model . (decompose .
-    phi) holds by construction, because decompose/recompose are strict
-    mutual inverses and psi is phi's two-sided inverse to max_arity
-    (build_phi_psi forces one side and checks the other).  strictify
-    certifies it as phi_functor's functor equation."""
+    phi . m = m_model . phi holds by construction, because psi is phi's
+    two-sided inverse to max_arity (build_phi_psi forces one side and checks
+    the other); strictify certifies it as phi_functor's functor equation."""
     m = model.base.structure
     return l_compose(phi, r_compose(psi, m, max_arity), max_arity)
 
@@ -223,22 +213,12 @@ def strict_projection(model: SplitModel, transported: AInftyCategory,
 @dataclass
 class Strictification:
     model: SplitModel
-    phi: FormalMorphism               # base quiver automorphism, Id at arity 1
-    psi: FormalMorphism               # its two-sided inverse
     transported: AInftyCategory       # (model, m_model): m conjugated into the model
     projection: AInftyFunctor         # strict: (model, m_model) -> A'
-    phi_functor: AInftyFunctor        # decompose . phi: (A, m) -> (model, m_model)
-    psi_functor: AInftyFunctor        # psi . recompose: (model, m_model) -> (A, m)
+    phi_functor: AInftyFunctor        # phi = (r1, F): (A, m) -> (model, m_model)
+    psi_functor: AInftyFunctor        # its inverse: (model, m_model) -> (A, m)
     arity_bound: int
     total: bool
-
-    @property
-    def f1_strict(self) -> FormalMorphism:
-        """The formal morphism {F0, F1, 0, ...}."""
-        f = self.model.functor.morphism
-        comps = {k: {it: dict(v) for it, v in t.items()}
-                 for k, t in f.components.items() if k[0] == 1}
-        return FormalMorphism(f.source, f.target, dict(f.object_map), comps)
 
 
 def strictify(functor: AInftyFunctor,
@@ -249,9 +229,7 @@ def strictify(functor: AInftyFunctor,
     full = _total_bound(model)
     bound, total = _choose_bound(max_arity, full)
     phi, psi = build_phi_psi(model, bound)
-    phi_model = compose_formal(model.decompose, phi, bound)
-    psi_model = compose_formal(psi, model.recompose, bound)
-    m_model = transport_structure(model, phi_model, psi_model, bound)
+    m_model = transport_structure(model, phi, psi, bound)
 
     base = model.base
     units_model = None
@@ -263,18 +241,14 @@ def strictify(functor: AInftyFunctor,
     transported = AInftyCategory.build(model.quiver, m_model.components,
                                        units_model, max_arity=bound)
     projection = strict_projection(model, transported, bound)
-    phi_functor = AInftyFunctor.build(phi_model, base, transported,
-                                      max_arity=bound)
-    psi_functor = AInftyFunctor.build(psi_model, transported, base,
-                                      max_arity=bound)
-
-    s = Strictification(model, phi, psi, transported, projection,
-                        phi_functor, psi_functor, bound, total)
-    # commuting square (the formal-morphism reading of the bar-level
-    # diagrams); F . psi = f1_strict follows from it and phi . psi = id
-    if compose_formal(s.f1_strict, phi, bound) != functor.morphism:
-        raise StrictifyError("F1-strict . phi differs from F")
-    return s
+    phi_functor = AInftyFunctor.build(phi, base, transported, max_arity=bound)
+    psi_functor = AInftyFunctor.build(psi, transported, base, max_arity=bound)
+    # the commuting square: projection . phi = F, the identity that the
+    # written projection and phi documents promise
+    if compose_formal(projection.morphism, phi, bound) != functor.morphism:
+        raise StrictifyError("projection . phi differs from F")
+    return Strictification(model, transported, projection, phi_functor,
+                           psi_functor, bound, total)
 
 
 def _total_bound(model: SplitModel) -> Optional[int]:

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Tuple
 from ainfty.fields import Field, Scalar
 from ainfty.linear import GradedSpace, Vec, rref, solve_dense, vec_add, vec_scale
 from ainfty.core import AInftyCategory, AInftyFunctor, arity1_map
+from ainfty.pullback import build_pullback, induce_functor
 from ainfty.quiver import (
     Components,
     FormalMorphism,
@@ -1041,6 +1042,32 @@ def product_mismatches(p) -> List[str]:
     return out
 
 
+def pasting_mismatches(f: AInftyFunctor, g: AInftyFunctor,
+                       h: AInftyFunctor) -> List[str]:
+    """Where the pasting lemma fails for F: A -> A' (F1), G: B -> A' and
+    H: C -> B.
+
+    P1 = P(F, G.H) and P2 = P(alpha_{F,G}, H) are isomorphic through the
+    functors the universal property induces,
+    N = induce(P2, induce(P(F,G), beta1, H.alpha1), alpha1): P1 -> P2 and
+    M = induce(P1, beta_{F,G}.beta2, alpha2): P2 -> P1, so M.N and N.M are
+    identities, exactly, up to the smaller arity bound of the two.
+    """
+    p_fg = build_pullback(f, g)
+    p1 = build_pullback(f, g.compose(h))
+    p2 = build_pullback(p_fg.alpha, h)
+    k = induce_functor(p_fg, p1.beta, h.compose(p1.alpha)).functor
+    n = induce_functor(p2, k, p1.alpha).functor
+    m = induce_functor(p1, p_fg.beta.compose(p2.beta), p2.alpha).functor
+    bound = min(n.arity_bound, m.arity_bound)
+    out = []
+    for name, outer, inner, p in (("M.N", m, n, p1), ("N.M", n, m, p2)):
+        if (compose_formal(outer.morphism, inner.morphism, bound)
+                != identity_formal(p.category.quiver)):
+            out.append(f"{name} is not the identity up to arity {bound}")
+    return out
+
+
 # -- reference pullback structure -------------------------------------------------
 
 def pullback_structure_by_recursion(quiver: GradedQuiver, pairs, product,
@@ -1082,13 +1109,37 @@ def pullback_structure_by_recursion(quiver: GradedQuiver, pairs, product,
     return Prenatural(ident, ident, 2, normalize_components(fld, comps))
 
 
-# -- two-step references for the transported structure and beta ----------------
+# -- base coordinates and two-step references ---------------------------------
+
+def base_phi_psi(model, phi: FormalMorphism, psi: FormalMorphism,
+                 max_arity: int) -> Tuple[FormalMorphism, FormalMorphism]:
+    """phi: A -> model and psi: model -> A read back on A's own quiver:
+    recompose . phi and psi . decompose, the automorphism Id + s1 . F^{>=2}
+    of A and its two-sided inverse."""
+    return (compose_formal(model.recompose, phi, max_arity),
+            compose_formal(psi, model.decompose, max_arity))
+
+
+def strictification_base_phi_psi(s, max_arity: int
+                                 ) -> Tuple[FormalMorphism, FormalMorphism]:
+    """base_phi_psi of a Strictification's phi and psi functors."""
+    return base_phi_psi(s.model, s.phi_functor.morphism,
+                        s.psi_functor.morphism, max_arity)
+
+
+def f1_strict(f: AInftyFunctor) -> FormalMorphism:
+    """The formal morphism {F0, F1, 0, ...}."""
+    m = f.morphism
+    comps = {k: t for k, t in m.components.items() if k[0] == 1}
+    return FormalMorphism(m.source, m.target, dict(m.object_map), comps)
+
 
 def transported_structure_two_step(s, max_arity: int) -> Prenatural:
     """decompose . (phi . m . psi) . recompose: m conjugated on the base
     quiver first, then carried into model coordinates."""
+    phi, psi = strictification_base_phi_psi(s, max_arity)
     m = s.model.base.structure
-    m_hat = l_compose(s.phi, r_compose(s.psi, m, max_arity), max_arity)
+    m_hat = l_compose(phi, r_compose(psi, m, max_arity), max_arity)
     return l_compose(s.model.decompose,
                      r_compose(s.model.recompose, m_hat, max_arity), max_arity)
 
@@ -1096,5 +1147,6 @@ def transported_structure_two_step(s, max_arity: int) -> Prenatural:
 def beta_two_step(p, max_arity: int) -> FormalMorphism:
     """psi . (recompose . product): beta composed through the base quiver."""
     s = p.strictification
+    _, psi = strictification_base_phi_psi(s, max_arity)
     through = compose_formal(s.model.recompose, p.product_morphism, max_arity)
-    return compose_formal(s.psi, through, max_arity)
+    return compose_formal(psi, through, max_arity)

@@ -47,6 +47,7 @@ from helpers import (
     double_sum_defect,
     doubled_object_functor,
     engine_defect_map,
+    f1_strict,
     formal_inverse,
     inclusion_functor,
     nilpotent_category,
@@ -60,6 +61,7 @@ from helpers import (
     random_g_functor,
     sq_functor,
     square_zero_extension,
+    strictification_base_phi_psi,
     twist_structure,
     twisted_functor,
 )
@@ -181,11 +183,12 @@ def test_criterion_4_strictification():
         f = random_f1_functor(rng, fld, density=0.4)
         s = strictify(f, max_arity=6)
         ident = identity_formal(f.source.quiver)
-        assert compose_formal(s.phi, s.psi, 6) == ident
-        assert compose_formal(s.psi, s.phi, 6) == ident
-        assert compose_formal(s.f1_strict, s.phi, 6) == f.morphism
-        assert l_compose(s.phi, f.source.structure, 6) == \
-            r_compose(s.phi, transport_structure(s.model, s.phi, s.psi, 6), 6)
+        phi, psi = strictification_base_phi_psi(s, 6)
+        assert compose_formal(phi, psi, 6) == ident
+        assert compose_formal(psi, phi, 6) == ident
+        assert compose_formal(f1_strict(f), phi, 6) == f.morphism
+        assert l_compose(phi, f.source.structure, 6) == \
+            r_compose(phi, transport_structure(s.model, phi, psi, 6), 6)
         # the split-off component law: pr^1 of m_model is the target structure
         pr = s.projection.morphism
         tgt = f.target

@@ -380,6 +380,26 @@ def test_degree_violating_mu_is_a_document_error(tmp_path, capsys):
     assert rep["error"].startswith(f"{a}:1: degree violation")
 
 
+@pytest.mark.parametrize("doc, record, line", [
+    ("f.afun", "comp 0 ; o ; ; 1' 1", 6), ("a.acat", "mu 0 ; o ; ; 1 1", 14)])
+def test_arity_zero_record_is_a_document_error(tmp_path, capsys, doc, record,
+                                               line):
+    # formal morphisms and structures have no arity-0 part; the record is
+    # rejected at its line instead of escaping as a QuiverError
+    for name in README_INPUTS:
+        shutil.copy(GOLDEN / name, tmp_path / name)
+    path = tmp_path / doc
+    path.write_text(path.read_text() + record + "\n")
+    kind = record.split()[0]
+    message = f"{path}:{line}: {kind} arity must be at least 1"
+    code, rep = run(capsys, "validate", str(path))
+    assert code == 1 and rep["overall"] == "fail"
+    assert rep["checks"][str(path)]["witnesses"] == [message]
+    code, rep = run(capsys, "classify", str(tmp_path / "f.afun"))
+    assert code == 2 and rep["overall"] == "error"
+    assert rep["error"] == message
+
+
 @pytest.mark.parametrize("slot", [1, 2, 3])
 def test_induce_checks_field_of_every_document(tmp_path, capsys, slot):
     for name in README_INPUTS:

@@ -1,7 +1,8 @@
 """Every module-level function in src/ainfty is either used elsewhere in the
-package or exported from ainfty/__init__.py, and every dataclass field is
-read somewhere, so a helper whose last caller goes away, or a field whose
-last reader does, fails the suite instead of lingering."""
+package or exported from ainfty/__init__.py, every dataclass field is read
+somewhere, and every parameter with a default is passed by some call, so a
+helper whose last caller goes away, a field whose last reader does, or an
+option no caller sets fails the suite instead of lingering."""
 from __future__ import annotations
 
 import ast
@@ -70,3 +71,63 @@ def test_every_dataclass_field_is_read():
                         and stmt.target.id not in reads):
                     unread.append(f"{path.name}:{node.name}.{stmt.target.id}")
     assert unread == []
+
+
+def _defaulted_parameters(tree: ast.AST):
+    """(callee name, parameter, positional index or None) for every
+    parameter with a default; a method's index skips self/cls, and __init__
+    is called by its class's name."""
+    out = []
+    classes = [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    methods = {id(f): c for c in classes for f in c.body
+               if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))}
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        cls = methods.get(id(node))
+        name = cls.name if cls and node.name == "__init__" else node.name
+        static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                     for d in node.decorator_list)
+        skip = 1 if cls and not static else 0
+        positional = node.args.posonlyargs + node.args.args
+        first = len(positional) - len(node.args.defaults)
+        for i, arg in enumerate(positional[first:], start=first):
+            out.append((name, arg.arg, i - skip))
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                out.append((name, arg.arg, None))
+    return out
+
+
+def test_every_defaulted_parameter_is_passed():
+    # an option no caller passes is dead code behind a default; calls are
+    # matched by name alone, so functions sharing a name share their calls
+    callers = (sorted(PACKAGE.parent.glob("**/*.py")) + sorted(TESTS.glob("*.py"))
+               + sorted((PACKAGE.parent.parent / "perfbench").glob("*.py")))
+    keywords: dict = {}
+    widest: Counter = Counter()
+    for path in callers:
+        for sub in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(sub, ast.Call):
+                continue
+            func = sub.func
+            name = (func.id if isinstance(func, ast.Name) else
+                    func.attr if isinstance(func, ast.Attribute) else None)
+            if name is None:
+                continue
+            starred = any(isinstance(a, ast.Starred) for a in sub.args)
+            widest[name] = max(widest[name],
+                               float("inf") if starred else len(sub.args))
+            keywords.setdefault(name, set()).update(
+                kw.arg or "**" for kw in sub.keywords)
+    unpassed = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for name, param, index in _defaulted_parameters(tree):
+            passed = keywords.get(name, set())
+            if param in passed or "**" in passed:
+                continue
+            if index is not None and widest[name] > index:
+                continue
+            unpassed.append(f"{path.name}:{name}({param})")
+    assert unpassed == []

@@ -45,6 +45,7 @@ from helpers import (
     doubled_object_functor,
     formal_inverse,
     nilpotent_category,
+    pasting_mismatches,
     point_category,
     product_mismatches,
     pullback_structure_by_recursion,
@@ -409,6 +410,18 @@ def test_readme_pullback_over_terminal_is_product():
     assert rep.sections["f_isofibration"].verdict == "pass"
 
 
+@pytest.mark.parametrize("fld", [QQ, Field.prime(3), F5], ids=["Q", "F3", "F5"])
+def test_pasting_lemma_pullbacks_are_isomorphic(fld):
+    # P(F, G.H) and P(alpha_{F,G}, H) through the induced functors; seed 9
+    # twists G and H at arity 2, and P(F, G.H) has entries of arity >= 3
+    rng = random.Random(9)
+    f = random_f1_functor(rng, fld, density=0.35)
+    g = random_g_functor(rng, f.target)
+    h = random_g_functor(rng, g.source)
+    assert all(any(n == 2 for n, _ in leg.morphism.components) for leg in (g, h))
+    assert pasting_mismatches(f, g, h) == []
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_seeded_dg_pullback_over_terminal_is_product(seed):
     rng = random.Random(seed)
@@ -601,7 +614,7 @@ def test_readme_example_over_q_has_no_float_coefficients(tmp_path):
     s = strictify(f)
     p = build_pullback(f, g)
     induced = induce_functor(p, p.beta, p.alpha).functor
-    results = [s.phi, s.psi, s.transported, s.projection,
+    results = [s.transported, s.projection,
                s.phi_functor, s.psi_functor, s.model.decompose,
                s.model.recompose, p.category, p.alpha, p.beta,
                p.product_morphism, induced]
@@ -689,8 +702,18 @@ def test_readme_engine_call_counts(monkeypatch):
         monkeypatch, "compose_formal",
         when=lambda: not (certifying or inside_of["strictify"]
                           or inside_of["build_pullback_structure"]))
+    # strictify composes only in model coordinates: N - 1 times solving psi,
+    # once each for psi . phi = Id and projection . phi = F, and once each
+    # for the transport's two endpoints; no decompose/recompose operand
+    strictify_composed = _count_calls(
+        monkeypatch, "compose_formal",
+        when=lambda: bool(inside_of["strictify"]) and not certifying)
     p = build_pullback(f, g)
     assert p.arity_bound > 1
+    strict = p.strictification
+    assert len(strictify_composed) == strict.arity_bound + 3
+    assert not any(arg is strict.model.decompose or arg is strict.model.recompose
+                   for args in strictify_composed for arg in args)
     assert {key: len(calls) for key, calls in engine.items()} == {
         ("build_pullback_structure", "r_compose"): 1,
         ("build_pullback_structure", "l_compose"): 0,

@@ -36,13 +36,16 @@ from ainfty.strictify import (
 from helpers import (
     bar_expand_combo,
     bar_expand_word,
+    base_phi_psi,
     bump_coefficient,
     coderivation_expand_combo,
+    f1_strict,
     nilpotent_category,
     point_category,
     random_f1_functor,
     sq_functor,
     square_zero_extension,
+    strictification_base_phi_psi,
     twist_structure,
     twisted_functor,
 )
@@ -131,22 +134,24 @@ def test_decompose_chain_only_when_section_is():
     assert lhs != k_diff
     # the full strictification still closes exactly
     s = strictify(f)
-    assert compose_formal(s.f1_strict, s.phi, s.arity_bound) == f.morphism
+    phi, _ = strictification_base_phi_psi(s, s.arity_bound)
+    assert compose_formal(f1_strict(f), phi, s.arity_bound) == f.morphism
 
 
 def test_strict_functor_gives_identity_phi_psi():
     f = sq_functor(QQ)
     s = strictify(f)
     ident = identity_formal(f.source.quiver)
-    assert s.phi == ident
-    assert s.psi == ident
+    phi, psi = strictification_base_phi_psi(s, s.arity_bound)
+    assert phi == ident
+    assert psi == ident
 
 
 def test_phi_psi_f2_only_fixture():
     f = fixture_functor()
     assert any(n == 2 for (n, _) in f.morphism.components)
     model = build_split_model(f)
-    phi, psi = build_phi_psi(model, 4)
+    phi, psi = base_phi_psi(model, *build_phi_psi(model, 4), 4)
     # phi^2 = s1 . F^2 and psi^2 = -s1 . F^2 when F^3 = 0
     for (n, objs), table in f.morphism.components.items():
         if n != 2:
@@ -164,9 +169,8 @@ def test_phi_psi_two_sided_inverse_arity_three():
     f = fixture_functor(seed=11, density=0.9)
     model = build_split_model(f)
     phi, psi = build_phi_psi(model, 5)
-    ident = identity_formal(f.source.quiver)
-    assert compose_formal(phi, psi, 5) == ident
-    assert compose_formal(psi, phi, 5) == ident
+    assert compose_formal(phi, psi, 5) == identity_formal(model.quiver)
+    assert compose_formal(psi, phi, 5) == identity_formal(f.source.quiver)
 
 
 def test_psi_equals_truncated_geometric_series():
@@ -174,7 +178,7 @@ def test_psi_equals_truncated_geometric_series():
     # gamma = bar(phi) - id at the word level
     f = fixture_functor(seed=7, density=0.8)
     model = build_split_model(f)
-    phi, psi = build_phi_psi(model, 4)
+    phi, psi = base_phi_psi(model, *build_phi_psi(model, 4), 4)
     quiver = f.source.quiver
     fld = QQ
     for n in range(1, 4):
@@ -214,7 +218,7 @@ def test_psi_equals_truncated_geometric_series():
 def test_transport_identity_at_arity_one():
     f = fixture_functor(seed=13)
     model = build_split_model(f)
-    phi, psi = build_phi_psi(model, 4)
+    phi, psi = base_phi_psi(model, *build_phi_psi(model, 4), 4)
     m_hat = transport_structure(model, phi, psi, 4)
     base = f.source
     for (n, objs), table in base.structure.components.items():
@@ -230,7 +234,7 @@ def test_transport_closed_form_matches_recursion(fld, seed):
     f = random_f1_functor(random.Random(seed), fld, density=0.5)
     model = build_split_model(f)
     for bound in range(3, 7):
-        phi, psi = build_phi_psi(model, bound)
+        phi, psi = base_phi_psi(model, *build_phi_psi(model, bound), bound)
         assert (transport_structure(model, phi, psi, bound)
                 == twist_structure(f.source, phi, bound).structure)
 
@@ -239,7 +243,7 @@ def test_transport_matches_conjugated_differential():
     # m_hat^n equals the corestriction of bar(phi) . D . bar(psi) on words
     f = fixture_functor(seed=17, density=0.7)
     model = build_split_model(f)
-    phi, psi = build_phi_psi(model, 4)
+    phi, psi = base_phi_psi(model, *build_phi_psi(model, 4), 4)
     m_hat = transport_structure(model, phi, psi, 4)
     base = f.source
     quiver = base.quiver
@@ -263,11 +267,13 @@ def test_transport_matches_conjugated_differential():
 def test_strictification_bundle_fixture():
     f = fixture_functor(seed=23, density=0.9)
     s = strictify(f, max_arity=5)
-    # diagram (12), both directions, is asserted inside strictify;再-check
-    strict_part = s.f1_strict
-    assert compose_formal(strict_part, s.phi, 5) == f.morphism
-    assert compose_formal(f.morphism, s.psi, 5) == strict_part
-    # decompose . phi is an A-infinity functor (A, m) -> (model, m_model)
+    # strictify asserts projection . phi = F; both directions of diagram
+    # (12), re-checked in base coordinates
+    strict_part = f1_strict(f)
+    phi, psi = strictification_base_phi_psi(s, 5)
+    assert compose_formal(strict_part, phi, 5) == f.morphism
+    assert compose_formal(f.morphism, psi, 5) == strict_part
+    # phi = (r1, F) is an A-infinity functor (A, m) -> (model, m_model)
     assert functor_defect(s.phi_functor.morphism, f.source, s.transported,
                           5).is_zero()
     # the transported structure is strictly unital with decomposed units
@@ -334,5 +340,64 @@ def test_tampered_transport_is_rejected(monkeypatch, arity):
             QQ, m_hat.components, arity))
 
     monkeypatch.setattr(STRICTIFY, "transport_structure", tampered)
+    with pytest.raises(AInftyError):
+        strictify(f, max_arity=3)
+
+
+# -- phi = (r1, F) and psi in model coordinates ---------------------------------
+
+@pytest.mark.parametrize("fld", [QQ, F5], ids=["Q", "F5"])
+@pytest.mark.parametrize("seed", range(3))
+def test_phi_psi_in_model_coordinates(fld, seed):
+    # phi^1 = decompose, phi^n = (0, F^n) for n >= 2, psi^1 = recompose and
+    # psi^n = -s1 . (F . psi)^n with psi^n still zero; phi . psi = Id
+    f = random_f1_functor(random.Random(seed), fld, density=0.5)
+    model = build_split_model(f)
+    minus = fld.from_int(-1)
+    for bound in range(3, 7):
+        phi, psi = build_phi_psi(model, bound)
+        assert phi.components.items() >= model.decompose.components.items()
+        assert psi.components.items() >= model.recompose.components.items()
+        higher = {key for key in phi.components if key[0] >= 2}
+        assert higher == {key for key in f.morphism.components
+                          if 2 <= key[0] <= bound}
+        for n, objs in higher:
+            kdim = model.splits[(objs[0], objs[-1])].kernel.dim
+            for in_t, vec in phi.components[(n, objs)].items():
+                assert min(vec) >= kdim
+                assert ({i - kdim: c for i, c in vec.items()}
+                        == f.morphism.components[(n, objs)][in_t])
+        for n in range(2, bound + 1):
+            below = FormalMorphism(psi.source, psi.target, psi.object_map, {
+                key: t for key, t in psi.components.items() if key[0] < n})
+            want = {}
+            for (m, objs), table in compose_formal(
+                    f.morphism, below, n).components.items():
+                if m == n:
+                    section = model.splits[(objs[0], objs[-1])].section
+                    want[(n, objs)] = {
+                        in_t: {i: fld.mul(minus, c)
+                               for i, c in section.apply(vec).items()}
+                        for in_t, vec in table.items()}
+            got = {key: t for key, t in psi.components.items() if key[0] == n}
+            assert got == want
+        assert compose_formal(phi, psi, bound) == identity_formal(model.quiver)
+
+
+def test_shifted_phi_coefficient_is_rejected(monkeypatch):
+    # one a-part coefficient of phi^2 moved: phi is then no longer the
+    # inverse of psi, and strictify's certification refuses the result
+    f = fixture_functor()
+    build = STRICTIFY.build_phi_psi
+
+    def shifted(model, max_arity):
+        phi, psi = build(model, max_arity)
+        kdims = {key: model.splits[(key[1][0], key[1][-1])].kernel.dim
+                 for key in phi.components}
+        return dataclasses.replace(phi, components=bump_coefficient(
+            QQ, phi.components, 2,
+            allowed=lambda key, out: out >= kdims[key])), psi
+
+    monkeypatch.setattr(STRICTIFY, "build_phi_psi", shifted)
     with pytest.raises(AInftyError):
         strictify(f, max_arity=3)
