@@ -173,7 +173,7 @@ def arity1_map(fam, x: str, y: str) -> GradedMap:
                      entries)
 
 
-def structure_defect(quiver: GradedQuiver, structure: Prenatural, max_arity: int) -> Prenatural:
+def structure_defect(structure: Prenatural, max_arity: int) -> Prenatural:
     """Self-composition of the candidate structure; zero certifies it."""
     structure.validate()
     return compose_prenatural(structure, structure, max_arity)
@@ -206,11 +206,11 @@ class AInftyCategory:
     ) -> "AInftyCategory":
         ident = identity_formal(quiver)
         structure = Prenatural(ident, ident, 2,
-                               normalize_components(quiver.fld, components))
+                               normalize_components(components))
         if not structure.is_flat():
             raise AInftyError("structures must be flat: arity-0 part must vanish")
         bound, total = _choose_bound(max_arity, structure_verify_bound(quiver))
-        defect = structure_defect(quiver, structure, bound)
+        defect = structure_defect(structure, bound)
         bad = defect.first_nonzero()
         if bad is not None:
             raise StructureDefectError(bad)
@@ -513,7 +513,7 @@ def build_h0(cat: AInftyCategory) -> H0Category:
     if cat.units is None:
         raise AInftyError("units required")
     if cat.arity_bound < 3 and not cat.total:
-        bad = structure_defect(cat.quiver, cat.structure, 3).first_nonzero()
+        bad = structure_defect(cat.structure, 3).first_nonzero()
         if bad is not None:
             raise StructureDefectError(bad)
     unit_coords: Dict[str, List[Scalar]] = {}

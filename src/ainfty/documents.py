@@ -100,6 +100,14 @@ def _records(text: str, path: str, header: str, kind: str) -> List[Tuple[int, st
             if line and not line.startswith("#")]
 
 
+def _once(seen: Dict[tuple, int], key: tuple, path: str, ln: int) -> None:
+    """A record that sets key (key[0] is its kind) may appear once; a second
+    one is an error at its own line rather than silently the winner."""
+    if key in seen:
+        raise DocumentError(path, ln, f"{key[0]} record repeats line {seen[key]}")
+    seen[key] = ln
+
+
 def _parse_entry(path: str, ln: int, fields: List[str], fld: Field,
                  source: GradedQuiver, target: GradedQuiver,
                  object_map: Dict[str, str]):
@@ -205,9 +213,12 @@ def parse_category(text: str, path: str = "<category>",
     basis: Dict[Tuple[str, str], List[Tuple[str, int]]] = {}
     unit_lines: List[Tuple[int, str, List[str]]] = []
     mu_lines: List[Tuple[int, List[str]]] = []
+    seen: Dict[tuple, int] = {}
     for ln, line in _records(text, path, "acat", "category"):
         parts = line.split()
         kind = parts[0]
+        if kind in ("field", "maxarity"):
+            _once(seen, (kind,), path, ln)
         if kind == "field":
             fld = _parse_field_record(path, ln, parts[1:])
         elif kind == "maxarity":
@@ -215,11 +226,13 @@ def parse_category(text: str, path: str = "<category>",
         elif kind == "object":
             if len(parts) != 2:
                 raise DocumentError(path, ln, "object record needs one name")
+            _once(seen, (kind, parts[1]), path, ln)
             objects.append(_check_ident(path, ln, parts[1]))
         elif kind == "basis":
             if len(parts) != 5:
                 raise DocumentError(path, ln, "basis record: basis x y name deg")
             x, y, name = (_check_ident(path, ln, p) for p in parts[1:4])
+            _once(seen, (kind, x, y, name), path, ln)
             try:
                 deg = int(parts[4])
             except ValueError as exc:
@@ -230,6 +243,7 @@ def parse_category(text: str, path: str = "<category>",
             head = fields[0].split()
             if len(head) != 2 or len(fields) != 2:
                 raise DocumentError(path, ln, "unit record: unit x ; name scalar ...")
+            _once(seen, (kind, head[1]), path, ln)
             unit_lines.append((ln, head[1], fields[1].split()))
         elif kind == "mu":
             mu_lines.append((ln, [f.strip() for f in line.split(";")]))
@@ -249,6 +263,7 @@ def parse_category(text: str, path: str = "<category>",
     ident = {x: x for x in objects}
     for ln, fields in mu_lines:
         key, in_t, vec = _parse_entry(path, ln, fields, fld, quiver, quiver, ident)
+        _once(seen, ("mu", key, in_t), path, ln)
         if vec:
             comps.setdefault(key, {})[in_t] = vec
     units = None
@@ -332,9 +347,12 @@ def parse_functor(text: str, path: str = "<functor>",
     arity_ln = 0
     objmap: Dict[str, str] = {}
     comp_lines: List[Tuple[int, List[str]]] = []
+    seen: Dict[tuple, int] = {}
     for ln, line in records:
         parts = line.split()
         kind = parts[0]
+        if kind in ("source", "target", "maxarity"):
+            _once(seen, (kind,), path, ln)
         if kind == "source":
             source_path = line.split(None, 1)[1].strip()
         elif kind == "target":
@@ -344,6 +362,7 @@ def parse_functor(text: str, path: str = "<functor>",
         elif kind == "objmap":
             if len(parts) != 3:
                 raise DocumentError(path, ln, "objmap record: objmap x Fx")
+            _once(seen, (kind, parts[1]), path, ln)
             objmap[parts[1]] = parts[2]
         elif kind == "comp":
             comp_lines.append((ln, [f.strip() for f in line.split(";")]))
@@ -363,6 +382,7 @@ def parse_functor(text: str, path: str = "<functor>",
     for ln, fields in comp_lines:
         key, in_t, vec = _parse_entry(path, ln, fields, fld, source.quiver,
                                       target.quiver, objmap)
+        _once(seen, ("comp", key, in_t), path, ln)
         if vec:
             comps.setdefault(key, {})[in_t] = vec
     morphism = FormalMorphism(source.quiver, target.quiver, objmap, comps)

@@ -17,6 +17,7 @@ kernel parts, checked by one scan of its components.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -128,36 +129,29 @@ def build_pullback_quiver(
             if kdim:
                 comps[(1, (p1, p2))] = {(i,): {i: fld.one} for i in range(kdim)}
     for key, table in g.morphism.components.items():
-        for pkey, ptable in _embed_a(pairs, model.splits, objects, key, table):
+        for pkey, ptable in _embed_a(pairs, model.splits, key, table):
             comps.setdefault(pkey, {}).update(ptable)
     object_map = {p: pairs[p][0] for p in objects}
     product = FormalMorphism(quiver, strict.model.quiver, object_map, comps)
     return quiver, product, pairs
 
 
-def _pullback_paths(pairs, objects, yobjs):
+def _pullback_paths(pairs, yobjs):
     """All object tuples of the pullback whose second components match yobjs."""
-    n = len(yobjs) - 1
     by_y: Dict[str, List[str]] = {}
     for p, (_, y) in pairs.items():
         by_y.setdefault(y, []).append(p)
-    def rec(i, acc):
-        if i > n:
-            yield tuple(acc)
-            return
-        for p in sorted(by_y.get(yobjs[i], [])):
-            yield from rec(i + 1, acc + [p])
-    yield from rec(0, [])
+    return itertools.product(*(sorted(by_y.get(y, [])) for y in yobjs))
 
 
-def _embed_a(pairs, splits, objects, key, table):
+def _embed_a(pairs, splits, key, table):
     """One A''-table, keyed (n, yobjs), along every pullback path over yobjs.
 
     Every input and the output move past the kernel block of their pair;
     yields ((n, pobjs), table in pullback coordinates) for nonempty tables.
     """
     n, yobjs = key
-    for pobjs in _pullback_paths(pairs, objects, yobjs):
+    for pobjs in _pullback_paths(pairs, yobjs):
         xs = [pairs[p][0] for p in pobjs]
         kdims = [splits[(xs[n - 1 - i], xs[n - i])].kernel.dim for i in range(n)]
         out_kdim = splits[(xs[0], xs[-1])].kernel.dim
@@ -181,7 +175,6 @@ def _kernel_dim(p: PullbackCategory, p1: str, p2: str) -> int:
 
 
 def solve_pullback_arity(
-    quiver: GradedQuiver,
     pairs: Dict[str, Tuple[str, str]],
     rhs: Prenatural,
     g: AInftyFunctor,
@@ -196,7 +189,7 @@ def solve_pullback_arity(
     comps: Components = {}
     for key, table in g.source.structure.components.items():
         if key[0] == n:
-            for pkey, ptable in _embed_a(pairs, splits, quiver.objects, key, table):
+            for pkey, ptable in _embed_a(pairs, splits, key, table):
                 comps.setdefault(pkey, {}).update(ptable)
     for (m, pobjs), table in rhs.components.items():
         if m == n:
@@ -204,7 +197,7 @@ def solve_pullback_arity(
             ctable = comps.setdefault((n, pobjs), {})
             for in_t, vec in table.items():
                 ctable[in_t] = {**_kernel_part(vec, kdim), **ctable.get(in_t, {})}
-    return normalize_components(quiver.fld, comps)
+    return normalize_components(comps)
 
 
 def build_pullback_structure(
@@ -224,7 +217,7 @@ def build_pullback_structure(
     rhs = r_compose(product, m_model, max_arity)
     comps: Components = {}
     for n in range(1, max_arity + 1):
-        comps.update(solve_pullback_arity(quiver, pairs, rhs, g, splits, n))
+        comps.update(solve_pullback_arity(pairs, rhs, g, splits, n))
     return Prenatural(ident, ident, 2, comps)
 
 
@@ -357,7 +350,7 @@ def induce_functor(
                           l_table.get(in_t, {}), kdim)
             for in_t in set(im_table) | set(l_table)}
     morphism = FormalMorphism(cone_i.source.quiver, p.category.quiver,
-                              object_map, normalize_components(fld, comps))
+                              object_map, normalize_components(comps))
     functor = AInftyFunctor.build(morphism, cone_i.source, p.category,
                                   max_arity=bound)
     tri_b = compose_formal(p.beta.morphism, morphism, bound) == cone_i.morphism

@@ -17,6 +17,7 @@ vector}} with all zero coefficients dropped.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -56,31 +57,17 @@ class GradedQuiver:
 
     def paths(self, n: int) -> Iterator[Tuple[str, ...]]:
         """Object tuples (x_0..x_n) whose consecutive homs are all nonzero."""
-        if n == 0:
-            for x in self.objects:
-                yield (x,)
-            return
-        def extend(path: Tuple[str, ...]) -> Iterator[Tuple[str, ...]]:
-            if len(path) == n + 1:
-                yield path
-                return
-            for y in self.objects:
-                if self.space(path[-1], y).dim > 0:
-                    yield from extend(path + (y,))
-        for x in self.objects:
-            yield from extend((x,))
+        paths = [(x,) for x in self.objects]
+        for _ in range(n):
+            paths = [path + (y,) for path in paths for y in self.objects
+                     if self.space(path[-1], y).dim > 0]
+        return iter(paths)
 
     def basis_tuples(self, objs: Tuple[str, ...]) -> Iterator[Tuple[int, ...]]:
         """All input index tuples for the object tuple, in (f_n..f_1) order."""
         n = len(objs) - 1
-        dims = [self.space(objs[n - 1 - i], objs[n - i]).dim for i in range(n)]
-        def rec(i: int, acc: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
-            if i == n:
-                yield acc
-                return
-            for b in range(dims[i]):
-                yield from rec(i + 1, acc + (b,))
-        yield from rec(0, ())
+        return itertools.product(*(range(self.space(objs[n - 1 - i], objs[n - i]).dim)
+                                   for i in range(n)))
 
     def input_degrees(self, objs: Tuple[str, ...], in_t: Tuple[int, ...]) -> List[int]:
         n = len(objs) - 1
@@ -90,7 +77,7 @@ class GradedQuiver:
         ]
 
 
-def normalize_components(fld: Field, comps: Components) -> Components:
+def normalize_components(comps: Components) -> Components:
     out: Components = {}
     for key, table in comps.items():
         clean = {it: v for it, v in table.items() if v}
@@ -125,8 +112,8 @@ class FormalMorphism:
             return NotImplemented
         return (
             self.object_map == other.object_map
-            and normalize_components(self.source.fld, self.components)
-            == normalize_components(other.source.fld, other.components)
+            and normalize_components(self.components)
+            == normalize_components(other.components)
         )
 
 
@@ -160,7 +147,7 @@ class Prenatural:
         return not any(n == 0 for (n, _) in self.components)
 
     def is_zero(self) -> bool:
-        return not normalize_components(self.source.fld, self.components)
+        return not normalize_components(self.components)
 
     def validate(self) -> None:
         _validate_family(self, allow_arity0=True)
@@ -175,7 +162,7 @@ class Prenatural:
             for it, v in table.items():
                 mine[it] = vec_add(fld, mine.get(it, {}), v)
         return Prenatural(self.frm, self.to, self.degree,
-                          normalize_components(fld, comps))
+                          normalize_components(comps))
 
     def scale(self, c: Scalar) -> "Prenatural":
         fld = self.source.fld
@@ -184,7 +171,7 @@ class Prenatural:
             for key, table in self.components.items()
         }
         return Prenatural(self.frm, self.to, self.degree,
-                          normalize_components(fld, comps))
+                          normalize_components(comps))
 
     def sub(self, other: "Prenatural") -> "Prenatural":
         return self.add(other.scale(self.source.fld.from_int(-1)))
@@ -204,11 +191,10 @@ class Prenatural:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Prenatural):
             return NotImplemented
-        fld = self.source.fld
         return (
             self.degree == other.degree
-            and normalize_components(fld, self.components)
-            == normalize_components(fld, other.components)
+            and normalize_components(self.components)
+            == normalize_components(other.components)
         )
 
 
@@ -285,6 +271,12 @@ def _expand(outer, right, ins: Optional[Prenatural], left,
     each block right of the insertion is a formal-morphism component, and
     (shift 1 - n) its inputs have the reduced degree of its output, the
     outer's input at that slot.
+
+    The words under one (entry, slot) are swept one block at a time: each
+    partial word (end object, path, inputs, coefficient) is extended by the
+    entries of the next block's bucket that start at its end object and
+    leave room for the blocks after it (arity >= 1 each, an insertion 0).
+    Words finish in depth-first order, so the result fills in a fixed order.
     """
     fld = right.source.fld
     add, mul, neg, zero = fld.add, fld.mul, fld.neg, fld.zero
@@ -302,41 +294,30 @@ def _expand(outer, right, ins: Optional[Prenatural], left,
             for k in ([None] if ins is None else range(1, r + 1)):
                 invs = ([left_inv] * r if k is None
                         else [right_inv] * (k - 1) + [ins_inv] + [left_inv] * (r - k))
-
-                def rec(j: int, start: Optional[str], path: Tuple[str, ...],
-                        acc_in: Tuple[int, ...], coeff: Scalar) -> None:
-                    if j > r:
-                        # in place; normalize_components drops emptied vectors
-                        vec = result.setdefault((len(acc_in), path), {}).setdefault(acc_in, {})
-                        for oi, x in out_vec.items():
-                            s = add(vec.get(oi, zero), mul(coeff, x))
-                            if s:
-                                vec[oi] = s
-                            else:
-                                vec.pop(oi, None)
-                        return
-                    need = ((Y[j - 1], Y[j]), in_t[r - j])
-                    buckets = invs[j - 1].get(need)
-                    if not buckets:
-                        return
-                    cand = (
-                        [e for lst in buckets.values() for e in lst]
-                        if start is None
-                        else buckets.get(start, [])
-                    )
-                    # later blocks have arity >= 1, except an insertion (arity 0)
-                    before_ins = k is not None and j < k
-                    room = max_arity - len(acc_in) - (r - j - before_ins)
-                    for (epath, ein, ec) in cand:
-                        if len(ein) > room:
-                            continue
-                        new_path = epath if start is None else path + epath[1:]
-                        rec(j + 1, epath[-1], new_path, ein + acc_in, mul(coeff, ec))
-
                 odd = signed and sum(d - 1 for d in degs[r - k + 1:]) % 2 == 1
-                rec(1, None, (), (), neg(fld.one) if odd else fld.one)
-                del rec   # rec refers to itself: free it now, not at the next gc
-    return normalize_components(fld, result)
+                sign = neg(fld.one) if odd else fld.one
+                buckets = invs[0].get(((Y[0], Y[1]), in_t[r - 1]), {})
+                room = max_arity - (r - 1 - (k is not None and 1 < k))
+                words = [(epath[-1], epath, ein, mul(sign, ec))
+                         for lst in buckets.values() for epath, ein, ec in lst
+                         if len(ein) <= room]
+                for j in range(2, r + 1):
+                    buckets = invs[j - 1].get(((Y[j - 1], Y[j]), in_t[r - j]), {})
+                    room = max_arity - (r - j - (k is not None and j < k))
+                    words = [(epath[-1], path + epath[1:], ein + acc, mul(coeff, ec))
+                             for end, path, acc, coeff in words
+                             for epath, ein, ec in buckets.get(end, ())
+                             if len(ein) + len(acc) <= room]
+                for _, path, acc, coeff in words:
+                    # in place; normalize_components drops emptied vectors
+                    vec = result.setdefault((len(acc), path), {}).setdefault(acc, {})
+                    for oi, x in out_vec.items():
+                        s = add(vec.get(oi, zero), mul(coeff, x))
+                        if s:
+                            vec[oi] = s
+                        else:
+                            vec.pop(oi, None)
+    return normalize_components(result)
 
 
 def _composites(g_frm: FormalMorphism, g_to: FormalMorphism, f_frm: FormalMorphism,
@@ -371,7 +352,7 @@ def r_compose(f: FormalMorphism, t: Prenatural, max_arity: int) -> Prenatural:
             if vec:
                 comps[(0, (x,))] = {(): dict(vec)}
     frm, to = _composites(t.frm, t.to, f, f, max_arity)
-    return Prenatural(frm, to, t.degree, normalize_components(f.source.fld, comps))
+    return Prenatural(frm, to, t.degree, normalize_components(comps))
 
 
 def _insert(outer, outer_frm: FormalMorphism, outer_to: FormalMorphism,

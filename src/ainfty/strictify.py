@@ -164,7 +164,7 @@ def build_phi_psi(model: SplitModel, max_arity: int
                 in_t: {kdim + i: c for i, c in vec.items()}
                 for in_t, vec in table.items()}
     phi = FormalMorphism(base.quiver, model.quiver, dict(ident_map),
-                         normalize_components(fld, phi_comps))
+                         normalize_components(phi_comps))
     minus = fld.from_int(-1)
     psi_comps: Components = dict(model.recompose.components)
     for n in range(2, max_arity + 1):
@@ -176,7 +176,7 @@ def build_phi_psi(model: SplitModel, max_arity: int
                     in_t: vec_scale(fld, minus, section.apply(vec))
                     for in_t, vec in table.items()}
     psi = FormalMorphism(model.quiver, base.quiver, dict(ident_map),
-                         normalize_components(fld, psi_comps))
+                         normalize_components(psi_comps))
     if compose_formal(psi, phi, max_arity) != identity_formal(base.quiver):
         raise StrictifyError("psi . phi is not the identity")
     return phi, psi

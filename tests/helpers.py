@@ -12,6 +12,7 @@ independently of the package's partition engine.
 """
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 from typing import Dict, List, Optional, Tuple
@@ -115,7 +116,7 @@ def dg_structure(quiver: GradedQuiver, d_entries: Dict[Pair, Dict[int, Vec]],
             t[(j, i)] = signed
         if t:
             comps[(2, (x, y, z))] = t
-    return normalize_components(fld, comps)
+    return normalize_components(comps)
 
 
 def endo_complex_category(fld: Field, complexes: Dict[str, Tuple[Tuple[str, int], ...]],
@@ -360,7 +361,7 @@ def formal_inverse(u: FormalMorphism, max_arity: int) -> FormalMorphism:
             if neg:
                 inv_comps[(n, objs)] = neg
     return FormalMorphism(u.source, u.source, dict(u.object_map),
-                          normalize_components(fld, inv_comps))
+                          normalize_components(inv_comps))
 
 
 def twist_structure(cat: AInftyCategory, u: FormalMorphism, max_arity: int
@@ -526,7 +527,7 @@ def perturb_structure(rng: random.Random, cat: AInftyCategory,
         if fld.is_zero(vec[o]):
             vec[o] = fld.one
         table[in_t] = vec
-        return normalize_components(fld, comps)
+        return normalize_components(comps)
     return None
 
 
@@ -545,7 +546,7 @@ def bump_coefficient(fld: Field, comps: Components, arity: int,
                 vec[outs[0]] = fld.add(vec[outs[0]], fld.one)
                 if fld.is_zero(vec[outs[0]]):
                     del vec[outs[0]]
-                return normalize_components(fld, new)
+                return normalize_components(new)
     raise ValueError(f"no coefficient of arity {arity} to change")
 
 
@@ -1018,7 +1019,7 @@ def product_mismatches(p) -> List[str]:
                            f"hom({p1},{p2})")
     for leg in (p.alpha, p.beta):
         if any(n > 1 for n, _ in normalize_components(
-                fld, leg.morphism.components)):
+                leg.morphism.components)):
             out.append("a projection has a component above arity 1")
     for n in range(1, p.arity_bound + 1):
         for objs in quiver.paths(n):
@@ -1090,10 +1091,9 @@ def pullback_structure_by_recursion(quiver: GradedQuiver, pairs, product,
     for n in range(1, max_arity + 1):
         for key, table in g.source.structure.components.items():
             if key[0] == n:
-                for pkey, ptable in _embed_a(pairs, splits, quiver.objects,
-                                             key, table):
+                for pkey, ptable in _embed_a(pairs, splits, key, table):
                     comps.setdefault(pkey, {}).update(ptable)
-        trial = Prenatural(ident, ident, 2, normalize_components(fld, comps))
+        trial = Prenatural(ident, ident, 2, normalize_components(comps))
         defect = l_compose(product, trial, n).arity_part(n).sub(
             rhs.arity_part(n))
         for (_, pobjs), table in defect.components.items():
@@ -1106,7 +1106,7 @@ def pullback_structure_by_recursion(quiver: GradedQuiver, pairs, product,
                 tbl = comps.setdefault((n, pobjs), {})
                 tbl[in_t] = vec_add(fld, tbl.get(in_t, {}),
                                     vec_scale(fld, fld.from_int(-1), vec))
-    return Prenatural(ident, ident, 2, normalize_components(fld, comps))
+    return Prenatural(ident, ident, 2, normalize_components(comps))
 
 
 # -- base coordinates and two-step references ---------------------------------
@@ -1150,3 +1150,18 @@ def beta_two_step(p, max_arity: int) -> FormalMorphism:
     _, psi = strictification_base_phi_psi(s, max_arity)
     through = compose_formal(s.model.recompose, p.product_morphism, max_arity)
     return compose_formal(psi, through, max_arity)
+
+
+# -- reference cycles -------------------------------------------------------------
+
+def cyclic_garbage(call) -> int:
+    """Objects that only the cyclic garbage collector frees after call(),
+    counted with the collector off; a first call warms any caches."""
+    call()
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()

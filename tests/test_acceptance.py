@@ -111,7 +111,7 @@ def test_criterion_1_structure_oracle():
     for _ in range(100):
         fld = QQ if rng.random() < 0.5 else F5
         cat = _valid_category(rng, fld)
-        defect = structure_defect(cat.quiver, cat.structure, 5)
+        defect = structure_defect(cat.structure, 5)
         assert defect.is_zero(), "valid candidate has nonzero defect"
     n_perturbed = 0
     while n_perturbed < 100:
@@ -218,8 +218,7 @@ def test_criterion_5_structure_recursion():
         eq2 = l_compose(p.alpha.morphism, p.category.structure, bound).sub(
             r_compose(p.alpha.morphism, g.source.structure, bound))
         assert eq2.is_zero(), "equation (projection) violated"
-        assert structure_defect(p.category.quiver, p.category.structure,
-                                bound).is_zero()
+        assert structure_defect(p.category.structure, bound).is_zero()
         # arity-1 closed form on every basis element
         for pname in p.category.objects:
             x, y = p.object_pairs[pname]

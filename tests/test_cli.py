@@ -400,6 +400,37 @@ def test_arity_zero_record_is_a_document_error(tmp_path, capsys, doc, record,
     assert rep["error"] == message
 
 
+@pytest.mark.parametrize("doc, records, line, first", [
+    ("a.acat", "mu 1 ; o o ; t ; e 2", 14, 8),
+    ("a.acat", "object o", 14, 3),
+    ("a.acat", "basis o o e 0", 14, 5),
+    ("a.acat", "field Fp 5", 14, 2),
+    ("a.acat", "unit o ; 1 1", 14, 7),
+    ("a.acat", "maxarity 4\nmaxarity 4", 15, 14),
+    ("f.afun", "objmap o p", 6, 4),
+    ("f.afun", "source a.acat", 6, 2),
+    ("f.afun", "target b.acat", 6, 3),
+    ("f.afun", "maxarity 4\nmaxarity 4", 7, 6),
+    ("f.afun", "comp 1 ; o o ; 1 ; 1' 2", 6, 5),
+])
+def test_repeated_record_is_a_document_error(tmp_path, capsys, doc, records,
+                                             line, first):
+    # a second record setting the same thing would silently win over the
+    # first; it is rejected at its own line, naming the first
+    for name in README_INPUTS:
+        shutil.copy(GOLDEN / name, tmp_path / name)
+    path = tmp_path / doc
+    path.write_text(path.read_text() + records + "\n")
+    kind = records.split()[0]
+    message = f"{path}:{line}: {kind} record repeats line {first}"
+    code, rep = run(capsys, "validate", str(path))
+    assert code == 1 and rep["overall"] == "fail"
+    assert rep["checks"][str(path)]["witnesses"] == [message]
+    code, rep = run(capsys, "classify", str(tmp_path / "f.afun"))
+    assert code == 2 and rep["overall"] == "error"
+    assert rep["error"] == message
+
+
 @pytest.mark.parametrize("slot", [1, 2, 3])
 def test_induce_checks_field_of_every_document(tmp_path, capsys, slot):
     for name in README_INPUTS:

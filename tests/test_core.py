@@ -52,6 +52,7 @@ from helpers import (
     square_zero_extension,
     perturb_structure,
     random_diffeo,
+    random_f1_functor,
     terminal_category,
     to_terminal,
     twist_structure,
@@ -84,13 +85,13 @@ def test_arity_bound_empty():
 def test_dg_categories_have_zero_defect(rng):
     for seed in range(8):
         cat = random_dg_category(random.Random(seed), QQ, n_objects=1, max_dim=2)
-        defect = structure_defect(cat.quiver, cat.structure, 4)
+        defect = structure_defect(cat.structure, 4)
         assert defect.is_zero()
 
 
 def test_m3_defect_zero_to_arity_five():
     cat = m3_category(QQ)
-    defect = structure_defect(cat.quiver, cat.structure, 5)
+    defect = structure_defect(cat.structure, 5)
     assert defect.is_zero()
     assert cat.arity_bound == 5 and not cat.total
 
@@ -104,7 +105,7 @@ def test_m3_perturbed_witness_at_arity_five(qq):
         (3, ("o",) * 4): {(0, 0, 0): {1: qq.one}, (0, 0, 1): {2: qq.one}},
     }
     ident = identity_formal(q)
-    defect = structure_defect(q, Prenatural(ident, ident, 2, comps), 5)
+    defect = structure_defect(Prenatural(ident, ident, 2, comps), 5)
     assert not defect.is_zero()
     n, objs, in_t = defect.first_nonzero()
     assert n == 5 and in_t == (0, 0, 0, 0, 0)
@@ -118,7 +119,7 @@ def test_degree_violation_reported_before_evaluation(qq):
     comps = {(1, ("o", "o")): {(0,): {0: qq.one}}}  # deg 0 -> deg 0 under shift 1
     ident = identity_formal(q)
     with pytest.raises(Exception) as exc:
-        structure_defect(q, Prenatural(ident, ident, 2, comps), 3)
+        structure_defect(Prenatural(ident, ident, 2, comps), 3)
     assert "degree" in str(exc.value)
 
 
@@ -542,3 +543,56 @@ def test_extension_with_non_acyclic_kernel():
     assert check_F1(f).passed
     assert kernel_acyclicity(f).verdict == "fail"
     assert check_quasi_equivalence(f).hom_level.verdict == "fail"
+
+
+# -- closure axioms of a category of fibrant objects ----------------------------
+# Brown's axioms, with F1 functors as fibrations and quasi-equivalences as
+# weak equivalences, on the seeded F1 generator over F_3 and F_5
+
+def _fibration(functor: AInftyFunctor) -> bool:
+    return (check_F1(functor).passed
+            and check_isofibration(functor).verdict == "pass")
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([3, 5]))
+@settings(max_examples=10, deadline=None)
+def test_f1_and_f2_closed_under_composition(seed, p):
+    # after the functor to the terminal category, and before a twisted
+    # identity, whose composite F2 is decided by enumeration
+    rng = random.Random(seed)
+    fld = Field.prime(p)
+    f = random_f1_functor(rng, fld)
+    term = to_terminal(f.target, terminal_category(fld))
+    twisted = twisted_functor(AInftyFunctor.identity(f.source), rng,
+                              max_arity=2, density=0.4)
+    assert _fibration(f) and _fibration(term) and _fibration(twisted)
+    assert _fibration(term.compose(f))
+    after_twist = f.compose(twisted)
+    assert not _arity1_iso_everywhere(after_twist)
+    assert _fibration(after_twist)
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([3, 5]))
+@settings(max_examples=10, deadline=None)
+def test_identities_are_acyclic_fibrations(seed, p):
+    rng = random.Random(seed)
+    f = random_f1_functor(rng, Field.prime(p))
+    twisted = twisted_functor(AInftyFunctor.identity(f.source), rng,
+                              max_arity=2, density=0.4)
+    for cat in (f.source, f.target, twisted.source):
+        ident = AInftyFunctor.identity(cat)
+        assert _fibration(ident)
+        assert check_quasi_equivalence(ident).passed
+        assert kernel_acyclicity(ident).verdict == "pass"
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([3, 5]))
+@settings(max_examples=10, deadline=None)
+def test_every_category_reaches_the_terminal_by_f1(seed, p):
+    rng = random.Random(seed)
+    fld = Field.prime(p)
+    f = random_f1_functor(rng, fld)
+    cats = (f.source, f.target, random_dg_category(rng, fld, 2, 2),
+            point_category(fld), terminal_category(fld))
+    for cat in cats:
+        assert check_F1(to_terminal(cat, terminal_category(fld))).passed

@@ -1,8 +1,10 @@
 """Every module-level function in src/ainfty is either used elsewhere in the
 package or exported from ainfty/__init__.py, every dataclass field is read
-somewhere, and every parameter with a default is passed by some call, so a
-helper whose last caller goes away, a field whose last reader does, or an
-option no caller sets fails the suite instead of lingering."""
+somewhere, every parameter is read by its function and every parameter with
+a default is passed by some call, so a helper whose last caller goes away, a
+field whose last reader does, an argument nothing reads or an option no
+caller sets fails the suite instead of lingering.  No nested function calls
+itself, so no call leaves a reference cycle behind."""
 from __future__ import annotations
 
 import ast
@@ -131,3 +133,51 @@ def test_every_defaulted_parameter_is_passed():
                 continue
             unpassed.append(f"{path.name}:{name}({param})")
     assert unpassed == []
+
+
+def _functions(tree: ast.AST):
+    """(qualified name, node, nested) for every function under tree, methods
+    qualified by their class; nested says it is defined inside a function."""
+    todo = [(tree, "", False)]
+    while todo:
+        node, prefix, nested = todo.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield prefix + child.name, child, nested
+                todo.append((child, f"{prefix}{child.name}.", True))
+            elif isinstance(child, ast.ClassDef):
+                todo.append((child, f"{prefix}{child.name}.", nested))
+            else:
+                todo.append((child, prefix, nested))
+
+
+def _package_functions():
+    for path in sorted(PACKAGE.glob("*.py")):
+        for name, node, nested in _functions(ast.parse(path.read_text(), str(path))):
+            yield f"{path.name}:{name}", node, nested
+
+
+def _names_read(nodes) -> set:
+    return {sub.id for node in nodes for sub in ast.walk(node)
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+
+
+def test_no_self_referencing_closures():
+    # a nested function that calls itself holds its own closure cell: every
+    # call of the enclosing function leaves a reference cycle that only the
+    # cyclic garbage collector frees, so peak memory follows its schedule
+    recursive = [name for name, node, nested in _package_functions()
+                 if nested and node.name in _names_read(node.body)]
+    assert recursive == []
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for name, node, _ in _package_functions():
+        args = node.args
+        params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+        reads = _names_read(node.body)
+        unread += [f"{name}({p})" for p in params
+                   if p not in ("self", "cls") and p not in reads]
+    assert unread == []

@@ -42,6 +42,7 @@ from ainfty.strictify import strictify
 from helpers import (
     beta_two_step,
     bump_coefficient,
+    cyclic_garbage,
     doubled_object_functor,
     formal_inverse,
     nilpotent_category,
@@ -210,7 +211,7 @@ def test_structure_squares_to_zero_g2_fixture():
     p = twisted_pullback(seed=13, f_density=0.9, g_density=0.9)
     g = p.g
     assert any(n >= 2 for (n, _) in g.morphism.components)
-    defect = structure_defect(p.category.quiver, p.category.structure, 4)
+    defect = structure_defect(p.category.structure, 4)
     assert defect.is_zero()
 
 
@@ -485,8 +486,7 @@ def test_multi_object_f_with_per_pair_kernels():
         AInftyFunctor.identity(base2), rng, max_arity=2, density=0.3)
     p = build_pullback(f, g, max_arity=4)
     assert len(p.category.objects) == 2
-    assert structure_defect(p.category.quiver, p.category.structure,
-                            4).is_zero()
+    assert structure_defect(p.category.structure, 4).is_zero()
     rep = induce_functor(p, p.beta, p.alpha)
     assert rep.functor.morphism == identity_formal(p.category.quiver)
     assert rep.triangles and rep.uniqueness
@@ -506,8 +506,7 @@ def test_non_injective_object_map_f():
     p = build_pullback(f, g, max_arity=4)
     # both copies of the collapsed object appear in the pullback
     assert len(p.category.objects) == 2
-    assert structure_defect(p.category.quiver, p.category.structure,
-                            4).is_zero()
+    assert structure_defect(p.category.structure, 4).is_zero()
     rep = induce_functor(p, p.beta, p.alpha)
     assert rep.triangles and rep.uniqueness
 
@@ -570,8 +569,8 @@ def test_tampered_kernel_block_is_rejected(monkeypatch, arity):
     f, g = twisted_pair(seed=3)
     solve = pullback.solve_pullback_arity
 
-    def tampered(quiver, pairs, rhs, g, splits, n):
-        comps = solve(quiver, pairs, rhs, g, splits, n)
+    def tampered(pairs, rhs, g, splits, n):
+        comps = solve(pairs, rhs, g, splits, n)
         if n != arity:
             return comps
 
@@ -579,7 +578,7 @@ def test_tampered_kernel_block_is_rejected(monkeypatch, arity):
             x1, x2 = pairs[key[1][0]][0], pairs[key[1][-1]][0]
             return out < splits[(x1, x2)].kernel.dim
 
-        return bump_coefficient(quiver.fld, comps, n, kernel_block)
+        return bump_coefficient(g.source.fld, comps, n, kernel_block)
 
     monkeypatch.setattr(pullback, "solve_pullback_arity", tampered)
     with pytest.raises(AInftyError):
@@ -667,7 +666,7 @@ def test_readme_engine_call_counts(monkeypatch):
     g = load_functor(str(golden / "g.afun")).functor
     bound = f.source.arity_bound
     composed = _count_calls(monkeypatch, "compose_formal")
-    structure_defect(f.source.quiver, f.source.structure, bound)
+    structure_defect(f.source.structure, bound)
     assert len(composed) == 1
     composed.clear()
     functor_defect(f.morphism, f.source, f.target, bound)
@@ -738,3 +737,19 @@ def test_readme_engine_call_counts(monkeypatch):
     assert len(induced) == 5
     assert rep.triangles and rep.uniqueness
     assert _alpha_triangle(p, rep, p.alpha)
+
+
+def test_pullback_leaves_no_garbage_cycles():
+    # after a warm-up, the constructions leave nothing that only the cyclic
+    # garbage collector could free, so peak memory does not follow its
+    # schedule
+    rng = random.Random(1)
+    f = random_f1_functor(rng, F5)
+    g = random_g_functor(rng, f.target)
+    p = build_pullback(f, g, max_arity=4)
+    left = {
+        "build_pullback": cyclic_garbage(lambda: build_pullback(f, g, max_arity=4)),
+        "strictify": cyclic_garbage(lambda: strictify(f, 4)),
+        "induce_functor": cyclic_garbage(lambda: induce_functor(p, p.beta, p.alpha)),
+    }
+    assert left == {"build_pullback": 0, "strictify": 0, "induce_functor": 0}
