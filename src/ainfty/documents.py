@@ -211,6 +211,7 @@ def parse_category(text: str, path: str = "<category>",
     arity_ln = 0
     objects: List[str] = []
     basis: Dict[Tuple[str, str], List[Tuple[str, int]]] = {}
+    basis_ln: Dict[Tuple[str, str], int] = {}
     unit_lines: List[Tuple[int, str, List[str]]] = []
     mu_lines: List[Tuple[int, List[str]]] = []
     seen: Dict[tuple, int] = {}
@@ -238,6 +239,7 @@ def parse_category(text: str, path: str = "<category>",
             except ValueError as exc:
                 raise DocumentError(path, ln, "basis degree must be an integer") from exc
             basis.setdefault((x, y), []).append((name, deg))
+            basis_ln.setdefault((x, y), ln)
         elif kind == "unit":
             fields = [f.strip() for f in line.split(";")]
             head = fields[0].split()
@@ -253,7 +255,8 @@ def parse_category(text: str, path: str = "<category>",
         raise DocumentError(path, 1, "missing field record")
     for (x, y) in basis:
         if x not in objects or y not in objects:
-            raise DocumentError(path, 1, f"basis pair ({x},{y}) names unknown objects")
+            raise DocumentError(path, basis_ln[(x, y)],
+                                f"basis pair ({x},{y}) names unknown objects")
     try:
         hom = {pair: GradedSpace(tuple(b)) for pair, b in basis.items()}
         quiver = GradedQuiver(fld, tuple(objects), hom)

@@ -236,6 +236,14 @@ def identity_formal(q: GradedQuiver) -> FormalMorphism:
     return FormalMorphism(q, q, {x: x for x in q.objects}, comps)
 
 
+def _is_identity(f: FormalMorphism) -> bool:
+    """Whether f is the identity of its quiver, read off its data rather
+    than marked on it: callers may fill in components after wrapping them."""
+    q = f.source
+    return (f.target == q and f.object_map == {x: x for x in q.objects}
+            and f.components == identity_formal(q).components)
+
+
 # -- sparse contraction engine ----------------------------------------------
 
 # inverted index: (target pair, output basis index) -> start object -> entries
@@ -277,11 +285,22 @@ def _expand(outer, right, ins: Optional[Prenatural], left,
     entries of the next block's bucket that start at its end object and
     leave room for the blocks after it (arity >= 1 each, an insertion 0).
     Words finish in depth-first order, so the result fills in a fixed order.
+
+    When `right` and `left` are both the identity of their quiver (the
+    structure relation m . m and the insertion of a structure among identity
+    endpoints), the sum is the classical double sum over (entry, slot k) of
+    outer(..., ins(...), ...) and there is no sweep: the other r - 1 blocks
+    copy their inputs, so each entry of the one insertion bucket at slot k
+    gives the word Y with slot k replaced, kept when it has at most
+    max_arity inputs.  The words come out in the sweep's order.
     """
     fld = right.source.fld
     add, mul, neg, zero = fld.add, fld.mul, fld.neg, fld.zero
-    right_inv = _invert(right)
-    left_inv = right_inv if left is right else _invert(left)
+    if ins is not None and _is_identity(right) and _is_identity(left):
+        right_inv = left_inv = None
+    else:
+        right_inv = _invert(right)
+        left_inv = right_inv if left is right else _invert(left)
     ins_inv = None if ins is None else _invert(ins)
     signed = ins is not None and (ins.degree - 1) % 2 == 1
     result: Components = {}
@@ -292,22 +311,33 @@ def _expand(outer, right, ins: Optional[Prenatural], left,
             # slot j holds in_t[r - j]; degs[r - k + 1:] is slots 1..k-1
             degs = outer.source.input_degrees(Y, in_t) if signed else None
             for k in ([None] if ins is None else range(1, r + 1)):
-                invs = ([left_inv] * r if k is None
-                        else [right_inv] * (k - 1) + [ins_inv] + [left_inv] * (r - k))
                 odd = signed and sum(d - 1 for d in degs[r - k + 1:]) % 2 == 1
                 sign = neg(fld.one) if odd else fld.one
-                buckets = invs[0].get(((Y[0], Y[1]), in_t[r - 1]), {})
-                room = max_arity - (r - 1 - (k is not None and 1 < k))
-                words = [(epath[-1], epath, ein, mul(sign, ec))
-                         for lst in buckets.values() for epath, ein, ec in lst
-                         if len(ein) <= room]
-                for j in range(2, r + 1):
-                    buckets = invs[j - 1].get(((Y[j - 1], Y[j]), in_t[r - j]), {})
-                    room = max_arity - (r - j - (k is not None and j < k))
-                    words = [(epath[-1], path + epath[1:], ein + acc, mul(coeff, ec))
-                             for end, path, acc, coeff in words
-                             for epath, ein, ec in buckets.get(end, ())
-                             if len(ein) + len(acc) <= room]
+                if left_inv is None:
+                    head, tail = Y[:k - 1], Y[k + 1:]
+                    before, after = in_t[:r - k], in_t[r - k + 1:]
+                    room = max_arity - (r - 1)
+                    bucket = ins_inv.get(((Y[k - 1], Y[k]), in_t[r - k]), {})
+                    words = [(Y[r], head + epath + tail, before + ein + after,
+                              mul(sign, ec))
+                             for epath, ein, ec in bucket.get(Y[k - 1], ())
+                             if len(ein) <= room]
+                else:
+                    invs = ([left_inv] * r if k is None else
+                            [right_inv] * (k - 1) + [ins_inv] + [left_inv] * (r - k))
+                    buckets = invs[0].get(((Y[0], Y[1]), in_t[r - 1]), {})
+                    room = max_arity - (r - 1 - (k is not None and 1 < k))
+                    words = [(epath[-1], epath, ein, mul(sign, ec))
+                             for lst in buckets.values() for epath, ein, ec in lst
+                             if len(ein) <= room]
+                    for j in range(2, r + 1):
+                        buckets = invs[j - 1].get(((Y[j - 1], Y[j]), in_t[r - j]), {})
+                        room = max_arity - (r - j - (k is not None and j < k))
+                        words = [(epath[-1], path + epath[1:], ein + acc,
+                                  mul(coeff, ec))
+                                 for end, path, acc, coeff in words
+                                 for epath, ein, ec in buckets.get(end, ())
+                                 if len(ein) + len(acc) <= room]
                 for _, path, acc, coeff in words:
                     # in place; normalize_components drops emptied vectors
                     vec = result.setdefault((len(acc), path), {}).setdefault(acc, {})
@@ -331,10 +361,21 @@ def _composites(g_frm: FormalMorphism, g_to: FormalMorphism, f_frm: FormalMorphi
 
 
 def compose_formal(g: FormalMorphism, f: FormalMorphism, max_arity: int) -> FormalMorphism:
-    """Composition (g . f)^n as the partition sum over blocks of f."""
+    """Composition (g . f)^n as the partition sum over blocks of f.
+
+    When one operand is the identity of its quiver the composite is the
+    other operand's components of arity <= max_arity, with no sum.  They
+    are normalized into fresh component and table dicts, so filling in the
+    result leaves the operand as it was (vectors are shared: nothing writes
+    into a vector it did not build)."""
     if f.target.objects != g.source.objects:
         raise QuiverError("compose_formal: target(f) must be source(g)")
-    comps = _expand(g, f, None, f, max_arity)
+    other = f if _is_identity(g) else g if _is_identity(f) else None
+    if other is None:
+        comps = _expand(g, f, None, f, max_arity)
+    else:
+        comps = normalize_components({key: table for key, table in other.components.items()
+                                      if key[0] <= max_arity})
     obj_map = {x: g.object_map[f.object_map[x]] for x in f.source.objects}
     return FormalMorphism(f.source, g.target, obj_map, comps)
 

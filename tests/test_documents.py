@@ -125,6 +125,16 @@ def test_unknown_basis_name_located():
     assert "zz" in str(exc.value)
 
 
+def test_basis_pair_with_unknown_object_located():
+    # reported at the basis record, not at line 1
+    golden = pathlib.Path(__file__).parent / "golden" / "readme" / "a.acat"
+    lines = golden.read_text().splitlines() + ["basis o q z 0"]
+    with pytest.raises(DocumentError) as exc:
+        parse_category("\n".join(lines) + "\n", "a.acat")
+    assert str(exc.value) == (f"a.acat:{len(lines)}: "
+                              "basis pair (o,q) names unknown objects")
+
+
 def test_invalid_structure_rejected():
     # perturb a serialized valid document into one whose defect is nonzero
     cat = sq_source(QQ)

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import copy
+import pathlib
 import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from ainfty import quiver
+from ainfty.core import structure_defect
+from ainfty.documents import parse_category
 from ainfty.fields import Field
 from ainfty.linear import GradedSpace
 from ainfty.quiver import (
@@ -23,6 +27,7 @@ from ainfty.quiver import (
 
 from helpers import (
     bar_expand_word,
+    coderivation_expand_word,
     cyclic_garbage,
     double_sum_defect,
     engine_defect_map,
@@ -37,6 +42,7 @@ from helpers import (
 )
 
 QQ = Field.rationals()
+F5 = Field.prime(5)
 
 
 def small_quiver(rng: random.Random, fld=QQ, n_objects=1, max_dim=3):
@@ -155,6 +161,78 @@ def test_sign_anchor_double_sum(seed):
     m = random_flat_prenatural(rng, q, degree=2, max_arity=3)
     defect = compose_prenatural(m, m, 5)
     assert engine_defect_map(defect) == double_sum_defect(q, m, 5)
+
+
+def stepped_quiver(rng: random.Random, fld, n_objects):
+    """Every hom has one or two basis elements in consecutive degrees, so
+    random families of any degree mostly find outputs."""
+    objects = tuple(f"x{i}" for i in range(n_objects))
+    hom = {}
+    for a in objects:
+        for b in objects:
+            lo = rng.randint(-1, 0)
+            hom[(a, b)] = GradedSpace(tuple(
+                (f"{a}{b}{i}", lo + i) for i in range(rng.randint(1, 2))))
+    return GradedQuiver(fld, objects, hom)
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(["Q", "F5"]), st.integers(0, 3),
+       st.integers(1, 4))
+@settings(max_examples=25, deadline=None)
+def test_identity_endpoint_double_sum_matches_oracles(seed, field, degree, bound):
+    """On identity endpoints compose_prenatural and l_compose are the
+    classical double sum: insertions of either parity with arity-0 parts,
+    words up to arity 5 cut at bounds 1..4, checked against the dense
+    oracles."""
+    rng = random.Random(seed)
+    fld = QQ if field == "Q" else F5
+    q = stepped_quiver(rng, fld, rng.randint(1, 2))
+    ident = identity_formal(q)
+    t = random_prenatural(rng, ident, ident, degree, 0, 3, density=0.6)
+    d = random_prenatural(rng, ident, ident, rng.randint(0, 3), 0, 3, density=0.6)
+    h = random_formal_morphism(rng, q, stepped_quiver(rng, fld, 1), 3, density=0.6)
+    for expand in (insertion_expand_word, coderivation_expand_word):
+        def words(w):
+            return expand(t, w)
+        assert compose_prenatural(d, t, bound).components == outer_after_words(
+            d, q, bound, words)
+        assert l_compose(h, t, bound).components == outer_after_words(h, q, bound, words)
+    m = random_flat_prenatural(rng, q, degree=2, max_arity=3, density=0.6)
+    assert engine_defect_map(compose_prenatural(m, m, bound)) == double_sum_defect(
+        q, m, bound)
+
+
+def test_structure_defect_inverts_only_the_structure(monkeypatch):
+    # the double sum reads the structure's index alone, and the identity
+    # endpoints compose without the engine
+    golden = pathlib.Path(__file__).parent / "golden" / "readme" / "a.acat"
+    cat = parse_category(golden.read_text(), "a.acat")
+    inverted = []
+    invert = quiver._invert
+    monkeypatch.setattr(quiver, "_invert", lambda fam: inverted.append(fam) or invert(fam))
+    assert structure_defect(cat.structure, cat.arity_bound).is_zero()
+    assert len(inverted) == 1 and inverted[0] is cat.structure
+
+
+def test_identity_operand_composes_without_the_engine(monkeypatch):
+    rng = random.Random(3)
+    q1, q2 = (small_quiver(rng, n_objects=2, max_dim=2) for _ in range(2))
+    g = random_formal_morphism(rng, q1, q2, max_arity=3, density=0.9)
+    assert any(n == 3 for n, _ in g.components)
+    kept = copy.deepcopy({key: t for key, t in g.components.items() if key[0] <= 2})
+    before = copy.deepcopy(g.components)
+
+    def no_engine(*args):
+        raise AssertionError("_expand called")
+    monkeypatch.setattr(quiver, "_expand", no_engine)
+    for composite in (lambda: compose_formal(g, identity_formal(q1), 2),
+                      lambda: compose_formal(identity_formal(q2), g, 2)):
+        gi = composite()
+        assert gi.components == kept and gi.object_map == g.object_map
+        for table in gi.components.values():
+            table.clear()
+        gi.components[(1, ("x0", "x0"))] = {(0,): {}}
+        assert g.components == before
 
 
 def test_prenatural_arity_one_square(rng):
@@ -404,9 +482,16 @@ def test_compose_prenatural_leaves_no_garbage_cycles():
     g = random_formal_morphism(rng, qb, qc, max_arity=2)
     t = random_prenatural(rng, f, f2, 2, 0, 2)
     assert t.frm is not t.to and t.components
+    ident = identity_formal(q)
+    assert m.frm is m.to and m.frm.components == ident.components
+    t0 = random_prenatural(rng, ident, ident, 1, 0, 2, density=0.9)
+    assert any(n == 0 for n, _ in t0.components)
     calls = {
         "compose_prenatural": lambda: compose_prenatural(m, m, 4),
+        "compose_prenatural, identity endpoints, arity 0":
+            lambda: compose_prenatural(m, t0, 4),
         "compose_formal": lambda: compose_formal(g, f, 4),
+        "compose_formal, identity operand": lambda: compose_formal(f, ident, 4),
         "r_compose": lambda: r_compose(u, m, 4),
         "r_compose, differing endpoints": lambda: r_compose(u, t, 4),
         "l_compose": lambda: l_compose(u, m, 4),
