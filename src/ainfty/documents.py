@@ -349,6 +349,7 @@ def parse_functor(text: str, path: str = "<functor>",
     max_arity: Optional[int] = None
     arity_ln = 0
     objmap: Dict[str, str] = {}
+    objmap_lines: Dict[str, int] = {}
     comp_lines: List[Tuple[int, List[str]]] = []
     seen: Dict[tuple, int] = {}
     for ln, line in records:
@@ -356,6 +357,8 @@ def parse_functor(text: str, path: str = "<functor>",
         kind = parts[0]
         if kind in ("source", "target", "maxarity"):
             _once(seen, (kind,), path, ln)
+        if kind in ("source", "target") and len(parts) < 2:
+            raise DocumentError(path, ln, f"{kind} record: {kind} <path>")
         if kind == "source":
             source_path = line.split(None, 1)[1].strip()
         elif kind == "target":
@@ -367,6 +370,7 @@ def parse_functor(text: str, path: str = "<functor>",
                 raise DocumentError(path, ln, "objmap record: objmap x Fx")
             _once(seen, (kind, parts[1]), path, ln)
             objmap[parts[1]] = parts[2]
+            objmap_lines[parts[1]] = ln
         elif kind == "comp":
             comp_lines.append((ln, [f.strip() for f in line.split(";")]))
         else:
@@ -378,6 +382,13 @@ def parse_functor(text: str, path: str = "<functor>",
     for x in source.objects:
         if x not in objmap:
             raise DocumentError(path, 1, f"objmap missing for {x!r}")
+    for x, ln in objmap_lines.items():
+        if x not in source.objects:
+            raise DocumentError(path, ln,
+                                f"objmap names unknown source object {x!r}")
+        if objmap[x] not in target.objects:
+            raise DocumentError(path, ln, f"objmap maps {x!r} to unknown "
+                                f"target object {objmap[x]!r}")
     comps: Components = {}
     fld = source.fld
     if fld != target.fld:

@@ -1,11 +1,13 @@
 """Pullback of an F1 functor along an arbitrary functor.
 
 The pullback quiver has objects (x, y) with F0 x = G0 y and homs
-Ker(F1)(x1, x2) (+) A''(y1, y2).  Its structure is a closed form: m'' on
-the A''-parts plus the kernel part of m_model . (Id_K x G).  The product
-morphism Id_K x G is built as the identity on kernel parts, with no kernel
-part in its other outputs (the lemma _kernel_block_is_identity checks), so
-the product-morphism equation holds by construction.  The builders certify
+Ker(F1)(x1, x2) (+) A''(y1, y2): the split model's `Blocks` layout over a
+second quiver, which owns every block read and write here.  Its structure
+is a closed form: m'' on the A''-parts plus the kernel part of
+m_model . (Id_K x G).  The product morphism Id_K x G is built as the
+identity on kernel parts, with no kernel part in its other outputs (the
+lemma _kernel_block_is_identity checks), so the product-morphism equation
+holds by construction.  The builders certify
 the rest exactly: the category's vanishing self-composition, alpha's
 functor equation (the projection equation) and beta's, and the pullback
 square F.beta = G.alpha.
@@ -17,11 +19,9 @@ kernel parts, checked by one scan of its components.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from .linear import GradedSpace, Vec
 from .core import (
     AInftyCategory,
     AInftyError,
@@ -29,7 +29,6 @@ from .core import (
     CheckReport,
     EssentialCertificate,
     IsoLiftCertificate,
-    Pair,
     _choose_bound,
     arity_feasibility_bound,
     check_F1,
@@ -43,20 +42,12 @@ from .core import (
 from .quiver import (
     Components,
     FormalMorphism,
-    GradedQuiver,
     Prenatural,
     compose_formal,
     identity_formal,
-    normalize_components,
     r_compose,
 )
-from .strictify import (
-    Strictification,
-    strictify,
-    sum_space,
-    sum_vec,
-    summand_projection,
-)
+from .strictify import Blocks, Strictification, strictify
 
 PAIR_SEP = "&"
 
@@ -90,6 +81,7 @@ class PullbackCategory:
     alpha: AInftyFunctor                  # strict projection onto A''
     beta: AInftyFunctor                   # psi_functor . (Id_K x G)
     product_morphism: FormalMorphism      # (Id_K x G): P -> model
+    blocks: Blocks                        # Ker(F1) (+) A'' over the pairs
     object_pairs: Dict[str, Tuple[str, str]]
     strictification: Strictification
     f: AInftyFunctor
@@ -100,124 +92,58 @@ class PullbackCategory:
 
 def build_pullback_quiver(
     strict: Strictification, g: AInftyFunctor
-) -> Tuple[GradedQuiver, FormalMorphism, Dict[str, Tuple[str, str]]]:
-    """Objects, homs and the product morphism Id_K x G into the split model."""
+) -> Tuple[Blocks, FormalMorphism, Dict[str, Tuple[str, str]]]:
+    """The blocks over the object pairs and the product morphism Id_K x G
+    into the split model."""
     model = strict.model
     f = model.functor
-    fld = model.base.fld
-    pairs: Dict[str, Tuple[str, str]] = {}
-    for x in model.base.objects:
-        for y in g.source.objects:
-            if f.object_map[x] == g.object_map[y]:
-                pairs[pair_name(x, y)] = (x, y)
+    pairs = {pair_name(x, y): (x, y) for x in model.base.objects
+             for y in g.source.objects if f.object_map[x] == g.object_map[y]}
     objects = tuple(sorted(pairs))
-    hom: Dict[Pair, GradedSpace] = {}
-    for p1 in objects:
-        for p2 in objects:
-            (x1, y1), (x2, y2) = pairs[p1], pairs[p2]
-            sp = sum_space(model.splits[(x1, x2)].kernel,
-                           g.source.quiver.space(y1, y2))
-            if sp.dim:
-                hom[(p1, p2)] = sp
-    quiver = GradedQuiver(fld, objects, hom)
+    kernel = {(p1, p2): model.splits[(pairs[p1][0], pairs[p2][0])].kernel
+              for p1 in objects for p2 in objects}
+    blocks = Blocks.build(model.base.fld, objects, kernel, g.source.quiver,
+                          {p: pairs[p][1] for p in objects})
 
     # arity 1: (k, a'') |-> (k, G1 a''); arity n >= 2: all-A'' tuples |-> (0, G^n)
-    comps: Components = {}
-    for p1 in objects:
-        for p2 in objects:
-            kdim = model.splits[(pairs[p1][0], pairs[p2][0])].kernel.dim
-            if kdim:
-                comps[(1, (p1, p2))] = {(i,): {i: fld.one} for i in range(kdim)}
-    for key, table in g.morphism.components.items():
-        for pkey, ptable in _embed_a(pairs, model.splits, key, table):
-            comps.setdefault(pkey, {}).update(ptable)
+    one = model.base.fld.one
+    id_k = {(1, pair): {(i,): {i: one} for i in range(kdim)}
+            for pair, kdim in blocks.kdims.items()}
+    comps = blocks.family(id_k, blocks.lift(g.morphism.components))
     object_map = {p: pairs[p][0] for p in objects}
-    product = FormalMorphism(quiver, strict.model.quiver, object_map, comps)
-    return quiver, product, pairs
+    product = FormalMorphism(blocks.quiver, model.quiver, object_map, comps)
+    return blocks, product, pairs
 
 
-def _pullback_paths(pairs, yobjs):
-    """All object tuples of the pullback whose second components match yobjs."""
-    by_y: Dict[str, List[str]] = {}
-    for p, (_, y) in pairs.items():
-        by_y.setdefault(y, []).append(p)
-    return itertools.product(*(sorted(by_y.get(y, [])) for y in yobjs))
-
-
-def _embed_a(pairs, splits, key, table):
-    """One A''-table, keyed (n, yobjs), along every pullback path over yobjs.
-
-    Every input and the output move past the kernel block of their pair;
-    yields ((n, pobjs), table in pullback coordinates) for nonempty tables.
-    """
-    n, yobjs = key
-    for pobjs in _pullback_paths(pairs, yobjs):
-        xs = [pairs[p][0] for p in pobjs]
-        kdims = [splits[(xs[n - 1 - i], xs[n - i])].kernel.dim for i in range(n)]
-        out_kdim = splits[(xs[0], xs[-1])].kernel.dim
-        ptable: Dict[Tuple[int, ...], Vec] = {}
-        for in_t, vec in table.items():
-            out = {out_kdim + oi: c for oi, c in vec.items()}
-            if out:
-                ptable[tuple(k + b for k, b in zip(kdims, in_t))] = out
-        if ptable:
-            yield (n, pobjs), ptable
-
-
-def _kernel_part(vec: Vec, kdim: int) -> Vec:
-    return {i: c for i, c in vec.items() if i < kdim}
-
-
-def _kernel_dim(p: PullbackCategory, p1: str, p2: str) -> int:
-    """Kernel block size of the pullback hom (p1, p2)."""
-    x1, x2 = p.object_pairs[p1][0], p.object_pairs[p2][0]
-    return p.strictification.model.splits[(x1, x2)].kernel.dim
-
-
-def solve_pullback_arity(
-    pairs: Dict[str, Tuple[str, str]],
-    rhs: Prenatural,
-    g: AInftyFunctor,
-    splits,
-    n: int,
-) -> Components:
+def solve_pullback_arity(blocks: Blocks, rhs: Prenatural, g: AInftyFunctor,
+                         n: int) -> Components:
     """Arity n of the structure, read off rhs = r_compose(product, m_model,
     max_arity >= n) with no engine call: m''^n on the A''-parts, rhs^n's
     kernel part on the kernel.  That solves the kernel part of the
     product-morphism equation by construction (see the module docstring);
     its A''-part is beta's functor equation, which build_pullback certifies."""
-    comps: Components = {}
-    for key, table in g.source.structure.components.items():
-        if key[0] == n:
-            for pkey, ptable in _embed_a(pairs, splits, key, table):
-                comps.setdefault(pkey, {}).update(ptable)
-    for (m, pobjs), table in rhs.components.items():
-        if m == n:
-            kdim = splits[(pairs[pobjs[0]][0], pairs[pobjs[-1]][0])].kernel.dim
-            ctable = comps.setdefault((n, pobjs), {})
-            for in_t, vec in table.items():
-                ctable[in_t] = {**_kernel_part(vec, kdim), **ctable.get(in_t, {})}
-    return normalize_components(comps)
+    m_n = {key: t for key, t in g.source.structure.components.items()
+           if key[0] == n}
+    rhs_n = {key: t for key, t in rhs.components.items() if key[0] == n}
+    return blocks.family(rhs_n, blocks.lift(m_n))
 
 
 def build_pullback_structure(
-    quiver: GradedQuiver,
-    pairs: Dict[str, Tuple[str, str]],
+    blocks: Blocks,
     product: FormalMorphism,
     m_model: Prenatural,
     g: AInftyFunctor,
-    splits,
     max_arity: int,
 ) -> Prenatural:
     """m'' on the A''-parts plus the kernel part of m_model . (Id_K x G),
     from one r_compose for every arity.  The product-morphism equation holds
     by construction; build_pullback's builders certify alpha's functor
     equation (the projection equation), beta's and the self-composition."""
-    ident = identity_formal(quiver)
+    ident = identity_formal(blocks.quiver)
     rhs = r_compose(product, m_model, max_arity)
     comps: Components = {}
     for n in range(1, max_arity + 1):
-        comps.update(solve_pullback_arity(pairs, rhs, g, splits, n))
+        comps.update(solve_pullback_arity(blocks, rhs, g, n))
     return Prenatural(ident, ident, 2, comps)
 
 
@@ -236,26 +162,24 @@ def build_pullback(
     full = _total_bound_pullback(f, g)
     bound, total = _choose_bound(max_arity, full)
     strict = strictify(f, max_arity=bound)
-    quiver, product, pairs = build_pullback_quiver(strict, g)
+    blocks, product, pairs = build_pullback_quiver(strict, g)
     splits = strict.model.splits
-    m_model = strict.transported.structure
-    structure = build_pullback_structure(quiver, pairs, product, m_model, g,
-                                         splits, bound)
-    pr_a = summand_projection(quiver, g.source.quiver,
-                              {p: pairs[p][1] for p in quiver.objects})
+    structure = build_pullback_structure(
+        blocks, product, strict.transported.structure, g, bound)
 
     units = None
     if (f.source.units is not None and g.source.units is not None
             and f.strictly_unital and g.strictly_unital):
         units = {
-            p: sum_vec(quiver.fld,
-                       splits[(x, x)].retract.apply(f.source.unit_vec(x)),
-                       g.source.unit_vec(y), splits[(x, x)].kernel.dim)
+            p: blocks.vec(p, p,
+                          splits[(x, x)].retract.apply(f.source.unit_vec(x)),
+                          g.source.unit_vec(y))
             for p, (x, y) in pairs.items()
         }
-    category = AInftyCategory.build(quiver, structure.components, units,
+    category = AInftyCategory.build(blocks.quiver, structure.components, units,
                                     max_arity=bound)
-    alpha = AInftyFunctor.build(pr_a, category, g.source, max_arity=bound)
+    alpha = AInftyFunctor.build(blocks.projection(), category, g.source,
+                                max_arity=bound)
     beta = AInftyFunctor.build(
         compose_formal(strict.psi_functor.morphism, product, bound),
         category, f.source, max_arity=bound)
@@ -264,8 +188,8 @@ def build_pullback(
     if (compose_formal(f.morphism, beta.morphism, bound)
             != compose_formal(g.morphism, alpha.morphism, bound)):
         raise InternalConsistencyError("pullback square does not commute")
-    return PullbackCategory(category, alpha, beta, product, pairs, strict,
-                            f, g, bound, total)
+    return PullbackCategory(category, alpha, beta, product, blocks, pairs,
+                            strict, f, g, bound, total)
 
 
 def _total_bound_pullback(f: AInftyFunctor, g: AInftyFunctor) -> Optional[int]:
@@ -327,7 +251,6 @@ def induce_functor(
             if a != b:
                 bad = sorted(set(a) | set(b))[0]
                 raise ConeError(key[0], key[1], bad)
-    fld = p.category.fld
     strict = p.strictification
     i_model = compose_formal(strict.phi_functor.morphism, cone_i.morphism, bound)
 
@@ -340,17 +263,10 @@ def induce_functor(
         if name not in p.object_pairs:
             raise ConeError(0, (c,), ())
         object_map[c] = name
-    comps: Components = {}
-    for key in set(i_model.components) | set(cone_l.morphism.components):
-        kdim = _kernel_dim(p, object_map[key[1][0]], object_map[key[1][-1]])
-        im_table = i_model.components.get(key, {})
-        l_table = cone_l.morphism.components.get(key, {})
-        comps[key] = {
-            in_t: sum_vec(fld, _kernel_part(im_table.get(in_t, {}), kdim),
-                          l_table.get(in_t, {}), kdim)
-            for in_t in set(im_table) | set(l_table)}
+    comps = p.blocks.family(i_model.components, cone_l.morphism.components,
+                            ends=object_map)
     morphism = FormalMorphism(cone_i.source.quiver, p.category.quiver,
-                              object_map, normalize_components(comps))
+                              object_map, comps)
     functor = AInftyFunctor.build(morphism, cone_i.source, p.category,
                                   max_arity=bound)
     tri_b = compose_formal(p.beta.morphism, morphism, bound) == cone_i.morphism
@@ -362,16 +278,16 @@ def _kernel_block_is_identity(p: PullbackCategory) -> bool:
     """The uniqueness lemma's hypothesis: the product morphism maps the
     kernel part of its input, and nothing else, to its output's."""
     one = p.category.fld.one
+    kdims = p.blocks.kdims
     seen = 0
     for (n, pobjs), table in p.product_morphism.components.items():
-        kdim = _kernel_dim(p, pobjs[0], pobjs[-1])
+        x, y = pobjs[0], pobjs[-1]
         for in_t, vec in table.items():
-            identity = n == 1 and in_t[0] < kdim
-            if _kernel_part(vec, kdim) != ({in_t[0]: one} if identity else {}):
+            identity = n == 1 and in_t[0] < kdims[(x, y)]
+            if p.blocks.vec(x, y, vec, {}) != ({in_t[0]: one} if identity else {}):
                 return False
             seen += identity
-    objs = p.category.objects
-    return seen == sum(_kernel_dim(p, p1, p2) for p1 in objs for p2 in objs)
+    return seen == sum(kdims.values())
 
 
 # -- fibration closure ----------------------------------------------------------

@@ -7,15 +7,17 @@ for n >= 2), its inverse psi, the structure m_model = phi . m . psi that
 makes phi an A-infinity functor, and the strict projection onto the
 A'-summand, under which F becomes projection . phi.
 
-Basis names in model homs carry a "k:" prefix for the kernel part and an
-"a:" prefix for the split-off part.
+`Blocks` owns the K (+) M layout, here and in the pullback: it builds the
+homs, with a "k:" basis prefix for the kernel part and an "a:" prefix for
+the M-part, and every read or write of a block goes through its members.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .linear import GradedSpace, SplitData, Vec, vec_scale
+from .linear import GradedMap, GradedSpace, SplitData, Vec, vec_scale
 from .core import (
     AInftyCategory,
     AInftyError,
@@ -47,36 +49,89 @@ class StrictifyError(AInftyError):
     pass
 
 
-def sum_space(left: GradedSpace, right: GradedSpace) -> GradedSpace:
-    """K (+) M with prefixed basis names; left block first."""
-    basis = [(KER_PREFIX + n, d) for n, d in left.basis]
-    basis += [(SUM_PREFIX + n, d) for n, d in right.basis]
-    return GradedSpace(tuple(basis))
+@dataclass(frozen=True)
+class Blocks:
+    """The K (+) M layout: the hom of `quiver` from x to y is a kernel block
+    of kdims[(x, y)] elements, then the hom of `other` from over[x] to
+    over[y].  The split model has M = A' over F0; the pullback has M = A''
+    over its second projection."""
+    quiver: GradedQuiver
+    other: GradedQuiver
+    over: Dict[str, str]
+    kdims: Dict[Pair, int]
+
+    @staticmethod
+    def build(fld, objects: Tuple[str, ...], kernel: Dict[Pair, GradedSpace],
+              other: GradedQuiver, over: Dict[str, str]) -> "Blocks":
+        """The homs kernel[(x, y)] (+) other(over x, over y), prefixed."""
+        hom: Dict[Pair, GradedSpace] = {}
+        kdims: Dict[Pair, int] = {}
+        for x in objects:
+            for y in objects:
+                basis = [(KER_PREFIX + n, d) for n, d in kernel[(x, y)].basis]
+                kdims[(x, y)] = len(basis)
+                basis += [(SUM_PREFIX + n, d)
+                          for n, d in other.space(over[x], over[y]).basis]
+                if basis:
+                    hom[(x, y)] = GradedSpace(tuple(basis))
+        return Blocks(GradedQuiver(fld, objects, hom), other, over, kdims)
+
+    def vec(self, x: str, y: str, k: Vec, m: Vec) -> Vec:
+        """(k, m) in the hom (x, y): the part of k below the kernel block,
+        then m moved past it."""
+        kdim = self.kdims[(x, y)]
+        out = {i: c for i, c in k.items() if i < kdim}
+        out.update((kdim + i, c) for i, c in m.items())
+        return out
+
+    def family(self, kernel_comps: Components, m_comps: Components,
+               ends: Optional[Dict[str, str]] = None) -> Components:
+        """vec per (key, inputs) of two families with the same keys: the
+        kernel part of one beside the other moved past the kernel block.
+        `ends` maps each key's end objects to objects of `quiver`."""
+        out: Components = {}
+        for key in dict.fromkeys([*kernel_comps, *m_comps]):
+            x, y = key[1][0], key[1][-1]
+            if ends is not None:
+                x, y = ends[x], ends[y]
+            k_table = kernel_comps.get(key, {})
+            m_table = m_comps.get(key, {})
+            table = {}
+            for in_t in dict.fromkeys([*k_table, *m_table]):
+                v = self.vec(x, y, k_table.get(in_t, {}), m_table.get(in_t, {}))
+                if v:
+                    table[in_t] = v
+            if table:
+                out[key] = table
+        return out
+
+    def lift(self, m_comps: Components) -> Components:
+        """An `other`-family along every path of `quiver` over its objects,
+        each input moved past its kernel block; outputs stay as they are."""
+        fibres: Dict[str, List[str]] = {}
+        for x in self.quiver.objects:
+            fibres.setdefault(self.over[x], []).append(x)
+        out: Components = {}
+        for (n, path), table in m_comps.items():
+            for objs in itertools.product(*(fibres.get(o, []) for o in path)):
+                kdims = [self.kdims[(objs[n - 1 - i], objs[n - i])]
+                         for i in range(n)]
+                out[(n, objs)] = {
+                    tuple(k + b for k, b in zip(kdims, in_t)): vec
+                    for in_t, vec in table.items()}
+        return out
+
+    def projection(self) -> FormalMorphism:
+        """The strict morphism (k, m) |-> m onto `other`: its identity,
+        lifted."""
+        comps = self.lift(identity_formal(self.other).components)
+        return FormalMorphism(self.quiver, self.other, dict(self.over), comps)
 
 
-def sum_vec(fld, left: Vec, right: Vec, left_dim: int) -> Vec:
-    out: Vec = dict(left)
-    for i, c in right.items():
-        out[left_dim + i] = c
-    return {i: c for i, c in out.items() if not fld.is_zero(c)}
-
-
-def summand_projection(source: GradedQuiver, target: GradedQuiver,
-                       object_map: Dict[str, str]) -> FormalMorphism:
-    """The strict morphism (k, a) |-> a onto the second summand.
-
-    Every hom of `source` is K (+) M, kernel block first, with M the hom of
-    `target` between the images of its end objects.
-    """
-    fld = source.fld
-    comps: Components = {}
-    for (x, y), sp in source.hom.items():
-        adim = target.space(object_map[x], object_map[y]).dim
-        kdim = sp.dim - adim
-        table = {(kdim + bi,): {bi: fld.one} for bi in range(adim)}
-        if table:
-            comps[(1, (x, y))] = table
-    return FormalMorphism(source, target, dict(object_map), comps)
+def _columns(*maps: GradedMap) -> Dict[Tuple[int, ...], Vec]:
+    """The arity-1 table of the block row [maps[0] | maps[1] | ...]."""
+    cols = [gm.column(j) for gm in maps for j in range(gm.source.dim)]
+    return {(j,): v for j, v in enumerate(cols) if v}
 
 
 @dataclass
@@ -84,9 +139,13 @@ class SplitModel:
     base: AInftyCategory
     functor: AInftyFunctor
     splits: Dict[Pair, SplitData]
-    quiver: GradedQuiver
+    blocks: Blocks                # Ker(F1) (+) A' over F0
     decompose: FormalMorphism     # strict: A -> model, f |-> (r1 f, F1 f)
     recompose: FormalMorphism     # strict: model -> A, (g, h) |-> i1 g + s1 h
+
+    @property
+    def quiver(self) -> GradedQuiver:
+        return self.blocks.quiver
 
 
 def build_split_model(functor: AInftyFunctor) -> SplitModel:
@@ -100,45 +159,22 @@ def build_split_model(functor: AInftyFunctor) -> SplitModel:
     if not f1.passed:
         raise StrictifyError("condition F1 failed; no split model exists")
     base = functor.source
-    fld = base.fld
-    hom: Dict[Pair, GradedSpace] = {}
-    for x in base.objects:
-        for y in base.objects:
-            split = f1.splits[(x, y)]
-            sp = sum_space(split.kernel, split.surjection.target)
-            if sp.dim:
-                hom[(x, y)] = sp
-    quiver = GradedQuiver(fld, base.objects, hom)
-    dec: Components = {}
-    rec: Components = {}
-    for x in base.objects:
-        for y in base.objects:
-            split = f1.splits[(x, y)]
-            kdim = split.kernel.dim
-            src = base.quiver.space(x, y)
-            dtable: Dict[Tuple[int, ...], Vec] = {}
-            for i in range(src.dim):
-                v = sum_vec(fld, split.retract.apply({i: fld.one}),
-                            split.surjection.apply({i: fld.one}), kdim)
-                if v:
-                    dtable[(i,)] = v
-            if dtable:
-                dec[(1, (x, y))] = dtable
-            rtable: Dict[Tuple[int, ...], Vec] = {}
-            for ki in range(kdim):
-                v = split.include.column(ki)
-                if v:
-                    rtable[(ki,)] = v
-            for bi in range(split.surjection.target.dim):
-                v = split.section.apply({bi: fld.one})
-                if v:
-                    rtable[(kdim + bi,)] = v
-            if rtable:
-                rec[(1, (x, y))] = rtable
+    blocks = Blocks.build(
+        base.fld, base.objects,
+        {pair: split.kernel for pair, split in f1.splits.items()},
+        functor.target.quiver, dict(functor.object_map))
+    r1 = {(1, pair): _columns(split.retract)
+          for pair, split in f1.splits.items()}
+    f_1 = {key: t for key, t in functor.morphism.components.items()
+           if key[0] == 1}
+    rec = {(1, pair): _columns(split.include, split.section)
+           for pair, split in f1.splits.items()}
     ident = {x: x for x in base.objects}
-    decompose = FormalMorphism(base.quiver, quiver, dict(ident), dec)
-    recompose = FormalMorphism(quiver, base.quiver, dict(ident), rec)
-    return SplitModel(base, functor, f1.splits, quiver, decompose, recompose)
+    decompose = FormalMorphism(base.quiver, blocks.quiver, dict(ident),
+                               blocks.family(r1, f_1))
+    recompose = FormalMorphism(blocks.quiver, base.quiver, dict(ident),
+                               normalize_components(rec))
+    return SplitModel(base, functor, f1.splits, blocks, decompose, recompose)
 
 
 def build_phi_psi(model: SplitModel, max_arity: int
@@ -146,7 +182,8 @@ def build_phi_psi(model: SplitModel, max_arity: int
     """phi: A -> model and its two-sided inverse psi: model -> A.
 
     phi = (r1, F): phi^1 = decompose and, for n >= 2, phi^n = (0, F^n), F^n
-    shifted past the kernel block, since r1 . s1 = 0 and F1 . s1 = id.
+    moved past the kernel block, since r1 . s1 = 0 and F1 . s1 = id; the
+    kernel part of decompose is r1, so phi is the family of the two.
     psi^1 = recompose; phi . psi = Id solved arity by arity gives psi^n =
     -s1 . (F . psi)^n for n >= 2, composed while psi^n is still zero and
     read with the section of the split at the block's end objects.
@@ -156,15 +193,9 @@ def build_phi_psi(model: SplitModel, max_arity: int
     fld = base.fld
     ident_map = {x: x for x in base.objects}
     f = model.functor.morphism
-    phi_comps: Components = dict(model.decompose.components)
-    for (n, objs), table in f.components.items():
-        if 2 <= n <= max_arity:
-            kdim = model.splits[(objs[0], objs[-1])].kernel.dim
-            phi_comps[(n, objs)] = {
-                in_t: {kdim + i: c for i, c in vec.items()}
-                for in_t, vec in table.items()}
+    f_n = {key: t for key, t in f.components.items() if key[0] <= max_arity}
     phi = FormalMorphism(base.quiver, model.quiver, dict(ident_map),
-                         normalize_components(phi_comps))
+                         model.blocks.family(model.decompose.components, f_n))
     minus = fld.from_int(-1)
     psi_comps: Components = dict(model.recompose.components)
     for n in range(2, max_arity + 1):
@@ -202,12 +233,8 @@ def strict_projection(model: SplitModel, transported: AInftyCategory,
     statement that the split-off component of every transported operation
     is the target operation of the split-off parts.
     """
-    functor = model.functor
-    morphism = summand_projection(
-        model.quiver, functor.target.quiver,
-        {x: functor.object_map[x] for x in model.base.objects})
-    return AInftyFunctor.build(morphism, transported, functor.target,
-                               max_arity=max_arity)
+    return AInftyFunctor.build(model.blocks.projection(), transported,
+                               model.functor.target, max_arity=max_arity)
 
 
 @dataclass

@@ -1071,33 +1071,47 @@ def pasting_mismatches(f: AInftyFunctor, g: AInftyFunctor,
 
 # -- reference pullback structure -------------------------------------------------
 
-def pullback_structure_by_recursion(quiver: GradedQuiver, pairs, product,
-                                    m_model: Prenatural, g: AInftyFunctor,
-                                    splits, max_arity: int) -> Prenatural:
+def pullback_structure_by_recursion(blocks, product, m_model: Prenatural,
+                                    g: AInftyFunctor,
+                                    max_arity: int) -> Prenatural:
     """The pullback structure solved arity by arity from the product-morphism
     equation product . m = m_model . product.
 
-    At arity n the A''-part is m''^n and the kernel unknown is set to zero;
-    the kernel part of the equation's defect is then subtracted, and its
-    split-off part must vanish (a ValueError names the first place where it
-    does not).
+    At arity n the A''-part is m''^n, embedded here on its own: a hom's
+    kernel block is whatever of it the A''-hom does not fill, and every
+    pullback path over m''^n's objects gets it.  The kernel unknown is set
+    to zero; the kernel part of the equation's defect is then subtracted,
+    and its split-off part must vanish (a ValueError names the first place
+    where it does not).
     """
-    from ainfty.pullback import _embed_a
-
+    quiver, over = blocks.quiver, blocks.over
     fld = quiver.fld
+
+    def kernel_dim(p1, p2):
+        return (quiver.space(p1, p2).dim
+                - g.source.quiver.space(over[p1], over[p2]).dim)
+
     ident = identity_formal(quiver)
     rhs = r_compose(product, m_model, max_arity)
     comps: Components = {}
     for n in range(1, max_arity + 1):
-        for key, table in g.source.structure.components.items():
-            if key[0] == n:
-                for pkey, ptable in _embed_a(pairs, splits, key, table):
-                    comps.setdefault(pkey, {}).update(ptable)
+        for (m, yobjs), table in g.source.structure.components.items():
+            if m != n:
+                continue
+            fibres = [[p for p in quiver.objects if over[p] == y] for y in yobjs]
+            for pobjs in itertools.product(*fibres):
+                out_k = kernel_dim(pobjs[0], pobjs[-1])
+                tbl = comps.setdefault((n, pobjs), {})
+                for in_t, vec in table.items():
+                    shifted = tuple(
+                        b + kernel_dim(pobjs[n - 1 - i], pobjs[n - i])
+                        for i, b in enumerate(in_t))
+                    tbl[shifted] = {out_k + i: c for i, c in vec.items()}
         trial = Prenatural(ident, ident, 2, normalize_components(comps))
         defect = l_compose(product, trial, n).arity_part(n).sub(
             rhs.arity_part(n))
         for (_, pobjs), table in defect.components.items():
-            kdim = splits[(pairs[pobjs[0]][0], pairs[pobjs[-1]][0])].kernel.dim
+            kdim = kernel_dim(pobjs[0], pobjs[-1])
             for in_t, vec in table.items():
                 if any(i >= kdim for i in vec):
                     raise ValueError(

@@ -431,6 +431,47 @@ def test_repeated_record_is_a_document_error(tmp_path, capsys, doc, records,
     assert rep["error"] == message
 
 
+@pytest.mark.parametrize("record, line", [("source", 2), ("target", 3)])
+def test_record_without_path_is_a_document_error(tmp_path, capsys, record,
+                                                 line):
+    # a bare source or target record is rejected at its line instead of
+    # escaping as a traceback with no report
+    for name in README_INPUTS:
+        shutil.copy(GOLDEN / name, tmp_path / name)
+    path = tmp_path / "f.afun"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[line - 1] = record + "\n"
+    path.write_text("".join(lines))
+    message = f"{path}:{line}: {record} record: {record} <path>"
+    code, rep = run(capsys, "validate", str(path))
+    assert code == 1 and rep["overall"] == "fail"
+    assert rep["checks"][str(path)]["witnesses"] == [message]
+    code, rep = run(capsys, "classify", str(path))
+    assert code == 2 and rep["overall"] == "error"
+    assert rep["error"] == message
+
+
+@pytest.mark.parametrize("old, new, line, message", [
+    ("objmap o p\n", "objmap o p\nobjmap zz p\n", 5,
+     "objmap names unknown source object 'zz'"),
+    ("objmap o p\n", "objmap o nope\n", 4,
+     "objmap maps 'o' to unknown target object 'nope'"),
+])
+def test_objmap_checked_against_the_documents(tmp_path, capsys, old, new,
+                                              line, message):
+    # an objmap record naming an object outside the source, or mapping to
+    # one outside the target, is reported at its own line
+    for name in README_INPUTS:
+        shutil.copy(GOLDEN / name, tmp_path / name)
+    path = tmp_path / "f.afun"
+    path.write_text(path.read_text().replace(old, new))
+    code, rep = run(capsys, "validate", str(path))
+    assert code == 1 and rep["overall"] == "fail"
+    assert rep["checks"][str(path)]["witnesses"] == [f"{path}:{line}: {message}"]
+    code, rep = run(capsys, "classify", str(path))
+    assert code == 2 and rep["error"] == f"{path}:{line}: {message}"
+
+
 @pytest.mark.parametrize("slot", [1, 2, 3])
 def test_induce_checks_field_of_every_document(tmp_path, capsys, slot):
     for name in README_INPUTS:

@@ -104,7 +104,8 @@ def test_pullback_quiver_identity_g():
     f = sq_functor(QQ)
     s = strictify(f)
     g = AInftyFunctor.identity(f.target)
-    quiver, product, pairs = build_pullback_quiver(s, g)
+    blocks, product, pairs = build_pullback_quiver(s, g)
+    quiver = blocks.quiver
     assert quiver.objects == (pair_name("o", "p"),)
     sp = quiver.space(*([quiver.objects[0]] * 2))
     assert [n for n, _ in sp.basis] == ["k:ker0", "k:ker1", "a:1'"]
@@ -534,9 +535,8 @@ def test_pullback_closed_form_matches_recursion(char):
     for f, g in pairs_fg:
         for bound in range(3, 7):
             s = strictify(f, max_arity=bound)
-            quiver, product, pairs = build_pullback_quiver(s, g)
-            args = (quiver, pairs, product, s.transported.structure, g,
-                    s.model.splits, bound)
+            blocks, product, _ = build_pullback_quiver(s, g)
+            args = (blocks, product, s.transported.structure, g, bound)
             assert (build_pullback_structure(*args)
                     == pullback_structure_by_recursion(*args))
 
@@ -569,14 +569,13 @@ def test_tampered_kernel_block_is_rejected(monkeypatch, arity):
     f, g = twisted_pair(seed=3)
     solve = pullback.solve_pullback_arity
 
-    def tampered(pairs, rhs, g, splits, n):
-        comps = solve(pairs, rhs, g, splits, n)
+    def tampered(blocks, rhs, g, n):
+        comps = solve(blocks, rhs, g, n)
         if n != arity:
             return comps
 
         def kernel_block(key, out):
-            x1, x2 = pairs[key[1][0]][0], pairs[key[1][-1]][0]
-            return out < splits[(x1, x2)].kernel.dim
+            return out < blocks.kdims[(key[1][0], key[1][-1])]
 
         return bump_coefficient(g.source.fld, comps, n, kernel_block)
 

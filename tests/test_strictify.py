@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import itertools
+import math
 import random
 
 import pytest
@@ -25,7 +27,11 @@ from ainfty.core import (
     check_strict_units,
     functor_defect,
 )
+from ainfty.pullback import build_pullback
 from ainfty.strictify import (
+    KER_PREFIX,
+    SUM_PREFIX,
+    Blocks,
     StrictifyError,
     build_phi_psi,
     build_split_model,
@@ -39,6 +45,7 @@ from helpers import (
     base_phi_psi,
     bump_coefficient,
     coderivation_expand_combo,
+    doubled_object_functor,
     f1_strict,
     nilpotent_category,
     point_category,
@@ -342,6 +349,122 @@ def test_tampered_transport_is_rejected(monkeypatch, arity):
     monkeypatch.setattr(STRICTIFY, "transport_structure", tampered)
     with pytest.raises(AInftyError):
         strictify(f, max_arity=3)
+
+
+# -- the K (+) M block layout ---------------------------------------------------
+
+def block_layouts(fld):
+    """Blocks of three split models, one pullback and one hand-made layout:
+    sq_functor's, a seeded random F1 functor's, and those of a square-zero
+    projection composed with a doubled-object collapse, whose fibres have
+    two objects with nonzero kernels, and its pullback along the identity;
+    the last has a kernel block of a different size on every hom."""
+    base = nilpotent_category(fld, (("a", -1), ("b", 0)))
+    collapse = doubled_object_functor(base)
+    _, f_strict = square_zero_extension(fld, collapse.source, acyclic=True)
+    f = collapse.compose(f_strict)
+    sizes = {("y1", "y1"): 0, ("y1", "y2"): 1, ("y2", "y1"): 2, ("y2", "y2"): 3}
+    kernel = {pair: GradedSpace(tuple((f"e{i}", i) for i in range(size)))
+              for pair, size in sizes.items()}
+    return [build_split_model(sq_functor(fld)).blocks,
+            build_split_model(random_f1_functor(random.Random(4), fld)).blocks,
+            build_split_model(f).blocks,
+            build_pullback(f, AInftyFunctor.identity(base), max_arity=3).blocks,
+            Blocks.build(fld, ("y1", "y2"), kernel, base.quiver,
+                         {"y1": "o0", "y2": "o0"})]
+
+
+def _halves(blocks, x, y, vec):
+    """(the kernel part, the M-part) of a vector of the hom (x, y), split
+    at the hom's first "a:" basis element."""
+    names = [n for n, _ in blocks.quiver.space(x, y).basis]
+    kdim = sum(n.startswith(KER_PREFIX) for n in names)
+    return ({i: c for i, c in vec.items() if i < kdim},
+            {i - kdim: c for i, c in vec.items() if i >= kdim})
+
+
+@pytest.mark.parametrize("fld", [QQ, F5], ids=["Q", "F5"])
+def test_blocks_vec_and_family_round_trip(fld):
+    # vec(x, y, k, m) splits back into (k below the kernel block, m), and
+    # family does vec per (key, inputs), through `ends` when given
+    rng = random.Random(11)
+
+    def rand_vec(dim):
+        return {i: fld.from_int(rng.randint(1, 4))
+                for i in range(dim) if rng.random() < 0.6}
+
+    for blocks in block_layouts(fld):
+        q, other, over = blocks.quiver, blocks.other, blocks.over
+        kernel_comps, m_comps, want = {}, {}, {}
+        for x, y in itertools.product(q.objects, repeat=2):
+            sp = q.space(x, y)
+            m_sp = other.space(over[x], over[y])
+            kdim = blocks.kdims[(x, y)]
+            assert [n for n, _ in sp.basis[kdim:]] == [
+                SUM_PREFIX + n for n, _ in m_sp.basis]
+            assert all(n.startswith(KER_PREFIX) for n, _ in sp.basis[:kdim])
+            k, m = rand_vec(sp.dim), rand_vec(m_sp.dim)
+            k_part = {i: c for i, c in k.items() if i < kdim}
+            assert _halves(blocks, x, y, blocks.vec(x, y, k, m)) == (k_part, m)
+            key = (1, (x, y))
+            for in_t in [(0,), (1,), (2,)]:
+                k = rand_vec(sp.dim) if in_t != (1,) else {}
+                m = rand_vec(m_sp.dim) if in_t != (0,) else {}
+                if in_t != (1,):
+                    kernel_comps.setdefault(key, {})[in_t] = k
+                if in_t != (0,):
+                    m_comps.setdefault(key, {})[in_t] = m
+                k_part = {i: c for i, c in k.items() if i < kdim}
+                if k_part or m:
+                    want.setdefault(key, {})[in_t] = (k_part, m)
+        got = blocks.family(kernel_comps, m_comps)
+        assert list(got) == list(want)
+        assert {key: {in_t: _halves(blocks, key[1][0], key[1][-1], v)
+                      for in_t, v in table.items()}
+                for key, table in got.items()} == want
+
+        def renamed(comps):
+            return {(n, tuple("c" + x for x in objs)): t
+                    for (n, objs), t in comps.items()}
+
+        ends = {"c" + x: x for x in q.objects}
+        assert blocks.family(renamed(kernel_comps), renamed(m_comps),
+                             ends=ends) == renamed(got)
+
+
+@pytest.mark.parametrize("fld", [QQ, F5], ids=["Q", "F5"])
+def test_blocks_lift_covers_every_path(fld):
+    # an other-family lifts to one table per path of block objects over its
+    # path (the product of the fibre sizes); every lifted input names the
+    # "a:" copy of the original input, and shifts back to it
+    rng = random.Random(5)
+    for blocks in block_layouts(fld):
+        q, other, over = blocks.quiver, blocks.other, blocks.over
+        fibre = {o: [x for x in q.objects if over[x] == o]
+                 for o in other.objects}
+        m_comps = {}
+        for n in (1, 2, 3):
+            for path in other.paths(n):
+                m_comps[(n, path)] = {
+                    in_t: {0: fld.from_int(rng.randint(1, 4))}
+                    for in_t in other.basis_tuples(path)}
+        lifted = blocks.lift(m_comps)
+        assert len(lifted) == sum(math.prod(len(fibre[o]) for o in path)
+                                  for _, path in m_comps)
+        for (n, objs), table in lifted.items():
+            path = tuple(over[x] for x in objs)
+            back = {}
+            for in_t, vec in table.items():
+                orig = []
+                for i, b in enumerate(in_t):
+                    x, y = objs[n - 1 - i], objs[n - i]
+                    name = q.space(x, y).name(b)
+                    assert name.startswith(SUM_PREFIX)
+                    orig.append(b - blocks.kdims[(x, y)])
+                    assert other.space(over[x], over[y]).name(
+                        orig[-1]) == name[len(SUM_PREFIX):]
+                back[tuple(orig)] = vec
+            assert back == m_comps[(n, path)]
 
 
 # -- phi = (r1, F) and psi in model coordinates ---------------------------------
