@@ -44,6 +44,7 @@ from .quiver import (
     FormalMorphism,
     Prenatural,
     compose_formal,
+    first_difference,
     identity_formal,
     r_compose,
 )
@@ -243,14 +244,9 @@ def induce_functor(
         raise AInftyError("cone legs must share their source category")
     lhs = compose_formal(p.f.morphism, cone_i.morphism, bound)
     rhs = compose_formal(p.g.morphism, cone_l.morphism, bound)
-    if lhs != rhs:
-        diff_keys = set(lhs.components) | set(rhs.components)
-        for key in sorted(diff_keys):
-            a = lhs.components.get(key, {})
-            b = rhs.components.get(key, {})
-            if a != b:
-                bad = sorted(set(a) | set(b))[0]
-                raise ConeError(key[0], key[1], bad)
+    bad = first_difference(lhs.components, rhs.components)
+    if bad is not None:
+        raise ConeError(*bad)
     strict = p.strictification
     i_model = compose_formal(strict.phi_functor.morphism, cone_i.morphism, bound)
 

@@ -13,7 +13,12 @@ Conventions, fixed once for the whole package:
   (-1)**((g-1) * R).  Compositions of formal morphisms carry no signs.
 
 Components are stored sparsely: {(arity, object tuple): {input tuple: output
-vector}} with all zero coefficients dropped.
+vector}}.  The constructors of FormalMorphism and Prenatural own this
+invariant: each copies the family it is given into fresh outer and table
+dicts with no empty vector and no empty table, so equality is equality of
+the stored dicts and filling in the dict passed to a constructor leaves the
+family as it was.  Vectors are shared, not copied: nothing writes into a
+vector it did not build.
 """
 from __future__ import annotations
 
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .fields import Field, Scalar
-from .linear import EMPTY_SPACE, GradedSpace, Vec, vec_add, vec_scale
+from .linear import EMPTY_SPACE, GradedSpace, Vec
 
 Components = Dict[Tuple[int, Tuple[str, ...]], Dict[Tuple[int, ...], Vec]]
 
@@ -78,6 +83,7 @@ class GradedQuiver:
 
 
 def normalize_components(comps: Components) -> Components:
+    """A fresh copy of comps without empty vectors or empty tables."""
     out: Components = {}
     for key, table in comps.items():
         clean = {it: v for it, v in table.items() if v}
@@ -95,6 +101,9 @@ class FormalMorphism:
     object_map: Dict[str, str]
     components: Components = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        self.components = normalize_components(self.components)
+
     def out_pair(self, objs: Tuple[str, ...]) -> Tuple[str, str]:
         return (self.object_map[objs[0]], self.object_map[objs[-1]])
 
@@ -110,11 +119,8 @@ class FormalMorphism:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FormalMorphism):
             return NotImplemented
-        return (
-            self.object_map == other.object_map
-            and normalize_components(self.components)
-            == normalize_components(other.components)
-        )
+        return (self.object_map == other.object_map
+                and self.components == other.components)
 
 
 @dataclass
@@ -125,6 +131,9 @@ class Prenatural:
     to: FormalMorphism
     degree: int
     components: Components = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        self.components = normalize_components(self.components)
 
     @property
     def source(self) -> GradedQuiver:
@@ -147,55 +156,59 @@ class Prenatural:
         return not any(n == 0 for (n, _) in self.components)
 
     def is_zero(self) -> bool:
-        return not normalize_components(self.components)
+        return not self.components
 
     def validate(self) -> None:
         _validate_family(self, allow_arity0=True)
 
-    def add(self, other: "Prenatural") -> "Prenatural":
-        if self.degree != other.degree:
-            raise QuiverError("cannot add prenaturals of different degrees")
-        fld = self.source.fld
-        comps: Components = {k: dict(t) for k, t in self.components.items()}
-        for key, table in other.components.items():
-            mine = comps.setdefault(key, {})
-            for it, v in table.items():
-                mine[it] = vec_add(fld, mine.get(it, {}), v)
-        return Prenatural(self.frm, self.to, self.degree,
-                          normalize_components(comps))
-
-    def scale(self, c: Scalar) -> "Prenatural":
-        fld = self.source.fld
-        comps = {
-            key: {it: vec_scale(fld, c, v) for it, v in table.items()}
-            for key, table in self.components.items()
-        }
-        return Prenatural(self.frm, self.to, self.degree,
-                          normalize_components(comps))
-
     def sub(self, other: "Prenatural") -> "Prenatural":
-        return self.add(other.scale(self.source.fld.from_int(-1)))
+        """self - other in one pass over other's entries; the tables other
+        does not touch are shared until the constructor copies them."""
+        if self.degree != other.degree:
+            raise QuiverError("cannot subtract prenaturals of different degrees")
+        fld = self.source.fld
+        sub, zero = fld.sub, fld.zero
+        comps: Components = dict(self.components)
+        for key, table in other.components.items():
+            mine = dict(comps.get(key, {}))
+            for it, v in table.items():
+                vec = dict(mine.get(it, {}))
+                for oi, c in v.items():
+                    s = sub(vec.get(oi, zero), c)
+                    if s:
+                        vec[oi] = s
+                    else:
+                        vec.pop(oi, None)
+                mine[it] = vec
+            comps[key] = mine
+        return Prenatural(self.frm, self.to, self.degree, comps)
 
     def arity_part(self, n: int) -> "Prenatural":
-        comps = {k: dict(t) for k, t in self.components.items() if k[0] == n}
+        comps = {k: t for k, t in self.components.items() if k[0] == n}
         return Prenatural(self.frm, self.to, self.degree, comps)
 
     def first_nonzero(self) -> Optional[Tuple[int, Tuple[str, ...], Tuple[int, ...]]]:
-        for (n, objs) in sorted(self.components, key=lambda k: (k[0], k[1])):
-            table = self.components[(n, objs)]
-            for it in sorted(table):
-                if table[it]:
-                    return (n, objs, it)
-        return None
+        return first_difference(self.components, {})
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Prenatural):
             return NotImplemented
-        return (
-            self.degree == other.degree
-            and normalize_components(self.components)
-            == normalize_components(other.components)
-        )
+        return (self.degree == other.degree
+                and self.components == other.components)
+
+
+def first_difference(a: Components, b: Components
+                     ) -> Optional[Tuple[int, Tuple[str, ...], Tuple[int, ...]]]:
+    """(arity, objects, inputs) of the first entry, keys and then inputs in
+    sorted order, where two component families differ; None when they
+    agree."""
+    for key in sorted(a.keys() | b.keys()):
+        ta, tb = a.get(key, {}), b.get(key, {})
+        if ta != tb:
+            for it in sorted(ta.keys() | tb.keys()):
+                if ta.get(it, {}) != tb.get(it, {}):
+                    return (key[0], key[1], it)
+    return None
 
 
 def _validate_family(fam, allow_arity0: bool) -> None:
@@ -238,10 +251,17 @@ def identity_formal(q: GradedQuiver) -> FormalMorphism:
 
 def _is_identity(f: FormalMorphism) -> bool:
     """Whether f is the identity of its quiver, read off its data rather
-    than marked on it: callers may fill in components after wrapping them."""
+    than marked on it: one table per nonzero hom, mapping each basis
+    element to itself."""
     q = f.source
-    return (f.target == q and f.object_map == {x: x for x in q.objects}
-            and f.components == identity_formal(q).components)
+    if f.target != q or f.object_map != {x: x for x in q.objects}:
+        return False
+    one = q.fld.one
+    dims = {(1, pair): sp.dim for pair, sp in q.hom.items() if sp.dim}
+    return f.components.keys() == dims.keys() and all(
+        len(f.components[key]) == dim
+        and all(f.components[key].get((i,)) == {i: one} for i in range(dim))
+        for key, dim in dims.items())
 
 
 # -- sparse contraction engine ----------------------------------------------
@@ -339,7 +359,7 @@ def _expand(outer, right, ins: Optional[Prenatural], left,
                                  for epath, ein, ec in buckets.get(end, ())
                                  if len(ein) + len(acc) <= room]
                 for _, path, acc, coeff in words:
-                    # in place; normalize_components drops emptied vectors
+                    # in place; the constructor drops emptied vectors
                     vec = result.setdefault((len(acc), path), {}).setdefault(acc, {})
                     for oi, x in out_vec.items():
                         s = add(vec.get(oi, zero), mul(coeff, x))
@@ -347,7 +367,7 @@ def _expand(outer, right, ins: Optional[Prenatural], left,
                             vec[oi] = s
                         else:
                             vec.pop(oi, None)
-    return normalize_components(result)
+    return result
 
 
 def _composites(g_frm: FormalMorphism, g_to: FormalMorphism, f_frm: FormalMorphism,
@@ -364,18 +384,15 @@ def compose_formal(g: FormalMorphism, f: FormalMorphism, max_arity: int) -> Form
     """Composition (g . f)^n as the partition sum over blocks of f.
 
     When one operand is the identity of its quiver the composite is the
-    other operand's components of arity <= max_arity, with no sum.  They
-    are normalized into fresh component and table dicts, so filling in the
-    result leaves the operand as it was (vectors are shared: nothing writes
-    into a vector it did not build)."""
+    other operand's components of arity <= max_arity, with no sum."""
     if f.target.objects != g.source.objects:
         raise QuiverError("compose_formal: target(f) must be source(g)")
     other = f if _is_identity(g) else g if _is_identity(f) else None
     if other is None:
         comps = _expand(g, f, None, f, max_arity)
     else:
-        comps = normalize_components({key: table for key, table in other.components.items()
-                                      if key[0] <= max_arity})
+        comps = {key: table for key, table in other.components.items()
+                 if key[0] <= max_arity}
     obj_map = {x: g.object_map[f.object_map[x]] for x in f.source.objects}
     return FormalMorphism(f.source, g.target, obj_map, comps)
 
@@ -386,14 +403,11 @@ def r_compose(f: FormalMorphism, t: Prenatural, max_arity: int) -> Prenatural:
         raise QuiverError("r_compose: target(f) must be the prenatural's source")
     comps = _expand(t, f, None, f, max_arity)
     for x in f.source.objects:
-        key = (0, (f.object_map[x],))
-        table = t.components.get(key)
+        table = t.components.get((0, (f.object_map[x],)))
         if table:
-            vec = table.get((), {})
-            if vec:
-                comps[(0, (x,))] = {(): dict(vec)}
+            comps[(0, (x,))] = table
     frm, to = _composites(t.frm, t.to, f, f, max_arity)
-    return Prenatural(frm, to, t.degree, normalize_components(comps))
+    return Prenatural(frm, to, t.degree, comps)
 
 
 def _insert(outer, outer_frm: FormalMorphism, outer_to: FormalMorphism,

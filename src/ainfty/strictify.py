@@ -37,7 +37,6 @@ from .quiver import (
     eval_multilinear,
     identity_formal,
     l_compose,
-    normalize_components,
     r_compose,
 )
 
@@ -172,8 +171,7 @@ def build_split_model(functor: AInftyFunctor) -> SplitModel:
     ident = {x: x for x in base.objects}
     decompose = FormalMorphism(base.quiver, blocks.quiver, dict(ident),
                                blocks.family(r1, f_1))
-    recompose = FormalMorphism(blocks.quiver, base.quiver, dict(ident),
-                               normalize_components(rec))
+    recompose = FormalMorphism(blocks.quiver, base.quiver, dict(ident), rec)
     return SplitModel(base, functor, f1.splits, blocks, decompose, recompose)
 
 
@@ -206,8 +204,7 @@ def build_phi_psi(model: SplitModel, max_arity: int
                 psi_comps[(n, objs)] = {
                     in_t: vec_scale(fld, minus, section.apply(vec))
                     for in_t, vec in table.items()}
-    psi = FormalMorphism(model.quiver, base.quiver, dict(ident_map),
-                         normalize_components(psi_comps))
+    psi = FormalMorphism(model.quiver, base.quiver, dict(ident_map), psi_comps)
     if compose_formal(psi, phi, max_arity) != identity_formal(base.quiver):
         raise StrictifyError("psi . phi is not the identity")
     return phi, psi

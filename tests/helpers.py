@@ -360,8 +360,7 @@ def formal_inverse(u: FormalMorphism, max_arity: int) -> FormalMorphism:
                    for it, v in table.items() if v}
             if neg:
                 inv_comps[(n, objs)] = neg
-    return FormalMorphism(u.source, u.source, dict(u.object_map),
-                          normalize_components(inv_comps))
+    return FormalMorphism(u.source, u.source, dict(u.object_map), inv_comps)
 
 
 def twist_structure(cat: AInftyCategory, u: FormalMorphism, max_arity: int
@@ -1018,8 +1017,7 @@ def product_mismatches(p) -> List[str]:
                 out.append(f"a projection is wrong on {sp.name(i)} in "
                            f"hom({p1},{p2})")
     for leg in (p.alpha, p.beta):
-        if any(n > 1 for n, _ in normalize_components(
-                leg.morphism.components)):
+        if any(n > 1 for n, _ in leg.morphism.components):
             out.append("a projection has a component above arity 1")
     for n in range(1, p.arity_bound + 1):
         for objs in quiver.paths(n):
@@ -1107,7 +1105,7 @@ def pullback_structure_by_recursion(blocks, product, m_model: Prenatural,
                         b + kernel_dim(pobjs[n - 1 - i], pobjs[n - i])
                         for i, b in enumerate(in_t))
                     tbl[shifted] = {out_k + i: c for i, c in vec.items()}
-        trial = Prenatural(ident, ident, 2, normalize_components(comps))
+        trial = Prenatural(ident, ident, 2, comps)
         defect = l_compose(product, trial, n).arity_part(n).sub(
             rhs.arity_part(n))
         for (_, pobjs), table in defect.components.items():
@@ -1120,7 +1118,7 @@ def pullback_structure_by_recursion(blocks, product, m_model: Prenatural,
                 tbl = comps.setdefault((n, pobjs), {})
                 tbl[in_t] = vec_add(fld, tbl.get(in_t, {}),
                                     vec_scale(fld, fld.from_int(-1), vec))
-    return Prenatural(ident, ident, 2, normalize_components(comps))
+    return Prenatural(ident, ident, 2, comps)
 
 
 # -- base coordinates and two-step references ---------------------------------

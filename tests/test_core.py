@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ainfty.fields import Field
+from ainfty.documents import parse_certificates
 from ainfty.linear import GradedSpace
 from ainfty.quiver import (
     FormalMorphism,
@@ -42,6 +43,7 @@ from helpers import (
     h0_basis_law_failures,
     h0_compose_by_classes,
     h0_is_iso_by_classes,
+    inclusion_functor,
     m3_category,
     nilpotent_category,
     point_category,
@@ -488,6 +490,38 @@ def test_qe_collapse_fails_with_witness():
     rep = check_quasi_equivalence(f)
     assert rep.verdict == "fail"
     assert any("H^0" in w for w in rep.hom_level.witnesses)
+
+
+def test_qe_witness_when_the_induced_map_is_not_an_iso():
+    # the zero endofunctor of m2(e, e) = e: H^0(o, o) has dimension 1 on
+    # both sides, and the map between them is 0
+    q = GradedQuiver(QQ, ("o",), {("o", "o"): GradedSpace((("e", 0),))})
+    cat = AInftyCategory.build(q, {(2, ("o",) * 3): {(0, 0): {0: QQ.one}}})
+    zero = AInftyFunctor.build(FormalMorphism(q, q, {"o": "o"}, {}), cat, cat)
+    rep = check_quasi_equivalence(zero)
+    assert rep.hom_level.witnesses == ["H^0(o,o): induced map is not an isomorphism"]
+
+
+@pytest.mark.parametrize("fld, cert, verdict", [
+    (Field.prime(3), None, "pass"),
+    (QQ, "acert\nessential F ; y2 ; o0 ; 1 1\n", "pass"),
+    (QQ, None, "undecided"),
+], ids=["F3", "Q-certificate", "Q-no-certificate"])
+def test_essential_surjectivity_onto_a_missed_isomorphic_object(fld, cert, verdict):
+    # the point onto y1 of the doubled point, whose y2 is isomorphic to y1
+    point = point_category(fld)
+    f = inclusion_functor(point, doubled_object_functor(point).source, "y1")
+    certs = parse_certificates(cert).resolve_essentials("F", f) if cert else None
+    assert check_quasi_equivalence(f, certs).essential.verdict == verdict
+
+
+def test_essential_surjectivity_fails_onto_a_non_isomorphic_object():
+    fld = Field.prime(3)
+    point = point_category(fld)
+    f = inclusion_functor(point, nilpotent_category(fld, (), n_objects=2), "o0")
+    rep = check_quasi_equivalence(f).essential
+    assert rep.verdict == "fail"
+    assert rep.witnesses == ["no H0 isomorphism onto o1"]
 
 
 def test_kernel_acyclicity_identity_vacuous():

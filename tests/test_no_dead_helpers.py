@@ -4,7 +4,8 @@ somewhere, every parameter is read by its function and every parameter with
 a default is passed by some call, so a helper whose last caller goes away, a
 field whose last reader does, an argument nothing reads or an option no
 caller sets fails the suite instead of lingering.  No nested function calls
-itself, so no call leaves a reference cycle behind."""
+itself, so no call leaves a reference cycle behind.  Only the constructors
+of the component families normalize components."""
 from __future__ import annotations
 
 import ast
@@ -24,6 +25,14 @@ def _references(node: ast.AST) -> Counter:
         elif isinstance(sub, ast.Attribute):
             refs[sub.attr] += 1
     return refs
+
+
+def _called_name(call: ast.Call):
+    """The name a call goes through, bare or as an attribute; None for
+    anything else (a call of a call's result, a subscript)."""
+    func = call.func
+    return (func.id if isinstance(func, ast.Name) else
+            func.attr if isinstance(func, ast.Attribute) else None)
 
 
 def test_every_module_function_is_used_or_exported():
@@ -112,9 +121,7 @@ def test_every_defaulted_parameter_is_passed():
         for sub in ast.walk(ast.parse(path.read_text(), str(path))):
             if not isinstance(sub, ast.Call):
                 continue
-            func = sub.func
-            name = (func.id if isinstance(func, ast.Name) else
-                    func.attr if isinstance(func, ast.Attribute) else None)
+            name = _called_name(sub)
             if name is None:
                 continue
             starred = any(isinstance(a, ast.Starred) for a in sub.args)
@@ -169,6 +176,25 @@ def test_no_self_referencing_closures():
     recursive = [name for name, node, nested in _package_functions()
                  if nested and node.name in _names_read(node.body)]
     assert recursive == []
+
+
+def test_components_normalize_only_at_construction():
+    # the constructors of FormalMorphism and Prenatural own the sparse
+    # invariant, so no other code re-establishes it
+    sites = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        where = {}
+        for name, node, _ in _functions(tree):
+            # an enclosing function comes first, so the innermost one wins
+            for sub in ast.walk(node):
+                where[id(sub)] = name
+        for sub in ast.walk(tree):
+            if (isinstance(sub, ast.Call)
+                    and _called_name(sub) == "normalize_components"):
+                sites.append(f"{path.name}:{where.get(id(sub), '<module>')}")
+    assert sorted(sites) == ["quiver.py:FormalMorphism.__post_init__",
+                             "quiver.py:Prenatural.__post_init__"]
 
 
 def test_every_parameter_is_read():

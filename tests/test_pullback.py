@@ -376,15 +376,17 @@ def test_broken_cone_is_rejected():
         induce_functor(p, bad, bad)
 
 
-def test_broken_cone_names_arity_and_tuple():
+@pytest.mark.parametrize("pick", [0, -1], ids=["first-input", "last-input"])
+def test_broken_cone_names_arity_and_tuple(pick):
     p = twisted_pullback(seed=41, f_density=0.7)
-    # corrupt the alpha leg of the self-cone: G^1 is injective here, so the
-    # square genuinely stops commuting and the first failure is reported
+    # corrupt the alpha leg of the self-cone in one input of its first
+    # arity-1 table with several: G^1 is injective here, so the square
+    # genuinely stops commuting, and the named entry is one where it does
     cone_l = p.alpha
     comps = {k: {it: dict(vv) for it, vv in tab.items()}
              for k, tab in cone_l.morphism.components.items()}
-    (n, objs), table = sorted(comps.items())[0]
-    in_t = sorted(table)[0]
+    table = next(t for (n, _), t in sorted(comps.items()) if n == 1 and len(t) > 1)
+    in_t = sorted(table)[pick]
     out = table[in_t]
     oi = sorted(out)[0]
     out[oi] = QQ.add(out[oi], QQ.one)
@@ -394,7 +396,13 @@ def test_broken_cone_names_arity_and_tuple():
                          cone_l.arity_bound, cone_l.total)
     with pytest.raises(ConeError) as exc:
         induce_functor(p, p.beta, fake)
-    assert exc.value.arity >= 1 and exc.value.objs
+    err = exc.value
+    assert err.arity >= 1 and err.objs
+    bound = p.arity_bound
+    lhs = compose_formal(p.f.morphism, p.beta.morphism, bound)
+    rhs = compose_formal(p.g.morphism, broken, bound)
+    assert (eval_basis(lhs, err.arity, err.objs, err.in_t)
+            != eval_basis(rhs, err.arity, err.objs, err.in_t))
 
 
 # -- products: pullbacks over the terminal category ------------------------------------

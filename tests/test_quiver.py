@@ -69,6 +69,25 @@ def test_identity_formal_empty_quiver(qq):
     assert ident.components == {}
 
 
+def test_constructors_own_the_sparse_invariant(qq):
+    # empty vectors and tables are dropped at construction, into dicts of
+    # the family's own: filling in the passed dict afterwards changes nothing
+    sp = GradedSpace((("a", 0), ("b", 1)))
+    q = GradedQuiver(qq, ("o",), {("o", "o"): sp})
+    ident = identity_formal(q)
+    one, two = (1, ("o", "o")), (2, ("o", "o", "o"))
+    clean = {one: {(0,): {0: qq.one}}}
+    for make in (lambda c: FormalMorphism(q, q, {"o": "o"}, c),
+                 lambda c: Prenatural(ident, ident, 1, c)):
+        comps = {one: {(0,): {0: qq.one}, (1,): {}}, two: {}}
+        fam = make(comps)
+        assert fam == make(copy.deepcopy(clean)) and fam.components == clean
+        comps[one][(1,)] = {1: qq.one}
+        comps[two] = {(0, 0): {0: qq.one}}
+        assert fam.components == clean
+    assert Prenatural(ident, ident, 2, {two: {(0, 0): {}}}).is_zero()
+
+
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=25, deadline=None)
 def test_unit_laws(seed):
@@ -233,6 +252,25 @@ def test_identity_operand_composes_without_the_engine(monkeypatch):
             table.clear()
         gi.components[(1, ("x0", "x0"))] = {(0,): {}}
         assert g.components == before
+
+
+def test_near_identities_are_composed_in_full(qq):
+    # only the identity itself skips the sum: an arity-1 table that swaps,
+    # scales or drops a basis element, or an extra arity-2 component, is
+    # composed, and the composite with an invertible g is not g
+    sp = GradedSpace((("a", 0), ("b", 0), ("c", -1)))
+    q = GradedQuiver(qq, ("o",), {("o", "o"): sp})
+    one, two, key = qq.one, qq.from_int(2), (1, ("o", "o"))
+    ident = {(i,): {i: one} for i in range(3)}
+    g = FormalMorphism(q, q, {"o": "o"},
+                       {key: {**ident, (1,): {0: two, 1: one}}})
+    for comps in ({key: {**ident, (0,): {1: one}, (1,): {0: one}}},
+                  {key: {**ident, (0,): {0: two}}},
+                  {key: {(0,): {0: one}, (1,): {1: one}}},
+                  {key: ident, (2, ("o",) * 3): {(0, 0): {2: one}}}):
+        near = FormalMorphism(q, q, {"o": "o"}, comps)
+        assert compose_formal(g, near, 2) != g
+    assert compose_formal(g, identity_formal(q), 2) == g
 
 
 def test_prenatural_arity_one_square(rng):
