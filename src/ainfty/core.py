@@ -489,15 +489,15 @@ class H0Category:
 
 
 def _combine(fld: Field, coeffs: Sequence[Scalar], vecs, dim: int) -> List[Scalar]:
-    """sum of c * v over `coeffs` and the coordinate lists `vecs`."""
-    add, mul = fld.add, fld.mul
-    out = [fld.zero] * dim
+    """sum of c * v over `coeffs` and the coordinate lists `vecs`, summed
+    unreduced and reduced once."""
+    out = [0] * dim
     for c, vec in zip(coeffs, vecs):
-        if fld.is_zero(c):
-            continue
-        for k, v in enumerate(vec):
-            out[k] = add(out[k], mul(c, v))
-    return out
+        if c:
+            for k, v in enumerate(vec):
+                out[k] += c * v
+    p = fld.characteristic
+    return [x % p for x in out] if p else out
 
 
 def build_h0(cat: AInftyCategory) -> H0Category:

@@ -4,15 +4,19 @@ Scalars are plain Python values: over the rationals ``int`` for integral
 values the field makes (zero, one, ``from_int``, parses, inverses) and
 ``fractions.Fraction`` otherwise, the two mixing exactly; ``int`` residues in
 ``[0, p)`` over a prime field.  A :class:`Field` value bundles the operations
-so that all linear algebra stays exact and field-agnostic.
+so that all linear algebra stays exact and field-agnostic.  The contraction
+engine (``quiver._expand``), ``quiver.eval_multilinear``, ``Prenatural.sub``
+and ``core._combine`` instead accumulate raw values with plain ``+`` and
+``*`` and reduce once, through :meth:`Field.reduced` or ``% p``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from typing import Dict, Iterator, TypeVar, Union
 
 Scalar = Union[Fraction, int]  # Q: int if made integral, else Fraction; F_p: int
+K = TypeVar("K")
 
 
 class FieldError(ValueError):
@@ -102,6 +106,15 @@ class Field:
 
     def is_zero(self, a: Scalar) -> bool:
         return a == 0
+
+    def reduced(self, raw: Dict[K, Scalar]) -> Dict[K, Scalar]:
+        """The nonzero field values of `raw`, a dict of plain sums of
+        products of field values: each reduced mod p once over F_p, kept as
+        it is over Q; keys keep their order."""
+        p = self.characteristic
+        if p:
+            return {k: r for k, c in raw.items() if (r := c % p)}
+        return {k: c for k, c in raw.items() if c}
 
     def elements(self) -> Iterator[Scalar]:
         """All field elements; only available over a prime field."""

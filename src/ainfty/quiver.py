@@ -162,19 +162,21 @@ class Prenatural:
         _validate_family(self, allow_arity0=True)
 
     def sub(self, other: "Prenatural") -> "Prenatural":
-        """self - other in one pass over other's entries; the tables other
-        does not touch are shared until the constructor copies them."""
+        """self - other in one pass over other's entries, each difference
+        reduced once with no `Field` call; the tables other does not touch
+        are shared until the constructor copies them."""
         if self.degree != other.degree:
             raise QuiverError("cannot subtract prenaturals of different degrees")
-        fld = self.source.fld
-        sub, zero = fld.sub, fld.zero
+        p = self.source.fld.characteristic
         comps: Components = dict(self.components)
         for key, table in other.components.items():
             mine = dict(comps.get(key, {}))
             for it, v in table.items():
                 vec = dict(mine.get(it, {}))
                 for oi, c in v.items():
-                    s = sub(vec.get(oi, zero), c)
+                    s = vec.get(oi, 0) - c
+                    if p:
+                        s %= p
                     if s:
                         vec[oi] = s
                     else:
@@ -304,18 +306,23 @@ def _expand(outer, right, ins: Optional[Prenatural], left,
     partial word (end object, path, inputs, coefficient) is extended by the
     entries of the next block's bucket that start at its end object and
     leave room for the blocks after it (arity >= 1 each, an insertion 0).
-    Words finish in depth-first order, so the result fills in a fixed order.
 
     When `right` and `left` are both the identity of their quiver (the
     structure relation m . m and the insertion of a structure among identity
     endpoints), the sum is the classical double sum over (entry, slot k) of
     outer(..., ins(...), ...) and there is no sweep: the other r - 1 blocks
     copy their inputs, so each entry of the one insertion bucket at slot k
-    gives the word Y with slot k replaced, kept when it has at most
-    max_arity inputs.  The words come out in the sweep's order.
+    with at most max_arity - (r - 1) inputs gives the word Y with slot k
+    replaced.  The entries that fit are listed once per (bucket, r).
+
+    No `Field` method runs per word.  Each word adds coefficient times
+    output entry into one flat dict keyed (path, inputs, output index), with
+    plain + and * and signs +-1, so over F_p the sums stay unreduced ints.
+    `Field.reduced` then reduces each sum once and drops the zeros, and the
+    surviving entries are regrouped into components in the order the words
+    first reached them.
     """
     fld = right.source.fld
-    add, mul, neg, zero = fld.add, fld.mul, fld.neg, fld.zero
     if ins is not None and _is_identity(right) and _is_identity(left):
         right_inv = left_inv = None
     else:
@@ -323,50 +330,59 @@ def _expand(outer, right, ins: Optional[Prenatural], left,
         left_inv = right_inv if left is right else _invert(left)
     ins_inv = None if ins is None else _invert(ins)
     signed = ins is not None and (ins.degree - 1) % 2 == 1
-    result: Components = {}
+    flat: Dict[Tuple[Tuple[str, ...], Tuple[int, ...], int], Scalar] = {}
+    get = flat.get
+    fitting: Dict[Tuple[Tuple[str, str], int, int], List[_Entry]] = {}
     for (r, Y), table in outer.components.items():
+        if r == 0:
+            continue
         for in_t, out_vec in table.items():
-            if r == 0 or not out_vec:
-                continue
-            # slot j holds in_t[r - j]; degs[r - k + 1:] is slots 1..k-1
-            degs = outer.source.input_degrees(Y, in_t) if signed else None
+            # signs[k - 1]: the sign of an insertion at slot k; it flips past
+            # each slot of odd reduced degree (slot j holds in_t[r - j])
+            signs = [1] * r
+            if signed:
+                degs = outer.source.input_degrees(Y, in_t)
+                for k in range(1, r):
+                    signs[k] = -signs[k - 1] if degs[r - k] % 2 == 0 else signs[k - 1]
             for k in ([None] if ins is None else range(1, r + 1)):
-                odd = signed and sum(d - 1 for d in degs[r - k + 1:]) % 2 == 1
-                sign = neg(fld.one) if odd else fld.one
+                sign = 1 if k is None else signs[k - 1]
                 if left_inv is None:
                     head, tail = Y[:k - 1], Y[k + 1:]
                     before, after = in_t[:r - k], in_t[r - k + 1:]
-                    room = max_arity - (r - 1)
-                    bucket = ins_inv.get(((Y[k - 1], Y[k]), in_t[r - k]), {})
-                    words = [(Y[r], head + epath + tail, before + ein + after,
-                              mul(sign, ec))
-                             for epath, ein, ec in bucket.get(Y[k - 1], ())
-                             if len(ein) <= room]
-                else:
-                    invs = ([left_inv] * r if k is None else
-                            [right_inv] * (k - 1) + [ins_inv] + [left_inv] * (r - k))
-                    buckets = invs[0].get(((Y[0], Y[1]), in_t[r - 1]), {})
-                    room = max_arity - (r - 1 - (k is not None and 1 < k))
-                    words = [(epath[-1], epath, ein, mul(sign, ec))
-                             for lst in buckets.values() for epath, ein, ec in lst
-                             if len(ein) <= room]
-                    for j in range(2, r + 1):
-                        buckets = invs[j - 1].get(((Y[j - 1], Y[j]), in_t[r - j]), {})
-                        room = max_arity - (r - j - (k is not None and j < k))
-                        words = [(epath[-1], path + epath[1:], ein + acc,
-                                  mul(coeff, ec))
-                                 for end, path, acc, coeff in words
-                                 for epath, ein, ec in buckets.get(end, ())
-                                 if len(ein) + len(acc) <= room]
-                for _, path, acc, coeff in words:
-                    # in place; the constructor drops emptied vectors
-                    vec = result.setdefault((len(acc), path), {}).setdefault(acc, {})
+                    pair, b, room = (Y[k - 1], Y[k]), in_t[r - k], max_arity - (r - 1)
+                    entries = fitting.get((pair, b, room))
+                    if entries is None:
+                        entries = fitting[(pair, b, room)] = [
+                            e for e in ins_inv.get((pair, b), {}).get(Y[k - 1], ())
+                            if len(e[1]) <= room]
                     for oi, x in out_vec.items():
-                        s = add(vec.get(oi, zero), mul(coeff, x))
-                        if s:
-                            vec[oi] = s
-                        else:
-                            vec.pop(oi, None)
+                        x *= sign
+                        for epath, ein, ec in entries:
+                            key = (head + epath + tail, before + ein + after, oi)
+                            flat[key] = get(key, 0) + ec * x
+                    continue
+                invs = ([left_inv] * r if k is None else
+                        [right_inv] * (k - 1) + [ins_inv] + [left_inv] * (r - k))
+                buckets = invs[0].get(((Y[0], Y[1]), in_t[r - 1]), {})
+                room = max_arity - (r - 1 - (k is not None and 1 < k))
+                words = [(epath[-1], epath, ein, ec)
+                         for lst in buckets.values() for epath, ein, ec in lst
+                         if len(ein) <= room]
+                for j in range(2, r + 1):
+                    buckets = invs[j - 1].get(((Y[j - 1], Y[j]), in_t[r - j]), {})
+                    room = max_arity - (r - j - (k is not None and j < k))
+                    words = [(epath[-1], path + epath[1:], ein + acc, coeff * ec)
+                             for end, path, acc, coeff in words
+                             for epath, ein, ec in buckets.get(end, ())
+                             if len(ein) + len(acc) <= room]
+                for oi, x in out_vec.items():
+                    x *= sign
+                    for _, path, acc, coeff in words:
+                        key = (path, acc, oi)
+                        flat[key] = get(key, 0) + coeff * x
+    result: Components = {}
+    for (path, acc, oi), c in fld.reduced(flat).items():
+        result.setdefault((len(acc), path), {}).setdefault(acc, {})[oi] = c
     return result
 
 
@@ -449,25 +465,20 @@ def eval_basis(fam, n: int, objs: Tuple[str, ...], in_t: Tuple[int, ...]) -> Vec
 
 
 def eval_multilinear(fam, n: int, objs: Tuple[str, ...], vecs: Sequence[Vec]) -> Vec:
-    """Evaluate on a tuple of vectors by multilinear expansion."""
-    fld = fam.source.fld
+    """Evaluate on a tuple of vectors by multilinear expansion, summed
+    unreduced and reduced once."""
     table = fam.components.get((n, objs), {})
-    add, mul, zero = fld.add, fld.mul, fld.zero
-    out: Vec = {}
+    raw: Vec = {}
     if len(vecs) != n:
         raise QuiverError("wrong number of inputs")
     for in_t, vec in table.items():
-        coeff = fld.one
+        coeff = 1
         for i, b in enumerate(in_t):
             x = vecs[i].get(b)
             if x is None:
                 break
-            coeff = mul(coeff, x)
+            coeff *= x
         else:
             for oi, y in vec.items():
-                s = add(out.get(oi, zero), mul(coeff, y))
-                if s:
-                    out[oi] = s
-                else:
-                    out.pop(oi, None)
-    return out
+                raw[oi] = raw.get(oi, 0) + coeff * y
+    return fam.source.fld.reduced(raw)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import pathlib
 import random
 
@@ -43,6 +44,15 @@ from helpers import (
 
 QQ = Field.rationals()
 F5 = Field.prime(5)
+FIELDS = {"Q": QQ, "F2": Field.prime(2), "F3": Field.prime(3), "F5": F5}
+
+
+def _nonzero(fam):
+    """fam without the coefficients that vanish in its field (the random
+    families draw from small integers, and 2 or 3 is zero in F_2 or F_3)."""
+    comps = {key: {it: {oi: c for oi, c in v.items() if c} for it, v in table.items()}
+             for key, table in fam.components.items()}
+    return dataclasses.replace(fam, components=comps)
 
 
 def small_quiver(rng: random.Random, fld=QQ, n_objects=1, max_dim=3):
@@ -171,12 +181,13 @@ def test_quiver_mismatch_raises(rng):
 
 # -- the sign anchor ----------------------------------------------------------
 
-@given(st.integers(0, 10 ** 6))
+@given(st.integers(0, 10 ** 6), st.sampled_from(sorted(FIELDS)))
 @settings(max_examples=30, deadline=None)
-def test_sign_anchor_double_sum(seed):
-    """compose_prenatural(m, m) equals the explicit double sum, term by term."""
+def test_sign_anchor_double_sum(seed, field):
+    """compose_prenatural(m, m) equals the explicit double sum, term by term,
+    in characteristic 0, 2 (where the sign vanishes), 3 and 5."""
     rng = random.Random(seed)
-    q = small_quiver(rng, n_objects=rng.randint(1, 2))
+    q = small_quiver(rng, FIELDS[field], n_objects=rng.randint(1, 2))
     m = random_flat_prenatural(rng, q, degree=2, max_arity=3)
     defect = compose_prenatural(m, m, 5)
     assert engine_defect_map(defect) == double_sum_defect(q, m, 5)
@@ -195,16 +206,16 @@ def stepped_quiver(rng: random.Random, fld, n_objects):
     return GradedQuiver(fld, objects, hom)
 
 
-@given(st.integers(0, 10 ** 6), st.sampled_from(["Q", "F5"]), st.integers(0, 3),
+@given(st.integers(0, 10 ** 6), st.sampled_from(sorted(FIELDS)), st.integers(0, 3),
        st.integers(1, 4))
 @settings(max_examples=25, deadline=None)
 def test_identity_endpoint_double_sum_matches_oracles(seed, field, degree, bound):
     """On identity endpoints compose_prenatural and l_compose are the
     classical double sum: insertions of either parity with arity-0 parts,
     words up to arity 5 cut at bounds 1..4, checked against the dense
-    oracles."""
+    oracles over Q and over F_2, F_3 and F_5, where sums cancel often."""
     rng = random.Random(seed)
-    fld = QQ if field == "Q" else F5
+    fld = FIELDS[field]
     q = stepped_quiver(rng, fld, rng.randint(1, 2))
     ident = identity_formal(q)
     t = random_prenatural(rng, ident, ident, degree, 0, 3, density=0.6)
@@ -452,19 +463,20 @@ def _differing_endpoints(rng, src, tgt):
     return f, g
 
 
-@given(st.integers(0, 10 ** 6))
+@given(st.integers(0, 10 ** 6), st.sampled_from(sorted(FIELDS)))
 @settings(max_examples=25, deadline=None)
-def test_differing_endpoints_match_bar_oracle(seed):
+def test_differing_endpoints_match_bar_oracle(seed, field):
     # t: f => g with f != g; g-blocks left of the insertion, f-blocks right
     rng = random.Random(seed)
-    q0, qa, qb, qc = (small_quiver(rng, n_objects=2, max_dim=3) for _ in range(4))
-    f, g = _differing_endpoints(rng, qa, qb)
+    q0, qa, qb, qc = (small_quiver(rng, FIELDS[field], n_objects=2, max_dim=3)
+                      for _ in range(4))
+    f, g = map(_nonzero, _differing_endpoints(rng, qa, qb))
     assume(f != g)
-    t = random_prenatural(rng, f, g, rng.choice([1, 2]), 0, 2, density=0.9)
-    h = random_formal_morphism(rng, qb, qc, max_arity=2, density=0.9)
-    k = random_formal_morphism(rng, q0, qa, max_arity=2, density=0.9)
-    p, q = _differing_endpoints(rng, qb, qc)
-    d = random_prenatural(rng, p, q, rng.choice([1, 2]), 0, 2, density=0.9)
+    t = _nonzero(random_prenatural(rng, f, g, rng.choice([1, 2]), 0, 2, density=0.9))
+    h = _nonzero(random_formal_morphism(rng, qb, qc, max_arity=2, density=0.9))
+    k = _nonzero(random_formal_morphism(rng, q0, qa, max_arity=2, density=0.9))
+    p, q = map(_nonzero, _differing_endpoints(rng, qb, qc))
+    d = _nonzero(random_prenatural(rng, p, q, rng.choice([1, 2]), 0, 2, density=0.9))
     bound = 3
 
     def insertion(w):
@@ -502,6 +514,70 @@ def test_shared_endpoint_equals_copied_endpoint(seed):
         assert a.components == b.components and a.degree == b.degree
         assert a.frm == b.frm and a.to == b.to
         assert a.frm is a.to and b.frm is not b.to
+
+
+# -- deferred reduction ----------------------------------------------------------
+
+def _assert_reduced(fam):
+    p = fam.target.fld.characteristic
+    for table in fam.components.values():
+        assert table
+        for vec in table.values():
+            assert vec
+            for c in vec.values():
+                assert c != 0
+                assert not p or (type(c) is int and 0 < c < p)
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from(sorted(FIELDS)))
+@settings(max_examples=25, deadline=None)
+def test_results_hold_reduced_nonzero_coefficients(seed, field):
+    """Every coefficient the four entry points store is nonzero, and over
+    F_p a residue in [1, p), through the sweep and the identity-endpoint
+    double sum, with and without the insertion sign."""
+    rng = random.Random(seed)
+    fld = FIELDS[field]
+    qa, qb, qc = (stepped_quiver(rng, fld, 2) for _ in range(3))
+    ident = identity_formal(qb)
+    f = _nonzero(random_formal_morphism(rng, qa, qb, 2, density=0.9))
+    g = _nonzero(random_formal_morphism(rng, qa, qb, 2, density=0.9,
+                                        object_map=dict(f.object_map)))
+    h = _nonzero(random_formal_morphism(rng, qb, qc, 2, density=0.9))
+    t = _nonzero(random_prenatural(rng, f, g, rng.randint(1, 2), 0, 2, density=0.9))
+    s = _nonzero(random_prenatural(rng, ident, ident, rng.randint(0, 3), 0, 3,
+                                   density=0.9))
+    d = _nonzero(random_prenatural(rng, ident, ident, 2, 1, 3, density=0.9))
+    bound = 4
+    for result in (compose_formal(h, f, bound), r_compose(f, s, bound),
+                   l_compose(h, t, bound), l_compose(h, s, bound),
+                   compose_prenatural(d, t, bound), compose_prenatural(d, s, bound)):
+        _assert_reduced(result)
+
+
+@pytest.mark.parametrize("field", sorted(FIELDS))
+def test_deferred_sums_cancel_and_return(field):
+    """p equal contributions cancel mod p and leave no entry; a sum whose
+    partial sums run 1, 0, 1 keeps the value 1.  Through the sweep
+    (compose_formal) and through the identity-endpoint double sum
+    (compose_prenatural)."""
+    fld = FIELDS[field]
+    p = fld.characteristic
+    sp = GradedSpace(tuple((f"a{i}", 0) for i in range(max(p, 3))))
+    q = GradedQuiver(fld, ("o",), {("o", "o"): sp})
+    key, one = (1, ("o", "o")), fld.one
+    spread = {key: {(0,): {i: one for i in range(sp.dim)}}}     # a0 -> sum a_i
+    count = p or 3
+    equal = {key: {(i,): {0: one} for i in range(count)}}      # a_i -> a0
+    returning = {key: {(0,): {0: one}, (1,): {0: fld.from_int(-1)}, (2,): {0: one}}}
+    ident = identity_formal(q)
+    for outer, want in ((equal, {} if p else {key: {(0,): {0: count}}}),
+                        (returning, {key: {(0,): {0: one}}})):
+        f = FormalMorphism(q, q, {"o": "o"}, spread)
+        g = FormalMorphism(q, q, {"o": "o"}, outer)
+        assert compose_formal(g, f, 1).components == want
+        t = Prenatural(ident, ident, 1, spread)
+        d = Prenatural(ident, ident, 1, outer)
+        assert compose_prenatural(d, t, 1).components == want
 
 
 def test_compose_prenatural_leaves_no_garbage_cycles():
