@@ -2,9 +2,10 @@
 
 A structure is a flat degree-2 prenatural endotransformation of the identity
 whose self-composition vanishes; a functor is a formal morphism F with
-l_compose(F, D_source) = r_compose(F, D_target).  Category and functor
-values are only constructed through the validating builders, so holding one
-certifies the defining equations up to the recorded arity bound.
+l_compose(F, D_source) = r_compose(F, D_target).  Holding a value certifies
+its equation up to the recorded arity bound: `build` checks it on new data,
+`derived` takes it from certified values by a lemma, whose premises
+`certify_premise` checks past their recorded bounds.
 """
 from __future__ import annotations
 
@@ -178,6 +179,12 @@ def structure_defect(structure: Prenatural, max_arity: int) -> Prenatural:
     return compose_prenatural(structure, structure, max_arity)
 
 
+def _certify(defect: Prenatural, error) -> None:
+    bad = defect.first_nonzero()
+    if bad is not None:
+        raise error(bad)
+
+
 @dataclass
 class AInftyCategory:
     quiver: GradedQuiver
@@ -207,12 +214,16 @@ class AInftyCategory:
         structure = Prenatural(ident, ident, 2, components)
         if not structure.is_flat():
             raise AInftyError("structures must be flat: arity-0 part must vanish")
-        bound, total = _choose_bound(max_arity, structure_verify_bound(quiver))
-        defect = structure_defect(structure, bound)
-        bad = defect.first_nonzero()
-        if bad is not None:
-            raise StructureDefectError(bad)
-        cat = AInftyCategory(quiver, structure, units, bound, total)
+        bound, _ = _choose_bound(max_arity, structure_verify_bound(quiver))
+        _certify(structure_defect(structure, bound), StructureDefectError)
+        return AInftyCategory.derived(structure, units, bound)
+
+    @staticmethod
+    def derived(structure: Prenatural, units: Optional[Dict[str, Vec]],
+                max_arity: Optional[int]) -> "AInftyCategory":
+        """`build` with m.m = 0 up to max_arity derived, not checked."""
+        bound, total = _choose_bound(max_arity, structure_verify_bound(structure.source))
+        cat = AInftyCategory(structure.source, structure, units, bound, total)
         if units is not None:
             report = check_strict_units(cat)
             if not report.passed:
@@ -344,26 +355,45 @@ class AInftyFunctor:
             if morphism.object_map.get(x) not in target.objects:
                 raise AInftyError(f"object map image of {x!r} is not in the target")
         morphism.validate()
+        bound, _ = _choose_bound(
+            max_arity, functor_verify_bound(source.quiver, target.quiver))
+        _certify(functor_defect(morphism, source, target, bound), FunctorDefectError)
+        return AInftyFunctor.derived(morphism, source, target, bound)
+
+    @staticmethod
+    def derived(morphism: FormalMorphism, source: AInftyCategory,
+                target: AInftyCategory, max_arity: Optional[int]) -> "AInftyFunctor":
+        """`build` with the equation up to max_arity derived, not checked."""
         bound, total = _choose_bound(
-            max_arity, functor_verify_bound(source.quiver, target.quiver)
-        )
-        defect = functor_defect(morphism, source, target, bound)
-        bad = defect.first_nonzero()
-        if bad is not None:
-            raise FunctorDefectError(bad)
+            max_arity, functor_verify_bound(source.quiver, target.quiver))
         unital = (source.units is not None and target.units is not None
                   and _strictly_unital(morphism, source, target))
         return AInftyFunctor(morphism, source, target, bound, total, unital)
 
     @staticmethod
     def identity(cat: AInftyCategory) -> "AInftyFunctor":
-        return AInftyFunctor.build(identity_formal(cat.quiver), cat, cat)
+        """Id . m = m . Id, at every arity."""
+        return AInftyFunctor.derived(identity_formal(cat.quiver), cat, cat, None)
 
     def compose(self, other: "AInftyFunctor") -> "AInftyFunctor":
-        """self . other (other applied first)."""
+        """self . other (other applied first): G.F.m = G.m'.F = m''.G.F."""
+        middle, here = other.target, self.source
+        if middle.quiver != here.quiver or middle.structure != here.structure:
+            raise AInftyError("compose: other's target is not self's source")
         bound = min(self.arity_bound, other.arity_bound)
         morphism = compose_formal(self.morphism, other.morphism, bound)
-        return AInftyFunctor.build(morphism, other.source, self.target, bound)
+        return AInftyFunctor.derived(morphism, other.source, self.target, bound)
+
+
+def certify_premise(value, n: int) -> None:
+    """A lemma's premise: value's equation up to arity n, certified past its bound."""
+    if value.total or value.arity_bound >= n:
+        return
+    if isinstance(value, AInftyCategory):
+        _certify(structure_defect(value.structure, n), StructureDefectError)
+    else:
+        _certify(functor_defect(value.morphism, value.source, value.target, n),
+                 FunctorDefectError)
 
 
 def _strictly_unital(morphism: FormalMorphism, source: AInftyCategory,
@@ -505,15 +535,12 @@ def build_h0(cat: AInftyCategory) -> H0Category:
 
     Its laws are not re-checked: the certified u2 gives the unit laws, and
     the arity-3 structure relation makes m2 associative on classes (Seidel,
-    Fukaya Categories and Picard-Lefschetz Theory, ch. I (1c)).  So a
-    structure certified below arity 3, and not totally, is certified to 3.
+    Fukaya Categories and Picard-Lefschetz Theory, ch. I (1c)), a premise
+    certified to 3 when the structure's bound does not cover it.
     """
     if cat.units is None:
         raise AInftyError("units required")
-    if cat.arity_bound < 3 and not cat.total:
-        bad = structure_defect(cat.structure, 3).first_nonzero()
-        if bad is not None:
-            raise StructureDefectError(bad)
+    certify_premise(cat, 3)
     unit_coords: Dict[str, List[Scalar]] = {}
     for x in cat.objects:
         coords = cat.pair_cohomology(x, x).coords(cat.unit_vec(x), 0)

@@ -39,14 +39,7 @@ class NotSquareZeroError(LinearError):
 # -- vector helpers ---------------------------------------------------------
 
 def vec_add(fld: Field, u: Vec, v: Vec) -> Vec:
-    out = dict(u)
-    for i, c in v.items():
-        s = fld.add(out.get(i, fld.zero), c)
-        if fld.is_zero(s):
-            out.pop(i, None)
-        else:
-            out[i] = s
-    return out
+    return fld.reduced({i: u.get(i, 0) + v.get(i, 0) for i in {**u, **v}})
 
 
 def vec_scale(fld: Field, c: Scalar, v: Vec) -> Vec:
@@ -133,14 +126,9 @@ class GradedMap:
         out: Vec = {}
         for (ti, si), c in self.entries.items():
             x = v.get(si)
-            if x is None:
-                continue
-            s = self.fld.add(out.get(ti, self.fld.zero), self.fld.mul(c, x))
-            if self.fld.is_zero(s):
-                out.pop(ti, None)
-            else:
-                out[ti] = s
-        return out
+            if x is not None:
+                out[ti] = out.get(ti, 0) + c * x
+        return self.fld.reduced(out)
 
     def column(self, si: int) -> Vec:
         return {ti: c for (ti, s), c in self.entries.items() if s == si}
@@ -152,25 +140,17 @@ class GradedMap:
         entries: Dict[Tuple[int, int], Scalar] = {}
         for (mi, si), c in other.entries.items():
             for (ti, mj), d in self.entries.items():
-                if mj != mi:
-                    continue
-                key = (ti, si)
-                s = self.fld.add(entries.get(key, self.fld.zero), self.fld.mul(d, c))
-                if self.fld.is_zero(s):
-                    entries.pop(key, None)
-                else:
-                    entries[key] = s
-        return GradedMap(self.fld, other.source, self.target, self.shift + other.shift, entries)
+                if mj == mi:
+                    entries[(ti, si)] = entries.get((ti, si), 0) + d * c
+        return GradedMap(self.fld, other.source, self.target, self.shift + other.shift,
+                         self.fld.reduced(entries))
 
     def add(self, other: "GradedMap") -> "GradedMap":
         entries = dict(self.entries)
         for key, c in other.entries.items():
-            s = self.fld.add(entries.get(key, self.fld.zero), c)
-            if self.fld.is_zero(s):
-                entries.pop(key, None)
-            else:
-                entries[key] = s
-        return GradedMap(self.fld, self.source, self.target, self.shift, entries)
+            entries[key] = entries.get(key, 0) + c
+        return GradedMap(self.fld, self.source, self.target, self.shift,
+                         self.fld.reduced(entries))
 
     def is_zero(self) -> bool:
         return not self.entries

@@ -215,6 +215,18 @@ def test_functor_composition_validates(rng):
     assert comp.morphism == f.morphism
 
 
+def test_compose_requires_the_middle_category():
+    # a composite is derived from its operands' equations, which hold only
+    # through one shared middle category: same quiver and same structure
+    plain = nilpotent_category(QQ, (("a", -1), ("b", 0)))
+    with_d = nilpotent_category(QQ, (("a", -1), ("b", 0)), d_of={"a": "b"})
+    other_quiver = nilpotent_category(QQ, (("a", -1),))
+    assert with_d.quiver == plain.quiver and with_d.objects == other_quiver.objects
+    for middle in (with_d, other_quiver):
+        with pytest.raises(AInftyError, match="compose"):
+            AInftyFunctor.identity(plain).compose(AInftyFunctor.identity(middle))
+
+
 # -- F1 ----------------------------------------------------------------------------
 
 def test_check_f1_identity_trivial():

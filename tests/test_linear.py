@@ -4,6 +4,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ainfty.linear as linear_module
 from ainfty.fields import Field
@@ -330,3 +331,51 @@ def test_cohomology_coords_reduce_each_degree_once(qq, monkeypatch):
         coh.coords(v, 0)
     assert coh.coords({1: qq.one}, -1) is None
     assert len(calls) == 2
+
+
+# -- sums reduced once ---------------------------------------------------------
+
+def _field_sum(fld, terms):
+    """Sum (key, value) terms one Field.add at a time, zeros dropped."""
+    out = {}
+    for key, x in terms:
+        out[key] = fld.add(out.get(key, fld.zero), x)
+    return {key: x for key, x in out.items() if not fld.is_zero(x)}
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([2, 3]))
+@settings(max_examples=40, deadline=None)
+def test_sums_hold_reduced_nonzero_coefficients(seed, p):
+    """vec_add, GradedMap.apply, .compose and .add sum raw values and reduce
+    once: each result equals the sum taken one Field operation at a time,
+    and every coefficient it holds is a residue in [1, p)."""
+    rng = random.Random(seed)
+    fld = Field.prime(p)
+    s0, s1, s2 = (GradedSpace(tuple((f"x{i}", rng.randint(0, 1))
+                                    for i in range(rng.randint(1, 4))))
+                  for _ in range(3))
+
+    def rand_vec(sp):
+        return {i: rng.randrange(1, p) for i in range(sp.dim) if rng.random() < 0.8}
+
+    def rand_map(src, tgt):
+        return GradedMap(fld, src, tgt, 0, {
+            (t, j): rng.randrange(1, p) for t in range(tgt.dim)
+            for j in range(src.dim)
+            if tgt.degree(t) == src.degree(j) and rng.random() < 0.8})
+
+    a, b, c = rand_map(s0, s1), rand_map(s0, s1), rand_map(s1, s2)
+    u, v, w = rand_vec(s1), rand_vec(s1), rand_vec(s0)
+    results = [
+        (vec_add(fld, u, v), _field_sum(fld, [*u.items(), *v.items()])),
+        (vec_add(fld, u, {i: fld.neg(x) for i, x in u.items()}), {}),
+        (a.apply(w), _field_sum(fld, [(t, fld.mul(x, w[j]))
+                                      for (t, j), x in a.entries.items() if j in w])),
+        (c.compose(a).entries, _field_sum(fld, [
+            ((t, j), fld.mul(y, x)) for (m, j), x in a.entries.items()
+            for (t, k), y in c.entries.items() if k == m])),
+        (a.add(b).entries, _field_sum(fld, [*a.entries.items(), *b.entries.items()])),
+    ]
+    for got, want in results:
+        assert got == want
+        assert all(type(x) is int and 0 < x < p for x in got.values())

@@ -679,10 +679,13 @@ def test_readme_engine_call_counts(monkeypatch):
     functor_defect(f.morphism, f.source, f.target, bound)
     assert len(composed) == 2
 
-    # the builders' certification (m.m, functor equations) is counted apart
+    # the builders' certification (m.m, functor equations) is counted apart,
+    # and each build is logged with whether strictify is running
     certifying = []
+    builds = []
     for cls in (AInftyCategory, AInftyFunctor):
-        def certified(*args, _build=cls.build, **kwargs):
+        def certified(*args, _build=cls.build, _name=cls.__name__, **kwargs):
+            builds.append((_name, bool(inside_of["strictify"])))
             certifying.append(True)
             try:
                 return _build(*args, **kwargs)
@@ -734,6 +737,14 @@ def test_readme_engine_call_counts(monkeypatch):
                   if args[0] is not f.morphism and args[0] is not g.morphism]
     assert len(beta_calls) == 1
     assert beta_calls[0][1] is p.product_morphism
+    # strictify certifies phi's functor equation and derives the rest
+    assert [name for name, inside in builds if inside] == ["AInftyFunctor"]
+
+    # composites and identities are derived from their operands' equations
+    builds.clear()
+    p.f.compose(p.beta)
+    p.alpha.compose(AInftyFunctor.identity(p.category))
+    assert builds == []
 
     # induce_functor composes five times outside N's certification: the two
     # sides of the cone, phi . cone_i, and the triangles through beta and

@@ -7,6 +7,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ainfty.fields import Field
 from ainfty.linear import GradedSpace
@@ -21,8 +22,12 @@ from ainfty.quiver import (
     r_compose,
 )
 from ainfty.core import (
+    AInftyCategory,
     AInftyError,
     AInftyFunctor,
+    FunctorDefectError,
+    StructureDefectError,
+    UnitAxiomError,
     check_F1,
     check_strict_units,
     functor_defect,
@@ -58,6 +63,7 @@ from helpers import (
 )
 
 QQ = Field.rationals()
+F3 = Field.prime(3)
 F5 = Field.prime(5)
 
 
@@ -349,6 +355,102 @@ def test_tampered_transport_is_rejected(monkeypatch, arity):
     monkeypatch.setattr(STRICTIFY, "transport_structure", tampered)
     with pytest.raises(AInftyError):
         strictify(f, max_arity=3)
+
+
+# -- derived values and their premises ------------------------------------------
+
+def _non_associative_identity():
+    """The identity functor of an F_5 algebra on e, f (degree 0) with
+    e.e = f and e.f = e, so (e.e).e = 0 but e.(e.e) = e; both certified to
+    arity 2 only, the algebra not totally."""
+    q = GradedQuiver(F5, ("o",), {("o", "o"): GradedSpace((("e", 0), ("f", 0)))})
+    m2 = {(0, 0): {1: F5.one}, (0, 1): {0: F5.one}}
+    cat = AInftyCategory.build(q, {(2, ("o",) * 3): m2}, max_arity=2)
+    return AInftyFunctor.build(identity_formal(q), cat, cat, max_arity=2)
+
+
+def _short_f2_functor(units):
+    """F = Id + F^2(e, 1) = t on the algebra of 1, e (degree 0) and t
+    (degree -1) with the signed unit products only, certified to arity 2:
+    its equation fails at arity 3 on (e, 1, 1)."""
+    cat = nilpotent_category(QQ, (("e", 0), ("t", -1)))
+    if not units:
+        cat = AInftyCategory.build(cat.quiver, cat.structure.components)
+    comps = dict(identity_formal(cat.quiver).components)
+    comps[(2, ("o0",) * 3)] = {(1, 0): {2: QQ.one}}
+    morphism = FormalMorphism(cat.quiver, cat.quiver, {"o0": "o0"}, comps)
+    return AInftyFunctor.build(morphism, cat, cat, max_arity=2)
+
+
+def test_square_is_checked_up_to_the_bound():
+    # F has an arity-3 component; strictified to arity 2, projection . phi
+    # equals F's components up to arity 2
+    f = random_f1_functor(random.Random(248), QQ, density=0.5)
+    assert max(n for n, _ in f.morphism.components) == 3
+    s = strictify(f, max_arity=2)
+    square = compose_formal(s.projection.morphism, s.phi_functor.morphism, 2)
+    assert square.components == {key: t for key, t in f.morphism.components.items()
+                                 if key[0] <= 2}
+
+
+def test_source_premise_is_certified_to_the_bound():
+    # m.m = 0 on the source up to the bound is the premise of the derived
+    # transported category; a shorter certified bound is extended first
+    f = _non_associative_identity()
+    assert f.source.arity_bound == 2 and not f.source.total
+    for run in (strictify, lambda f: build_pullback(f, f)):
+        with pytest.raises(StructureDefectError) as exc:
+            run(f)
+        assert exc.value.witness == (3, ("o",) * 4, (0, 0, 0))
+
+
+def test_functor_premise_is_certified_to_the_bound():
+    # F's equation up to the bound is the premise of the derived projection
+    f = _short_f2_functor(units=False)
+    assert f.arity_bound == 2 and not f.total
+    for run in (strictify, lambda f: build_pullback(f, f)):
+        with pytest.raises(FunctorDefectError) as exc:
+            run(f)
+        assert exc.value.witness == (3, ("o0",) * 4, (1, 0, 0))
+
+
+def test_functor_premise_comes_after_the_transported_units():
+    # F^2 meets the unit, so the transported units fail u1; that check runs
+    # where the transported category is derived, before F's premise
+    f = _short_f2_functor(units=True)
+    for run in (strictify, lambda f: build_pullback(f, f)):
+        with pytest.raises(UnitAxiomError):
+            run(f)
+
+
+def _same_fields(derived, built):
+    for fd in dataclasses.fields(built):
+        assert getattr(derived, fd.name) == getattr(built, fd.name), fd.name
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([QQ, F3, F5]))
+@settings(max_examples=16, deadline=None)
+def test_derived_values_match_their_builds(seed, fld):
+    # the certifications the lemmas replace, kept as oracles: every derived
+    # value equals, field for field, the value build certifies from its data
+    rng = random.Random(seed)
+    f = random_f1_functor(rng, fld, density=0.5)
+    s = strictify(f, max_arity=rng.randint(2, 5))
+    bound, t = s.arity_bound, s.transported
+    assert t.structure.frm == t.structure.to == identity_formal(t.quiver)
+    _same_fields(t, AInftyCategory.build(t.quiver, t.structure.components,
+                                         t.units, max_arity=bound))
+    for derived, target in ((s.projection, f.target), (s.psi_functor, f.source)):
+        _same_fields(derived, AInftyFunctor.build(derived.morphism, t, target,
+                                                  max_arity=bound))
+    for g, h in ((s.projection, s.phi_functor), (s.psi_functor, s.phi_functor),
+                 (f, s.psi_functor)):
+        gh = g.compose(h)
+        _same_fields(gh, AInftyFunctor.build(
+            gh.morphism, h.source, g.target, min(g.arity_bound, h.arity_bound)))
+    for cat in (f.source, f.target, t):
+        _same_fields(AInftyFunctor.identity(cat),
+                     AInftyFunctor.build(identity_formal(cat.quiver), cat, cat))
 
 
 # -- the K (+) M block layout ---------------------------------------------------
