@@ -306,6 +306,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         if args.max_arity is not None and args.max_arity < 1:
             raise DocumentError("<args>", 0, "--max-arity must be at least 1")
+        if (args.max_arity is not None and args.max_arity < 2
+                and args.command in ("strictify", "pullback", "induce")):
+            raise DocumentError("<args>", 0, f"--max-arity must be at least 2 "
+                                f"for {args.command}: strict units need m2")
         if args.p is not None and args.field != "Fp":
             raise DocumentError("<args>", 0, "--p needs --field Fp")
         return args.fn(args)

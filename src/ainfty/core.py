@@ -339,6 +339,8 @@ class AInftyFunctor:
     total: bool
     strictly_unital: bool = False
     _f1: Optional["F1Result"] = field(default=None, repr=False, compare=False)
+    _coh_maps: Dict[Tuple[str, str, int], List[List[Scalar]]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     @property
     def object_map(self) -> Dict[str, str]:
@@ -500,10 +502,14 @@ class H0Category:
     def isos(self, x: str, y: str):
         """The invertible classes x -> y, in coordinate order; prime fields
         only.  Each class is tested once per H0: a later call replays the
-        classes found so far and goes on from there."""
+        classes found so far and goes on from there.  Composing with an iso
+        is a bijection, so none exists unless H0(x, y), H0(y, x), H0(x, x)
+        and H0(y, y) have one dimension; otherwise no class is tried."""
         if (x, y) not in self._isos:
-            fld = self.cat.fld
-            every = itertools.product(list(fld.elements()), repeat=self.dim(x, y))
+            fld, d = self.cat.fld, self.dim(x, y)
+            every = ()
+            if d == self.dim(y, x) == self.dim(x, x) == self.dim(y, y):
+                every = itertools.product(list(fld.elements()), repeat=d)
             self._isos[(x, y)] = ([], (c for c in map(list, every)
                                        if self.is_iso(x, y, c)))
         found, rest = self._isos[(x, y)]
@@ -553,16 +559,21 @@ def build_h0(cat: AInftyCategory) -> H0Category:
 def cohomology_matrix(functor: AInftyFunctor, x: str, y: str,
                       degree: int) -> List[List[Scalar]]:
     """Matrix of [F1]: H^degree(x, y) -> H^degree(F x, F y), columns over
-    source classes."""
-    fx, fy = functor.object_map[x], functor.object_map[y]
-    target = functor.target.pair_cohomology(fx, fy)
-    cols = []
-    for rep in functor.source.pair_cohomology(x, y).reps.get(degree, []):
-        img = eval_multilinear(functor.morphism, 1, (x, y), [rep])
-        coords = target.coords(img, degree)
-        assert coords is not None
-        cols.append(coords)
-    return [[col[i] for col in cols] for i in range(target.dims.get(degree, 0))]
+    source classes; computed once per (x, y, degree) and kept on the
+    functor, so callers must not mutate it."""
+    key = (x, y, degree)
+    if key not in functor._coh_maps:
+        fx, fy = functor.object_map[x], functor.object_map[y]
+        target = functor.target.pair_cohomology(fx, fy)
+        cols = []
+        for rep in functor.source.pair_cohomology(x, y).reps.get(degree, []):
+            img = eval_multilinear(functor.morphism, 1, (x, y), [rep])
+            coords = target.coords(img, degree)
+            assert coords is not None
+            cols.append(coords)
+        functor._coh_maps[key] = [[col[i] for col in cols]
+                                for i in range(target.dims.get(degree, 0))]
+    return functor._coh_maps[key]
 
 
 # -- classifiers ----------------------------------------------------------------
@@ -601,6 +612,13 @@ def check_isofibration(
 
     Decided by enumeration over a prime field; over the rationals the verdict
     is certificate-based, with "undecided" when no certificates are given.
+    Over a prime field, the first iso phi0: F x -> b decides (x, b) whenever
+    [F1]: H0(x, x) -> H0(F x, F x) is onto and unital (`_units_lift`): every
+    unit u' of End(F x) is then [F1] of a unit u of End(x) (Bass; Lam, A
+    First Course in Noncommutative Rings, section 20), so a lift psi0 of phi0
+    gives the lift psi0 . u of every iso phi0 . u'.  Otherwise every iso of
+    H0(F x, b) is tried.  Either way the witness is the first iso, in
+    coordinate order, that has no lift.
     """
     src, tgt = functor.source, functor.target
     if src.units is None or tgt.units is None:
@@ -625,9 +643,11 @@ def check_isofibration(
     systems: Dict[Pair, Tuple[List[List[Scalar]], List[List[Scalar]]]] = {}
     for x in src.objects:
         px = functor.object_map[x]
+        first_decides = _units_lift(functor, h0s, h0t, x)
         for b in tgt.objects:
             # enumerated once per (px, b): isos replays it for every x over px
-            for coords in h0t.isos(px, b):
+            isos = h0t.isos(px, b)
+            for coords in itertools.islice(isos, 1) if first_decides else isos:
                 if not _find_lift(functor, h0s, x, coords, fibers.get(b, []),
                                   systems):
                     return CheckReport(
@@ -637,6 +657,20 @@ def check_isofibration(
                         {"method": "enumeration"},
                     )
     return CheckReport("pass", [], {"method": "enumeration"})
+
+
+def _units_lift(functor, h0s, h0t, x) -> bool:
+    """Whether [F1]: H0(x, x) -> H0(F x, F x) is onto and sends 1_x to
+    1_{F x}, with F's arity-2 equation certified: that makes it
+    multiplicative, so a surjection of finite-dimensional algebras, and
+    those are onto on units."""
+    if not (functor.total or functor.arity_bound >= 2):
+        return False
+    fld, mat = functor.source.fld, cohomology_matrix(functor, x, x, 0)
+    if mat and len(rref(fld, mat)[1]) != len(mat):
+        return False
+    unit = _combine(fld, h0s.unit_coords[x], zip(*mat), len(mat))
+    return unit == h0t.unit_coords[functor.object_map[x]]
 
 
 def _find_lift(functor, h0s, x, coords, fiber, systems) -> bool:
@@ -653,11 +687,9 @@ def _find_lift(functor, h0s, x, coords, fiber, systems) -> bool:
         part = solve_dense(fld, mat, coords or [fld.zero])
         if part is None:
             continue
+        vecs = [part] + null
         for combo in itertools.product(list(fld.elements()), repeat=len(null)):
-            cand = list(part)
-            for c, nv in zip(combo, null):
-                cand = [fld.add(u, fld.mul(c, v)) for u, v in zip(cand, nv)]
-            if h0s.is_iso(x, a, cand):
+            if h0s.is_iso(x, a, _combine(fld, (fld.one,) + combo, vecs, len(part))):
                 return True
     return False
 

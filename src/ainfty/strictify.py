@@ -254,10 +254,15 @@ class Strictification:
 def strictify(functor: AInftyFunctor,
               max_arity: Optional[int] = None) -> Strictification:
     """Full strictification bundle for an F1 functor, on check_F1's splits
-    (computed once per functor); StrictifyError when F1 fails."""
+    (computed once per functor); StrictifyError when F1 fails, or when the
+    bound is below 2 and not total: the transported category then has no m2
+    to state its strict units with."""
     model = build_split_model(functor)
     full = _total_bound(model)
     bound, total = _choose_bound(max_arity, full)
+    if bound < 2 and not total:
+        raise StrictifyError(f"arity bound {bound} is below 2: "
+                             "strict units need m2")
     phi, psi = build_phi_psi(model, bound)
     m_model = transport_structure(model, phi, psi, bound)
 

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ainfty.fields import Field, Scalar
 from ainfty.linear import GradedSpace, Vec, rref, solve_dense, vec_add, vec_scale
-from ainfty.core import AInftyCategory, AInftyFunctor, arity1_map
+from ainfty.core import AInftyCategory, AInftyFunctor, CheckReport, arity1_map
 from ainfty.pullback import build_pullback, induce_functor
 from ainfty.quiver import (
     Components,
@@ -839,6 +839,16 @@ def sq_functor(fld: Field) -> AInftyFunctor:
     return AInftyFunctor.build(m, a, ap)
 
 
+def idempotent_category(fld: Field) -> AInftyCategory:
+    """One object; basis 1, e in degree 0 with e.e = e, so End = k x k by
+    the orthogonal idempotents e and 1 - e."""
+    sp = GradedSpace((("1", 0), ("e", 0)))
+    q = GradedQuiver(fld, ("o",), {("o", "o"): sp})
+    m2 = {(i, j): {max(i, j): fld.one} for i in range(2) for j in range(2)}
+    return AInftyCategory.build(q, {(2, ("o",) * 3): m2},
+                                units={"o": {0: fld.one}})
+
+
 def m3_category(fld: Field) -> AInftyCategory:
     """One object; a (deg 1), b (deg 2); the only operation sends (a,a,a) to b."""
     sp = GradedSpace((("a", 1), ("b", 2)))
@@ -955,6 +965,43 @@ def h0_is_iso_by_classes(h0, x: str, y: str, f) -> bool:
             for r in range(h0.dim(x, x) + h0.dim(y, y))]
     rhs = list(h0.unit_coords[x]) + list(h0.unit_coords[y])
     return solve_dense(fld, rows, rhs) is not None
+
+
+def isofibration_by_enumeration(functor: AInftyFunctor) -> CheckReport:
+    """Reference for check_isofibration over a prime field: every iso class
+    of every H0(F x, b) in coordinate order, each lifted by trying every
+    class of every H0(x, a) with F a = b, by class vectors and solves."""
+    if arity1_iso_by_rank(functor):
+        return CheckReport("pass", [], {"method": "arity-1 isomorphism"})
+    src, tgt = functor.source, functor.target
+    h0s, h0t = src.h0(), tgt.h0()
+    elements = list(src.fld.elements())
+
+    def classes(h0, x, y):
+        return map(list, itertools.product(elements, repeat=h0.dim(x, y)))
+
+    for x in src.objects:
+        px = functor.object_map[x]
+        # the iso classes x -> a over each target object, keyed by image
+        lifts: Dict[str, set] = {}
+        for a in src.objects:
+            fa = functor.object_map[a]
+            for c in classes(h0s, x, a):
+                if h0_is_iso_by_classes(h0s, x, a, c):
+                    img = eval_multilinear(functor.morphism, 1, (x, a),
+                                           [h0_class_vec(h0s, x, a, c)])
+                    lifts.setdefault(fa, set()).add(
+                        tuple(h0t.coords_of(px, fa, img)))
+        for b in tgt.objects:
+            for coords in classes(h0t, px, b):
+                if (h0_is_iso_by_classes(h0t, px, b, coords)
+                        and tuple(coords) not in lifts.get(b, ())):
+                    return CheckReport(
+                        "fail",
+                        [f"iso at H0({px},{b}) with coords {coords} "
+                         f"has no lift from {x}"],
+                        {"method": "enumeration"})
+    return CheckReport("pass", [], {"method": "enumeration"})
 
 
 # -- the terminal category and products over it ----------------------------------

@@ -364,6 +364,24 @@ def test_max_arity_below_one_exit_two(tmp_path, capsys, command, args):
     assert not (tmp_path / "o").exists()
 
 
+def test_strict_unit_commands_need_max_arity_two(tmp_path, capsys):
+    # at bound 1 the transported category has no m2 to state its strict
+    # units with: a usage error that writes nothing, and bound 2 passes
+    for name in README_INPUTS:
+        shutil.copy(GOLDEN / name, tmp_path / name)
+    for command, args, _ in README_RUNS[2:]:
+        argv = [a if a.startswith("--") else str(tmp_path / a) for a in args]
+        code, rep = run(capsys, command, *argv, "--max-arity", "1")
+        assert code == 2 and rep["overall"] == "error"
+        assert rep["error"] == (f"<args>:0: --max-arity must be at least 2 "
+                                f"for {command}: strict units need m2")
+        assert not (tmp_path / args[-1]).exists()
+        code, rep = run(capsys, command, *argv, "--max-arity", "2")
+        assert code == 0 and rep["overall"] == "pass"
+        details = rep["checks"].get("strictification", {}).get("details", rep)
+        assert details["arity_bound"] == 2
+
+
 def test_degree_violating_mu_is_a_document_error(tmp_path, capsys):
     # t . 1 must have degree -1; an output of degree 0 breaks the degree rule
     for name in README_INPUTS:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ainfty.fields import Field
 from ainfty.documents import parse_certificates
-from ainfty.linear import GradedSpace
+from ainfty.linear import GradedSpace, rref
 from ainfty.quiver import (
     FormalMorphism,
     GradedQuiver,
@@ -20,6 +20,7 @@ from ainfty.core import (
     AInftyError,
     AInftyFunctor,
     FunctorDefectError,
+    H0Category,
     IsoLiftCertificate,
     StructureDefectError,
     UnitAxiomError,
@@ -30,6 +31,7 @@ from ainfty.core import (
     check_quasi_equivalence,
     check_strict_units,
     _arity1_iso_everywhere,
+    _units_lift,
     cohomology_matrix,
     functor_defect,
     kernel_acyclicity,
@@ -43,7 +45,9 @@ from helpers import (
     h0_basis_law_failures,
     h0_compose_by_classes,
     h0_is_iso_by_classes,
+    idempotent_category,
     inclusion_functor,
+    isofibration_by_enumeration,
     m3_category,
     nilpotent_category,
     point_category,
@@ -55,6 +59,7 @@ from helpers import (
     perturb_structure,
     random_diffeo,
     random_f1_functor,
+    random_g_functor,
     terminal_category,
     to_terminal,
     twist_structure,
@@ -318,6 +323,8 @@ def test_f1_and_pair_cohomology_computed_once():
     assert check_F1(f) is check_F1(f)
     cat = f.source
     assert cat.pair_cohomology("o", "o") is cat.pair_cohomology("o", "o")
+    # [F1]'s H0 matrix: F2, QE and unit lifting read one per key
+    assert cohomology_matrix(f, "o", "o", 0) is cohomology_matrix(f, "o", "o", 0)
     # the memos are not part of the value
     assert f == sq_functor(QQ)
 
@@ -477,6 +484,123 @@ def test_isofibration_into_terminal_category_by_certificate():
     f = to_terminal(src, terminal_category(QQ))
     cert = IsoLiftCertificate("o", "*", {}, "o", src.unit_vec("o"))
     assert check_isofibration(f, [cert]).verdict == "pass"
+
+
+def _f2_instances(rng, fld):
+    """Functors of every shape the F2 classifier meets: an F1 functor, a
+    functor into its target, a doubled collapse, point inclusions, and
+    composites with the functor to the terminal category."""
+    f = random_f1_functor(rng, fld, require_f2=False)
+    point = point_category(fld)
+    doubled = doubled_object_functor(
+        nilpotent_category(fld, rng.choice([(), (("e", 0),), (("a", -1),)])))
+    yield f
+    yield random_g_functor(rng, f.target)
+    yield doubled
+    for target in (f.source, f.target, doubled.source):
+        yield inclusion_functor(point, target, rng.choice(target.objects))
+    term = terminal_category(fld)
+    yield to_terminal(f.target, term).compose(f)
+    yield to_terminal(doubled.target, term).compose(doubled)
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([2, 3, 5]))
+@settings(max_examples=30, deadline=None)
+def test_isofibration_matches_enumeration(seed, p):
+    # the first-iso rule under unit lifting, the dimension pre-filter and the
+    # enumeration fallback give the verdict, witnesses and details of trying
+    # every iso class and every lift
+    for f in _f2_instances(random.Random(seed), Field.prime(p)):
+        rep, want = check_isofibration(f), isofibration_by_enumeration(f)
+        assert (rep.verdict, rep.witnesses, rep.details) == (
+            want.verdict, want.witnesses, want.details)
+
+
+@pytest.mark.parametrize("p, verdict", [(2, "pass"), (3, "fail")])
+def test_isofibration_into_a_product_of_fields_enumerates(p, verdict):
+    # the point onto an object with H0 End = k x k: [F1] is not onto, so
+    # unit lifting does not apply.  Over F_2 the only unit is (1, 1); over
+    # F_3 the first iso is the unit, which lifts, and a later one does not
+    fld = Field.prime(p)
+    f = inclusion_functor(point_category(fld), idempotent_category(fld), "o")
+    h0t = f.target.h0()
+    assert not _units_lift(f, f.source.h0(), h0t, "o0")
+    assert next(h0t.isos("o", "o")) == h0t.unit_coords["o"]
+    rep = check_isofibration(f)
+    want = isofibration_by_enumeration(f)
+    assert rep.verdict == want.verdict == verdict
+    assert rep.witnesses == want.witnesses and rep.details == want.details
+
+
+def test_isofibration_below_arity_two_enumerates():
+    # F1: 1 -> 1, a -> 1 + e, b -> 0 from a local algebra onto End = k x k
+    # over F_3 is onto and unital on H0 but not multiplicative, which only
+    # F's arity-2 equation would give; certified to arity 1, F2 is decided
+    # by enumeration: the unit lifts, the unit 1 + e does not
+    fld = Field.prime(3)
+    src, tgt = _degree_zero_algebra(fld, {}), idempotent_category(fld)
+    morphism = FormalMorphism(src.quiver, tgt.quiver, {"o": "o"}, {
+        (1, ("o", "o")): {(0,): {0: fld.one}, (1,): {0: fld.one, 1: fld.one}},
+    })
+    f = AInftyFunctor.build(morphism, src, tgt, max_arity=1)
+    assert f.arity_bound == 1 and not f.total
+    h0t = tgt.h0()
+    assert not _units_lift(f, src.h0(), h0t, "o")
+    assert next(h0t.isos("o", "o")) == h0t.unit_coords["o"]
+    rep, want = check_isofibration(f), isofibration_by_enumeration(f)
+    assert rep.verdict == want.verdict == "fail"
+    assert rep.witnesses == want.witnesses and rep.details == want.details
+
+
+def _counted_is_iso(monkeypatch):
+    calls = []
+    real = H0Category.is_iso
+
+    def counted(self, x, y, f):
+        calls.append((x, y))
+        return real(self, x, y, f)
+    monkeypatch.setattr(H0Category, "is_iso", counted)
+    return calls
+
+
+def test_isofibration_work_is_one_lift_per_pair(monkeypatch):
+    # under unit lifting each (x, b) tries the classes of H0(F x, b) up to
+    # its first iso, then that iso's lift candidates; enumerating every iso
+    # makes more calls than this bound on both functors
+    base = nilpotent_category(F5, (("e", 0),))
+    elements = list(F5.elements())
+    for f in (sq_functor(F5), doubled_object_functor(base)):
+        h0s, h0t = f.source.h0(), f.target.h0()
+        bound = 0
+        for x in f.source.objects:
+            assert _units_lift(f, h0s, h0t, x)
+            px = f.object_map[x]
+            for b in f.target.objects:
+                every = itertools.product(elements, repeat=h0t.dim(px, b))
+                tried = 0
+                for c in map(list, every):
+                    tried += 1
+                    if h0_is_iso_by_classes(h0t, px, b, c):
+                        break
+                bound += tried
+                for a in f.source.objects:
+                    if f.object_map[a] == b:
+                        mat = cohomology_matrix(f, x, a, 0)
+                        bound += 5 ** (h0s.dim(x, a) - len(rref(F5, mat)[1]))
+        calls = _counted_is_iso(monkeypatch)
+        assert check_isofibration(f).verdict == "pass"
+        assert 0 < len(calls) <= bound
+        monkeypatch.undo()
+
+
+def test_isos_skip_homs_whose_dimensions_differ(monkeypatch):
+    # dim H0(o0, o0) = 2 (1 and a) but dim H0(o0, o1) = 1: no class is tried
+    h0 = nilpotent_category(F5, (("a", 0),), n_objects=2).h0()
+    assert (h0.dim("o0", "o0"), h0.dim("o0", "o1")) == (2, 1)
+    calls = _counted_is_iso(monkeypatch)
+    assert list(h0.isos("o0", "o1")) == [] and list(h0.isos("o1", "o0")) == []
+    assert calls == []
+    assert list(h0.isos("o0", "o0")) and calls
 
 
 # -- quasi-equivalence and kernels ----------------------------------------------------

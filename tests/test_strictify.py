@@ -336,6 +336,17 @@ def test_strictify_requires_f1(qq):
         strictify(f)
 
 
+def test_bound_below_two_is_refused():
+    # the transported category at bound 1 has no m2 to state its strict
+    # units with: a StrictifyError naming the bound, not a unit failure
+    f = fixture_functor()
+    for run in (strictify, lambda f, max_arity: build_pullback(f, f, max_arity)):
+        with pytest.raises(StrictifyError, match="arity bound 1 is below 2"):
+            run(f, max_arity=1)
+    assert strictify(f, max_arity=2).arity_bound == 2
+    assert build_pullback(f, f, max_arity=2).arity_bound == 2
+
+
 # `from ainfty import strictify` is the function; patch through the module
 STRICTIFY = importlib.import_module("ainfty.strictify")
 
