@@ -34,7 +34,9 @@ from .quiver import (
     GradedQuiver,
     Prenatural,
     compose_formal,
+    double_sum,
     eval_multilinear,
+    first_difference,
     identity_formal,
     l_compose,
     r_compose,
@@ -179,10 +181,23 @@ def structure_defect(structure: Prenatural, max_arity: int) -> Prenatural:
     return compose_prenatural(structure, structure, max_arity)
 
 
-def _certify(defect: Prenatural, error) -> None:
-    bad = defect.first_nonzero()
-    if bad is not None:
-        raise error(bad)
+def _certify(parts: Iterable[Components], error) -> None:
+    """Raise error at the first nonzero entry of the first nonzero part; a
+    part is read only after every part before it is zero."""
+    for part in parts:
+        bad = first_difference(part, {})
+        if bad is not None:
+            raise error(bad)
+
+
+def _certify_structure(structure: Prenatural, max_arity: int) -> None:
+    """m . m = 0 up to max_arity, read one arity at a time: a defect stops
+    the sum at its first nonzero arity, and the witness is the one
+    `structure_defect(...).first_nonzero()` names, since that sorts by
+    arity first."""
+    structure.validate()
+    _certify((part for _, part in double_sum(structure, structure, max_arity)),
+             StructureDefectError)
 
 
 @dataclass
@@ -215,7 +230,7 @@ class AInftyCategory:
         if not structure.is_flat():
             raise AInftyError("structures must be flat: arity-0 part must vanish")
         bound, _ = _choose_bound(max_arity, structure_verify_bound(quiver))
-        _certify(structure_defect(structure, bound), StructureDefectError)
+        _certify_structure(structure, bound)
         return AInftyCategory.derived(structure, units, bound)
 
     @staticmethod
@@ -359,7 +374,8 @@ class AInftyFunctor:
         morphism.validate()
         bound, _ = _choose_bound(
             max_arity, functor_verify_bound(source.quiver, target.quiver))
-        _certify(functor_defect(morphism, source, target, bound), FunctorDefectError)
+        _certify([functor_defect(morphism, source, target, bound).components],
+                 FunctorDefectError)
         return AInftyFunctor.derived(morphism, source, target, bound)
 
     @staticmethod
@@ -392,10 +408,10 @@ def certify_premise(value, n: int) -> None:
     if value.total or value.arity_bound >= n:
         return
     if isinstance(value, AInftyCategory):
-        _certify(structure_defect(value.structure, n), StructureDefectError)
+        _certify_structure(value.structure, n)
     else:
-        _certify(functor_defect(value.morphism, value.source, value.target, n),
-                 FunctorDefectError)
+        defect = functor_defect(value.morphism, value.source, value.target, n)
+        _certify([defect.components], FunctorDefectError)
 
 
 def _strictly_unital(morphism: FormalMorphism, source: AInftyCategory,

@@ -224,11 +224,17 @@ def _validate_family(fam, allow_arity0: bool) -> None:
             if x not in src.objects:
                 raise QuiverError(f"object {x!r} not in the source quiver")
         out_space = tgt.space(*fam.out_pair(objs))
+        # the basis of each input, in input tuple order
+        bases = [src.space(objs[n - 1 - i], objs[n - i]).basis for i in range(n)]
+        shift = fam.shift(n)
         for in_t, vec in table.items():
             if len(in_t) != n:
                 raise QuiverError(f"input tuple {in_t} has wrong arity")
-            degs = src.input_degrees(objs, in_t)
-            want = sum(degs) + fam.shift(n)
+            want = shift
+            for basis, b in zip(bases, in_t):
+                if not 0 <= b < len(basis):
+                    raise QuiverError("input index outside the source hom space")
+                want += basis[b][1]
             for oi, c in vec.items():
                 if src.fld.is_zero(c):
                     continue
@@ -309,11 +315,7 @@ def _expand(outer, right, ins: Optional[Prenatural], left,
 
     When `right` and `left` are both the identity of their quiver (the
     structure relation m . m and the insertion of a structure among identity
-    endpoints), the sum is the classical double sum over (entry, slot k) of
-    outer(..., ins(...), ...) and there is no sweep: the other r - 1 blocks
-    copy their inputs, so each entry of the one insertion bucket at slot k
-    with at most max_arity - (r - 1) inputs gives the word Y with slot k
-    replaced.  The entries that fit are listed once per (bucket, r).
+    endpoints), the sum is `double_sum`, merged over its arities.
 
     No `Field` method runs per word.  Each word adds coefficient times
     output entry into one flat dict keyed (path, inputs, output index), with
@@ -322,17 +324,18 @@ def _expand(outer, right, ins: Optional[Prenatural], left,
     surviving entries are regrouped into components in the order the words
     first reached them.
     """
+    if ins is not None and _is_identity(right) and (left is right or _is_identity(left)):
+        merged: Components = {}
+        for _, part in double_sum(outer, ins, max_arity):
+            merged.update(part)
+        return merged
     fld = right.source.fld
-    if ins is not None and _is_identity(right) and _is_identity(left):
-        right_inv = left_inv = None
-    else:
-        right_inv = _invert(right)
-        left_inv = right_inv if left is right else _invert(left)
+    right_inv = _invert(right)
+    left_inv = right_inv if left is right else _invert(left)
     ins_inv = None if ins is None else _invert(ins)
     signed = ins is not None and (ins.degree - 1) % 2 == 1
     flat: Dict[Tuple[Tuple[str, ...], Tuple[int, ...], int], Scalar] = {}
     get = flat.get
-    fitting: Dict[Tuple[Tuple[str, str], int, int], List[_Entry]] = {}
     for (r, Y), table in outer.components.items():
         if r == 0:
             continue
@@ -346,21 +349,6 @@ def _expand(outer, right, ins: Optional[Prenatural], left,
                     signs[k] = -signs[k - 1] if degs[r - k] % 2 == 0 else signs[k - 1]
             for k in ([None] if ins is None else range(1, r + 1)):
                 sign = 1 if k is None else signs[k - 1]
-                if left_inv is None:
-                    head, tail = Y[:k - 1], Y[k + 1:]
-                    before, after = in_t[:r - k], in_t[r - k + 1:]
-                    pair, b, room = (Y[k - 1], Y[k]), in_t[r - k], max_arity - (r - 1)
-                    entries = fitting.get((pair, b, room))
-                    if entries is None:
-                        entries = fitting[(pair, b, room)] = [
-                            e for e in ins_inv.get((pair, b), {}).get(Y[k - 1], ())
-                            if len(e[1]) <= room]
-                    for oi, x in out_vec.items():
-                        x *= sign
-                        for epath, ein, ec in entries:
-                            key = (head + epath + tail, before + ein + after, oi)
-                            flat[key] = get(key, 0) + ec * x
-                    continue
                 invs = ([left_inv] * r if k is None else
                         [right_inv] * (k - 1) + [ins_inv] + [left_inv] * (r - k))
                 buckets = invs[0].get(((Y[0], Y[1]), in_t[r - 1]), {})
@@ -384,6 +372,91 @@ def _expand(outer, right, ins: Optional[Prenatural], left,
     for (path, acc, oi), c in fld.reduced(flat).items():
         result.setdefault((len(acc), path), {}).setdefault(acc, {})[oi] = c
     return result
+
+
+def double_sum(outer, ins: Prenatural, max_arity: int
+               ) -> Iterator[Tuple[int, Components]]:
+    """outer over words with one `ins` block among identity blocks, one
+    output arity at a time: yields (n, the arity-n part) for n from 0 (when
+    `ins` has an arity-0 part) or 1 up to max_arity.
+
+    This is the classical double sum over (entry, slot k) of
+    outer(..., ins(...), ...): an `ins` entry with e inputs in the bucket of
+    slot k replaces that slot, giving a word of arity r - 1 + e.  The
+    arity-n part reads only the outer entries of arity <= n + 1 - (least
+    arity of `ins`), so a consumer that stops early leaves the rest unread
+    (the arity-n part of m . m reads only m^1..m^n).  The insertion is
+    indexed by (slot pair, output index, input count) once per call, and an
+    outer entry's slots and signs are read when its arity is first needed:
+    each (outer entry, slot, insertion entry) triple is visited once.  Each
+    part is summed and reduced as `_expand` describes.
+    """
+    q = outer.source
+    arities = {n for n, _ in ins.components}
+    shortest, longest = min(arities, default=1), max(arities, default=0)
+    index: Dict[Tuple[str, str, int], Dict[int, List[_Entry]]] = {}
+    for ((x, y), b), starts in _invert(ins).items():
+        lengths = index[(x, y, b)] = {}
+        for entries in starts.values():
+            for entry in entries:
+                e = len(entry[1])
+                if e in lengths:
+                    lengths[e].append(entry)
+                else:
+                    lengths[e] = [entry]
+    # flips[(x, y, b)]: whether b in hom(x, y) has odd reduced degree, so
+    # that an insertion right of it changes sign
+    flips = {}
+    if (ins.degree - 1) % 2:
+        flips = {(x, y, b): deg % 2 == 0 for (x, y), sp in q.hom.items()
+                 for b, (_, deg) in enumerate(sp.basis)}
+    rows: Dict[int, List[Tuple[Tuple[str, ...], Dict[Tuple[int, ...], Vec]]]] = {}
+    for (r, Y), table in outer.components.items():
+        if r:
+            rows.setdefault(r, []).append((Y, table))
+    widest = max(rows, default=0)
+    slots: Dict[int, list] = {}
+    for n in range(min(shortest, 1), max_arity + 1):
+        flat: Dict[Tuple[Tuple[str, ...], Tuple[int, ...], int], Scalar] = {}
+        get = flat.get
+        for r in range(max(1, n + 1 - longest), min(n + 2 - shortest, widest + 1)):
+            if r not in slots:
+                slots[r] = _slots(r, rows.get(r, ()), index, flips)
+            e = n + 1 - r
+            for lengths, head, tail, before, after, out in slots[r]:
+                entries = lengths.get(e)
+                if entries:
+                    for oi, x in out:
+                        for epath, ein, ec in entries:
+                            key = (head + epath + tail, before + ein + after, oi)
+                            flat[key] = get(key, 0) + ec * x
+        part: Components = {}
+        for (path, acc, oi), c in q.fld.reduced(flat).items():
+            part.setdefault((n, path), {}).setdefault(acc, {})[oi] = c
+        yield n, part
+
+
+def _slots(r: int, rows, index, flips) -> list:
+    """Per (arity-r outer entry, slot k) whose insertion bucket is not
+    empty: the bucket's entries by input count, the objects and inputs left
+    and right of slot k, and the entry's output items times the sign of an
+    insertion at slot k, which flips past each slot j < k whose input
+    in_t[r - j] `flips` marks."""
+    out = []
+    for Y, table in rows:
+        for in_t, out_vec in table.items():
+            items, negated, sign = out_vec.items(), None, 1
+            for k in range(1, r + 1):
+                key = (Y[k - 1], Y[k], in_t[r - k])
+                lengths = index.get(key)
+                if lengths:
+                    if sign == -1 and negated is None:
+                        negated = [(oi, -x) for oi, x in items]
+                    out.append((lengths, Y[:k - 1], Y[k + 1:], in_t[:r - k],
+                                in_t[r - k + 1:], items if sign == 1 else negated))
+                if flips and flips[key]:
+                    sign = -sign
+    return out
 
 
 def _composites(g_frm: FormalMorphism, g_to: FormalMorphism, f_frm: FormalMorphism,

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ainfty import core
 from ainfty.fields import Field
 from ainfty.documents import parse_certificates
 from ainfty.linear import GradedSpace, rref
@@ -118,6 +119,44 @@ def test_m3_perturbed_witness_at_arity_five(qq):
     assert n == 5 and in_t == (0, 0, 0, 0, 0)
     with pytest.raises(StructureDefectError):
         AInftyCategory.build(q, comps, max_arity=5)
+
+
+def test_build_stops_at_the_first_nonzero_arity(monkeypatch):
+    """Transported structures perturbed at arity 1..3 are refused at their
+    first nonzero arity: build, and certify_premise past a shorter bound,
+    raise the witness structure_defect names, and neither advances the
+    stream of m . m past the witness arity."""
+    yielded = []
+    stream = core.double_sum
+
+    def counted(*args):
+        for n, part in stream(*args):
+            yielded.append(n)
+            yield n, part
+    monkeypatch.setattr(core, "double_sum", counted)
+    rng = random.Random(19)
+    early = 0
+    for _ in range(16):
+        dg = random_dg_category(rng, rng.choice((QQ, F5)), 1, 3)
+        cat = AInftyCategory.derived(dg.structure, None, dg.arity_bound)
+        bound = rng.randint(4, 6)
+        twisted = twist_structure(cat, random_diffeo(rng, cat.quiver, 3), bound)
+        comps = perturb_structure(rng, twisted, max_arity=3)
+        ident = identity_formal(cat.quiver)
+        candidate = Prenatural(ident, ident, 2, comps or {})
+        witness = structure_defect(candidate, bound).first_nonzero()
+        if witness is None:
+            continue
+        short = AInftyCategory.derived(candidate, None, 1)
+        for refuse in (lambda: AInftyCategory.build(cat.quiver, comps, max_arity=bound),
+                       lambda: core.certify_premise(short, bound)):
+            yielded.clear()
+            with pytest.raises(StructureDefectError) as exc:
+                refuse()
+            assert exc.value.witness == witness
+            assert yielded == list(range(1, witness[0] + 1))
+        early += witness[0] < bound
+    assert early >= 8
 
 
 def test_degree_violation_reported_before_evaluation(qq):

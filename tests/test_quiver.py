@@ -232,6 +232,54 @@ def test_identity_endpoint_double_sum_matches_oracles(seed, field, degree, bound
         q, m, bound)
 
 
+@given(st.integers(0, 10 ** 6), st.sampled_from(sorted(FIELDS)), st.integers(1, 5))
+@settings(max_examples=25, deadline=None)
+def test_double_sum_stream_matches_oracles(seed, field, bound):
+    """The double sum one arity at a time: the arities run without a gap
+    from 0 (when the insertion has an arity-0 part) or 1 up to the bound,
+    each part is the whole sum restricted to its arity, and the merged parts
+    are compose_prenatural and the dense oracles: the word expansion for an
+    insertion with arity-0 parts, the explicit double sum for m . m."""
+    rng = random.Random(seed)
+    fld = FIELDS[field]
+    q = stepped_quiver(rng, fld, rng.randint(1, 2))
+    ident = identity_formal(q)
+    m = random_flat_prenatural(rng, q, degree=2, max_arity=3, density=0.6)
+    # t has an arity-0 part: its degree is that of an element of hom(x, x)
+    x = q.objects[0]
+    b = rng.randrange(q.space(x, x).dim)
+    degree = q.space(x, x).degree(b)
+    t = random_prenatural(rng, ident, ident, degree, 0, 3, density=0.6)
+    t = Prenatural(ident, ident, degree, {**t.components, (0, (x,)): {(): {b: fld.one}}})
+    d = random_prenatural(rng, ident, ident, rng.randint(0, 3), 1, 3, density=0.6)
+    for outer, ins in ((m, m), (d, t)):
+        whole = compose_prenatural(outer, ins, bound)
+        parts = list(quiver.double_sum(outer, ins, bound))
+        start = 1 if ins.is_flat() else 0
+        assert [n for n, _ in parts] == list(range(start, bound + 1))
+        merged = {}
+        for n, part in parts:
+            assert part == {key: tb for key, tb in whole.components.items()
+                            if key[0] == n}
+            merged.update(part)
+        assert merged == whole.components
+    assert merged == outer_after_words(
+        d, q, bound, lambda w: insertion_expand_word(t, w))
+    mm = Prenatural(ident, ident, 3, dict(
+        kv for _, part in quiver.double_sum(m, m, bound) for kv in part.items()))
+    assert engine_defect_map(mm) == double_sum_defect(q, m, bound)
+
+
+def test_validate_range_checks_input_indices(qq):
+    # a negative index would read the last basis element's degree, and one
+    # past the end would escape as a bare IndexError
+    q = GradedQuiver(qq, ("o",), {("o", "o"): GradedSpace((("a", 0), ("b", 1)))})
+    for bad in (-1, 2):
+        f = FormalMorphism(q, q, {"o": "o"}, {(1, ("o", "o")): {(bad,): {1: qq.one}}})
+        with pytest.raises(QuiverError, match="input index outside the source hom space"):
+            f.validate()
+
+
 def test_structure_defect_inverts_only_the_structure(monkeypatch):
     # the double sum reads the structure's index alone, and the identity
     # endpoints compose without the engine
