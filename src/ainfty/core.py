@@ -395,12 +395,17 @@ class AInftyFunctor:
 
     def compose(self, other: "AInftyFunctor") -> "AInftyFunctor":
         """self . other (other applied first): G.F.m = G.m'.F = m''.G.F."""
-        middle, here = other.target, self.source
-        if middle.quiver != here.quiver or middle.structure != here.structure:
+        if not same_category(other.target, self.source):
             raise AInftyError("compose: other's target is not self's source")
         bound = min(self.arity_bound, other.arity_bound)
         morphism = compose_formal(self.morphism, other.morphism, bound)
         return AInftyFunctor.derived(morphism, other.source, self.target, bound)
+
+
+def same_category(a: AInftyCategory, b: AInftyCategory) -> bool:
+    """One quiver and one structure: what a lemma that joins a functor into
+    a to a functor out of b needs (units and bounds aside)."""
+    return a.quiver == b.quiver and a.structure == b.structure
 
 
 def certify_premise(value, n: int) -> None:

@@ -3,19 +3,34 @@
 The pullback quiver has objects (x, y) with F0 x = G0 y and homs
 Ker(F1)(x1, x2) (+) A''(y1, y2): the split model's `Blocks` layout over a
 second quiver, which owns every block read and write here.  Its structure
-is a closed form: m'' on the A''-parts plus the kernel part of
-m_model . (Id_K x G).  The product morphism Id_K x G is built as the
-identity on kernel parts, with no kernel part in its other outputs (the
-lemma _kernel_block_is_identity checks), so the product-morphism equation
-holds by construction.  The builders certify
-the rest exactly: the category's vanishing self-composition, alpha's
-functor equation (the projection equation) and beta's, and the pullback
-square F.beta = G.alpha.
+m_P is a closed form: m'' on the A''-parts plus the kernel part of
+m_model . (Id_K x G).  Only m_P . m_P = 0 is certified, the headline
+verdict.  Three lemmas derive the functors, each up to the pullback's
+bound, from it, from strictify's values and from premises that
+`certify_premise` checks first:
 
-A commuting cone induces N with cone_l as its A''-part, so alpha.N = cone_l
-holds by construction; the triangles through beta and the product morphism
-are certified, and uniqueness is the product morphism being the identity on
-kernel parts, checked by one scan of its components.
+- alpha, the strict projection onto A'', is a functor with no premise:
+  m_P's A''-part is m'' lifted, so alpha . m_P = m'' . alpha entry for
+  entry.
+- The product morphism Id_K x G: P -> (model, m_model) is the identity on
+  kernel parts, with no kernel part in its other outputs (the lemma
+  _kernel_block_is_identity checks), so its kernel-part equation holds by
+  construction; its A'-part is G . alpha, whose equation follows from G's
+  (the premise) and the strict projection model -> A'.  beta =
+  psi . (Id_K x G) is then a composite of functors.
+- A commuting cone induces N with cone_l as its A''-part and the kernel
+  part of phi . cone_i on the kernel, so alpha . N = cone_l and
+  (Id_K x G) . N = phi . cone_i, both functors once the legs are (the
+  premises).  At the lowest arity n where D = N b_C - b_P N is nonzero,
+  alpha^1 D^n = 0 and (Id_K x G)^1 D^n = 0; the two are jointly injective
+  (the kernel-block lemma again), so D = 0 by induction on the arity.
+
+The lemmas join functors across categories, so the categories must match,
+structure and all (`same_category`): F's target and G's, each cone leg's
+target and F's or G's source, and the two legs' sources.  A mismatch is an
+AInftyError before any engine call.  The exact checks kept are cheap: the
+cone, the square F . beta = G . alpha and the triangles through beta and
+the product morphism.
 """
 from __future__ import annotations
 
@@ -31,6 +46,7 @@ from .core import (
     IsoLiftCertificate,
     _choose_bound,
     arity_feasibility_bound,
+    certify_premise,
     check_F1,
     check_isofibration,
     check_quasi_equivalence,
@@ -38,6 +54,7 @@ from .core import (
     _essential_surjectivity,
     _hom_level_quasi_iso,
     kernel_acyclicity,
+    same_category,
 )
 from .quiver import (
     Components,
@@ -121,8 +138,8 @@ def solve_pullback_arity(blocks: Blocks, rhs: Prenatural, g: AInftyFunctor,
     """Arity n of the structure, read off rhs = r_compose(product, m_model,
     max_arity >= n) with no engine call: m''^n on the A''-parts, rhs^n's
     kernel part on the kernel.  That solves the kernel part of the
-    product-morphism equation by construction (see the module docstring);
-    its A''-part is beta's functor equation, which build_pullback certifies."""
+    product-morphism equation by construction, and the A''-part makes
+    alpha a functor (see the module docstring)."""
     m_n = {key: t for key, t in g.source.structure.components.items()
            if key[0] == n}
     rhs_n = {key: t for key, t in rhs.components.items() if key[0] == n}
@@ -137,9 +154,8 @@ def build_pullback_structure(
     max_arity: int,
 ) -> Prenatural:
     """m'' on the A''-parts plus the kernel part of m_model . (Id_K x G),
-    from one r_compose for every arity.  The product-morphism equation holds
-    by construction; build_pullback's builders certify alpha's functor
-    equation (the projection equation), beta's and the self-composition."""
+    from one r_compose for every arity.  build_pullback certifies its
+    self-composition and derives the functors (see the module docstring)."""
     ident = identity_formal(blocks.quiver)
     rhs = r_compose(product, m_model, max_arity)
     comps: Components = {}
@@ -153,9 +169,10 @@ def build_pullback(
     g: AInftyFunctor,
     max_arity: Optional[int] = None,
 ) -> PullbackCategory:
-    """The pullback category with both projections, fully certified; F is
-    strictified on check_F1's splits.  F1Error when F1 fails."""
-    if g.target.quiver != f.target.quiver:
+    """The pullback category with both projections; F is strictified on
+    check_F1's splits.  m_P . m_P = 0 and G's equation are certified, alpha
+    and beta derived (see the module docstring).  F1Error when F1 fails."""
+    if not same_category(g.target, f.target):
         raise AInftyError("the two functors must share their target")
     f1 = check_F1(f)
     if not f1.passed:
@@ -163,6 +180,7 @@ def build_pullback(
     full = _total_bound_pullback(f, g)
     bound, total = _choose_bound(max_arity, full)
     strict = strictify(f, max_arity=bound)
+    certify_premise(g, bound)
     blocks, product, pairs = build_pullback_quiver(strict, g)
     splits = strict.model.splits
     structure = build_pullback_structure(
@@ -179,11 +197,9 @@ def build_pullback(
         }
     category = AInftyCategory.build(blocks.quiver, structure.components, units,
                                     max_arity=bound)
-    alpha = AInftyFunctor.build(blocks.projection(), category, g.source,
-                                max_arity=bound)
-    beta = AInftyFunctor.build(
-        compose_formal(strict.psi_functor.morphism, product, bound),
-        category, f.source, max_arity=bound)
+    alpha = AInftyFunctor.derived(blocks.projection(), category, g.source, bound)
+    beta = strict.psi_functor.compose(
+        AInftyFunctor.derived(product, category, strict.transported, bound))
 
     # square commutativity, exact at the formal-morphism level
     if (compose_formal(f.morphism, beta.morphism, bound)
@@ -214,13 +230,20 @@ def _total_bound_pullback(f: AInftyFunctor, g: AInftyFunctor) -> Optional[int]:
 
 @dataclass
 class UniversalReport:
-    """triangles: beta.N = cone_i and product.N = phi.cone_i, certified
-    exactly by induce_functor; alpha.N = cone_l holds by construction
-    (alpha is the strict A'' projection and N's A''-part is cone_l).
+    """functor: N, derived, not certified.  Its lemma: alpha . N = cone_l
+    and product . N = phi . cone_i are functors (the legs are certified up
+    to the bound first), so at N's lowest nonzero defect arity both arity-1
+    maps kill the defect, and they are jointly injective; alpha and the
+    product morphism are functors by their own lemmas (module docstring).
+    triangles: beta.N = cone_i and product.N = phi.cone_i, checked exactly;
+    alpha.N = cone_l holds by construction (alpha is the strict A''
+    projection and N's A''-part is cone_l).
     uniqueness: _kernel_block_is_identity, the lemma that the product
     morphism's arity-1 kernel block is the identity and its other outputs
     have zero kernel part, so the product triangle forces N's kernel part;
-    the same lemma makes the pullback structure's closed form exact."""
+    the same lemma makes the pullback structure's closed form exact.  N is
+    not derived without it: induce_functor raises InternalConsistencyError
+    instead, so a returned report has it True."""
     functor: AInftyFunctor
     triangles: bool
     uniqueness: bool
@@ -235,13 +258,23 @@ def induce_functor(
     """The unique functor into the pullback induced by a commuting cone.
 
     cone_i lands in the original source of F (it is carried into the split
-    model through phi = (r1, F)); cone_l lands in the source of G.
-    Commutation of F . cone_i = G . cone_l is checked exactly first.  N is
+    model through phi = (r1, F)); cone_l lands in the source of G, and the
+    legs share their source category.  Both legs' equations are certified
+    up to the bound, then F . cone_i = G . cone_l is checked exactly.  N is
     cone_l on A'' and phi . cone_i on the kernel; see UniversalReport.
     """
     bound = min(p.arity_bound, max_arity) if max_arity else p.arity_bound
-    if cone_i.source.quiver.objects != cone_l.source.quiver.objects:
-        raise AInftyError("cone legs must share their source category")
+    for a, b, mismatch in (
+            (cone_i.source, cone_l.source, "cone legs must share their source"),
+            (cone_i.target, p.f.source, "cone_i must land in the source of F"),
+            (cone_l.target, p.g.source, "cone_l must land in the source of G")):
+        if not same_category(a, b):
+            raise AInftyError(mismatch)
+    if not _kernel_block_is_identity(p):
+        raise InternalConsistencyError(
+            "the product morphism is not the identity on kernel parts")
+    certify_premise(cone_i, bound)
+    certify_premise(cone_l, bound)
     lhs = compose_formal(p.f.morphism, cone_i.morphism, bound)
     rhs = compose_formal(p.g.morphism, cone_l.morphism, bound)
     bad = first_difference(lhs.components, rhs.components)
@@ -263,11 +296,10 @@ def induce_functor(
                             ends=object_map)
     morphism = FormalMorphism(cone_i.source.quiver, p.category.quiver,
                               object_map, comps)
-    functor = AInftyFunctor.build(morphism, cone_i.source, p.category,
-                                  max_arity=bound)
+    functor = AInftyFunctor.derived(morphism, cone_i.source, p.category, bound)
     tri_b = compose_formal(p.beta.morphism, morphism, bound) == cone_i.morphism
     tri_p = compose_formal(p.product_morphism, morphism, bound) == i_model
-    return UniversalReport(functor, tri_b and tri_p, _kernel_block_is_identity(p))
+    return UniversalReport(functor, tri_b and tri_p, True)
 
 
 def _kernel_block_is_identity(p: PullbackCategory) -> bool:

@@ -839,6 +839,20 @@ def sq_functor(fld: Field) -> AInftyFunctor:
     return AInftyFunctor.build(m, a, ap)
 
 
+def short_f2_functor(units: bool) -> AInftyFunctor:
+    """F = Id + F^2(e, 1) = t on the algebra of 1, e (degree 0) and t
+    (degree -1) with the signed unit products only, certified to arity 2:
+    its equation fails at arity 3 on (e, 1, 1)."""
+    qq = Field.rationals()
+    cat = nilpotent_category(qq, (("e", 0), ("t", -1)))
+    if not units:
+        cat = AInftyCategory.build(cat.quiver, cat.structure.components)
+    comps = dict(identity_formal(cat.quiver).components)
+    comps[(2, ("o0",) * 3)] = {(1, 0): {2: qq.one}}
+    morphism = FormalMorphism(cat.quiver, cat.quiver, {"o0": "o0"}, comps)
+    return AInftyFunctor.build(morphism, cat, cat, max_arity=2)
+
+
 def idempotent_category(fld: Field) -> AInftyCategory:
     """One object; basis 1, e in degree 0 with e.e = e, so End = k x k by
     the orthogonal idempotents e and 1 - e."""

@@ -14,7 +14,7 @@ import pytest
 from ainfty.cli import main
 from ainfty.core import AInftyFunctor
 from ainfty.fields import Field
-from ainfty.documents import serialize_category, serialize_functor
+from ainfty.documents import load_category, serialize_category, serialize_functor
 
 from helpers import (
     nilpotent_category,
@@ -505,6 +505,26 @@ def test_induce_checks_field_of_every_document(tmp_path, capsys, slot):
     assert code == 2 and rep["overall"] == "error"
     assert rep["error"] == (f"{tmp_path / 'gq.afun'}:1: "
                             "document field rationals does not match --field")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("legs, message", [
+    (("f.afun", "f.afun"), "cone_i must land in the source of F"),
+    (("id_a.afun", "id_a.afun"), "cone_l must land in the source of G"),
+], ids=["cone_i", "cone_l"])
+def test_induce_refuses_a_leg_in_the_wrong_category(tmp_path, capsys, legs,
+                                                    message):
+    # F: a -> b and G: b -> b; a leg into the other category is a failure
+    # with exit 1 and one JSON object, not a traceback from composing it
+    for name in README_INPUTS:
+        shutil.copy(GOLDEN / name, tmp_path / name)
+    id_a = AInftyFunctor.identity(load_category(str(tmp_path / "a.acat")))
+    (tmp_path / "id_a.afun").write_text(serialize_functor(id_a, "a.acat", "a.acat"))
+    code, rep = run(capsys, "induce", str(tmp_path / "f.afun"),
+                    str(tmp_path / "g.afun"), *(str(tmp_path / n) for n in legs),
+                    "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert rep == {"command": "induce", "error": message, "overall": "fail"}
     assert not (tmp_path / "o").exists()
 
 

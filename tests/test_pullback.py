@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import importlib
+import itertools
 import pathlib
 import random
 from fractions import Fraction
@@ -21,6 +22,8 @@ from ainfty.core import (
     AInftyCategory,
     AInftyError,
     AInftyFunctor,
+    FunctorDefectError,
+    StructureDefectError,
     check_F1,
     check_strict_units,
     functor_defect,
@@ -29,6 +32,7 @@ from ainfty.core import (
 from ainfty.pullback import (
     ConeError,
     F1Error,
+    InternalConsistencyError,
     build_pullback,
     build_pullback_quiver,
     build_pullback_structure,
@@ -45,6 +49,7 @@ from helpers import (
     cyclic_garbage,
     doubled_object_functor,
     formal_inverse,
+    inclusion_functor,
     nilpotent_category,
     pasting_mismatches,
     point_category,
@@ -54,6 +59,7 @@ from helpers import (
     random_dg_category,
     random_f1_functor,
     random_g_functor,
+    short_f2_functor,
     sq_functor,
     square_zero_extension,
     terminal_category,
@@ -350,7 +356,8 @@ def test_twisted_cone_recovers_inverse():
 
 def test_bumped_kernel_block_breaks_uniqueness():
     # uniqueness is the product morphism's identity kernel block: change
-    # one of its coefficients and the lemma's hypothesis no longer holds
+    # one of its coefficients and the lemma's hypothesis no longer holds,
+    # so N, which the same lemma makes a functor, is not derived
     p = twisted_pullback(seed=37, f_density=0.6, g_density=0.6)
     product = p.product_morphism
 
@@ -361,9 +368,9 @@ def test_bumped_kernel_block_breaks_uniqueness():
     bumped = dataclasses.replace(product, components=bump_coefficient(
         QQ, product.components, 1, kernel_block))
     assert induce_functor(p, p.beta, p.alpha).uniqueness
-    rep = induce_functor(dataclasses.replace(p, product_morphism=bumped),
-                         p.beta, p.alpha)
-    assert not rep.uniqueness
+    with pytest.raises(InternalConsistencyError):
+        induce_functor(dataclasses.replace(p, product_morphism=bumped),
+                       p.beta, p.alpha)
 
 
 def test_broken_cone_is_rejected():
@@ -570,9 +577,9 @@ def test_one_step_transport_and_beta_match_two_step(char):
 
 @pytest.mark.parametrize("arity", [1, 2, 3])
 def test_tampered_kernel_block_is_rejected(monkeypatch, arity):
-    # the closed-form structure is not re-checked; the pullback's m.m = 0
-    # and beta's functor equation must still catch a wrong kernel-block
-    # coefficient
+    # the closed-form structure is not re-checked, and beta's functor
+    # equation is derived from it; the pullback's m.m = 0 must still catch
+    # a wrong kernel-block coefficient
     pullback = importlib.import_module("ainfty.pullback")
     f, g = twisted_pair(seed=3)
     solve = pullback.solve_pullback_arity
@@ -588,7 +595,7 @@ def test_tampered_kernel_block_is_rejected(monkeypatch, arity):
         return bump_coefficient(g.source.fld, comps, n, kernel_block)
 
     monkeypatch.setattr(pullback, "solve_pullback_arity", tampered)
-    with pytest.raises(AInftyError):
+    with pytest.raises(StructureDefectError):
         build_pullback(f, g, max_arity=3)
 
 
@@ -737,8 +744,10 @@ def test_readme_engine_call_counts(monkeypatch):
                   if args[0] is not f.morphism and args[0] is not g.morphism]
     assert len(beta_calls) == 1
     assert beta_calls[0][1] is p.product_morphism
-    # strictify certifies phi's functor equation and derives the rest
+    # strictify certifies phi's functor equation and derives the rest;
+    # build_pullback certifies its category and derives alpha and beta
     assert [name for name, inside in builds if inside] == ["AInftyFunctor"]
+    assert [name for name, inside in builds if not inside] == ["AInftyCategory"]
 
     # composites and identities are derived from their operands' equations
     builds.clear()
@@ -746,13 +755,13 @@ def test_readme_engine_call_counts(monkeypatch):
     p.alpha.compose(AInftyFunctor.identity(p.category))
     assert builds == []
 
-    # induce_functor composes five times outside N's certification: the two
+    # induce_functor composes five times and certifies nothing: the two
     # sides of the cone, phi . cone_i, and the triangles through beta and
-    # the product morphism; alpha's triangle and uniqueness take none
-    induced = _count_calls(monkeypatch, "compose_formal",
-                           when=lambda: not certifying)
+    # the product morphism; N is derived, and alpha's triangle and
+    # uniqueness take no composite
+    induced = _count_calls(monkeypatch, "compose_formal")
     rep = induce_functor(p, p.beta, p.alpha)
-    assert len(induced) == 5
+    assert len(induced) == 5 and builds == []
     assert rep.triangles and rep.uniqueness
     assert _alpha_triangle(p, rep, p.alpha)
 
@@ -771,3 +780,141 @@ def test_pullback_leaves_no_garbage_cycles():
         "induce_functor": cyclic_garbage(lambda: induce_functor(p, p.beta, p.alpha)),
     }
     assert left == {"build_pullback": 0, "strictify": 0, "induce_functor": 0}
+
+
+# -- derived functors and their premises -------------------------------------------
+
+G_KINDS = {
+    "identity": AInftyFunctor.identity,
+    "point": lambda base: inclusion_functor(point_category(base.fld), base, "o0"),
+    "doubled": doubled_object_functor,
+}
+
+
+def _diffeo_cone(p, rng):
+    """(beta . t, alpha . t) for t: C -> P the inverse of a formal
+    diffeomorphism u of P with arity-2 terms, C the structure twisted along
+    u; it induces N = t, which is not strict."""
+    u = random_diffeo(rng, p.category.quiver, max_arity=2, density=0.5,
+                      unital_for=p.category.units)
+    c_cat = twist_structure(p.category, u, p.arity_bound)
+    t = AInftyFunctor.build(formal_inverse(u, p.arity_bound), c_cat,
+                            p.category, max_arity=p.arity_bound)
+    return p.beta.compose(t), p.alpha.compose(t)
+
+
+@pytest.mark.parametrize("twist_f", [False, True], ids=["strict-F", "twisted-F"])
+@pytest.mark.parametrize("fld", [QQ, Field.prime(2), Field.prime(3), F5],
+                         ids=["Q", "F2", "F3", "F5"])
+def test_derived_functors_are_functors(fld, twist_f):
+    # the oracle the derivations replace: alpha, beta, the product morphism
+    # P -> (model, m_model) and N have zero functor defect up to the bound,
+    # for strict and twisted F and G, G the identity, a point inclusion or a
+    # doubled collapse, and N induced by the self-cone and by a cone through
+    # a non-strict diffeomorphism; N's kernel part bumped at arity 2 is
+    # flagged (bump_coefficient raises if N has no such coefficient)
+    for kind, twist_g in itertools.product(G_KINDS, (False, True)):
+        rng = random.Random(f"{kind}-{twist_g}-{twist_f}")
+        base = nilpotent_category(fld, (("a", -1), ("b", 0)))
+        _, f = square_zero_extension(fld, base, acyclic=True)
+        if twist_f:
+            f = twisted_functor(f, rng, max_arity=2, density=0.5)
+        g = G_KINDS[kind](base)
+        if twist_g:
+            g = twisted_functor(g, rng, max_arity=2, density=0.5)
+        p = build_pullback(f, g, max_arity=4)
+        bound = p.arity_bound
+        n = induce_functor(p, *_diffeo_cone(p, rng)).functor
+        assert any(k >= 2 for k, _ in n.morphism.components)
+        values = [(v.morphism, v.source, v.target) for v in
+                  (p.alpha, p.beta, n, induce_functor(p, p.beta, p.alpha).functor)]
+        values.append((p.product_morphism, p.category, p.strictification.transported))
+        for morphism, source, target in values:
+            assert functor_defect(morphism, source, target, bound).is_zero(), kind
+
+        omap = n.object_map
+
+        def kernel_block(key, out):
+            return out < p.blocks.kdims[(omap[key[1][0]], omap[key[1][-1]])]
+
+        mutant = dataclasses.replace(n.morphism, components=bump_coefficient(
+            fld, n.morphism.components, 2, kernel_block))
+        assert not functor_defect(mutant, n.source, p.category, bound).is_zero()
+
+
+def test_certified_premises_cost_no_functor_defect(monkeypatch):
+    # with G and both legs certified to the bound, build_pullback's only
+    # functor defect is strictify's phi, and induce_functor runs none
+    f, g = twisted_pair(seed=3)
+    assert g.total or g.arity_bound >= 4
+    p0 = build_pullback(f, g, max_arity=4)
+    cone_i, cone_l = _diffeo_cone(p0, random.Random(5))
+    core = importlib.import_module("ainfty.core")
+    defect = core.functor_defect
+    calls = []
+    monkeypatch.setattr(core, "functor_defect",
+                        lambda morphism, *args: calls.append(morphism)
+                        or defect(morphism, *args))
+    p = build_pullback(f, g, max_arity=4)
+    assert len(calls) == 1 and calls[0] is p.strictification.phi_functor.morphism
+    calls.clear()
+    induce_functor(p0, p0.beta, p0.alpha)
+    induce_functor(p0, cone_i, cone_l)
+    assert calls == []
+
+
+def test_short_g_is_certified_to_the_bound():
+    # G's equation up to the bound is the premise of the derived beta; a G
+    # certified to arity 2 only is refused with its own witness
+    g = short_f2_functor(units=False)
+    assert g.arity_bound == 2 and not g.total
+    witness = functor_defect(g.morphism, g.source, g.target, 4).first_nonzero()
+    assert witness == (3, ("o0",) * 4, (1, 0, 0))
+    with pytest.raises(FunctorDefectError) as exc:
+        build_pullback(AInftyFunctor.identity(g.target), g)
+    assert exc.value.witness == witness
+
+
+@pytest.mark.parametrize("leg", ["cone_i", "cone_l"])
+def test_short_cone_leg_is_certified_to_the_bound(leg):
+    # each leg's equation up to the bound is a premise of the derived N; a
+    # leg certified to arity 2 only is refused with its own witness, before
+    # the cone check (which the other, identity leg would fail)
+    short = short_f2_functor(units=False)
+    ident = AInftyFunctor.identity(short.source)
+    p = build_pullback(ident, ident)
+    assert p.arity_bound >= 3
+    legs = {"cone_i": ident, "cone_l": ident, leg: short}
+    with pytest.raises(FunctorDefectError) as exc:
+        induce_functor(p, legs["cone_i"], legs["cone_l"])
+    assert exc.value.witness == functor_defect(
+        short.morphism, short.source, short.target, p.arity_bound).first_nonzero()
+
+
+@pytest.mark.parametrize("where", ["g-target", "leg-sources"])
+def test_categories_must_match_in_structure(monkeypatch, where):
+    # one quiver with two structures: G's target against F's, and the two
+    # legs' sources, are refused before any engine call
+    f, g = twisted_pair(seed=3)
+    p = build_pullback(f, g, max_arity=4)
+    if where == "g-target":
+        # F's target with the differential a -> b
+        cat = f.target
+        other = nilpotent_category(QQ, (("a", -1), ("b", 0)), d_of={"a": "b"})
+        run = lambda: build_pullback(f, AInftyFunctor.identity(other))
+    else:
+        # P twisted along a diffeomorphism with arity-2 terms
+        cat = p.category
+        u = random_diffeo(random.Random(11), cat.quiver, max_arity=2,
+                          density=0.5, unital_for=cat.units)
+        other = twist_structure(cat, u, p.arity_bound)
+        run = lambda: induce_functor(
+            p, dataclasses.replace(p.beta, source=other), p.alpha)
+    assert other.quiver == cat.quiver and other.structure != cat.structure
+
+    def no_engine(*args):
+        raise AssertionError("_expand called")
+    monkeypatch.setattr(importlib.import_module("ainfty.quiver"), "_expand",
+                        no_engine)
+    with pytest.raises(AInftyError, match="must share their"):
+        run()

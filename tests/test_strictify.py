@@ -55,6 +55,7 @@ from helpers import (
     nilpotent_category,
     point_category,
     random_f1_functor,
+    short_f2_functor,
     sq_functor,
     square_zero_extension,
     strictification_base_phi_psi,
@@ -380,19 +381,6 @@ def _non_associative_identity():
     return AInftyFunctor.build(identity_formal(q), cat, cat, max_arity=2)
 
 
-def _short_f2_functor(units):
-    """F = Id + F^2(e, 1) = t on the algebra of 1, e (degree 0) and t
-    (degree -1) with the signed unit products only, certified to arity 2:
-    its equation fails at arity 3 on (e, 1, 1)."""
-    cat = nilpotent_category(QQ, (("e", 0), ("t", -1)))
-    if not units:
-        cat = AInftyCategory.build(cat.quiver, cat.structure.components)
-    comps = dict(identity_formal(cat.quiver).components)
-    comps[(2, ("o0",) * 3)] = {(1, 0): {2: QQ.one}}
-    morphism = FormalMorphism(cat.quiver, cat.quiver, {"o0": "o0"}, comps)
-    return AInftyFunctor.build(morphism, cat, cat, max_arity=2)
-
-
 def test_square_is_checked_up_to_the_bound():
     # F has an arity-3 component; strictified to arity 2, projection . phi
     # equals F's components up to arity 2
@@ -417,7 +405,7 @@ def test_source_premise_is_certified_to_the_bound():
 
 def test_functor_premise_is_certified_to_the_bound():
     # F's equation up to the bound is the premise of the derived projection
-    f = _short_f2_functor(units=False)
+    f = short_f2_functor(units=False)
     assert f.arity_bound == 2 and not f.total
     for run in (strictify, lambda f: build_pullback(f, f)):
         with pytest.raises(FunctorDefectError) as exc:
@@ -428,7 +416,7 @@ def test_functor_premise_is_certified_to_the_bound():
 def test_functor_premise_comes_after_the_transported_units():
     # F^2 meets the unit, so the transported units fail u1; that check runs
     # where the transported category is derived, before F's premise
-    f = _short_f2_functor(units=True)
+    f = short_f2_functor(units=True)
     for run in (strictify, lambda f: build_pullback(f, f)):
         with pytest.raises(UnitAxiomError):
             run(f)
