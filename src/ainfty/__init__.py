@@ -13,6 +13,7 @@ from .linear import (
     cohomology,
     solve_linear,
     split_surjection,
+    vec_add,
 )
 from .quiver import (
     FormalMorphism,

@@ -5,10 +5,15 @@ codes 0 (all checks pass), 1 (a check fails, or is undecided under
 --strict), 2 (usage or parse errors).  A command loads each document once:
 its `loaded` dict hands every later load of the same resolved path and cap
 the value parsed and certified first.
+
+`main(argv)` may be called repeatedly in one process.  It builds the
+argument parser at its first call, not at import, and keeps it; each call
+dispatches by command name to the module's `cmd_<command>` as bound then.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -255,7 +260,20 @@ def cmd_induce(args) -> int:
     return _finish(_report_json("induce", checks, extra), args.strict)
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+# command name -> its function, named at call time: a cmd_* rebound on
+# this module after the parser is built is the one that runs
+_COMMANDS = {
+    "validate": lambda args: cmd_validate(args),
+    "classify": lambda args: cmd_classify(args),
+    "strictify": lambda args: cmd_strictify(args),
+    "pullback": lambda args: cmd_pullback(args),
+    "induce": lambda args: cmd_induce(args),
+}
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built at the first `main` call and kept."""
     parser = argparse.ArgumentParser(
         prog="ainfty",
         description="Exact pullbacks of A-infinity categories along "
@@ -271,19 +289,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     pv = sub.add_parser("validate", parents=[common],
                         help="validate category/functor documents")
     pv.add_argument("paths", nargs="+")
-    pv.set_defaults(fn=cmd_validate)
 
     pc = sub.add_parser("classify", parents=[common],
                         help="F1/F2/quasi-equivalence classifiers")
     pc.add_argument("functor")
     pc.add_argument("--certificates", default=None)
-    pc.set_defaults(fn=cmd_classify)
 
     ps = sub.add_parser("strictify", parents=[common],
                         help="split model, phi = (r1, F), psi, projection")
     ps.add_argument("functor")
     ps.add_argument("--out", required=True)
-    ps.set_defaults(fn=cmd_strictify)
 
     pp = sub.add_parser("pullback", parents=[common],
                         help="build and certify the pullback")
@@ -291,7 +306,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     pp.add_argument("g", help="functor document with the same target")
     pp.add_argument("--out", required=True)
     pp.add_argument("--certificates", default=None)
-    pp.set_defaults(fn=cmd_pullback)
 
     pi = sub.add_parser("induce", parents=[common],
                         help="universal functor from a cone")
@@ -300,9 +314,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     pi.add_argument("cone_i", help="cone leg into the source of F")
     pi.add_argument("cone_l", help="cone leg into the source of G")
     pi.add_argument("--out", required=True)
-    pi.set_defaults(fn=cmd_induce)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.max_arity is not None and args.max_arity < 1:
             raise DocumentError("<args>", 0, "--max-arity must be at least 1")
@@ -312,7 +328,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                                 f"for {args.command}: strict units need m2")
         if args.p is not None and args.field != "Fp":
             raise DocumentError("<args>", 0, "--p needs --field Fp")
-        return args.fn(args)
+        return _COMMANDS[args.command](args)
     except (DocumentError, OSError) as exc:
         print(json.dumps({"command": args.command, "error": str(exc),
                           "overall": "error"}, sort_keys=True, indent=2))

@@ -25,8 +25,6 @@ from .linear import (
     rref,
     solve_dense,
     split_surjection,
-    vec_add,
-    vec_scale,
 )
 from .quiver import (
     Components,
@@ -267,44 +265,84 @@ def check_strict_units(cat: AInftyCategory) -> CheckReport:
     """Verify u1 on every stored component and the signed u2 on every basis.
 
     u2 reads m2(f, 1_src) = f and m2(1_tgt, f) = (-1)**deg(f) f, the unique
-    unit normalization compatible with the structure-relation signs.
+    unit normalization compatible with the structure-relation signs.  Each
+    table is read in one pass per unit slot: a flat accumulator collects the
+    contraction with the unit for every choice of the other inputs at once
+    and is reduced once.  Units naming an unknown object or a basis index
+    outside hom(x, x), and objects without a unit, are violations too.
     """
     if cat.units is None:
         raise AInftyError("units required")
     fld = cat.fld
+    units = cat.units
+    objects = cat.objects
+    comps = cat.structure.components
     violations: List[str] = []
-    for x, u in cat.units.items():
+    for x, u in units.items():
+        if x not in objects:
+            violations.append(f"unit names unknown object {x!r}")
+            continue
         sp = cat.quiver.space(x, x)
+        outside = [oi for oi in u if not 0 <= oi < sp.dim]
+        if outside:
+            violations.append(
+                f"unit of {x} names indices {outside} outside hom({x}, {x})")
+            continue
         for oi, c in u.items():
             if not fld.is_zero(c) and sp.degree(oi) != 0:
                 violations.append(f"unit of {x} is not concentrated in degree 0")
                 break
+    missing = [x for x in objects if x not in units]
+    if missing:
+        violations.append(f"units missing for {missing}")
     # u1: any component of arity != 2 vanishes once a unit occupies a slot
-    for (n, objs), table in sorted(cat.structure.components.items()):
+    for (n, objs), table in sorted(comps.items()):
         if n == 2:
             continue
-        for slot, red in _unit_slot_residues(fld, cat.units, objs, table):
+        for slot, red in _unit_slot_residues(fld, units, objs, table):
             violations.append(
                 f"u1 fails: arity {n} at {objs}, unit in slot {slot}, "
                 f"other inputs {red}"
             )
     # u2 on every basis morphism
+    minus_one = fld.from_int(-1)
     for (x, y), sp in sorted(cat.quiver.hom.items()):
-        if x not in cat.units or y not in cat.units:
+        if x not in units or y not in units:
             continue
+        right = _unit_contraction(fld, comps.get((2, (x, x, y)), {}), units[x], 1)
+        left = _unit_contraction(fld, comps.get((2, (x, y, y)), {}), units[y], 0)
         for i in range(sp.dim):
-            f: Vec = {i: fld.one}
-            right = eval_multilinear(cat.structure, 2, (x, x, y), [f, cat.units[x]])
-            if right != f:
+            if right.get((i,)) != {i: fld.one}:
                 violations.append(f"u2 fails: m2({sp.name(i)}, 1_{x}) != {sp.name(i)}")
-            left = eval_multilinear(cat.structure, 2, (x, y, y), [cat.units[y], f])
-            want = f if sp.degree(i) % 2 == 0 else vec_scale(fld, fld.from_int(-1), f)
-            if left != want:
+            sign = fld.one if sp.degree(i) % 2 == 0 else minus_one
+            if left.get((i,)) != {i: sign}:
                 violations.append(
                     f"u2 fails: m2(1_{y}, {sp.name(i)}) != (-1)^deg {sp.name(i)}"
                 )
     verdict = "pass" if not violations else "fail"
     return CheckReport(verdict, violations)
+
+
+def _unit_contraction(fld: Field, table, unit: Vec, slot: int
+                      ) -> Dict[Tuple[int, ...], Vec]:
+    """{other inputs: nonzero value} of one component table with `unit` in
+    input `slot`, read in one pass into a flat accumulator reduced once;
+    keys in the order the table first names them."""
+    raw: Dict[Tuple[Tuple[int, ...], int], Scalar] = {}
+    for in_t, vec in table.items():
+        w = unit.get(in_t[slot])
+        if w is None:
+            continue
+        red = in_t[:slot] + in_t[slot + 1:]
+        for oi, c in vec.items():
+            key = (red, oi)
+            raw[key] = raw.get(key, 0) + w * c
+    if not raw:
+        return {}
+    out: Dict[Tuple[int, ...], Vec] = {red: {} for red, _ in raw}
+    for (red, oi), c in fld.reduced(raw).items():
+        out[red][oi] = c
+    return {red: vec for red, vec in out.items() if vec}
 
 
 def _unit_slot_residues(fld: Field, units: Dict[str, Vec],
@@ -319,17 +357,8 @@ def _unit_slot_residues(fld: Field, units: Dict[str, Vec],
         xa, xb = objs[n - 1 - slot], objs[n - slot]
         if xa != xb or xa not in units:
             continue
-        unit = units[xa]
-        groups: Dict[Tuple[int, ...], Vec] = {}
-        for in_t, vec in table.items():
-            w = unit.get(in_t[slot])
-            if w is None:
-                continue
-            red = in_t[:slot] + in_t[slot + 1:]
-            groups[red] = vec_add(fld, groups.get(red, {}), vec_scale(fld, w, vec))
-        for red, vec in groups.items():
-            if vec:
-                yield slot, red
+        for red in _unit_contraction(fld, table, units[xa], slot):
+            yield slot, red
 
 
 # -- functors -----------------------------------------------------------------

@@ -335,6 +335,50 @@ def random_diffeo(rng: random.Random, quiver: GradedQuiver, max_arity: int = 3,
     return FormalMorphism(quiver, quiver, {x: x for x in quiver.objects}, comps)
 
 
+def strict_units_by_basis(cat: AInftyCategory) -> CheckReport:
+    """check_strict_units for complete units, one evaluation per basis.
+
+    u2 evaluates m2(f, 1_x) and m2(1_y, f) for each basis f of hom(x, y)
+    separately; u1 evaluates each component on the basis inputs a unit
+    meets in the table, in the order the table first names them.
+    """
+    fld = cat.fld
+    violations: List[str] = []
+    for x, u in cat.units.items():
+        sp = cat.quiver.space(x, x)
+        if any(not fld.is_zero(c) and sp.degree(oi) != 0 for oi, c in u.items()):
+            violations.append(f"unit of {x} is not concentrated in degree 0")
+    for (n, objs), table in sorted(cat.structure.components.items()):
+        if n == 2:
+            continue
+        for slot in range(n):
+            xa, xb = objs[n - 1 - slot], objs[n - slot]
+            if xa != xb or xa not in cat.units:
+                continue
+            unit = cat.units[xa]
+            reds = dict.fromkeys(in_t[:slot] + in_t[slot + 1:] for in_t in table
+                                 if in_t[slot] in unit)
+            for red in reds:
+                vecs = [{b: fld.one} for b in red]
+                vecs.insert(slot, unit)
+                if eval_multilinear(cat.structure, n, objs, vecs):
+                    violations.append(
+                        f"u1 fails: arity {n} at {objs}, unit in slot {slot}, "
+                        f"other inputs {red}")
+    for (x, y), sp in sorted(cat.quiver.hom.items()):
+        for i in range(sp.dim):
+            f: Vec = {i: fld.one}
+            right = eval_multilinear(cat.structure, 2, (x, x, y), [f, cat.units[x]])
+            if right != f:
+                violations.append(f"u2 fails: m2({sp.name(i)}, 1_{x}) != {sp.name(i)}")
+            left = eval_multilinear(cat.structure, 2, (x, y, y), [cat.units[y], f])
+            want = f if sp.degree(i) % 2 == 0 else vec_scale(fld, fld.from_int(-1), f)
+            if left != want:
+                violations.append(
+                    f"u2 fails: m2(1_{y}, {sp.name(i)}) != (-1)^deg {sp.name(i)}")
+    return CheckReport("pass" if not violations else "fail", violations)
+
+
 def _meets_unit(quiver, units, objs, in_t) -> bool:
     n = len(in_t)
     for i, b in enumerate(in_t):

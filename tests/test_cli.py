@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import contextlib
 import importlib
 import io
@@ -11,6 +12,7 @@ import sys
 
 import pytest
 
+from ainfty import cli
 from ainfty.cli import main
 from ainfty.core import AInftyFunctor
 from ainfty.fields import Field
@@ -241,6 +243,44 @@ def test_readme_example_bytes_stable(tmp_path):
     for name, (code, text) in readme_outputs(tmp_path).items():
         assert code == 0, name
         assert text == (GOLDEN / "expected" / name).read_text(), name
+
+
+def test_main_repeated_in_one_process(tmp_path, monkeypatch, capsys):
+    # the parser is built at the first call only, a second round of the
+    # README commands repeats the first byte for byte, and dispatch reads
+    # the command function's name at call time
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._parser.cache_clear()
+    code, _ = run(capsys, "validate", str(GOLDEN / "a.acat"))
+    assert code == 0
+    first = len(built)
+    assert first > 0
+    rounds = []
+    for name in ("one", "two"):
+        (tmp_path / name).mkdir()
+        rounds.append(readme_outputs(tmp_path / name))
+    assert rounds[0] == rounds[1]
+    assert all(code == 0 for code, _ in rounds[0].values())
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            main(["frobnicate"])
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert len(built) == first
+    seen = []
+
+    def fake(args):
+        seen.append(args.paths)
+        return 7
+    monkeypatch.setattr(cli, "cmd_validate", fake)
+    assert main(["validate", "x.acat"]) == 7
+    assert seen == [["x.acat"]]
 
 
 def _counted(monkeypatch, module, names):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import pathlib
 import random
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from ainfty import core
 from ainfty.fields import Field
-from ainfty.documents import parse_certificates
+from ainfty.documents import load_category, parse_certificates
 from ainfty.linear import GradedSpace, rref
 from ainfty.quiver import (
     FormalMorphism,
@@ -57,6 +58,7 @@ from helpers import (
     sq_source,
     sq_target,
     square_zero_extension,
+    strict_units_by_basis,
     perturb_structure,
     random_diffeo,
     random_f1_functor,
@@ -214,6 +216,102 @@ def test_dg_category_units_pass(rng):
     cat = random_dg_category(rng, QQ, n_objects=1, max_dim=2)
     assert cat.units is not None
     assert check_strict_units(cat).passed
+
+
+@pytest.mark.parametrize("units, message", [
+    ({"zz": {0: 1}}, "unit names unknown object 'zz'"),
+    ({"o0": {7: 1}}, "unit of o0 names indices [7] outside hom(o0, o0)"),
+    ({"o0": {-1: 1}}, "unit of o0 names indices [-1] outside hom(o0, o0)"),
+    ({}, "units missing for ['o0']"),
+])
+def test_unit_gaps_are_violations(units, message):
+    # build refuses what the document reader refuses, as a unit violation
+    point = point_category(QQ)
+    with pytest.raises(UnitAxiomError) as exc:
+        AInftyCategory.build(point.quiver, point.structure.components, units=units)
+    assert message in exc.value.violations
+
+
+UNIT_FIELDS = (QQ, Field.prime(2), Field.prime(3), F5)
+GOLDEN = pathlib.Path(__file__).parent / "golden" / "readme"
+
+
+def test_unit_check_matches_basis_oracle_on_readme():
+    paths = sorted(GOLDEN.rglob("*.acat"))
+    assert len(paths) >= 3
+    for path in paths:
+        cat = load_category(str(path))
+        assert check_strict_units(cat) == strict_units_by_basis(cat), path
+
+
+def test_unit_check_order_survives_a_cancelled_first_output():
+    # with the unit u + v, the other inputs (1, 1) are named first and lose
+    # their first output to cancellation; they are still reported first
+    sp = GradedSpace((("u", 0), ("a", 0), ("v", 0)))
+    q = GradedQuiver(QQ, ("o",), {("o", "o"): sp})
+    ident = identity_formal(q)
+    comps = {(3, ("o",) * 4): {(0, 1, 1): {1: 1}, (0, 2, 1): {1: 1},
+                                (2, 1, 1): {1: -1, 2: 1}}}
+    cat = AInftyCategory(q, Prenatural(ident, ident, 2, comps),
+                         {"o": {0: QQ.one, 2: QQ.one}}, 5, False)
+    report = check_strict_units(cat)
+    assert report == strict_units_by_basis(cat)
+    assert [w for w in report.witnesses if "slot 0" in w] == [
+        f"u1 fails: arity 3 at {('o',) * 4}, unit in slot 0, other inputs {red}"
+        for red in ((1, 1), (2, 1))]
+
+
+def _endo_unit_categories(fld):
+    """Endo-complex categories whose unit at x is a sum of two basis
+    elements, as built and twisted to carry components of arity 3."""
+    cat = endo_complex_category(fld, {"x": (("a", 0), ("b", 1)), "y": (("c", 0),)},
+                                {"x": {0: 1}})
+    assert len(cat.units["x"]) == 2
+    u = random_diffeo(random.Random(fld.characteristic), cat.quiver, max_arity=3,
+                      unital_for=cat.units)
+    twisted = twist_structure(cat, u, max_arity=3)
+    assert any(n == 3 for n, _ in twisted.structure.components)
+    return [cat, twisted]
+
+
+def _unit_perturbed(rng, cat, arity, changes):
+    """cat with `changes` random coefficients of arity `arity` changed, each
+    on an input tuple that a unit meets; no axiom is checked."""
+    quiver, fld, units = cat.quiver, cat.fld, cat.units
+    sites = [(objs, in_t) for objs in quiver.paths(arity)
+             if quiver.space(objs[0], objs[-1]).dim
+             for in_t in quiver.basis_tuples(objs)
+             if any(objs[arity - 1 - s] == objs[arity - s]
+                    and in_t[s] in units[objs[arity - s]] for s in range(arity))]
+    comps = {k: {it: dict(v) for it, v in t.items()}
+             for k, t in cat.structure.components.items()}
+    for _ in range(changes):
+        objs, in_t = rng.choice(sites)
+        vec = comps.setdefault((arity, objs), {}).setdefault(in_t, {})
+        o = rng.randrange(quiver.space(objs[0], objs[-1]).dim)
+        delta = fld.from_int(rng.choice([1, 2, -1])) or fld.one
+        vec[o] = fld.add(vec.get(o, fld.zero), delta)
+        if fld.is_zero(vec[o]):
+            del vec[o]
+    ident = identity_formal(quiver)
+    return AInftyCategory(quiver, Prenatural(ident, ident, 2, comps), units,
+                          cat.arity_bound, cat.total)
+
+
+@pytest.mark.parametrize("fld", UNIT_FIELDS, ids=lambda f: f"p{f.characteristic}")
+def test_unit_check_matches_basis_oracle(fld):
+    # one pass per table gives the per-basis verdict and violations, in
+    # order, on valid units and on seeded changes to entries a unit meets
+    rng = random.Random(21 + fld.characteristic)
+    for cat in _endo_unit_categories(fld):
+        assert check_strict_units(cat) == strict_units_by_basis(cat)
+        assert check_strict_units(cat).passed
+        for arity in (1, 2, 3):
+            for changes in (1, 1, 3, 3):
+                bad = _unit_perturbed(rng, cat, arity, changes)
+                report = check_strict_units(bad)
+                assert report == strict_units_by_basis(bad), (arity, changes)
+                assert changes > 1 or not report.passed
 
 
 # -- functors -----------------------------------------------------------------
