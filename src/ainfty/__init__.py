@@ -11,7 +11,6 @@ from .linear import (
     NotSurjectiveError,
     SplitData,
     cohomology,
-    solve_linear,
     split_surjection,
     vec_add,
 )
@@ -22,7 +21,6 @@ from .quiver import (
     QuiverError,
     compose_formal,
     compose_prenatural,
-    eval_basis,
     eval_multilinear,
     identity_formal,
     l_compose,

@@ -271,16 +271,24 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a DocumentError, so that `main` reports it
+    as JSON with exit 2 instead of printing usage text and exiting."""
+
+    def error(self, message):
+        raise DocumentError("<args>", 0, message)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built at the first `main` call and kept."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ainfty",
         description="Exact pullbacks of A-infinity categories along "
                     "graded-split surjective functors.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    common = argparse.ArgumentParser(add_help=False)
+    common = _Parser(add_help=False)
     common.add_argument("--max-arity", type=int, default=None)
     common.add_argument("--field", choices=["Q", "Fp"], default=None)
     common.add_argument("--p", type=int, default=None)
@@ -318,8 +326,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    # parsed in place, so a usage error after the command name still names it
+    args = argparse.Namespace(command=None)
     try:
+        _parser().parse_args(argv, args)
         if args.max_arity is not None and args.max_arity < 1:
             raise DocumentError("<args>", 0, "--max-arity must be at least 1")
         if (args.max_arity is not None and args.max_arity < 2

@@ -102,51 +102,47 @@ def arity_feasibility_bound(
 ) -> Optional[int]:
     """Largest arity a degree-`degree` prenatural component can have, or None.
 
-    Arity n is feasible when some total input degree t in [n*lo, n*hi]
-    satisfies t + degree - n in [lo', hi'].  Returns 0 when no arity is
-    feasible, None when arities are unbounded.
+    Arity n >= 1 is feasible when some total input degree t in [n*lo, n*hi]
+    satisfies t + degree - n in [lo', hi'], that is when
+    n*(lo-1) <= hi'-degree and n*(1-hi) <= degree-lo'.  Both are linear in
+    n, so the feasible arities form an interval [least, most].  Returns 0
+    when it is empty, None when it has no upper end.
     """
     if src_interval is None or tgt_interval is None:
         return 0
-    lo, hi = src_interval
-    lo2, hi2 = tgt_interval
-    a, b = lo - 1, hi - 1
-
-    def feasible(n: int) -> bool:
-        return n * a <= hi2 - degree and n * b >= lo2 - degree
-
-    grows_ok = (a < 0 or (a == 0 and hi2 - degree >= 0)) and (
-        b > 0 or (b == 0 and lo2 - degree <= 0)
-    )
-    if grows_ok:
+    (lo, hi), (lo2, hi2) = src_interval, tgt_interval
+    least, most = 1, None
+    for a, c in ((lo - 1, hi2 - degree), (1 - hi, degree - lo2)):
+        if a > 0:
+            most = c // a if most is None else min(most, c // a)
+        elif a < 0:
+            least = max(least, -(c // -a))
+        elif c < 0:
+            return 0
+    if most is None:
         return None
-    if a > 0:
-        stop = max(1, (hi2 - degree) // a + 1)
-    else:
-        stop = max(1, (lo2 - degree) // b + 1) if b < 0 else 1
-    best = 0
-    for n in range(1, stop + 2):
-        if feasible(n):
-            best = n
-    return best
+    return most if least <= most else 0
+
+
+def verify_bound(*triples) -> Optional[int]:
+    """Arity past which every component and defect vanishes, or None.
+
+    Each triple is (source interval, target interval, degree) of a family:
+    its components have that degree and its defects one more.
+    """
+    bounds = [arity_feasibility_bound(src, tgt, d)
+              for src, tgt, degree in triples for d in (degree, degree + 1)]
+    return None if None in bounds else max(bounds)
 
 
 def structure_verify_bound(quiver: GradedQuiver) -> Optional[int]:
     """Arity past which both structure components and defects vanish."""
     iv = quiver.degree_interval()
-    comp = arity_feasibility_bound(iv, iv, 2)
-    defect = arity_feasibility_bound(iv, iv, 3)
-    if comp is None or defect is None:
-        return None
-    return max(comp, defect)
+    return verify_bound((iv, iv, 2))
 
 
 def functor_verify_bound(src: GradedQuiver, tgt: GradedQuiver) -> Optional[int]:
-    comp = arity_feasibility_bound(src.degree_interval(), tgt.degree_interval(), 1)
-    defect = arity_feasibility_bound(src.degree_interval(), tgt.degree_interval(), 2)
-    if comp is None or defect is None:
-        return None
-    return max(comp, defect)
+    return verify_bound((src.degree_interval(), tgt.degree_interval(), 1))
 
 
 def _choose_bound(max_arity: Optional[int], full: Optional[int]) -> Tuple[int, bool]:

@@ -154,8 +154,6 @@ def _format_entries(kind: str, fld: Field, source: GradedQuiver,
     for (n, objs), table in components.items():
         out_space = target.space(object_map[objs[0]], object_map[objs[-1]])
         for in_t, vec in table.items():
-            if not vec:
-                continue
             names = [
                 source.space(objs[n - 1 - i], objs[n - i]).name(b)
                 for i, b in enumerate(in_t)
@@ -267,8 +265,7 @@ def parse_category(text: str, path: str = "<category>",
     for ln, fields in mu_lines:
         key, in_t, vec = _parse_entry(path, ln, fields, fld, quiver, quiver, ident)
         _once(seen, ("mu", key, in_t), path, ln)
-        if vec:
-            comps.setdefault(key, {})[in_t] = vec
+        comps.setdefault(key, {})[in_t] = vec
     units = None
     if unit_lines:
         units = {}
@@ -397,8 +394,7 @@ def parse_functor(text: str, path: str = "<functor>",
         key, in_t, vec = _parse_entry(path, ln, fields, fld, source.quiver,
                                       target.quiver, objmap)
         _once(seen, ("comp", key, in_t), path, ln)
-        if vec:
-            comps.setdefault(key, {})[in_t] = vec
+        comps.setdefault(key, {})[in_t] = vec
     morphism = FormalMorphism(source.quiver, target.quiver, objmap, comps)
     try:
         functor = AInftyFunctor.build(morphism, source, target,

@@ -239,32 +239,6 @@ def _degree_block(m: GradedMap, d: int) -> Tuple[List[int], List[int], List[List
     return rows, cols, block
 
 
-def solve_linear(m: GradedMap, target: Vec) -> Optional[Vec]:
-    """A preimage of `target` under m, or None; exact, degreewise."""
-    for ti in target:
-        if not 0 <= ti < m.target.dim:
-            raise LinearError("target vector does not lie in the map's target space")
-    degrees = sorted({m.target.degree(ti) - m.shift for ti in target} | set(m.source.degrees()))
-    out: Vec = {}
-    for d in degrees:
-        rows, cols, block = _degree_block(m, d)
-        rhs = [target.get(ti, m.fld.zero) for ti in rows]
-        if not rows:
-            continue
-        sol = solve_dense(m.fld, block, rhs)
-        if sol is None:
-            return None
-        for si, x in zip(cols, sol):
-            if not m.fld.is_zero(x):
-                out[si] = x
-    # degrees of target with no source columns at all
-    for ti, c in target.items():
-        d = m.target.degree(ti) - m.shift
-        if not m.source.indices_of_degree(d) and not m.fld.is_zero(c):
-            return None
-    return out
-
-
 @dataclass
 class SplitData:
     """A graded splitting of a degreewise surjection.

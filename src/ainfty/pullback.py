@@ -45,7 +45,6 @@ from .core import (
     EssentialCertificate,
     IsoLiftCertificate,
     _choose_bound,
-    arity_feasibility_bound,
     certify_premise,
     check_F1,
     check_isofibration,
@@ -55,6 +54,7 @@ from .core import (
     _hom_level_quasi_iso,
     kernel_acyclicity,
     same_category,
+    verify_bound,
 )
 from .quiver import (
     Components,
@@ -177,7 +177,11 @@ def build_pullback(
     f1 = check_F1(f)
     if not f1.passed:
         raise F1Error(f1.failure)
-    full = _total_bound_pullback(f, g)
+    # one hull interval over the degrees of A, A'' and A'
+    ends = [d for q in (f.source.quiver, g.source.quiver, f.target.quiver)
+            for d in q.degree_interval() or ()]
+    iv = (min(ends), max(ends)) if ends else None
+    full = verify_bound((iv, iv, 1), (iv, iv, 2))
     bound, total = _choose_bound(max_arity, full)
     strict = strictify(f, max_arity=bound)
     certify_premise(g, bound)
@@ -207,23 +211,6 @@ def build_pullback(
         raise InternalConsistencyError("pullback square does not commute")
     return PullbackCategory(category, alpha, beta, product, blocks, pairs,
                             strict, f, g, bound, total)
-
-
-def _total_bound_pullback(f: AInftyFunctor, g: AInftyFunctor) -> Optional[int]:
-    src_q = f.source.quiver
-    gsrc_q = g.source.quiver
-    tgt_q = f.target.quiver
-    degs = [d for q in (src_q, gsrc_q, tgt_q)
-            for sp in q.hom.values() for _, d in sp.basis]
-    if not degs:
-        return 0
-    iv = (min(degs), max(degs))
-    comp = arity_feasibility_bound(iv, iv, 1)
-    structure = arity_feasibility_bound(iv, iv, 2)
-    defect = arity_feasibility_bound(iv, iv, 3)
-    if comp is None or structure is None or defect is None:
-        return None
-    return max(comp, structure, defect)
 
 
 # -- universal property --------------------------------------------------------

@@ -30,8 +30,7 @@ from .core import (
     _choose_bound,
     certify_premise,
     check_F1,
-    functor_verify_bound,
-    structure_verify_bound,
+    verify_bound,
 )
 from .quiver import (
     Components,
@@ -258,7 +257,12 @@ def strictify(functor: AInftyFunctor,
     bound is below 2 and not total: the transported category then has no m2
     to state its strict units with."""
     model = build_split_model(functor)
-    full = _total_bound(model)
+    base, split, tgt = (q.degree_interval() for q in (
+        model.base.quiver, model.quiver, model.functor.target.quiver))
+    # m and m.m on the base and the model; the functor equations of F,
+    # projection, phi and psi
+    full = verify_bound((base, base, 2), (split, split, 2), (base, tgt, 1),
+                        (split, tgt, 1), (base, split, 1), (split, base, 1))
     bound, total = _choose_bound(max_arity, full)
     if bound < 2 and not total:
         raise StrictifyError(f"arity bound {bound} is below 2: "
@@ -285,19 +289,3 @@ def strictify(functor: AInftyFunctor,
         raise StrictifyError("projection . phi differs from F")
     return Strictification(model, transported, projection, phi_functor,
                            psi_functor, bound, total)
-
-
-def _total_bound(model: SplitModel) -> Optional[int]:
-    base_q = model.base.quiver
-    tgt_q = model.functor.target.quiver
-    candidates = [
-        structure_verify_bound(base_q),
-        structure_verify_bound(model.quiver),
-        functor_verify_bound(base_q, tgt_q),
-        functor_verify_bound(model.quiver, tgt_q),
-        functor_verify_bound(base_q, model.quiver),
-        functor_verify_bound(model.quiver, base_q),
-    ]
-    if any(c is None for c in candidates):
-        return None
-    return max(candidates)

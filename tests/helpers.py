@@ -27,7 +27,6 @@ from ainfty.quiver import (
     GradedQuiver,
     Prenatural,
     compose_formal,
-    eval_basis,
     eval_multilinear,
     identity_formal,
     l_compose,
@@ -36,6 +35,11 @@ from ainfty.quiver import (
 )
 
 Pair = Tuple[str, str]
+
+
+def eval_basis(fam, n: int, objs: Tuple[str, ...], in_t: Tuple[int, ...]) -> Vec:
+    """A fresh copy of fam's component at (n, objs) on the basis tuple in_t."""
+    return dict(fam.components.get((n, objs), {}).get(in_t, {}))
 
 
 # -- independent dense double-sum defect oracle -------------------------------

@@ -16,7 +16,6 @@ from ainfty.quiver import (
     FormalMorphism,
     compose_formal,
     compose_prenatural,
-    eval_basis,
     eval_multilinear,
     identity_formal,
     l_compose,
@@ -47,6 +46,7 @@ from helpers import (
     double_sum_defect,
     doubled_object_functor,
     engine_defect_map,
+    eval_basis,
     f1_strict,
     formal_inverse,
     inclusion_functor,

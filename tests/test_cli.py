@@ -203,6 +203,31 @@ def test_usage_error_exit_two(tmp_path, capsys):
     assert json.loads(out)["overall"] == "error"
 
 
+@pytest.mark.parametrize("argv, command", [
+    ([], None),
+    (["frobnicate"], None),
+    (["validate"], "validate"),
+    (["strictify", "f.afun"], "strictify"),
+    (["classify", "f.afun", "--max-arity", "x"], "classify"),
+    (["validate", "a.acat", "--bogus"], "validate"),
+])
+def test_argparse_usage_error_is_one_json_report(capsys, argv, command):
+    # argparse's own usage errors keep the contract: one JSON object, exit 2,
+    # and no usage text
+    code = main(argv)
+    out, err = capsys.readouterr()
+    rep = json.loads(out)
+    assert code == 2 and err == ""
+    assert rep["overall"] == "error" and rep["command"] == command
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: ainfty" in capsys.readouterr().out
+
+
 # -- byte stability of the README worked example --------------------------------
 
 GOLDEN = pathlib.Path(__file__).parent / "golden" / "readme"
@@ -268,10 +293,9 @@ def test_main_repeated_in_one_process(tmp_path, monkeypatch, capsys):
     assert rounds[0] == rounds[1]
     assert all(code == 0 for code, _ in rounds[0].values())
     for _ in range(2):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
-    capsys.readouterr()
+        assert main(["frobnicate"]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert report["overall"] == "error" and "frobnicate" in report["error"]
     assert len(built) == first
     seen = []
 

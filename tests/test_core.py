@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import itertools
 import pathlib
 import random
@@ -15,6 +16,7 @@ from ainfty.quiver import (
     FormalMorphism,
     GradedQuiver,
     Prenatural,
+    QuiverError,
     identity_formal,
 )
 from ainfty.core import (
@@ -90,6 +92,28 @@ def test_arity_bound_empty():
     assert arity_feasibility_bound((0, 0), None, 2) == 0
 
 
+@functools.cache
+def _bound_by_definition(src, low, high, limit=400):
+    """The largest arity n <= limit whose output degree window
+    [max(n*lo, low+n), min(n*hi, high+n)] is nonempty, where [low, high] is
+    the target interval shifted down by the degree: 0 when none is, None
+    when n = limit is."""
+    lo, hi = src
+    for n in range(limit, 0, -1):
+        if max(n * lo, low + n) <= min(n * hi, high + n):
+            return None if n == limit else n
+    return 0
+
+
+def test_arity_bound_closed_form_matches_its_definition():
+    intervals = [None] + [(lo, hi) for lo in range(-6, 7) for hi in range(lo, 7)]
+    for src, tgt in itertools.product(intervals, intervals):
+        for degree in range(-4, 6):
+            want = (0 if src is None or tgt is None else _bound_by_definition(
+                src, tgt[0] - degree, tgt[1] - degree))
+            assert arity_feasibility_bound(src, tgt, degree) == want, (src, tgt, degree)
+
+
 # -- structure validation ---------------------------------------------------------
 
 def test_dg_categories_have_zero_defect(rng):
@@ -121,6 +145,28 @@ def test_m3_perturbed_witness_at_arity_five(qq):
     assert n == 5 and in_t == (0, 0, 0, 0, 0)
     with pytest.raises(StructureDefectError):
         AInftyCategory.build(q, comps, max_arity=5)
+
+
+def test_zero_coefficient_outside_the_hom_is_rejected(qq):
+    # a zero is validated like any coefficient: at index 99 it used to pass
+    # build and then break serialize_category with an IndexError
+    cat = point_category(qq)
+    comps = {key: {in_t: dict(vec) for in_t, vec in table.items()}
+             for key, table in cat.structure.components.items()}
+    comps[(2, ("o0",) * 3)][(0, 0)][99] = qq.zero
+    with pytest.raises(QuiverError, match="output index outside the target hom space"):
+        AInftyCategory.build(cat.quiver, comps, cat.units)
+
+
+def test_zero_coefficient_of_the_wrong_degree_is_rejected(qq):
+    # m2(1, 1) has degree 0, so even a zero at the degree -1 generator a
+    # breaks the degree rule
+    cat = nilpotent_category(qq, (("a", -1),))
+    comps = {key: {in_t: dict(vec) for in_t, vec in table.items()}
+             for key, table in cat.structure.components.items()}
+    comps[(2, ("o0",) * 3)][(0, 0)][1] = qq.zero
+    with pytest.raises(QuiverError, match="degree violation at arity 2"):
+        AInftyCategory.build(cat.quiver, comps, cat.units)
 
 
 def test_build_stops_at_the_first_nonzero_arity(monkeypatch):

@@ -1,5 +1,7 @@
-"""Every module-level function in src/ainfty is either used elsewhere in the
-package or exported from ainfty/__init__.py, every dataclass field is read
+"""Every module-level function in src/ainfty is used elsewhere in the
+package outside ainfty/__init__.py, or named by the benchmark under
+perfbench/ or by the README; a use in the tests alone does not keep it.
+Every dataclass field is read
 somewhere, every parameter is read by its function and every parameter with
 a default is passed by some call, so a helper whose last caller goes away, a
 field whose last reader does, an argument nothing reads or an option no
@@ -10,10 +12,12 @@ from __future__ import annotations
 
 import ast
 import pathlib
+import re
 from collections import Counter
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "ainfty"
 TESTS = pathlib.Path(__file__).resolve().parent
+ROOT = PACKAGE.parent.parent
 
 
 def _references(node: ast.AST) -> Counter:
@@ -38,12 +42,14 @@ def _called_name(call: ast.Call):
 def test_every_module_function_is_used_or_exported():
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
-    exported = {alias.asname or alias.name
-                for node in trees["__init__.py"].body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
     package_refs: Counter = Counter()
-    for tree in trees.values():
-        package_refs += _references(tree)
+    for module, tree in trees.items():
+        if module != "__init__.py":
+            package_refs += _references(tree)
+    # exported means named by the benchmark or the README, not by a test
+    named = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "README.md"]:
+        named.update(re.findall(r"\w+", path.read_text()))
     dead = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -51,7 +57,7 @@ def test_every_module_function_is_used_or_exported():
                 continue
             # a function's references to itself (recursion) do not count
             outside = package_refs[node.name] - _references(node)[node.name]
-            if outside == 0 and node.name not in exported:
+            if outside == 0 and node.name not in named:
                 dead.append(f"{module}:{node.name}")
     assert dead == []
 

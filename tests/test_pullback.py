@@ -14,7 +14,6 @@ from ainfty.linear import vec_add, vec_scale
 from ainfty.quiver import (
     FormalMorphism,
     compose_formal,
-    eval_basis,
     eval_multilinear,
     identity_formal,
 )
@@ -48,6 +47,7 @@ from helpers import (
     bump_coefficient,
     cyclic_garbage,
     doubled_object_functor,
+    eval_basis,
     formal_inverse,
     inclusion_functor,
     nilpotent_category,

@@ -20,7 +20,6 @@ from ainfty.quiver import (
     QuiverError,
     compose_formal,
     compose_prenatural,
-    eval_basis,
     identity_formal,
     l_compose,
     r_compose,
@@ -32,6 +31,7 @@ from helpers import (
     cyclic_garbage,
     double_sum_defect,
     engine_defect_map,
+    eval_basis,
     insertion_expand_word,
     outer_after_words,
     random_flat_prenatural,

@@ -15,7 +15,6 @@ from ainfty.quiver import (
     FormalMorphism,
     GradedQuiver,
     compose_formal,
-    eval_basis,
     eval_multilinear,
     identity_formal,
     l_compose,
@@ -51,6 +50,7 @@ from helpers import (
     bump_coefficient,
     coderivation_expand_combo,
     doubled_object_functor,
+    eval_basis,
     f1_strict,
     nilpotent_category,
     point_category,
