@@ -245,8 +245,7 @@ def cmd_induce(args) -> int:
                       (args.cone_l, ldoc)):
         _check_field(args, path, doc.functor.source.fld)
     p = build_pullback(fdoc.functor, gdoc.functor, max_arity=args.max_arity)
-    rep = induce_functor(p, idoc.functor, ldoc.functor,
-                         max_arity=args.max_arity)
+    rep = induce_functor(p, idoc.functor, ldoc.functor)
     checks = {
         "cone_commutes": CheckReport("pass"),
         "a_infinity": CheckReport("pass"),

@@ -3,14 +3,15 @@
 A structure is a flat degree-2 prenatural endotransformation of the identity
 whose self-composition vanishes; a functor is a formal morphism F with
 l_compose(F, D_source) = r_compose(F, D_target).  Holding a value certifies
-its equation up to the recorded arity bound: `build` checks it on new data,
-`derived` takes it from certified values by a lemma, whose premises
+its equation up to the recorded arity bound: `build` checks it on new data
+and stores the family in canonical form (every coefficient reduced, no
+zeros), `derived` takes it from certified values by a lemma, whose premises
 `certify_premise` checks past their recorded bounds.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .fields import Field, Scalar
@@ -184,14 +185,24 @@ def _certify(parts: Iterable[Components], error) -> None:
             raise error(bad)
 
 
-def _certify_structure(structure: Prenatural, max_arity: int) -> None:
-    """m . m = 0 up to max_arity, read one arity at a time: a defect stops
-    the sum at its first nonzero arity, and the witness is the one
-    `structure_defect(...).first_nonzero()` names, since that sorts by
-    arity first."""
-    structure.validate()
+def _canonical(fam):
+    """fam validated, and copied into canonical form only when not in it."""
+    if fam.validate():
+        return fam
+    reduced = fam.target.fld.reduced
+    return replace(fam, components={key: {it: reduced(v) for it, v in t.items()}
+                                    for key, t in fam.components.items()})
+
+
+def _certify_structure(structure: Prenatural, max_arity: int) -> Prenatural:
+    """Certify m . m = 0 up to max_arity on the canonical form of the
+    structure, and return that form.  The sum is read one arity at a time:
+    a defect stops it at its first nonzero arity, with the witness that
+    `structure_defect(...).first_nonzero()` names (it sorts by arity)."""
+    structure = _canonical(structure)
     _certify((part for _, part in double_sum(structure, structure, max_arity)),
              StructureDefectError)
+    return structure
 
 
 @dataclass
@@ -224,7 +235,7 @@ class AInftyCategory:
         if not structure.is_flat():
             raise AInftyError("structures must be flat: arity-0 part must vanish")
         bound, _ = _choose_bound(max_arity, structure_verify_bound(quiver))
-        _certify_structure(structure, bound)
+        structure = _certify_structure(structure, bound)
         return AInftyCategory.derived(structure, units, bound)
 
     @staticmethod
@@ -396,7 +407,7 @@ class AInftyFunctor:
         for x in source.objects:
             if morphism.object_map.get(x) not in target.objects:
                 raise AInftyError(f"object map image of {x!r} is not in the target")
-        morphism.validate()
+        morphism = _canonical(morphism)
         bound, _ = _choose_bound(
             max_arity, functor_verify_bound(source.quiver, target.quiver))
         _certify([functor_defect(morphism, source, target, bound).components],
@@ -493,12 +504,12 @@ class H0Category:
     cat.pair_cohomology's degree-0 basis, and composition reads the table of
     [m2(e_i, e_j)] on basis classes, built for a triple the first time it is
     needed.  Exact, because m2 is bilinear and coords linear.  The invertible
-    classes of a hom are enumerated once and replayed."""
+    classes of a hom are enumerated once, lazily, and replayed."""
     cat: AInftyCategory
     unit_coords: Dict[str, List[Scalar]]
     _tables: Dict[Tuple[str, str, str], List[List[List[Scalar]]]] = field(
         default_factory=dict, repr=False, compare=False)
-    _isos: Dict[Pair, Tuple[List[List[Scalar]], Iterator[List[Scalar]]]] = field(
+    _isos: Dict[Pair, Iterator[List[Scalar]]] = field(
         default_factory=dict, repr=False, compare=False)
 
     def dim(self, x: str, y: str) -> int:
@@ -545,29 +556,21 @@ class H0Category:
         rhs = list(self.unit_coords[x]) + list(self.unit_coords[y])
         return solve_dense(fld, rows, rhs) is not None
 
-    def isos(self, x: str, y: str):
+    def isos(self, x: str, y: str) -> Iterator[List[Scalar]]:
         """The invertible classes x -> y, in coordinate order; prime fields
-        only.  Each class is tested once per H0: a later call replays the
-        classes found so far and goes on from there.  Composing with an iso
-        is a bijection, so none exists unless H0(x, y), H0(y, x), H0(x, x)
-        and H0(y, y) have one dimension; otherwise no class is tried."""
+        only.  Each call reads an `itertools.tee` copy of one lazy filter per
+        hom, so each class is tested once per H0.  Composing with an iso is a
+        bijection, so none exists unless H0(x, y), H0(y, x), H0(x, x) and
+        H0(y, y) have one dimension; otherwise no class is tried."""
         if (x, y) not in self._isos:
             fld, d = self.cat.fld, self.dim(x, y)
             every = ()
             if d == self.dim(y, x) == self.dim(x, x) == self.dim(y, y):
                 every = itertools.product(list(fld.elements()), repeat=d)
-            self._isos[(x, y)] = ([], (c for c in map(list, every)
-                                       if self.is_iso(x, y, c)))
-        found, rest = self._isos[(x, y)]
-        i = 0
-        while True:
-            if i == len(found):
-                coords = next(rest, None)
-                if coords is None:
-                    return
-                found.append(coords)
-            yield found[i]
-            i += 1
+            self._isos[(x, y)] = (c for c in map(list, every)
+                                  if self.is_iso(x, y, c))
+        self._isos[(x, y)], replay = itertools.tee(self._isos[(x, y)])
+        return replay
 
 
 def _combine(fld: Field, coeffs: Sequence[Scalar], vecs, dim: int) -> List[Scalar]:
@@ -686,7 +689,6 @@ def check_isofibration(
     fibers: Dict[str, List[str]] = {}
     for a in src.objects:
         fibers.setdefault(functor.object_map[a], []).append(a)
-    systems: Dict[Pair, Tuple[List[List[Scalar]], List[List[Scalar]]]] = {}
     for x in src.objects:
         px = functor.object_map[x]
         first_decides = _units_lift(functor, h0s, h0t, x)
@@ -694,8 +696,7 @@ def check_isofibration(
             # enumerated once per (px, b): isos replays it for every x over px
             isos = h0t.isos(px, b)
             for coords in itertools.islice(isos, 1) if first_decides else isos:
-                if not _find_lift(functor, h0s, x, coords, fibers.get(b, []),
-                                  systems):
+                if not _find_lift(functor, h0s, x, coords, fibers.get(b, [])):
                     return CheckReport(
                         "fail",
                         [f"iso at H0({px},{b}) with coords {coords} "
@@ -719,17 +720,14 @@ def _units_lift(functor, h0s, h0t, x) -> bool:
     return unit == h0t.unit_coords[functor.object_map[x]]
 
 
-def _find_lift(functor, h0s, x, coords, fiber, systems) -> bool:
+def _find_lift(functor, h0s, x, coords, fiber) -> bool:
     """Whether some iso class x -> a, a in the fiber, maps to `coords` under
-    [F1].  `systems` keeps each (x, a)'s matrix and nullspace across calls."""
+    [F1]."""
     fld = functor.source.fld
     for a in fiber:
-        if (x, a) not in systems:
-            # H0(Fx, Fa) = 0: one zero row keeps the dim H0(x, a) columns
-            mat = (cohomology_matrix(functor, x, a, 0)
-                   or [[fld.zero] * h0s.dim(x, a)])
-            systems[(x, a)] = mat, nullspace_dense(fld, mat)
-        mat, null = systems[(x, a)]
+        # H0(Fx, Fa) = 0: one zero row keeps the dim H0(x, a) columns
+        mat = cohomology_matrix(functor, x, a, 0) or [[fld.zero] * h0s.dim(x, a)]
+        null = nullspace_dense(fld, mat)
         part = solve_dense(fld, mat, coords or [fld.zero])
         if part is None:
             continue

@@ -255,11 +255,8 @@ def parse_category(text: str, path: str = "<category>",
         if x not in objects or y not in objects:
             raise DocumentError(path, basis_ln[(x, y)],
                                 f"basis pair ({x},{y}) names unknown objects")
-    try:
-        hom = {pair: GradedSpace(tuple(b)) for pair, b in basis.items()}
-        quiver = GradedQuiver(fld, tuple(objects), hom)
-    except ValueError as exc:
-        raise DocumentError(path, 1, str(exc)) from exc
+    quiver = GradedQuiver(fld, tuple(objects), {
+        pair: GradedSpace(tuple(b)) for pair, b in basis.items()})
     comps: Components = {}
     ident = {x: x for x in objects}
     for ln, fields in mu_lines:

@@ -102,9 +102,6 @@ class Field:
             return r.numerator if r.denominator == 1 else r
         return pow(a, self.characteristic - 2, self.characteristic)
 
-    def div(self, a: Scalar, b: Scalar) -> Scalar:
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a: Scalar) -> bool:
         return a == 0
 

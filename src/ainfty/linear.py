@@ -368,9 +368,6 @@ class Cohomology:
         x = dict(zip(pivots, tv))
         return [x.get(c, fld.zero) for c in range(len(self.reps.get(degree, [])))]
 
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
 
 def cohomology(space: GradedSpace, d: GradedMap) -> Cohomology:
     """ker/im of a square-zero shift-1 differential, per degree."""

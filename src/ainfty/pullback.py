@@ -240,7 +240,6 @@ def induce_functor(
     p: PullbackCategory,
     cone_i: AInftyFunctor,
     cone_l: AInftyFunctor,
-    max_arity: Optional[int] = None,
 ) -> UniversalReport:
     """The unique functor into the pullback induced by a commuting cone.
 
@@ -250,7 +249,7 @@ def induce_functor(
     up to the bound, then F . cone_i = G . cone_l is checked exactly.  N is
     cone_l on A'' and phi . cone_i on the kernel; see UniversalReport.
     """
-    bound = min(p.arity_bound, max_arity) if max_arity else p.arity_bound
+    bound = p.arity_bound
     for a, b, mismatch in (
             (cone_i.source, cone_l.source, "cone legs must share their source"),
             (cone_i.target, p.f.source, "cone_i must land in the source of F"),
@@ -310,11 +309,6 @@ def _kernel_block_is_identity(p: PullbackCategory) -> bool:
 @dataclass
 class FibrationReport:
     sections: Dict[str, CheckReport]
-
-    @property
-    def acyclic_fibration(self) -> str:
-        return self.sections.get("alpha_acyclic_fibration",
-                                 CheckReport("undecided")).verdict
 
 
 def certify_fibration_closure(

@@ -18,7 +18,10 @@ invariant: each copies the family it is given into fresh outer and table
 dicts with no empty vector and no empty table, so equality is equality of
 the stored dicts and filling in the dict passed to a constructor leaves the
 family as it was.  Vectors are shared, not copied: nothing writes into a
-vector it did not build.
+vector it did not build.  `validate` also says whether every coefficient is
+reduced and nonzero, the canonical form that `build` stores.  The identity
+is a type, `Identity`, which the engine tests instead of the data; an
+identity built by hand is composed in full, with the same result.
 """
 from __future__ import annotations
 
@@ -113,8 +116,8 @@ class FormalMorphism:
     def component(self, n: int, objs: Tuple[str, ...]) -> Dict[Tuple[int, ...], Vec]:
         return self.components.get((n, objs), {})
 
-    def validate(self) -> None:
-        _validate_family(self, allow_arity0=False)
+    def validate(self) -> bool:
+        return _validate_family(self, allow_arity0=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FormalMorphism):
@@ -158,8 +161,8 @@ class Prenatural:
     def is_zero(self) -> bool:
         return not self.components
 
-    def validate(self) -> None:
-        _validate_family(self, allow_arity0=True)
+    def validate(self) -> bool:
+        return _validate_family(self, allow_arity0=True)
 
     def sub(self, other: "Prenatural") -> "Prenatural":
         """self - other in one pass over other's entries, each difference
@@ -213,8 +216,11 @@ def first_difference(a: Components, b: Components
     return None
 
 
-def _validate_family(fam, allow_arity0: bool) -> None:
+def _validate_family(fam, allow_arity0: bool) -> bool:
+    """Raise QuiverError at the first malformed entry; return whether every
+    coefficient is canonical, reduced and nonzero."""
     src, tgt = fam.source, fam.target
+    p, canonical = tgt.fld.characteristic, True
     for (n, objs), table in fam.components.items():
         if n == 0 and not allow_arity0:
             raise QuiverError("formal morphisms have no arity-0 linear part")
@@ -235,7 +241,8 @@ def _validate_family(fam, allow_arity0: bool) -> None:
                 if not 0 <= b < len(basis):
                     raise QuiverError("input index outside the source hom space")
                 want += basis[b][1]
-            for oi in vec:
+            for oi, c in vec.items():
+                canonical = canonical and (0 < c < p if p else c != 0)
                 if not 0 <= oi < out_space.dim:
                     raise QuiverError("output index outside the target hom space")
                 if out_space.degree(oi) != want:
@@ -244,30 +251,20 @@ def _validate_family(fam, allow_arity0: bool) -> None:
                         f"output {out_space.name(oi)} has degree "
                         f"{out_space.degree(oi)}, expected {want}"
                     )
+    return canonical
 
 
-def identity_formal(q: GradedQuiver) -> FormalMorphism:
-    comps: Components = {}
-    for (x, y), sp in q.hom.items():
-        if sp.dim == 0:
-            continue
-        comps[(1, (x, y))] = {(i,): {i: q.fld.one} for i in range(sp.dim)}
-    return FormalMorphism(q, q, {x: x for x in q.objects}, comps)
+class Identity(FormalMorphism):
+    """The identity of a quiver, made from the quiver alone, so that
+    `dataclasses.replace` cannot give one other data (it raises TypeError)."""
+
+    def __init__(self, q: GradedQuiver) -> None:
+        super().__init__(q, q, {x: x for x in q.objects},
+                         {(1, pair): {(i,): {i: q.fld.one} for i in range(sp.dim)}
+                          for pair, sp in q.hom.items() if sp.dim})
 
 
-def _is_identity(f: FormalMorphism) -> bool:
-    """Whether f is the identity of its quiver, read off its data rather
-    than marked on it: one table per nonzero hom, mapping each basis
-    element to itself."""
-    q = f.source
-    if f.target != q or f.object_map != {x: x for x in q.objects}:
-        return False
-    one = q.fld.one
-    dims = {(1, pair): sp.dim for pair, sp in q.hom.items() if sp.dim}
-    return f.components.keys() == dims.keys() and all(
-        len(f.components[key]) == dim
-        and all(f.components[key].get((i,)) == {i: one} for i in range(dim))
-        for key, dim in dims.items())
+identity_formal = Identity
 
 
 # -- sparse contraction engine ----------------------------------------------
@@ -311,9 +308,9 @@ def _expand(outer, right, ins: Optional[Prenatural], left,
     entries of the next block's bucket that start at its end object and
     leave room for the blocks after it (arity >= 1 each, an insertion 0).
 
-    When `right` and `left` are both the identity of their quiver (the
-    structure relation m . m and the insertion of a structure among identity
-    endpoints), the sum is `double_sum`, merged over its arities.
+    When `right` and `left` are both an `Identity` (the structure relation
+    m . m and the insertion of a structure among identity endpoints), the
+    sum is `double_sum`, merged over its arities.
 
     No `Field` method runs per word.  Each word adds coefficient times
     output entry into one flat dict keyed (path, inputs, output index), with
@@ -322,7 +319,7 @@ def _expand(outer, right, ins: Optional[Prenatural], left,
     surviving entries are regrouped into components in the order the words
     first reached them.
     """
-    if ins is not None and _is_identity(right) and (left is right or _is_identity(left)):
+    if ins is not None and isinstance(right, Identity) and isinstance(left, Identity):
         merged: Components = {}
         for _, part in double_sum(outer, ins, max_arity):
             merged.update(part)
@@ -384,24 +381,20 @@ def double_sum(outer, ins: Prenatural, max_arity: int
     arity-n part reads only the outer entries of arity <= n + 1 - (least
     arity of `ins`), so a consumer that stops early leaves the rest unread
     (the arity-n part of m . m reads only m^1..m^n).  The insertion is
-    indexed by (slot pair, output index, input count) once per call, and an
-    outer entry's slots and signs are read when its arity is first needed:
-    each (outer entry, slot, insertion entry) triple is visited once.  Each
-    part is summed and reduced as `_expand` describes.
+    indexed by (slot pair, output index, input count) in one pass per call,
+    and an outer entry's slots and signs are read when its arity is first
+    needed: each (outer entry, slot, insertion entry) triple is visited
+    once.  Each part is summed and reduced as `_expand` describes.
     """
     q = outer.source
     arities = {n for n, _ in ins.components}
     shortest, longest = min(arities, default=1), max(arities, default=0)
     index: Dict[Tuple[str, str, int], Dict[int, List[_Entry]]] = {}
-    for ((x, y), b), starts in _invert(ins).items():
-        lengths = index[(x, y, b)] = {}
-        for entries in starts.values():
-            for entry in entries:
-                e = len(entry[1])
-                if e in lengths:
-                    lengths[e].append(entry)
-                else:
-                    lengths[e] = [entry]
+    for (e, objs), table in ins.components.items():
+        x, y = ins.out_pair(objs)
+        for in_t, vec in table.items():
+            for b, c in vec.items():
+                index.setdefault((x, y, b), {}).setdefault(e, []).append((objs, in_t, c))
     # flips[(x, y, b)]: whether b in hom(x, y) has odd reduced degree, so
     # that an insertion right of it changes sign
     flips = {}
@@ -470,11 +463,14 @@ def _composites(g_frm: FormalMorphism, g_to: FormalMorphism, f_frm: FormalMorphi
 def compose_formal(g: FormalMorphism, f: FormalMorphism, max_arity: int) -> FormalMorphism:
     """Composition (g . f)^n as the partition sum over blocks of f.
 
-    When one operand is the identity of its quiver the composite is the
-    other operand's components of arity <= max_arity, with no sum."""
+    When one operand is an `Identity` the composite is the other operand's
+    components of arity <= max_arity, with no sum; the composite of two is
+    an `Identity`."""
     if f.target.objects != g.source.objects:
         raise QuiverError("compose_formal: target(f) must be source(g)")
-    other = f if _is_identity(g) else g if _is_identity(f) else None
+    if isinstance(f, Identity) and isinstance(g, Identity):
+        return f
+    other = f if isinstance(g, Identity) else g if isinstance(f, Identity) else None
     if other is None:
         comps = _expand(g, f, None, f, max_arity)
     else:

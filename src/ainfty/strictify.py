@@ -221,9 +221,11 @@ def transport_structure(model: SplitModel, phi: FormalMorphism,
 
     phi . m = m_model . phi holds by construction, as psi is phi's two-sided
     inverse to max_arity (build_phi_psi forces one side, checks the other);
-    strictify certifies it, and the endpoints phi . psi are the identity."""
-    m = model.base.structure
-    return l_compose(phi, r_compose(psi, m, max_arity), max_arity)
+    strictify certifies it.  So the endpoints phi . psi are the identity,
+    and the result has the model's `Identity` as its endpoints."""
+    ident = identity_formal(model.quiver)
+    conj = l_compose(phi, r_compose(psi, model.base.structure, max_arity), max_arity)
+    return Prenatural(ident, ident, 2, conj.components)
 
 
 def strict_projection(model: SplitModel, transported: AInftyCategory,

@@ -106,6 +106,7 @@ def test_classify_with_certificates(tmp_path, capsys):
     ("isolift self ; o ; p ; 1' 1 ; z ; 1 1", "certificate names unknown object 'z'"),
     ("essential self ; q ; o ; 1' 1", "certificate names unknown object 'q'"),
     ("isolift self ; o ; p ; 1' 1 ; o ; w 1", "no basis element named 'w'"),
+    ("essential self ; p", "essential record: essential tag ; b ; a ; iso-vec"),
 ])
 def test_certificate_errors_name_file_and_line(tmp_path, capsys, record, message):
     # objects are checked before vectors, and the record's own line is named
@@ -635,3 +636,105 @@ def test_p_without_field_fp_exit_two(tmp_path, capsys, command, flags):
     code, rep = run(capsys, command, str(tmp_path / "f.afun"), *flags)
     assert code == 2 and rep["overall"] == "error"
     assert rep["error"] == "<args>:0: --p needs --field Fp"
+
+
+# -- diagnostics: every document error keeps the contract -----------------------
+# (document, text replaced or None to append, new text, line, message); each
+# record is rejected at `path:line` with one JSON report: validate fails the
+# document with exit 1, classify stops with exit 2
+
+DOCUMENT_DIAGNOSTICS = {
+    "invalid-identifier": ("a.acat", None, "object a;b", 14,
+                           "invalid identifier 'a;b'"),
+    "field-record": ("a.acat", "field Fp 5", "field R", 2,
+                     "field record must be 'Q' or 'Fp <prime>'"),
+    "mu-shape": ("a.acat", None, "mu 2 ; o o o ; 1 1", 14,
+                 "mu record: mu n ; objects ; inputs ; output"),
+    "mu-arity": ("a.acat", None, "mu x ; o o ; 1 ; 1 1", 14,
+                 "mu arity must be an integer"),
+    "mu-objects": ("a.acat", None, "mu 2 ; o o ; 1 1 ; 1 1", 14,
+                   "mu arity 2 needs 3 objects"),
+    "mu-inputs": ("a.acat", None, "mu 2 ; o o o ; 1 ; 1 1", 14,
+                  "mu arity 2 needs 2 inputs"),
+    "maxarity": ("a.acat", None, "maxarity x", 14, "maxarity needs an integer"),
+    "object-record": ("a.acat", None, "object", 14, "object record needs one name"),
+    "basis-record": ("a.acat", None, "basis o o z", 14,
+                     "basis record: basis x y name deg"),
+    "basis-degree": ("a.acat", None, "basis o o z x", 14,
+                     "basis degree must be an integer"),
+    "unit-record": ("a.acat", "unit o ; 1 1", "unit o 1 1", 7,
+                    "unit record: unit x ; name scalar ..."),
+    "acat-unknown-record": ("a.acat", None, "frob", 14, "unknown record 'frob'"),
+    "unit-unknown-object": ("a.acat", None, "unit q ; 1 1", 14,
+                            "unit names unknown object 'q'"),
+    "units-missing": ("a.acat", None, "object q", 1, "units missing for ['q']"),
+    "comp-shape": ("f.afun", None, "comp 1 ; o o ; 1", 6,
+                   "comp record: comp n ; objects ; inputs ; output"),
+    "afun-unknown-record": ("f.afun", None, "frob", 6, "unknown record 'frob'"),
+    "objmap-record": ("f.afun", "objmap o p", "objmap o", 4,
+                      "objmap record: objmap x Fx"),
+    "no-target": ("f.afun", "target b.acat\n", "", 1,
+                  "functor documents need source and target"),
+    "objmap-missing": ("f.afun", "objmap o p\n", "", 1, "objmap missing for 'o'"),
+    "fields-differ": ("f.afun", "target b.acat", "target qb.acat", 1,
+                      "source and target fields differ"),
+    "functor-defect": ("f.afun", "comp 1 ; o o ; 1 ; 1' 1", "comp 1 ; o o ; 1 ; 1' 2",
+                       1, "functor defect nonzero at arity 2, objects "
+                          "('o', 'o', 'o'), inputs (0, 0)"),
+}
+
+
+@pytest.mark.parametrize("doc, old, new, line, message",
+                         DOCUMENT_DIAGNOSTICS.values(), ids=DOCUMENT_DIAGNOSTICS)
+def test_document_diagnostics_keep_the_contract(tmp_path, capsys, doc, old, new,
+                                                line, message):
+    for name in README_INPUTS:
+        shutil.copy(GOLDEN / name, tmp_path / name)
+    (tmp_path / "qb.acat").write_text(
+        (GOLDEN / "b.acat").read_text().replace("field Fp 5", "field Q"))
+    path = tmp_path / doc
+    text = path.read_text()
+    assert old is None or text.count(old) == 1
+    path.write_text(text + new + "\n" if old is None else text.replace(old, new))
+    code, rep = run(capsys, "validate", str(path))
+    assert code == 1 and rep["overall"] == "fail"
+    assert rep["checks"][str(path)]["witnesses"] == [f"{path}:{line}: {message}"]
+    code, rep = run(capsys, "classify", str(tmp_path / "f.afun"))
+    assert code == 2 and rep["overall"] == "error"
+    assert rep["error"] == f"{path}:{line}: {message}"
+
+
+def test_unknown_document_header_fails_validate(tmp_path, capsys):
+    bad = tmp_path / "x.doc"
+    bad.write_text("frob\nfield Q\n")
+    code, rep = run(capsys, "validate", str(bad))
+    assert code == 1 and rep["overall"] == "fail"
+    assert rep["checks"][str(bad)]["witnesses"] == [
+        f"{bad}:1: unknown document header 'frob'"]
+
+
+def test_field_flags_checked_against_the_document(tmp_path, capsys):
+    # --field Q names the rationals, so an F_5 document fails validate;
+    # --field Fp without --p names no field and is a usage error
+    a = tmp_path / "a.acat"
+    shutil.copy(GOLDEN / "a.acat", a)
+    code, rep = run(capsys, "validate", str(a), "--field", "Q")
+    assert code == 1 and rep["overall"] == "fail"
+    assert rep["checks"][str(a)]["witnesses"] == [
+        f"{a}:1: document field prime-field does not match --field"]
+    code, rep = run(capsys, "validate", str(a), "--field", "Fp")
+    assert code == 2 and rep["overall"] == "error"
+    assert rep["error"] == "<args>:0: --field Fp needs --p <prime>"
+
+
+def test_classify_without_units_is_undecided(tmp_path, capsys):
+    for name in README_INPUTS:
+        text = (GOLDEN / name).read_text()
+        (tmp_path / name).write_text("".join(
+            ln for ln in text.splitlines(keepends=True) if not ln.startswith("unit")))
+    code, rep = run(capsys, "classify", str(tmp_path / "f.afun"))
+    assert code == 0 and rep["overall"] == "undecided"
+    assert rep["checks"]["f2_isofibration"] == {
+        "verdict": "undecided", "witnesses": ["units required"], "details": {}}
+    code, rep = run(capsys, "classify", str(tmp_path / "f.afun"), "--strict")
+    assert code == 1 and rep["overall"] == "undecided"

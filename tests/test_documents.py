@@ -6,7 +6,6 @@ import random
 import pytest
 
 from ainfty.fields import Field
-from ainfty.core import AInftyFunctor
 from ainfty.documents import (
     DocumentError,
     load_category,
@@ -21,7 +20,6 @@ from ainfty.documents import (
 
 from helpers import (
     nilpotent_category,
-    point_category,
     random_dg_category,
     sq_functor,
     sq_source,

@@ -208,7 +208,6 @@ def test_cohomology_acyclic_pair(qq):
     d = GradedMap(qq, sp, sp, 1, {(0, 1): qq.one})
     coh = cohomology(sp, d)
     assert coh.dims == {0: 0, -1: 0}
-    assert coh.total_dim() == 0
 
 
 def test_cohomology_d_squared_witness(qq):

@@ -1,16 +1,20 @@
 """Every module-level function in src/ainfty is used elsewhere in the
 package outside ainfty/__init__.py, or is exported from ainfty/__init__.py
 and named by the benchmark under perfbench/ or by the README; a use in the
-tests alone does not keep it.  Every dataclass field is read
+tests alone does not keep it.  Every method or property of a class is read
+as an attribute in the package, named by the benchmark or the README, or
+overrides a base class's method.  Every dataclass field is read
 somewhere, every parameter is read by its function and every parameter with
 a default is passed by some call, so a helper whose last caller goes away, a
 field whose last reader does, an argument nothing reads or an option no
 caller sets fails the suite instead of lingering.  No nested function calls
 itself, so no call leaves a reference cycle behind.  Only the constructors
-of the component families normalize components."""
+of the component families normalize components.  No test module imports a
+name it never reads."""
 from __future__ import annotations
 
 import ast
+import importlib
 import pathlib
 import re
 from collections import Counter
@@ -62,14 +66,18 @@ def _dead_functions(trees: dict, named: set) -> list:
     return dead
 
 
+def _named_by_benchmark_or_readme() -> set:
+    named = set()
+    for path in sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "README.md"]:
+        named.update(re.findall(r"\w+", path.read_text()))
+    return named
+
+
 def test_every_module_function_is_used_or_exported():
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
     # an export counts as used when the benchmark or the README names it
-    named = set()
-    for path in sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "README.md"]:
-        named.update(re.findall(r"\w+", path.read_text()))
-    assert _dead_functions(trees, named) == []
+    assert _dead_functions(trees, _named_by_benchmark_or_readme()) == []
 
 
 def test_dead_function_check_needs_an_export_to_be_named():
@@ -85,6 +93,75 @@ def test_dead_function_check_needs_an_export_to_be_named():
     named = set(re.findall(r"\w+", "def _write(path, text): named_api(caller)"))
     assert _dead_functions(trees, named) == ["m.py:_write", "m.py:lonely_api",
                                              "m.py:caller"]
+
+
+def _attribute_reads(node: ast.AST) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute))
+
+
+def _dead_methods(trees: dict, named: set, overrides: set) -> list:
+    """module:Class.method for every method or property of a module-level
+    class in trees (file name to module tree) that no module reads as an
+    attribute outside its own body, unless named holds it or it overrides
+    a base class's method ((module, class, method) in overrides).  Dunder
+    methods are called by the interpreter and pass."""
+    package_reads: Counter = Counter()
+    for tree in trees.values():
+        package_reads += _attribute_reads(tree)
+    dead = []
+    for module, tree in trees.items():
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        or node.name.startswith("__")
+                        or node.name in named
+                        or (module, cls.name, node.name) in overrides):
+                    continue
+                if package_reads[node.name] == _attribute_reads(node)[node.name]:
+                    dead.append(f"{module}:{cls.name}.{node.name}")
+    return dead
+
+
+def _overrides(trees: dict) -> set:
+    """(module, class, method) for every method that a base class of its
+    class, imported from the package, also defines."""
+    out = set()
+    for module, tree in trees.items():
+        for cls in (c for c in tree.body if isinstance(c, ast.ClassDef)):
+            mod = importlib.import_module(f"ainfty.{module[:-3]}")
+            bases = getattr(mod, cls.name).__mro__[1:]
+            out.update((module, cls.name, node.name) for node in cls.body
+                       if isinstance(node, ast.FunctionDef)
+                       and any(hasattr(base, node.name) for base in bases))
+    return out
+
+
+def test_every_method_is_used_named_or_an_override():
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert _dead_methods(trees, _named_by_benchmark_or_readme(),
+                         _overrides(trees)) == []
+
+
+def test_dead_method_check():
+    # lonely reads only itself and nothing reads lonely_property; used is
+    # read by caller, named is named by the benchmark, error overrides a
+    # base method and __init__ is a dunder
+    trees = {"m.py": ast.parse(
+        "class A(Base):\n"
+        "    def __init__(self): self.x = 1\n"
+        "    def lonely(self): return self.lonely()\n"
+        "    @property\n"
+        "    def lonely_property(self): return 1\n"
+        "    def used(self): pass\n"
+        "    def named(self): pass\n"
+        "    def error(self): pass\n"
+        "def caller(a): a.used()\n")}
+    assert _dead_methods(trees, {"named"}, {("m.py", "A", "error")}) == [
+        "m.py:A.lonely", "m.py:A.lonely_property"]
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -237,4 +314,22 @@ def test_every_parameter_is_read():
         reads = _names_read(node.body)
         unread += [f"{name}({p})" for p in params
                    if p not in ("self", "cls") and p not in reads]
+    assert unread == []
+
+
+def _unread_imports(tree: ast.Module) -> list:
+    """Names a module's top-level imports bind and nothing in it reads."""
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    reads = _names_read([tree])
+    return [name for name in bound if name not in reads]
+
+
+def test_no_test_module_imports_a_name_it_never_reads():
+    unread = [f"{path.name}:{name}" for path in sorted(TESTS.glob("*.py"))
+              for name in _unread_imports(ast.parse(path.read_text(), str(path)))]
     assert unread == []

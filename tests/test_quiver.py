@@ -280,16 +280,18 @@ def test_validate_range_checks_input_indices(qq):
             f.validate()
 
 
-def test_structure_defect_inverts_only_the_structure(monkeypatch):
-    # the double sum reads the structure's index alone, and the identity
-    # endpoints compose without the engine
+def test_structure_defect_makes_no_invert_call(monkeypatch):
+    # the double sum indexes the structure in its own pass, and the identity
+    # endpoints compose without the engine, so the block sweep's index is
+    # never built
     golden = pathlib.Path(__file__).parent / "golden" / "readme" / "a.acat"
     cat = parse_category(golden.read_text(), "a.acat")
-    inverted = []
-    invert = quiver._invert
-    monkeypatch.setattr(quiver, "_invert", lambda fam: inverted.append(fam) or invert(fam))
+
+    def no_invert(fam):
+        raise AssertionError("_invert called")
+    monkeypatch.setattr(quiver, "_invert", no_invert)
     assert structure_defect(cat.structure, cat.arity_bound).is_zero()
-    assert len(inverted) == 1 and inverted[0] is cat.structure
+    assert [n for n, _ in quiver.double_sum(cat.structure, cat.structure, 3)] == [1, 2, 3]
 
 
 def test_identity_operand_composes_without_the_engine(monkeypatch):
@@ -311,6 +313,37 @@ def test_identity_operand_composes_without_the_engine(monkeypatch):
             table.clear()
         gi.components[(1, ("x0", "x0"))] = {(0,): {}}
         assert g.components == before
+
+
+def test_identity_is_known_by_its_type(monkeypatch):
+    # an Identity takes its quiver alone; the same data built by hand is
+    # composed in full and gives the same composites, and the composite of
+    # two identities is an Identity
+    rng = random.Random(5)
+    q = small_quiver(rng, n_objects=2, max_dim=2)
+    ident = identity_formal(q)
+    assert isinstance(ident, quiver.Identity)
+    with pytest.raises(TypeError):
+        dataclasses.replace(ident, components={})
+    hand = FormalMorphism(q, q, dict(ident.object_map), copy.deepcopy(ident.components))
+    assert hand == ident and not isinstance(hand, quiver.Identity)
+    g = random_formal_morphism(rng, q, q, max_arity=2, density=0.9)
+    m = random_flat_prenatural(rng, q, 2, 3, density=0.9)
+    m_hand = Prenatural(hand, hand, 2, m.components)
+    swept, summed = [], []
+    expand, double = quiver._expand, quiver.double_sum
+    monkeypatch.setattr(quiver, "_expand",
+                        lambda *args: swept.append(args[0]) or expand(*args))
+    monkeypatch.setattr(quiver, "double_sum",
+                        lambda *args: summed.append(args[0]) or double(*args))
+    assert compose_formal(ident, ident, 2) is ident
+    assert compose_formal(g, ident, 2) == g == compose_formal(ident, g, 2)
+    assert swept == []
+    assert compose_formal(g, hand, 2) == g == compose_formal(hand, g, 2)
+    assert [id(f) for f in swept] == [id(g), id(hand)]
+    mm = compose_prenatural(m, m, 3)
+    assert not mm.is_zero() and compose_prenatural(m_hand, m_hand, 3) == mm
+    assert [id(t) for t in summed] == [id(m)]
 
 
 def test_near_identities_are_composed_in_full(qq):

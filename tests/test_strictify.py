@@ -45,7 +45,6 @@ from ainfty.strictify import (
 
 from helpers import (
     bar_expand_combo,
-    bar_expand_word,
     base_phi_psi,
     bump_coefficient,
     coderivation_expand_combo,
