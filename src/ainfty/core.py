@@ -125,35 +125,18 @@ def arity_feasibility_bound(
     return most if least <= most else 0
 
 
-def verify_bound(*triples) -> Optional[int]:
-    """Arity past which every component and defect vanishes, or None.
-
-    Each triple is (source interval, target interval, degree) of a family:
-    its components have that degree and its defects one more.
+def _choose_bound(max_arity: Optional[int], *triples) -> Tuple[int, bool]:
+    """(bound, total): the arity to certify up to, and whether it covers
+    every arity.  Each triple is (source interval, target interval, degree)
+    of a family: its components have that degree and its defects one more,
+    and past the largest feasible arity of all of them everything vanishes.
     """
     bounds = [arity_feasibility_bound(src, tgt, d)
               for src, tgt, degree in triples for d in (degree, degree + 1)]
-    return None if None in bounds else max(bounds)
-
-
-def structure_verify_bound(quiver: GradedQuiver) -> Optional[int]:
-    """Arity past which both structure components and defects vanish."""
-    iv = quiver.degree_interval()
-    return verify_bound((iv, iv, 2))
-
-
-def functor_verify_bound(src: GradedQuiver, tgt: GradedQuiver) -> Optional[int]:
-    return verify_bound((src.degree_interval(), tgt.degree_interval(), 1))
-
-
-def _choose_bound(max_arity: Optional[int], full: Optional[int]) -> Tuple[int, bool]:
+    full = None if None in bounds else max(bounds)
     if max_arity is None:
-        if full is not None:
-            return full, True
-        return DEFAULT_ARITY_BOUND, False
-    if full is not None and max_arity >= full:
-        return max_arity, True
-    return max_arity, False
+        return (DEFAULT_ARITY_BOUND, False) if full is None else (full, True)
+    return max_arity, full is not None and max_arity >= full
 
 
 # -- categories ---------------------------------------------------------------
@@ -234,7 +217,8 @@ class AInftyCategory:
         structure = Prenatural(ident, ident, 2, components)
         if not structure.is_flat():
             raise AInftyError("structures must be flat: arity-0 part must vanish")
-        bound, _ = _choose_bound(max_arity, structure_verify_bound(quiver))
+        iv = quiver.degree_interval()
+        bound, _ = _choose_bound(max_arity, (iv, iv, 2))
         structure = _certify_structure(structure, bound)
         return AInftyCategory.derived(structure, units, bound)
 
@@ -242,7 +226,8 @@ class AInftyCategory:
     def derived(structure: Prenatural, units: Optional[Dict[str, Vec]],
                 max_arity: Optional[int]) -> "AInftyCategory":
         """`build` with m.m = 0 up to max_arity derived, not checked."""
-        bound, total = _choose_bound(max_arity, structure_verify_bound(structure.source))
+        iv = structure.source.degree_interval()
+        bound, total = _choose_bound(max_arity, (iv, iv, 2))
         cat = AInftyCategory(structure.source, structure, units, bound, total)
         if units is not None:
             report = check_strict_units(cat)
@@ -408,8 +393,8 @@ class AInftyFunctor:
             if morphism.object_map.get(x) not in target.objects:
                 raise AInftyError(f"object map image of {x!r} is not in the target")
         morphism = _canonical(morphism)
-        bound, _ = _choose_bound(
-            max_arity, functor_verify_bound(source.quiver, target.quiver))
+        bound, _ = _choose_bound(max_arity, (source.quiver.degree_interval(),
+                                             target.quiver.degree_interval(), 1))
         _certify([functor_defect(morphism, source, target, bound).components],
                  FunctorDefectError)
         return AInftyFunctor.derived(morphism, source, target, bound)
@@ -418,8 +403,8 @@ class AInftyFunctor:
     def derived(morphism: FormalMorphism, source: AInftyCategory,
                 target: AInftyCategory, max_arity: Optional[int]) -> "AInftyFunctor":
         """`build` with the equation up to max_arity derived, not checked."""
-        bound, total = _choose_bound(
-            max_arity, functor_verify_bound(source.quiver, target.quiver))
+        bound, total = _choose_bound(max_arity, (source.quiver.degree_interval(),
+                                                 target.quiver.degree_interval(), 1))
         unital = (source.units is not None and target.units is not None
                   and _strictly_unital(morphism, source, target))
         return AInftyFunctor(morphism, source, target, bound, total, unital)
@@ -483,6 +468,7 @@ def check_F1(functor: AInftyFunctor) -> F1Result:
     Computed once per functor and kept on it: strictify, build_pullback and
     the classifiers read the same splits."""
     if functor._f1 is None:
+        certify_premise(functor, 1)     # the classifiers read F1 as a chain map
         splits: Dict[Pair, SplitData] = {}
         failure = None
         for x, y in itertools.product(functor.source.objects, repeat=2):
@@ -534,13 +520,6 @@ class H0Category:
                  for f in coh(x, y).reps.get(0, [])]
                 for g in coh(y, z).reps.get(0, [])]
         return self._tables[key]
-
-    def compose(self, x: str, y: str, z: str,
-                g: Sequence[Scalar], f: Sequence[Scalar]) -> List[Scalar]:
-        """Class coordinates of [m2(g, f)] for f: x->y, g: y->z."""
-        fld, d = self.cat.fld, self.dim(x, z)
-        return _combine(fld, g, [_combine(fld, f, row, d)
-                                 for row in self.table(x, y, z)], d)
 
     def is_iso(self, x: str, y: str, f: Sequence[Scalar]) -> bool:
         """Two-sided invertibility of a degree-0 class, by one linear solve
@@ -612,6 +591,7 @@ def cohomology_matrix(functor: AInftyFunctor, x: str, y: str,
     functor, so callers must not mutate it."""
     key = (x, y, degree)
     if key not in functor._coh_maps:
+        certify_premise(functor, 1)     # [F1] is defined when F1 is a chain map
         fx, fy = functor.object_map[x], functor.object_map[y]
         target = functor.target.pair_cohomology(fx, fy)
         cols = []
@@ -756,6 +736,7 @@ def _verify_iso_lift(functor, h0s, h0t, cert: IsoLiftCertificate) -> Optional[st
         return f"certificate lift at ({x},{a}) is not a cocycle class"
     if not h0s.is_iso(x, a, psi_coords):
         return f"certificate lift at ({x},{a}) is not invertible in H0"
+    certify_premise(functor, 1)         # F1 maps the lift's class to a class
     img = eval_multilinear(functor.morphism, 1, (x, a), [cert.lift])
     img_coords = h0t.coords_of(px, b, img)
     if img_coords != phi_coords:

@@ -69,7 +69,11 @@ def _parse_vec(path: str, ln: int, fld: Field, space: GradedSpace,
     if len(tokens) % 2 != 0 or not tokens:
         raise DocumentError(path, ln, "vector needs 'name scalar' pairs")
     vec: Vec = {}
+    named = set()
     for name, sc in zip(tokens[::2], tokens[1::2]):
+        if name in named:
+            raise DocumentError(path, ln, f"vector names {name!r} twice")
+        named.add(name)
         try:
             idx = space.index(name)
         except ValueError as exc:
@@ -175,9 +179,10 @@ def _capped(max_arity: Optional[int], cap: Optional[int]) -> Optional[int]:
 def _parse_maxarity(path: str, ln: int, parts: List[str]) -> Tuple[int, int]:
     """A maxarity record's bound and line."""
     try:
-        return int(parts[1]), ln
-    except (IndexError, ValueError) as exc:
-        raise DocumentError(path, ln, "maxarity needs an integer") from exc
+        _, bound = parts
+        return int(bound), ln
+    except ValueError as exc:
+        raise DocumentError(path, ln, "maxarity needs one integer") from exc
 
 
 def _certifies(path: str, ln: int, max_arity: Optional[int], built):

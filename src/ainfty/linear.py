@@ -155,16 +155,6 @@ class GradedMap:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GradedMap):
-            return NotImplemented
-        return (
-            self.source == other.source
-            and self.target == other.target
-            and self.shift == other.shift
-            and self.entries == other.entries
-        )
-
 
 # -- dense elimination ------------------------------------------------------
 

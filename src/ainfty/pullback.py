@@ -54,7 +54,6 @@ from .core import (
     _hom_level_quasi_iso,
     kernel_acyclicity,
     same_category,
-    verify_bound,
 )
 from .quiver import (
     Components,
@@ -181,8 +180,7 @@ def build_pullback(
     ends = [d for q in (f.source.quiver, g.source.quiver, f.target.quiver)
             for d in q.degree_interval() or ()]
     iv = (min(ends), max(ends)) if ends else None
-    full = verify_bound((iv, iv, 1), (iv, iv, 2))
-    bound, total = _choose_bound(max_arity, full)
+    bound, total = _choose_bound(max_arity, (iv, iv, 1), (iv, iv, 2))
     strict = strictify(f, max_arity=bound)
     certify_premise(g, bound)
     blocks, product, pairs = build_pullback_quiver(strict, g)

@@ -286,6 +286,15 @@ def _invert(fam) -> _Inv:
     return inv
 
 
+def _flips(q: GradedQuiver, degree: int) -> Dict[Tuple[str, str, int], bool]:
+    """{(x, y, b): b in hom(x, y) has odd reduced degree}, the inputs past
+    which an insertion of this degree flips sign; {} when (degree - 1) is even."""
+    if (degree - 1) % 2 == 0:
+        return {}
+    return {(x, y, b): deg % 2 == 0 for (x, y), sp in q.hom.items()
+            for b, (_, deg) in enumerate(sp.basis)}
+
+
 def _expand(outer, right, ins: Optional[Prenatural], left,
             max_arity: int) -> Components:
     """Sum, under each component of `outer`, over words of blocks.
@@ -328,7 +337,7 @@ def _expand(outer, right, ins: Optional[Prenatural], left,
     right_inv = _invert(right)
     left_inv = right_inv if left is right else _invert(left)
     ins_inv = None if ins is None else _invert(ins)
-    signed = ins is not None and (ins.degree - 1) % 2 == 1
+    flips = {} if ins is None else _flips(outer.source, ins.degree)
     flat: Dict[Tuple[Tuple[str, ...], Tuple[int, ...], int], Scalar] = {}
     get = flat.get
     for (r, Y), table in outer.components.items():
@@ -336,12 +345,12 @@ def _expand(outer, right, ins: Optional[Prenatural], left,
             continue
         for in_t, out_vec in table.items():
             # signs[k - 1]: the sign of an insertion at slot k; it flips past
-            # each slot of odd reduced degree (slot j holds in_t[r - j])
+            # each slot j < k whose input in_t[r - j] `flips` marks
             signs = [1] * r
-            if signed:
-                degs = outer.source.input_degrees(Y, in_t)
+            if flips:
                 for k in range(1, r):
-                    signs[k] = -signs[k - 1] if degs[r - k] % 2 == 0 else signs[k - 1]
+                    odd = flips[(Y[k - 1], Y[k], in_t[r - k])]
+                    signs[k] = -signs[k - 1] if odd else signs[k - 1]
             for k in ([None] if ins is None else range(1, r + 1)):
                 sign = 1 if k is None else signs[k - 1]
                 invs = ([left_inv] * r if k is None else
@@ -395,12 +404,7 @@ def double_sum(outer, ins: Prenatural, max_arity: int
         for in_t, vec in table.items():
             for b, c in vec.items():
                 index.setdefault((x, y, b), {}).setdefault(e, []).append((objs, in_t, c))
-    # flips[(x, y, b)]: whether b in hom(x, y) has odd reduced degree, so
-    # that an insertion right of it changes sign
-    flips = {}
-    if (ins.degree - 1) % 2:
-        flips = {(x, y, b): deg % 2 == 0 for (x, y), sp in q.hom.items()
-                 for b, (_, deg) in enumerate(sp.basis)}
+    flips = _flips(q, ins.degree)
     rows: Dict[int, List[Tuple[Tuple[str, ...], Dict[Tuple[int, ...], Vec]]]] = {}
     for (r, Y), table in outer.components.items():
         if r:

@@ -30,7 +30,6 @@ from .core import (
     _choose_bound,
     certify_premise,
     check_F1,
-    verify_bound,
 )
 from .quiver import (
     Components,
@@ -263,9 +262,9 @@ def strictify(functor: AInftyFunctor,
         model.base.quiver, model.quiver, model.functor.target.quiver))
     # m and m.m on the base and the model; the functor equations of F,
     # projection, phi and psi
-    full = verify_bound((base, base, 2), (split, split, 2), (base, tgt, 1),
-                        (split, tgt, 1), (base, split, 1), (split, base, 1))
-    bound, total = _choose_bound(max_arity, full)
+    bound, total = _choose_bound(
+        max_arity, (base, base, 2), (split, split, 2), (base, tgt, 1),
+        (split, tgt, 1), (base, split, 1), (split, base, 1))
     if bound < 2 and not total:
         raise StrictifyError(f"arity bound {bound} is below 2: "
                              "strict units need m2")

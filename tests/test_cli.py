@@ -106,6 +106,7 @@ def test_classify_with_certificates(tmp_path, capsys):
     ("isolift self ; o ; p ; 1' 1 ; z ; 1 1", "certificate names unknown object 'z'"),
     ("essential self ; q ; o ; 1' 1", "certificate names unknown object 'q'"),
     ("isolift self ; o ; p ; 1' 1 ; o ; w 1", "no basis element named 'w'"),
+    ("isolift self ; o ; p ; 1' 1 ; o ; 1 1 1 1", "vector names '1' twice"),
     ("essential self ; p", "essential record: essential tag ; b ; a ; iso-vec"),
 ])
 def test_certificate_errors_name_file_and_line(tmp_path, capsys, record, message):
@@ -656,7 +657,13 @@ DOCUMENT_DIAGNOSTICS = {
                    "mu arity 2 needs 3 objects"),
     "mu-inputs": ("a.acat", None, "mu 2 ; o o o ; 1 ; 1 1", 14,
                   "mu arity 2 needs 2 inputs"),
-    "maxarity": ("a.acat", None, "maxarity x", 14, "maxarity needs an integer"),
+    "maxarity": ("a.acat", None, "maxarity x", 14, "maxarity needs one integer"),
+    "maxarity-two-bounds": ("a.acat", None, "maxarity 3 4", 14,
+                            "maxarity needs one integer"),
+    "mu-vector-repeats": ("a.acat", "mu 1 ; o o ; t ; e 1", "mu 1 ; o o ; t ; e 1 e 4",
+                          8, "vector names 'e' twice"),
+    "unit-vector-repeats": ("a.acat", "unit o ; 1 1", "unit o ; 1 1 1 2", 7,
+                            "vector names '1' twice"),
     "object-record": ("a.acat", None, "object", 14, "object record needs one name"),
     "basis-record": ("a.acat", None, "basis o o z", 14,
                      "basis record: basis x y name deg"),

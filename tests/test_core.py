@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from ainfty import core
 from ainfty.fields import Field
-from ainfty.documents import load_category, parse_certificates
+from ainfty.documents import load_category, parse_category, parse_certificates
 from ainfty.linear import GradedSpace, rref
 from ainfty.quiver import (
     FormalMorphism,
@@ -35,6 +35,7 @@ from ainfty.core import (
     check_quasi_equivalence,
     check_strict_units,
     _arity1_iso_everywhere,
+    _choose_bound,
     _units_lift,
     cohomology_matrix,
     functor_defect,
@@ -47,7 +48,6 @@ from helpers import (
     doubled_object_functor,
     endo_complex_category,
     h0_basis_law_failures,
-    h0_compose_by_classes,
     h0_is_iso_by_classes,
     idempotent_category,
     inclusion_functor,
@@ -90,6 +90,26 @@ def test_arity_bound_unbounded():
 def test_arity_bound_empty():
     assert arity_feasibility_bound(None, (0, 0), 2) == 0
     assert arity_feasibility_bound((0, 0), None, 2) == 0
+
+
+@pytest.mark.parametrize("max_arity, triples, want", [
+    # no bound asked: the full bound, or the default and not total
+    (None, [((-1, 0), (-1, 0), 2)], (4, True)),
+    (None, [((-1, 1), (-1, 1), 2)], (core.DEFAULT_ARITY_BOUND, False)),
+    # below, at and above the full bound
+    (3, [((-1, 0), (-1, 0), 2)], (3, False)),
+    (4, [((-1, 0), (-1, 0), 2)], (4, True)),
+    (5, [((-1, 0), (-1, 0), 2)], (5, True)),
+    # the largest over every family, and none when one is unbounded
+    (None, [((-1, 0), (-1, 0), 1)], (3, True)),
+    (None, [((-1, 0), (-1, 0), 1), ((-1, 0), (-1, 0), 2)], (4, True)),
+    (4, [((-1, 0), (-1, 0), 2), ((-1, 1), (-1, 1), 2)], (4, False)),
+    # a family with no homs has no arity
+    (None, [(None, (-1, 0), 2)], (0, True)),
+    (2, [((-1, 0), None, 1)], (2, True)),
+])
+def test_choose_bound_decides_bound_and_totality(max_arity, triples, want):
+    assert _choose_bound(max_arity, *triples) == want
 
 
 @functools.cache
@@ -580,8 +600,8 @@ def _quasi_isomorphic_pair(fld):
 @given(st.integers(0, 10 ** 6), st.booleans())
 @settings(max_examples=15, deadline=None)
 def test_h0_tables_match_class_vector_reference(seed, rational):
-    # table-based compose and is_iso, and the order of isos, equal the path
-    # that builds class vectors and evaluates m2 on them; random strictly
+    # table-based is_iso, and the order of isos, equal the path that
+    # builds class vectors and evaluates m2 on them; random strictly
     # unital H0s with two objects and a hom of dimension >= 2: random DG,
     # twisted to nonzero m3, and a pair of isomorphic objects
     rng = random.Random(seed)
@@ -601,10 +621,6 @@ def test_h0_tables_match_class_vector_reference(seed, rational):
             basis = [[fld.one if j == i else fld.zero for j in range(d)]
                      for i in range(d)]
             return basis + [[rng.choice(scalars) for _ in range(d)] for _ in range(3)]
-        for (x, y), z in itertools.product(pairs, ("c0", "c1")):
-            for g, f in itertools.product(classes(y, z), classes(x, y)):
-                assert h0.compose(x, y, z, g, f) == h0_compose_by_classes(
-                    h0, x, y, z, g, f)
         for x, y in pairs:
             units = [list(h0.unit_coords[x])] if x == y else []
             for f in classes(x, y) + units:
@@ -897,6 +913,42 @@ def test_kernel_acyclicity_requires_f1(qq):
     f = AInftyFunctor.build(morphism, small, big)
     with pytest.raises(AInftyError):
         kernel_acyclicity(f)
+
+
+def _readme_categories(fld_record: str, minus_one: str):
+    """The README's a.acat and b.acat under another field record."""
+    return [parse_category((GOLDEN / name).read_text()
+                           .replace("field Fp 5", fld_record)
+                           .replace("t 4", f"t {minus_one}"), name)
+            for name in ("a.acat", "b.acat")]
+
+
+def test_classifiers_certify_f1_as_a_chain_map():
+    # the README F with F1(e) = 1' breaks F's arity-1 equation, which a
+    # bound of 0 leaves uncertified: each classifier certifies it where it
+    # first reads F1 as a chain map, and raises the defect build names
+    a, b = _readme_categories("field Fp 5", "4")
+    morphism = FormalMorphism(a.quiver, b.quiver, {"o": "p"}, {
+        (1, ("o", "o")): {(0,): {0: 1}, (1,): {0: 1}}})
+    witness = (1, ("o", "o"), (2,))
+    with pytest.raises(FunctorDefectError) as exc:
+        AInftyFunctor.build(morphism, a, b)
+    assert exc.value.witness == witness
+    for classify in (kernel_acyclicity, check_quasi_equivalence, check_isofibration):
+        with pytest.raises(FunctorDefectError) as exc:
+            classify(AInftyFunctor.build(morphism, a, b, max_arity=0))
+        assert exc.value.witness == witness
+    # over Q with certificates and two objects over one, F1 is first read
+    # by the lift check: the unit lifts 1' only when F1 is a chain map
+    a, b = _readme_categories("field Q", "-1")
+    doubled = doubled_object_functor(a).source
+    morphism = FormalMorphism(doubled.quiver, b.quiver, {"y1": "p", "y2": "p"}, {
+        (1, pair): {(0,): {0: 1}, (1,): {0: 1}} for pair in doubled.quiver.hom})
+    f = AInftyFunctor.build(morphism, doubled, b, max_arity=0)
+    cert = IsoLiftCertificate("y1", "p", {0: 1}, "y1", doubled.unit_vec("y1"))
+    with pytest.raises(FunctorDefectError) as exc:
+        check_isofibration(f, [cert])
+    assert exc.value.witness[:2] == (1, ("y1", "y1"))
 
 
 def test_qe_with_f1_implies_kernel_acyclic(rng):
