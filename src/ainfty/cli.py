@@ -3,8 +3,8 @@
 Every command prints one canonical JSON report to stdout and uses exit
 codes 0 (all checks pass), 1 (a check fails, or is undecided under
 --strict), 2 (usage or parse errors).  A command loads each document once:
-its `loaded` dict hands every later load of the same resolved path and cap
-the value parsed and certified first.
+its `loaded` dict hands every later load of the same file (by device and
+inode) and cap the value parsed and certified first.
 
 `main(argv)` may be called repeatedly in one process.  It builds the
 argument parser at its first call, not at import, and keeps it; each call
@@ -112,10 +112,11 @@ def _ref_path(doc_path: str, ref: str) -> str:
     return os.path.abspath(os.path.join(os.path.dirname(doc_path), ref))
 
 
-def _write(out_dir: str, name: str, text: str) -> None:
+def _write(out_dir: str, files: Dict[str, str]) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-        fh.write(text)
+    for name, text in files.items():
+        with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+            fh.write(text)
 
 
 def cmd_validate(args) -> int:
@@ -179,15 +180,13 @@ def cmd_strictify(args) -> int:
     functor = doc.functor
     _check_field(args, args.functor, functor.source.fld)
     s = strictify(functor, max_arity=args.max_arity)
-    _write(args.out, "model.acat", serialize_category(s.transported))
     target_abs = _ref_path(args.functor, doc.target_path)
     source_abs = _ref_path(args.functor, doc.source_path)
-    _write(args.out, "projection.afun",
-           serialize_functor(s.projection, "model.acat", target_abs))
-    _write(args.out, "phi.afun",
-           serialize_functor(s.phi_functor, source_abs, "model.acat"))
-    _write(args.out, "psi.afun",
-           serialize_functor(s.psi_functor, "model.acat", source_abs))
+    _write(args.out, {
+        "model.acat": serialize_category(s.transported),
+        "projection.afun": serialize_functor(s.projection, "model.acat", target_abs),
+        "phi.afun": serialize_functor(s.phi_functor, source_abs, "model.acat"),
+        "psi.afun": serialize_functor(s.psi_functor, "model.acat", source_abs)})
     checks = {
         "strictification": CheckReport(
             "pass", [],
@@ -227,11 +226,12 @@ def cmd_pullback(args) -> int:
         alpha_essentials=certs.resolve_essentials("alpha", p.alpha),
     )
     checks.update(fib.sections)
-    _write(args.out, "pullback.acat", serialize_category(p.category))
-    _write(args.out, "alpha.afun", serialize_functor(
-        p.alpha, "pullback.acat", _ref_path(args.g, gdoc.source_path)))
-    _write(args.out, "beta.afun", serialize_functor(
-        p.beta, "pullback.acat", _ref_path(args.f, fdoc.source_path)))
+    _write(args.out, {
+        "pullback.acat": serialize_category(p.category),
+        "alpha.afun": serialize_functor(
+            p.alpha, "pullback.acat", _ref_path(args.g, gdoc.source_path)),
+        "beta.afun": serialize_functor(
+            p.beta, "pullback.acat", _ref_path(args.f, fdoc.source_path))})
     extra = {"arity_bound": p.arity_bound, "total": p.total,
              "objects": list(p.category.objects)}
     return _finish(_report_json("pullback", checks, extra), args.strict)
@@ -252,9 +252,10 @@ def cmd_induce(args) -> int:
         "triangles": CheckReport("pass" if rep.triangles else "fail"),
         "uniqueness": CheckReport("pass" if rep.uniqueness else "fail"),
     }
-    _write(args.out, "induced.afun", serialize_functor(
-        rep.functor, _ref_path(args.cone_i, idoc.source_path), "pullback.acat"))
-    _write(args.out, "pullback.acat", serialize_category(p.category))
+    _write(args.out, {
+        "induced.afun": serialize_functor(
+            rep.functor, _ref_path(args.cone_i, idoc.source_path), "pullback.acat"),
+        "pullback.acat": serialize_category(p.category)})
     extra = {"arity_bound": rep.functor.arity_bound, "total": rep.functor.total}
     return _finish(_report_json("induce", checks, extra), args.strict)
 

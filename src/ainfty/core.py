@@ -32,14 +32,15 @@ from .quiver import (
     FormalMorphism,
     GradedQuiver,
     Prenatural,
+    QuiverError,
+    accumulate,
     compose_formal,
     double_sum,
     eval_multilinear,
     first_difference,
     identity_formal,
-    l_compose,
-    r_compose,
     compose_prenatural,
+    regroup,
 )
 
 DEFAULT_ARITY_BOUND = 6
@@ -355,15 +356,21 @@ def _unit_slot_residues(fld: Field, units: Dict[str, Vec],
 
 # -- functors -----------------------------------------------------------------
 
-def functor_defect(
-    morphism: FormalMorphism,
-    source: AInftyCategory,
-    target: AInftyCategory,
-    max_arity: int,
-) -> Prenatural:
-    left = l_compose(morphism, source.structure, max_arity)
-    right = r_compose(morphism, target.structure, max_arity)
-    return left.sub(right)
+def functor_defect(morphism: FormalMorphism, source: AInftyCategory,
+                   target: AInftyCategory, max_arity: int) -> Prenatural:
+    """F . m_A - m_B . F up to max_arity: the words of both sides and m_B's
+    arity-0 table at each F x, summed in one dict and reduced once; its
+    endpoints are F."""
+    f, m_a, m_b = morphism, source.structure, target.structure
+    if m_a.target.objects != f.source.objects or f.target.objects != m_b.source.objects:
+        raise QuiverError("functor_defect: F must map m_A's objects to m_B's")
+    flat = accumulate({}, 1, f, m_a.frm, m_a, m_a.to, max_arity)
+    accumulate(flat, -1, m_b, f, None, f, max_arity)
+    for x in f.source.objects:
+        for in_t, vec in m_b.component(0, (f.object_map[x],)).items():
+            for oi, c in vec.items():
+                flat[((x,), in_t, oi)] = flat.get(((x,), in_t, oi), 0) - c
+    return Prenatural(f, f, m_a.degree, regroup(f.target.fld, flat))
 
 
 @dataclass

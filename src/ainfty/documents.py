@@ -311,11 +311,16 @@ def serialize_category(cat: AInftyCategory) -> str:
 def _load_once(loaded: Optional[dict], kind: str, path: str,
                cap: Optional[int], parse):
     """parse(), or what it gave for the same kind (``acat`` or ``afun``),
-    resolved path and cap when `loaded` (one dict per command) has it; a
-    failed parse is not kept."""
+    file (device and inode: one stat, through symlinks) and cap when `loaded`
+    (one dict per command) has it; a failed parse is not kept, and a path
+    that cannot be stat'ed is parsed uncached, to fail as it would."""
     if loaded is None:
         return parse()
-    key = (kind, os.path.realpath(path), cap)
+    try:
+        st = os.stat(path)
+    except OSError:
+        return parse()
+    key = (kind, st.st_dev, st.st_ino, cap)
     if key not in loaded:
         loaded[key] = parse()
     return loaded[key]
@@ -324,7 +329,7 @@ def _load_once(loaded: Optional[dict], kind: str, path: str,
 def load_category(path: str, cap: Optional[int] = None,
                   loaded: Optional[dict] = None) -> AInftyCategory:
     """Parse a category document; `cap` lowers its verification bound.
-    With a `loaded` dict each (resolved path, cap) is parsed and certified
+    With a `loaded` dict each (file, cap) is parsed and certified
     once, and later loads return the same category."""
     return _load_once(loaded, "acat", path, cap,
                       lambda: parse_category(_read_document(path), path, cap))
@@ -424,7 +429,7 @@ def load_functor(path: str, cap: Optional[int] = None,
                  loaded: Optional[dict] = None) -> FunctorDocument:
     """Parse a functor document and the category documents it names; `cap`
     lowers the verification bound of all three.  With a `loaded` dict (one
-    per command) each (resolved path, cap), functor or category, is parsed
+    per command) each (file, cap), functor or category, is parsed
     and certified once: functors naming the same category share it."""
     return _load_once(loaded, "afun", path, cap, lambda: parse_functor(
         _read_document(path), path, cap=cap, loaded=loaded))

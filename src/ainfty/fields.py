@@ -5,7 +5,7 @@ values the field makes (zero, one, ``from_int``, parses, inverses) and
 ``fractions.Fraction`` otherwise, the two mixing exactly; ``int`` residues in
 ``[0, p)`` over a prime field.  A :class:`Field` value bundles the operations
 so that all linear algebra stays exact and field-agnostic.  The contraction
-engine (``quiver._expand``), ``quiver.eval_multilinear``, ``Prenatural.sub``,
+engine (``quiver.accumulate``), ``quiver.eval_multilinear``, ``Prenatural.sub``,
 ``core._combine`` and the sums of ``linear`` (``vec_add``, ``GradedMap``'s
 ``apply``, ``compose`` and ``add``) instead accumulate raw values with plain
 ``+`` and ``*`` and reduce once, through :meth:`Field.reduced` or ``% p``.

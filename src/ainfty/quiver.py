@@ -295,9 +295,13 @@ def _flips(q: GradedQuiver, degree: int) -> Dict[Tuple[str, str, int], bool]:
             for b, (_, deg) in enumerate(sp.basis)}
 
 
-def _expand(outer, right, ins: Optional[Prenatural], left,
-            max_arity: int) -> Components:
-    """Sum, under each component of `outer`, over words of blocks.
+_Flat = Dict[Tuple[Tuple[str, ...], Tuple[int, ...], int], Scalar]
+
+
+def accumulate(flat: _Flat, sign: int, outer, right, ins: Optional[Prenatural],
+               left, max_arity: int) -> _Flat:
+    """Add sign times the sum, under each component of `outer`, over words
+    of blocks into `flat`, and return `flat`.
 
     With `ins` None the word is a plain block sum, every block from one
     family (`right` and `left` are then the same family).  With a prenatural
@@ -305,54 +309,40 @@ def _expand(outer, right, ins: Optional[Prenatural], left,
     (applied first) come from `right`, the insertion's domain morphism, the
     blocks left of it from `left`, its codomain morphism, and the insertion
     carries the Koszul sign (-1)**((deg ins - 1) * reduced degree of the
-    inputs to its right).  A family given on both sides is inverted once.
-
-    That degree is read off the outer's inputs, once per (entry, slot):
-    each block right of the insertion is a formal-morphism component, and
-    (shift 1 - n) its inputs have the reduced degree of its output, the
-    outer's input at that slot.
+    inputs to its right), read off the outer's inputs once per (entry,
+    slot): a formal-morphism block's inputs (shift 1 - n) have the reduced
+    degree of its output.  A family given on both sides is inverted once;
+    when `right` and `left` are both an `Identity` the sum is a double sum.
 
     The words under one (entry, slot) are swept one block at a time: each
     partial word (end object, path, inputs, coefficient) is extended by the
     entries of the next block's bucket that start at its end object and
     leave room for the blocks after it (arity >= 1 each, an insertion 0).
-
-    When `right` and `left` are both an `Identity` (the structure relation
-    m . m and the insertion of a structure among identity endpoints), the
-    sum is `double_sum`, merged over its arities.
-
-    No `Field` method runs per word.  Each word adds coefficient times
-    output entry into one flat dict keyed (path, inputs, output index), with
-    plain + and * and signs +-1, so over F_p the sums stay unreduced ints.
-    `Field.reduced` then reduces each sum once and drops the zeros, and the
-    surviving entries are regrouped into components in the order the words
-    first reached them.
+    No `Field` method runs per word: each adds its signed product into
+    `flat`, keyed (path, inputs, output index), so over F_p the sums stay
+    unreduced ints until `regroup` reduces them.
     """
     if ins is not None and isinstance(right, Identity) and isinstance(left, Identity):
-        merged: Components = {}
-        for _, part in double_sum(outer, ins, max_arity):
-            merged.update(part)
-        return merged
-    fld = right.source.fld
+        for _ in _add_double_sum(flat, sign, outer, ins, max_arity):
+            pass
+        return flat
     right_inv = _invert(right)
     left_inv = right_inv if left is right else _invert(left)
     ins_inv = None if ins is None else _invert(ins)
     flips = {} if ins is None else _flips(outer.source, ins.degree)
-    flat: Dict[Tuple[Tuple[str, ...], Tuple[int, ...], int], Scalar] = {}
     get = flat.get
     for (r, Y), table in outer.components.items():
         if r == 0:
             continue
         for in_t, out_vec in table.items():
-            # signs[k - 1]: the sign of an insertion at slot k; it flips past
-            # each slot j < k whose input in_t[r - j] `flips` marks
-            signs = [1] * r
+            # signs[k - 1]: sign times the sign of an insertion at slot k; it
+            # flips past each slot j < k whose input in_t[r - j] `flips` marks
+            signs = [sign] * r
             if flips:
                 for k in range(1, r):
                     odd = flips[(Y[k - 1], Y[k], in_t[r - k])]
                     signs[k] = -signs[k - 1] if odd else signs[k - 1]
             for k in ([None] if ins is None else range(1, r + 1)):
-                sign = 1 if k is None else signs[k - 1]
                 invs = ([left_inv] * r if k is None else
                         [right_inv] * (k - 1) + [ins_inv] + [left_inv] * (r - k))
                 buckets = invs[0].get(((Y[0], Y[1]), in_t[r - 1]), {})
@@ -368,34 +358,54 @@ def _expand(outer, right, ins: Optional[Prenatural], left,
                              for epath, ein, ec in buckets.get(end, ())
                              if len(ein) + len(acc) <= room]
                 for oi, x in out_vec.items():
-                    x *= sign
+                    x *= signs[k - 1 if k else 0]
                     for _, path, acc, coeff in words:
                         key = (path, acc, oi)
                         flat[key] = get(key, 0) + coeff * x
+    return flat
+
+
+def regroup(fld: Field, flat: _Flat) -> Components:
+    """The sums of `flat`, each reduced once by `Field.reduced`, regrouped
+    into components without the zeros, in the order the words reached them."""
     result: Components = {}
     for (path, acc, oi), c in fld.reduced(flat).items():
         result.setdefault((len(acc), path), {}).setdefault(acc, {})[oi] = c
     return result
 
 
+def _expand(outer, right, ins: Optional[Prenatural], left,
+            max_arity: int) -> Components:
+    """`accumulate` into a fresh dict, regrouped."""
+    return regroup(right.source.fld, accumulate({}, 1, outer, right, ins, left, max_arity))
+
+
 def double_sum(outer, ins: Prenatural, max_arity: int
                ) -> Iterator[Tuple[int, Components]]:
-    """outer over words with one `ins` block among identity blocks, one
-    output arity at a time: yields (n, the arity-n part) for n from 0 (when
-    `ins` has an arity-0 part) or 1 up to max_arity.
+    """`_add_double_sum` one output arity at a time: yields (n, the arity-n
+    part of outer over words with one `ins` block among identity blocks),
+    each part regrouped from its own dict."""
+    flat: _Flat = {}
+    for n in _add_double_sum(flat, 1, outer, ins, max_arity):
+        yield n, regroup(outer.source.fld, flat)
+        flat.clear()
 
-    This is the classical double sum over (entry, slot k) of
-    outer(..., ins(...), ...): an `ins` entry with e inputs in the bucket of
-    slot k replaces that slot, giving a word of arity r - 1 + e.  The
-    arity-n part reads only the outer entries of arity <= n + 1 - (least
-    arity of `ins`), so a consumer that stops early leaves the rest unread
-    (the arity-n part of m . m reads only m^1..m^n).  The insertion is
-    indexed by (slot pair, output index, input count) in one pass per call,
-    and an outer entry's slots and signs are read when its arity is first
-    needed: each (outer entry, slot, insertion entry) triple is visited
-    once.  Each part is summed and reduced as `_expand` describes.
+
+def _add_double_sum(flat: _Flat, sign: int, outer, ins: Prenatural,
+                    max_arity: int) -> Iterator[int]:
+    """Add sign times the arity-n words of the double sum into `flat`, then
+    yield n, for n from 0 (when `ins` has an arity-0 part) or 1 to max_arity.
+
+    The double sum over (entry, slot k) of outer(..., ins(...), ...): an
+    `ins` entry with e inputs in the bucket of slot k replaces that slot,
+    giving a word of arity r - 1 + e.  Arity n reads only the outer entries
+    of arity <= n + 1 - (least arity of `ins`), so a consumer that stops
+    early leaves the rest unread (the arity-n part of m . m reads only
+    m^1..m^n).  The insertion is indexed by (slot pair, output index, input
+    count) once per call, and an outer entry's slots and signs when its
+    arity is first needed: each (outer entry, slot, insertion entry) triple
+    is visited once.
     """
-    q = outer.source
     arities = {n for n, _ in ins.components}
     shortest, longest = min(arities, default=1), max(arities, default=0)
     index: Dict[Tuple[str, str, int], Dict[int, List[_Entry]]] = {}
@@ -404,19 +414,18 @@ def double_sum(outer, ins: Prenatural, max_arity: int
         for in_t, vec in table.items():
             for b, c in vec.items():
                 index.setdefault((x, y, b), {}).setdefault(e, []).append((objs, in_t, c))
-    flips = _flips(q, ins.degree)
+    flips = _flips(outer.source, ins.degree)
     rows: Dict[int, List[Tuple[Tuple[str, ...], Dict[Tuple[int, ...], Vec]]]] = {}
     for (r, Y), table in outer.components.items():
         if r:
             rows.setdefault(r, []).append((Y, table))
     widest = max(rows, default=0)
     slots: Dict[int, list] = {}
+    get = flat.get
     for n in range(min(shortest, 1), max_arity + 1):
-        flat: Dict[Tuple[Tuple[str, ...], Tuple[int, ...], int], Scalar] = {}
-        get = flat.get
         for r in range(max(1, n + 1 - longest), min(n + 2 - shortest, widest + 1)):
             if r not in slots:
-                slots[r] = _slots(r, rows.get(r, ()), index, flips)
+                slots[r] = _slots(r, rows.get(r, ()), index, flips, sign)
             e = n + 1 - r
             for lengths, head, tail, before, after, out in slots[r]:
                 entries = lengths.get(e)
@@ -425,22 +434,18 @@ def double_sum(outer, ins: Prenatural, max_arity: int
                         for epath, ein, ec in entries:
                             key = (head + epath + tail, before + ein + after, oi)
                             flat[key] = get(key, 0) + ec * x
-        part: Components = {}
-        for (path, acc, oi), c in q.fld.reduced(flat).items():
-            part.setdefault((n, path), {}).setdefault(acc, {})[oi] = c
-        yield n, part
+        yield n
 
 
-def _slots(r: int, rows, index, flips) -> list:
+def _slots(r: int, rows, index, flips, start: int) -> list:
     """Per (arity-r outer entry, slot k) whose insertion bucket is not
     empty: the bucket's entries by input count, the objects and inputs left
-    and right of slot k, and the entry's output items times the sign of an
-    insertion at slot k, which flips past each slot j < k whose input
-    in_t[r - j] `flips` marks."""
+    and right of slot k, and the entry's output items times `start` and the
+    sign of slot k, which flips past each slot j < k that `flips` marks."""
     out = []
     for Y, table in rows:
         for in_t, out_vec in table.items():
-            items, negated, sign = out_vec.items(), None, 1
+            items, negated, sign = out_vec.items(), None, start
             for k in range(1, r + 1):
                 key = (Y[k - 1], Y[k], in_t[r - k])
                 lengths = index.get(key)

@@ -36,11 +36,12 @@ from .quiver import (
     FormalMorphism,
     GradedQuiver,
     Prenatural,
+    accumulate,
     compose_formal,
     eval_multilinear,
     identity_formal,
-    l_compose,
     r_compose,
+    regroup,
 )
 
 KER_PREFIX = "k:"
@@ -220,11 +221,12 @@ def transport_structure(model: SplitModel, phi: FormalMorphism,
 
     phi . m = m_model . phi holds by construction, as psi is phi's two-sided
     inverse to max_arity (build_phi_psi forces one side, checks the other);
-    strictify certifies it.  So the endpoints phi . psi are the identity,
-    and the result has the model's `Identity` as its endpoints."""
+    strictify certifies it.  So the endpoints phi . psi are the identity:
+    the sum is regrouped under the model's `Identity`, phi . psi unformed."""
     ident = identity_formal(model.quiver)
-    conj = l_compose(phi, r_compose(psi, model.base.structure, max_arity), max_arity)
-    return Prenatural(ident, ident, 2, conj.components)
+    inner = r_compose(psi, model.base.structure, max_arity)
+    conj = accumulate({}, 1, phi, inner.frm, inner, inner.to, max_arity)
+    return Prenatural(ident, ident, 2, regroup(model.quiver.fld, conj))
 
 
 def strict_projection(model: SplitModel, transported: AInftyCategory,

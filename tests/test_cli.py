@@ -377,6 +377,58 @@ def test_readme_each_category_parsed_once_per_command(tmp_path, monkeypatch, cap
         assert calls["parse_category"] == len(_named_categories(paths)) == 3, command
 
 
+def test_linked_documents_parsed_once_per_command(tmp_path, monkeypatch, capsys):
+    # a document is known by its file, not its path: a symlink and a hard
+    # link to it share its one parse
+    for name in README_INPUTS:
+        shutil.copy(GOLDEN / name, tmp_path / name)
+    for name, stem in (("a.acat", "a"), ("f.afun", "f")):
+        ext = name.split(".")[1]
+        (tmp_path / f"{stem}_sym.{ext}").symlink_to(tmp_path / name)
+        (tmp_path / f"{stem}_hard.{ext}").hardlink_to(tmp_path / name)
+    calls = _counted(monkeypatch, "ainfty.documents",
+                     ["parse_category", "parse_functor"])
+    docs = ["a.acat", "a_sym.acat", "a_hard.acat", "f.afun", "f_sym.afun",
+            "f_hard.afun"]
+    code, rep = run(capsys, "validate", *(str(tmp_path / d) for d in docs))
+    assert code == 0 and len(rep["checks"]) == 6
+    # a.acat, and b.acat which f names; f once
+    assert calls == {"parse_category": 2, "parse_functor": 1}
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["validate", "missing.acat"], 1),
+    (["classify", "missing.afun"], 2),
+    (["pullback", "missing.afun", "g.afun", "--out", "pb"], 2),
+])
+def test_missing_document_reports_its_path(tmp_path, capsys, argv, code):
+    # a path that cannot be stat'ed is read uncached and fails as the read does
+    shutil.copy(GOLDEN / "g.afun", tmp_path / "g.afun")
+    argv = [a if a.startswith("--") or a in cli._COMMANDS else str(tmp_path / a)
+            for a in argv]
+    got, rep = run(capsys, *argv)
+    error = f"[Errno 2] No such file or directory: '{tmp_path / 'missing'}"
+    assert got == code
+    if code == 1:
+        assert rep["checks"][argv[1]]["witnesses"][0].startswith(error)
+    else:
+        assert rep["overall"] == "error" and rep["error"].startswith(error)
+    assert not (tmp_path / "pb").exists()
+
+
+def test_output_directory_made_once_per_command(tmp_path, monkeypatch, capsys):
+    for name in README_INPUTS:
+        shutil.copy(GOLDEN / name, tmp_path / name)
+    made = []
+    makedirs = cli.os.makedirs
+    monkeypatch.setattr(cli.os, "makedirs",
+                        lambda *a, **k: made.append(a[0]) or makedirs(*a, **k))
+    code, _ = run(capsys, "strictify", str(tmp_path / "f.afun"),
+                  "--out", str(tmp_path / "st"))
+    assert code == 0 and made == [str(tmp_path / "st")]
+    assert len(list((tmp_path / "st").iterdir())) == 4
+
+
 def test_classify_functor_into_terminal_category(tmp_path, capsys):
     # a zero unit reads back, and every functor into T is an isofibration
     shutil.copy(GOLDEN / "a.acat", tmp_path / "a.acat")

@@ -8,16 +8,18 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ainfty import core
+from ainfty import core, quiver
 from ainfty.fields import Field
 from ainfty.documents import load_category, parse_category, parse_certificates
-from ainfty.linear import GradedSpace, rref
+from ainfty.linear import GradedSpace, rref, vec_add, vec_scale
 from ainfty.quiver import (
     FormalMorphism,
     GradedQuiver,
     Prenatural,
     QuiverError,
     identity_formal,
+    l_compose,
+    r_compose,
 )
 from ainfty.core import (
     AInftyCategory,
@@ -45,15 +47,19 @@ from ainfty.core import (
 
 from helpers import (
     arity1_iso_by_rank,
+    bar_expand_word,
+    bump_coefficient,
     doubled_object_functor,
     endo_complex_category,
     h0_basis_law_failures,
     h0_is_iso_by_classes,
     idempotent_category,
     inclusion_functor,
+    insertion_expand_word,
     isofibration_by_enumeration,
     m3_category,
     nilpotent_category,
+    outer_after_words,
     point_category,
     random_dg_category,
     sq_functor,
@@ -64,6 +70,8 @@ from helpers import (
     perturb_structure,
     random_diffeo,
     random_f1_functor,
+    random_flat_prenatural,
+    random_formal_morphism,
     random_g_functor,
     terminal_category,
     to_terminal,
@@ -436,6 +444,134 @@ def test_sq_functor_defect_zero():
     f = sq_functor(QQ)
     assert functor_defect(f.morphism, f.source, f.target, 3).is_zero()
     assert f.strictly_unital
+
+
+def _loop_quiver(rng, fld, names):
+    """Random homs between all objects, every loop with a degree-2 element
+    (room for an arity-0 structure component) and odd degrees for signs."""
+    hom = {}
+    for a in names:
+        for b in names:
+            degs = [rng.randint(-1, 1) for _ in range(rng.randint(1, 2))]
+            degs += [2] if a == b else []
+            hom[(a, b)] = GradedSpace(tuple((f"{a}{b}{i}", d)
+                                            for i, d in enumerate(degs)))
+    return GradedQuiver(fld, names, hom)
+
+
+def _curved(rng, q, bound):
+    """An unchecked category on q: a random degree-2 structure, plus an
+    arity-0 element of degree 2 at every object."""
+    m = random_flat_prenatural(rng, q, 2, bound, density=0.5)
+    comps = dict(m.components)
+    for x in q.objects:
+        top = q.space(x, x).dim - 1
+        comps[(0, (x,))] = {(): {top: q.fld.from_int(rng.choice((-1, 1, 2)))}}
+    return AInftyCategory.derived(Prenatural(m.frm, m.to, 2, comps), None, bound)
+
+
+def _by_hand(cat):
+    """cat with its structure's endpoints a hand-built identity."""
+    ident = cat.structure.frm
+    hand = FormalMorphism(ident.source, ident.target, dict(ident.object_map),
+                          ident.components)
+    structure = Prenatural(hand, hand, 2, cat.structure.components)
+    return AInftyCategory.derived(structure, None, cat.arity_bound)
+
+
+def _defect_cases(rng, fld):
+    """(F, A, B, bound, small): an F1 functor twisted to F^2 != 0 and a
+    twisted strict one (defect 0), each with one coefficient bumped, and
+    random morphisms between unchecked categories with arity-0 parts, one
+    of them over a hand-built identity; small cases take the oracle."""
+    for f in (random_f1_functor(rng, fld),
+              twisted_functor(sq_functor(fld), rng, max_arity=3)):
+        bound = min(f.arity_bound, 3)
+        yield f.morphism, f.source, f.target, bound, False
+        top = max(n for n, _ in f.morphism.components)
+        bumped = FormalMorphism(f.morphism.source, f.morphism.target,
+                                dict(f.morphism.object_map),
+                                bump_coefficient(fld, f.morphism.components, top))
+        yield bumped, f.source, f.target, bound, False
+    qa = _loop_quiver(rng, fld, ("x0", "x1"))
+    qb = _loop_quiver(rng, fld, ("y0", "y1"))
+    a, b = _curved(rng, qa, 2), _curved(rng, qb, 2)
+    f = random_formal_morphism(rng, qa, qb, max_arity=2, density=0.7)
+    yield f, a, b, 2, True
+    yield f, _by_hand(a), b, 2, True
+
+
+def _oracle_defect(f, a, b, bound):
+    """F . m_A - m_B . F word by word: F after the insertion of m_A, minus
+    m_B after the bar extension of F, over every word up to bound."""
+    fld, q = a.fld, a.quiver
+    left = outer_after_words(f, q, bound,
+                             lambda w: insertion_expand_word(a.structure, w))
+    right = outer_after_words(b.structure, q, bound,
+                              lambda w: bar_expand_word(f, w))
+    out = {}
+    for key in left.keys() | right.keys():
+        lt, rt = left.get(key, {}), right.get(key, {})
+        for in_t in lt.keys() | rt.keys():
+            vec = vec_add(fld, lt.get(in_t, {}),
+                          vec_scale(fld, fld.from_int(-1), rt.get(in_t, {})))
+            if vec:
+                out.setdefault(key, {})[in_t] = vec
+    return out
+
+
+@given(st.integers(0, 10 ** 6), st.sampled_from([0, 2, 3, 5]))
+@settings(max_examples=25, deadline=None)
+def test_functor_defect_is_one_sum_of_both_sides(seed, p):
+    # the one-accumulator defect equals the public composition
+    # l_compose(F, m_A) - r_compose(F, m_B) and, on small cases, the word
+    # oracle; its endpoints are F, and build raises the reference witness
+    rng = random.Random(seed)
+    fld = QQ if p == 0 else Field.prime(p)
+    for f, a, b, bound, small in _defect_cases(rng, fld):
+        defect = functor_defect(f, a, b, bound)
+        right = r_compose(f, b.structure, bound)
+        want = l_compose(f, a.structure, bound).sub(right)
+        assert defect.components == want.components
+        assert defect.frm is f and defect.to is f
+        assert defect.degree == want.degree == 2
+        if small:
+            # m_B's arity-0 table enters at every object
+            assert {x for (n, (x, *_)) in right.components if n == 0} == set(
+                a.objects)
+            assert defect.components == _oracle_defect(f, a, b, bound)
+        if want.is_zero():
+            assert AInftyFunctor.build(f, a, b, bound).arity_bound == bound
+        else:
+            with pytest.raises(FunctorDefectError) as exc:
+                AInftyFunctor.build(f, a, b, bound)
+            assert exc.value.witness == want.first_nonzero()
+
+
+def test_functor_defect_over_a_hand_built_identity(monkeypatch):
+    # a source structure over a hand-built identity takes the block sweep
+    # with an insertion instead of the double sum, with the same defect
+    rng = random.Random(7)
+    qa, qb = _loop_quiver(rng, F5, ("x0",)), _loop_quiver(rng, F5, ("y0", "y1"))
+    a, b = _curved(rng, qa, 3), _curved(rng, qb, 3)
+    f = random_formal_morphism(rng, qa, qb, max_arity=3, density=0.8)
+    defect = functor_defect(f, a, b, 3)
+    assert not defect.is_zero()
+
+    def no_double_sum(*args):
+        raise AssertionError("double sum over a hand-built identity")
+    monkeypatch.setattr(quiver, "_add_double_sum", no_double_sum)
+    assert functor_defect(f, _by_hand(a), b, 3) == defect
+
+
+def test_functor_defect_endpoint_mismatch():
+    # F: a -> b against m_b on both sides, then m_a on both sides
+    a, b = sq_source(QQ), sq_target(QQ)
+    f = FormalMorphism(a.quiver, b.quiver, {"o": "p"}, {})
+    with pytest.raises(QuiverError):
+        functor_defect(f, b, b, 2)
+    with pytest.raises(QuiverError):
+        functor_defect(f, a, a, 2)
 
 
 def test_functor_composition_validates(rng):

@@ -690,7 +690,8 @@ def _while_in(monkeypatch, module, name):
 
 
 def test_readme_engine_call_counts(monkeypatch):
-    # an endpoint shared by frm and to is composed once
+    # an endpoint shared by frm and to is composed once, and a functor
+    # defect is one sum whose endpoints are F, with no composite
     golden = pathlib.Path(__file__).parent / "golden" / "readme"
     f = load_functor(str(golden / "f.afun")).functor
     g = load_functor(str(golden / "g.afun")).functor
@@ -700,7 +701,7 @@ def test_readme_engine_call_counts(monkeypatch):
     assert len(composed) == 1
     composed.clear()
     functor_defect(f.morphism, f.source, f.target, bound)
-    assert len(composed) == 2
+    assert len(composed) == 0
 
     # the builders' certification (m.m, functor equations) is counted apart,
     # and each build is logged with whether strictify is running
@@ -735,25 +736,26 @@ def test_readme_engine_call_counts(monkeypatch):
         when=lambda: not (certifying or inside_of["strictify"]
                           or inside_of["build_pullback_structure"]))
     # strictify composes only in model coordinates: N - 1 times solving psi,
-    # once each for psi . phi = Id and projection . phi = F, and once each
-    # for the transport's two endpoints; no decompose/recompose operand
+    # once each for psi . phi = Id and projection . phi = F, and once for
+    # the endpoints of m . psi; the transport sums phi . (m . psi) under the
+    # model's identity and forms no phi . psi; no decompose/recompose operand
     strictify_composed = _count_calls(
         monkeypatch, "compose_formal",
         when=lambda: bool(inside_of["strictify"]) and not certifying)
     p = build_pullback(f, g)
     assert p.arity_bound > 1
     strict = p.strictification
-    assert len(strictify_composed) == strict.arity_bound + 3
+    assert len(strictify_composed) == strict.arity_bound + 2
     assert not any(arg is strict.model.decompose or arg is strict.model.recompose
                    for args in strictify_composed for arg in args)
     assert {key: len(calls) for key, calls in engine.items()} == {
         ("build_pullback_structure", "r_compose"): 1,
         ("build_pullback_structure", "l_compose"): 0,
         ("transport_structure", "r_compose"): 1,
-        ("transport_structure", "l_compose"): 1,
+        ("transport_structure", "l_compose"): 0,
         # strictify transports once, straight into model coordinates
         ("strictify", "r_compose"): 1,
-        ("strictify", "l_compose"): 1,
+        ("strictify", "l_compose"): 0,
     }
     # beta is one composite, psi_functor . product
     beta_calls = [args for args in composed
@@ -932,8 +934,11 @@ def test_categories_must_match_in_structure(monkeypatch, where):
     assert other.quiver == cat.quiver and other.structure != cat.structure
 
     def no_engine(*args):
-        raise AssertionError("_expand called")
-    monkeypatch.setattr(importlib.import_module("ainfty.quiver"), "_expand",
-                        no_engine)
+        raise AssertionError("engine called")
+    # every block sweep inverts its families and every double sum runs
+    # _add_double_sum, whichever entry point (composite, defect) they serve
+    for name in ("_expand", "_invert", "_add_double_sum"):
+        monkeypatch.setattr(importlib.import_module("ainfty.quiver"), name,
+                            no_engine)
     with pytest.raises(AInftyError, match="must share their"):
         run()

@@ -331,11 +331,12 @@ def test_identity_is_known_by_its_type(monkeypatch):
     m = random_flat_prenatural(rng, q, 2, 3, density=0.9)
     m_hand = Prenatural(hand, hand, 2, m.components)
     swept, summed = [], []
-    expand, double = quiver._expand, quiver.double_sum
+    expand, double = quiver._expand, quiver._add_double_sum
     monkeypatch.setattr(quiver, "_expand",
                         lambda *args: swept.append(args[0]) or expand(*args))
-    monkeypatch.setattr(quiver, "double_sum",
-                        lambda *args: summed.append(args[0]) or double(*args))
+    # (flat, sign, outer, ins, max_arity): the outer is the third argument
+    monkeypatch.setattr(quiver, "_add_double_sum",
+                        lambda *args: summed.append(args[2]) or double(*args))
     assert compose_formal(ident, ident, 2) is ident
     assert compose_formal(g, ident, 2) == g == compose_formal(ident, g, 2)
     assert swept == []
