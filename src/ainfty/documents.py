@@ -313,14 +313,17 @@ def _load_once(loaded: Optional[dict], kind: str, path: str,
     """parse(), or what it gave for the same kind (``acat`` or ``afun``),
     file (device and inode: one stat, through symlinks) and cap when `loaded`
     (one dict per command) has it; a failed parse is not kept, and a path
-    that cannot be stat'ed is parsed uncached, to fail as it would."""
+    that cannot be stat'ed is parsed uncached, to fail as it would.  A
+    functor document names its categories relative to the directory of the
+    path it is read through, so that directory is part of an afun key."""
     if loaded is None:
         return parse()
     try:
         st = os.stat(path)
     except OSError:
         return parse()
-    key = (kind, st.st_dev, st.st_ino, cap)
+    key = (kind, st.st_dev, st.st_ino, cap,
+           os.path.dirname(path) if kind == "afun" else None)
     if key not in loaded:
         loaded[key] = parse()
     return loaded[key]

@@ -114,14 +114,6 @@ class GradedMap:
             clean[(ti, si)] = c
         self.entries = clean
 
-    @staticmethod
-    def identity(fld: Field, space: GradedSpace) -> "GradedMap":
-        return GradedMap(fld, space, space, 0, {(i, i): fld.one for i in range(space.dim)})
-
-    @staticmethod
-    def zero(fld: Field, source: GradedSpace, target: GradedSpace, shift: int = 0) -> "GradedMap":
-        return GradedMap(fld, source, target, shift, {})
-
     def apply(self, v: Vec) -> Vec:
         out: Vec = {}
         for (ti, si), c in self.entries.items():
@@ -143,13 +135,6 @@ class GradedMap:
                 if mj == mi:
                     entries[(ti, si)] = entries.get((ti, si), 0) + d * c
         return GradedMap(self.fld, other.source, self.target, self.shift + other.shift,
-                         self.fld.reduced(entries))
-
-    def add(self, other: "GradedMap") -> "GradedMap":
-        entries = dict(self.entries)
-        for key, c in other.entries.items():
-            entries[key] = entries.get(key, 0) + c
-        return GradedMap(self.fld, self.source, self.target, self.shift,
                          self.fld.reduced(entries))
 
     def is_zero(self) -> bool:
@@ -235,7 +220,7 @@ class SplitData:
 
     surjection ∘ section = id, retract ∘ include = id,
     surjection ∘ include = 0, retract ∘ section = 0,
-    include ∘ retract + section ∘ surjection = id.
+    include ∘ retract + section ∘ surjection = id; split_surjection forces all five.
     """
 
     surjection: GradedMap
@@ -243,23 +228,6 @@ class SplitData:
     include: GradedMap
     retract: GradedMap
     section: GradedMap
-
-    def verify(self) -> None:
-        fld = self.surjection.fld
-        src, tgt = self.surjection.source, self.surjection.target
-        checks = [
-            (self.surjection.compose(self.section), GradedMap.identity(fld, tgt)),
-            (self.retract.compose(self.include), GradedMap.identity(fld, self.kernel)),
-            (self.surjection.compose(self.include), GradedMap.zero(fld, self.kernel, tgt)),
-            (self.retract.compose(self.section), GradedMap.zero(fld, tgt, self.kernel)),
-            (
-                self.include.compose(self.retract).add(self.section.compose(self.surjection)),
-                GradedMap.identity(fld, src),
-            ),
-        ]
-        for got, want in checks:
-            if got != want:
-                raise LinearError("splitting identities violated")
 
 
 def split_surjection(m: GradedMap) -> SplitData:
@@ -271,6 +239,14 @@ def split_surjection(m: GradedMap) -> SplitData:
     (free variables set to zero), the block half gives the echelon nullspace
     basis (one kernel vector per free column, ordered by (degree, column)),
     and the retract keeps the free coordinates.
+
+    The splitting identities are forced, not checked: with every pivot in
+    the block half, rref([M | I]) = [EM | E], E invertible and EM's pivot
+    columns the identity, so M . section = E^-1 EM . section = id; EM, hence
+    M, kills each kernel vector e_c - (column c of EM on the pivots); the
+    retract reads free coordinates, 1 on a kernel vector's own column and 0
+    on the others' and on the pivot-supported section; and include . retract
+    + section . surjection fixes both, which span the source.
     """
     if m.shift != 0:
         raise LinearError("only shift-0 maps can satisfy the splitting condition")
@@ -304,12 +280,10 @@ def split_surjection(m: GradedMap) -> SplitData:
                 if not fld.is_zero(mat[i][fc]):
                     include_entries[(cols[pc], k)] = fld.neg(mat[i][fc])
     kernel = GradedSpace(tuple(kernel_basis))
-    data = SplitData(m, kernel,
+    return SplitData(m, kernel,
                      GradedMap(fld, kernel, m.source, 0, include_entries),
                      GradedMap(fld, m.source, kernel, 0, retract_entries),
                      GradedMap(fld, m.target, m.source, 0, section_entries))
-    data.verify()
-    return data
 
 
 @dataclass

@@ -158,9 +158,6 @@ class Prenatural:
     def is_flat(self) -> bool:
         return not any(n == 0 for (n, _) in self.components)
 
-    def is_zero(self) -> bool:
-        return not self.components
-
     def validate(self) -> bool:
         return _validate_family(self, allow_arity0=True)
 

@@ -1,10 +1,78 @@
 from __future__ import annotations
 
+import functools
+import importlib
+import os
 import random
+import sys
 
 import pytest
 
 from ainfty.fields import Field
+
+from helpers import (
+    projection_phi_is_f,
+    psi_phi_is_identity,
+    split_identity_failures,
+    square_commutes,
+    triangles_hold,
+)
+
+TESTS = os.path.dirname(os.path.abspath(__file__))
+
+
+def _check_split(data, m):
+    assert split_identity_failures(data) == []
+
+
+def _check_strictify(s, functor, max_arity=None):
+    assert psi_phi_is_identity(s) and projection_phi_is_f(s)
+
+
+def _check_pullback(p, f, g, max_arity=None):
+    assert square_commutes(p)
+
+
+def _check_induce(rep, p, cone_i, cone_l):
+    assert triangles_hold(p, rep.functor.morphism, cone_i.morphism)
+
+
+# each construction whose identities the package derives, with the oracle
+# that recomputes them on its result
+FORCED = [
+    (getattr(importlib.import_module(f"ainfty.{module}"), name), check)
+    for module, name, check in (
+        ("linear", "split_surjection", _check_split),
+        ("strictify", "strictify", _check_strictify),
+        ("pullback", "build_pullback", _check_pullback),
+        ("pullback", "induce_functor", _check_induce))]
+
+
+def _oracle_checked(fn, check):
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        out = fn(*args, **kwargs)
+        check(out, *args, **kwargs)
+        return out
+    return checked
+
+
+@pytest.fixture(autouse=True)
+def forced_identity_oracles(monkeypatch):
+    """Every call of a construction in FORCED, from the package or from a
+    test, has its result checked by the matching oracle when it returns.
+    The wrapper is bound wherever a caller looks the construction up: in
+    every ainfty module and every module of the test directory."""
+    wrapped = [(fn, _oracle_checked(fn, check)) for fn, check in FORCED]
+    for mod in list(sys.modules.values()):
+        name = getattr(mod, "__name__", "")
+        path = getattr(mod, "__file__", None) or ""
+        if name.split(".")[0] != "ainfty" and os.path.dirname(path) != TESTS:
+            continue
+        for attr, value in list(vars(mod).items()):
+            for fn, checked in wrapped:
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, checked)
 
 
 @pytest.fixture

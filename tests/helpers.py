@@ -19,7 +19,15 @@ import random
 from typing import Dict, List, Optional, Tuple
 
 from ainfty.fields import Field, Scalar
-from ainfty.linear import GradedSpace, Vec, rref, solve_dense, vec_add, vec_scale
+from ainfty.linear import (
+    GradedMap,
+    GradedSpace,
+    Vec,
+    rref,
+    solve_dense,
+    vec_add,
+    vec_scale,
+)
 from ainfty.core import AInftyCategory, AInftyFunctor, CheckReport, arity1_map
 from ainfty.pullback import build_pullback, induce_functor
 from ainfty.quiver import (
@@ -1273,6 +1281,67 @@ def beta_two_step(p, max_arity: int) -> FormalMorphism:
     _, psi = strictification_base_phi_psi(s, max_arity)
     through = compose_formal(s.model.recompose, p.product_morphism, max_arity)
     return compose_formal(psi, through, max_arity)
+
+
+# -- identities the constructions force -----------------------------------------
+#
+# The package derives these and does not recompute them; conftest.py runs
+# each oracle on every result of the construction that forces it.
+
+def graded_identity(fld: Field, space: GradedSpace) -> GradedMap:
+    return GradedMap(fld, space, space, 0, {(i, i): fld.one for i in range(space.dim)})
+
+
+def split_identity_failures(data) -> List[str]:
+    """The splitting identities of a linear.SplitData that do not hold."""
+    fld, src, tgt = data.surjection.fld, data.surjection.source, data.surjection.target
+    ker = data.kernel
+    both = dict(data.include.compose(data.retract).entries)
+    for key, c in data.section.compose(data.surjection).entries.items():
+        both[key] = fld.add(both.get(key, fld.zero), c)
+    identities = {
+        "surjection . section = id": (data.surjection.compose(data.section),
+                                      graded_identity(fld, tgt)),
+        "retract . include = id": (data.retract.compose(data.include),
+                                   graded_identity(fld, ker)),
+        "surjection . include = 0": (data.surjection.compose(data.include),
+                                     GradedMap(fld, ker, tgt, 0)),
+        "retract . section = 0": (data.retract.compose(data.section),
+                                  GradedMap(fld, tgt, ker, 0)),
+        "include . retract + section . surjection = id": (
+            GradedMap(fld, src, src, 0, both), graded_identity(fld, src)),
+    }
+    return [name for name, (got, want) in identities.items() if got != want]
+
+
+def psi_phi_is_identity(s) -> bool:
+    """psi . phi = Id on A up to a Strictification's bound."""
+    phi, psi = s.phi_functor.morphism, s.psi_functor.morphism
+    return compose_formal(psi, phi, s.arity_bound) == identity_formal(phi.source)
+
+
+def projection_phi_is_f(s) -> bool:
+    """projection . phi = F up to a Strictification's bound."""
+    f = s.model.functor.morphism
+    f_n = {key: t for key, t in f.components.items() if key[0] <= s.arity_bound}
+    return compose_formal(s.projection.morphism, s.phi_functor.morphism,
+                          s.arity_bound).components == f_n
+
+
+def square_commutes(p) -> bool:
+    """F . beta = G . alpha up to a PullbackCategory's bound."""
+    return (compose_formal(p.f.morphism, p.beta.morphism, p.arity_bound)
+            == compose_formal(p.g.morphism, p.alpha.morphism, p.arity_bound))
+
+
+def triangles_hold(p, n: FormalMorphism, cone_i: FormalMorphism) -> bool:
+    """beta . N = cone_i and (Id_K x G) . N = phi . cone_i up to the
+    pullback's bound, for an induced N."""
+    bound = p.arity_bound
+    phi = p.strictification.phi_functor.morphism
+    return (compose_formal(p.beta.morphism, n, bound) == cone_i
+            and compose_formal(p.product_morphism, n, bound)
+            == compose_formal(phi, cone_i, bound))
 
 
 # -- reference cycles -------------------------------------------------------------

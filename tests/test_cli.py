@@ -396,6 +396,23 @@ def test_linked_documents_parsed_once_per_command(tmp_path, monkeypatch, capsys)
     assert calls == {"parse_category": 2, "parse_functor": 1}
 
 
+def test_linked_functor_document_resolves_from_its_own_directory(tmp_path, capsys):
+    # d2/f.afun links to d1/f.afun, but names a.acat and b.acat relative to
+    # d2, where they are missing: it fails alone and beside d1/f.afun alike
+    (tmp_path / "d1").mkdir()
+    (tmp_path / "d2").mkdir()
+    for name in README_INPUTS:
+        shutil.copy(GOLDEN / name, tmp_path / "d1" / name)
+    (tmp_path / "d2" / "f.afun").symlink_to(tmp_path / "d1" / "f.afun")
+    d1, d2 = str(tmp_path / "d1" / "f.afun"), str(tmp_path / "d2" / "f.afun")
+    alone_code, alone = run(capsys, "validate", d2)
+    both_code, both = run(capsys, "validate", d1, d2)
+    assert alone_code == both_code == 1
+    assert both["checks"][d1]["verdict"] == "pass"
+    assert both["checks"][d2] == alone["checks"][d2]
+    assert "No such file or directory" in alone["checks"][d2]["witnesses"][0]
+
+
 @pytest.mark.parametrize("argv, code", [
     (["validate", "missing.acat"], 1),
     (["classify", "missing.afun"], 2),

@@ -148,13 +148,13 @@ def test_dg_categories_have_zero_defect(rng):
     for seed in range(8):
         cat = random_dg_category(random.Random(seed), QQ, n_objects=1, max_dim=2)
         defect = structure_defect(cat.structure, 4)
-        assert defect.is_zero()
+        assert not defect.components
 
 
 def test_m3_defect_zero_to_arity_five():
     cat = m3_category(QQ)
     defect = structure_defect(cat.structure, 5)
-    assert defect.is_zero()
+    assert not defect.components
     assert cat.arity_bound == 5 and not cat.total
 
 
@@ -168,7 +168,7 @@ def test_m3_perturbed_witness_at_arity_five(qq):
     }
     ident = identity_formal(q)
     defect = structure_defect(Prenatural(ident, ident, 2, comps), 5)
-    assert not defect.is_zero()
+    assert defect.components
     n, objs, in_t = defect.first_nonzero()
     assert n == 5 and in_t == (0, 0, 0, 0, 0)
     with pytest.raises(StructureDefectError):
@@ -415,7 +415,7 @@ def test_unit_check_matches_basis_oracle(fld):
 def test_identity_functor_defect_zero():
     cat = sq_source(QQ)
     f = AInftyFunctor.identity(cat)
-    assert functor_defect(f.morphism, cat, cat, 4).is_zero()
+    assert not functor_defect(f.morphism, cat, cat, 4).components
 
 
 def test_strict_non_chain_map_arity_one_witness(qq):
@@ -442,7 +442,7 @@ def test_object_map_must_land_in_target(qq):
 
 def test_sq_functor_defect_zero():
     f = sq_functor(QQ)
-    assert functor_defect(f.morphism, f.source, f.target, 3).is_zero()
+    assert not functor_defect(f.morphism, f.source, f.target, 3).components
     assert f.strictly_unital
 
 
@@ -540,7 +540,7 @@ def test_functor_defect_is_one_sum_of_both_sides(seed, p):
             assert {x for (n, (x, *_)) in right.components if n == 0} == set(
                 a.objects)
             assert defect.components == _oracle_defect(f, a, b, bound)
-        if want.is_zero():
+        if not want.components:
             assert AInftyFunctor.build(f, a, b, bound).arity_bound == bound
         else:
             with pytest.raises(FunctorDefectError) as exc:
@@ -556,7 +556,7 @@ def test_functor_defect_over_a_hand_built_identity(monkeypatch):
     a, b = _curved(rng, qa, 3), _curved(rng, qb, 3)
     f = random_formal_morphism(rng, qa, qb, max_arity=3, density=0.8)
     defect = functor_defect(f, a, b, 3)
-    assert not defect.is_zero()
+    assert defect.components
 
     def no_double_sum(*args):
         raise AssertionError("double sum over a hand-built identity")

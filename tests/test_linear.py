@@ -23,6 +23,8 @@ from ainfty.linear import (
     vec_scale,
 )
 
+from helpers import graded_identity, split_identity_failures
+
 
 def test_graded_space_unique_names():
     with pytest.raises(LinearError):
@@ -45,14 +47,14 @@ def _dense(m: GradedMap):
 
 def test_solve_identity(qq):
     sp = GradedSpace((("a", 0), ("b", 1)))
-    ident = _dense(GradedMap.identity(qq, sp))
+    ident = _dense(graded_identity(qq, sp))
     v = [qq.from_int(3), qq.from_int(-2)]
     assert solve_dense(qq, ident, v) == v
 
 
 def test_solve_zero_map_has_no_preimage(qq):
     sp = GradedSpace((("a", 0),))
-    zero = _dense(GradedMap.zero(qq, sp, sp, 0))
+    zero = _dense(GradedMap(qq, sp, sp, 0))
     assert solve_dense(qq, zero, [qq.one]) is None
     assert solve_dense(qq, zero, [qq.zero]) == [qq.zero]
 
@@ -70,9 +72,9 @@ def test_solve_one_by_two_coordinate_sum(qq):
 
 def test_split_identity(qq):
     sp = GradedSpace((("a", 0), ("b", -1)))
-    data = split_surjection(GradedMap.identity(qq, sp))
+    data = split_surjection(graded_identity(qq, sp))
     assert data.kernel.dim == 0
-    assert data.section == GradedMap.identity(qq, sp)
+    assert data.section == graded_identity(qq, sp)
     assert data.retract.entries == {}
 
 
@@ -86,13 +88,13 @@ def test_split_sq_arity_one(qq):
     cols = {tuple(sorted(data.include.column(k).items()))
             for k in range(2)}
     assert cols == {((2, qq.one),), ((1, qq.one),)}
-    data.verify()
+    assert split_identity_failures(data) == []
 
 
 def test_split_not_surjective_names_degree(qq):
     src = GradedSpace((("x", 2),))
     tgt = GradedSpace((("y", 3),))
-    m = GradedMap.zero(qq, src, tgt, 0)
+    m = GradedMap(qq, src, tgt, 0)
     with pytest.raises(NotSurjectiveError) as exc:
         split_surjection(m)
     assert exc.value.degree == 3
@@ -140,7 +142,7 @@ def _check_random_split(fld, rng) -> bool:
         assert exc.value.degree == short[0]
         return False
     data = split_surjection(gm)
-    data.verify()
+    assert split_identity_failures(data) == []
     k = 0
     for d, (rows, cols, block) in blocks.items():
         for r, ti in enumerate(rows):
@@ -160,9 +162,13 @@ def _check_random_split(fld, rng) -> bool:
 
 
 def test_split_retract_tampering_rejected(qq):
+    # split_surjection does not recompute the splitting identities, which
+    # its elimination forces; the oracle that conftest.py runs on every
+    # split rejects a tampered retract
     src = GradedSpace((("1", 0), ("e", 0), ("t", -1)))
     tgt = GradedSpace((("1'", 0),))
     data = split_surjection(GradedMap(qq, src, tgt, 0, {(0, 0): qq.one, (0, 1): qq.one}))
+    assert split_surjection.__wrapped__ is linear_module.split_surjection.__wrapped__
     # the retract keeps the free coordinates: e (kernel vector e - 1) and t
     assert data.retract.entries == {(0, 2): qq.one, (1, 1): qq.one}
     for key in [(0, 2), (1, 1), (1, 0)]:
@@ -170,8 +176,7 @@ def test_split_retract_tampering_rejected(qq):
         entries[key] = qq.add(entries.get(key, qq.zero), qq.one)
         bad = dataclasses.replace(data, retract=GradedMap(
             qq, src, data.kernel, 0, entries))
-        with pytest.raises(LinearError):
-            bad.verify()
+        assert "retract . include = id" in split_identity_failures(bad)
 
 
 def test_solve_dense_always_recovers_image(qq, rng):
@@ -199,7 +204,7 @@ def test_solve_dense_always_recovers_image(qq, rng):
 
 def test_cohomology_zero_differential(qq):
     sp = GradedSpace((("a", 0), ("b", 1)))
-    coh = cohomology(sp, GradedMap.zero(qq, sp, sp, 1))
+    coh = cohomology(sp, GradedMap(qq, sp, sp, 1))
     assert coh.dims == {0: 1, 1: 1}
 
 
@@ -335,7 +340,7 @@ def _field_sum(fld, terms):
 @given(st.integers(0, 10 ** 6), st.sampled_from([2, 3]))
 @settings(max_examples=40, deadline=None)
 def test_sums_hold_reduced_nonzero_coefficients(seed, p):
-    """vec_add, GradedMap.apply, .compose and .add sum raw values and reduce
+    """vec_add, GradedMap.apply and .compose sum raw values and reduce
     once: each result equals the sum taken one Field operation at a time,
     and every coefficient it holds is a residue in [1, p)."""
     rng = random.Random(seed)
@@ -353,7 +358,7 @@ def test_sums_hold_reduced_nonzero_coefficients(seed, p):
             for j in range(src.dim)
             if tgt.degree(t) == src.degree(j) and rng.random() < 0.8})
 
-    a, b, c = rand_map(s0, s1), rand_map(s0, s1), rand_map(s1, s2)
+    a, c = rand_map(s0, s1), rand_map(s1, s2)
     u, v, w = rand_vec(s1), rand_vec(s1), rand_vec(s0)
     results = [
         (vec_add(fld, u, v), _field_sum(fld, [*u.items(), *v.items()])),
@@ -363,7 +368,6 @@ def test_sums_hold_reduced_nonzero_coefficients(seed, p):
         (c.compose(a).entries, _field_sum(fld, [
             ((t, j), fld.mul(y, x)) for (m, j), x in a.entries.items()
             for (t, k), y in c.entries.items() if k == m])),
-        (a.add(b).entries, _field_sum(fld, [*a.entries.items(), *b.entries.items()])),
     ]
     for got, want in results:
         assert got == want

@@ -2,8 +2,9 @@
 package outside ainfty/__init__.py, or is exported from ainfty/__init__.py
 and named by the benchmark under perfbench/ or by the README; a use in the
 tests alone does not keep it.  Every method or property of a class is read
-as an attribute in the package, named by the benchmark or the README, or
-overrides a base class's method.  Every dataclass field is read
+as an attribute of that class in the package or the benchmark, named by
+the benchmark or the README, or overrides a base class's method.  Every
+dataclass field is read
 somewhere, every parameter is read by its function and every parameter with
 a default is passed by some call, so a helper whose last caller goes away, a
 field whose last reader does, an argument nothing reads or an option no
@@ -67,9 +68,13 @@ def _dead_functions(trees: dict, named: set) -> list:
 
 
 def _named_by_benchmark_or_readme() -> set:
+    """Every word of the benchmark's modules and the README, and every
+    qualified pair of words (`Class.method`) in them."""
     named = set()
     for path in sorted((ROOT / "perfbench").glob("*.py")) + [ROOT / "README.md"]:
-        named.update(re.findall(r"\w+", path.read_text()))
+        text = path.read_text()
+        named.update(re.findall(r"\w+", text))
+        named.update(re.findall(r"(?=\b(\w+\.\w+))", text))
     return named
 
 
@@ -95,20 +100,148 @@ def test_dead_function_check_needs_an_export_to_be_named():
                                              "m.py:caller"]
 
 
-def _attribute_reads(node: ast.AST) -> Counter:
-    return Counter(sub.attr for sub in ast.walk(node)
-                   if isinstance(sub, ast.Attribute))
+def _annotated_class(ann, classes: dict):
+    """The package class an annotation names, plain, quoted, qualified by a
+    module (`fields.Field`) or under Optional; None for anything else."""
+    if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+        ann = ast.parse(ann.value, mode="eval").body
+    if isinstance(ann, ast.Subscript) and getattr(ann.value, "id", None) == "Optional":
+        ann = ann.slice
+    name = (ann.id if isinstance(ann, ast.Name) else
+            ann.attr if isinstance(ann, ast.Attribute) else None)
+    return name if name in classes else None
 
 
-def _dead_methods(trees: dict, named: set, overrides: set) -> list:
+class _Types:
+    """The package class of an expression where annotations state it: a
+    class name, self or cls in a method, an annotated parameter or local, a
+    local assigned once from a typed expression, a typed receiver's
+    annotated field, property or method, and a call of a module-level
+    package function with an annotated return."""
+
+    def __init__(self, trees: dict):
+        self.classes = {c.name: c for tree in trees.values() for c in tree.body
+                        if isinstance(c, ast.ClassDef)}
+        self.bases = {name: [b.id for b in c.bases
+                             if isinstance(b, ast.Name) and b.id in self.classes]
+                      for name, c in self.classes.items()}
+        self.members = {}
+        for name, c in self.classes.items():
+            for node in c.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    self.members[(name, node.target.id)] = self.of_annotation(
+                        node.annotation)
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    self.members[(name, node.name)] = self.of_annotation(node.returns)
+        self.functions = {node.name: self.of_annotation(node.returns)
+                          for tree in trees.values() for node in tree.body
+                          if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
+
+    def of_annotation(self, ann):
+        return _annotated_class(ann, self.classes)
+
+    def mro(self, name: str) -> list:
+        out = [name]
+        for base in self.bases[name]:
+            out += self.mro(base)
+        return out
+
+    def member(self, cls: str, attr: str):
+        for name in self.mro(cls):
+            if (name, attr) in self.members:
+                return self.members[(name, attr)]
+        return None
+
+    def of(self, expr, env: dict):
+        if isinstance(expr, ast.Name):
+            return expr.id if expr.id in self.classes else env.get(expr.id)
+        if isinstance(expr, ast.Attribute):
+            cls = self.of(expr.value, env)
+            if cls:
+                return self.member(cls, expr.attr)
+            # a class through its module, as in core.AInftyCategory
+            return expr.attr if expr.attr in self.classes else None
+        if isinstance(expr, ast.Call):
+            func = expr.func
+            if isinstance(func, ast.Name):
+                return func.id if func.id in self.classes else self.functions.get(func.id)
+            if isinstance(func, ast.Attribute):
+                cls = self.of(func.value, env)
+                return (self.member(cls, func.attr) if cls
+                        else self.functions.get(func.attr))
+        return None
+
+    def env(self, fn, cls) -> dict:
+        """Local name -> package class in function fn (a method of cls)."""
+        args = fn.args
+        params = args.posonlyargs + args.args + args.kwonlyargs
+        env = {a.arg: self.of_annotation(a.annotation) for a in params}
+        if cls in self.classes and params and params[0].arg in ("self", "cls"):
+            env[params[0].arg] = cls
+        stores: Counter = Counter()
+        values = {}
+        for sub in ast.walk(fn):
+            if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Store):
+                stores[sub.id] += 1
+            if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name):
+                env[sub.target.id] = self.of_annotation(sub.annotation)
+            elif (isinstance(sub, ast.Assign) and len(sub.targets) == 1
+                    and isinstance(sub.targets[0], ast.Name)):
+                values[sub.targets[0].id] = sub.value
+        env = {k: v for k, v in env.items() if v is not None}
+        for _ in range(3):   # a local typed from another local
+            for name, value in values.items():
+                if name not in env and stores[name] == 1:
+                    typed = self.of(value, env)
+                    if typed:
+                        env[name] = typed
+        return env
+
+    def reads(self, tree):
+        """(attribute, receiver class or None, enclosing method or
+        module-level function or None) for every attribute in tree."""
+        for node in tree.body:
+            cls = node.name if isinstance(node, ast.ClassDef) else None
+            for member in node.body if cls else [node]:
+                fn = (member if isinstance(member, (ast.FunctionDef,
+                                                    ast.AsyncFunctionDef))
+                      else None)
+                env = self.env(fn, cls) if fn else {}
+                for sub in ast.walk(member):
+                    if isinstance(sub, ast.Attribute):
+                        yield sub.attr, self.of(sub.value, env), fn
+
+
+def _dead_methods(trees: dict, named: set, overrides: set, readers=None,
+                  untyped_owners=None) -> list:
     """module:Class.method for every method or property of a module-level
-    class in trees (file name to module tree) that no module reads as an
+    class in trees (file name to module tree) that nothing reads as an
     attribute outside its own body, unless named holds it or it overrides
     a base class's method ((module, class, method) in overrides).  Dunder
-    methods are called by the interpreter and pass."""
-    package_reads: Counter = Counter()
-    for tree in trees.values():
-        package_reads += _attribute_reads(tree)
+    methods are called by the interpreter and pass.
+
+    A read counts for a class's method by owner: where _Types knows the
+    receiver's class, only when the method is in that class's MRO.  A read
+    whose receiver is untyped counts for every class defining the name,
+    unless more than one package class does: such an ambiguous name is
+    read untyped only through the classes untyped_owners lists for it.  A
+    name read untyped and not listed, or listed and not read untyped, is
+    reported as `?name`.  `readers` (file name to tree, the benchmark's
+    modules) read like the package.  Named means a `Class.method` word in
+    named, or, for a name only one package class defines, the bare word."""
+    types = _Types(trees)
+    untyped_owners = untyped_owners or {}
+    owners: dict = {}
+    for cls in types.classes.values():
+        for node in cls.body:
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and not node.name.startswith("__")):
+                owners.setdefault(node.name, set()).add(cls.name)
+    ambiguous = {name for name, classes in owners.items() if len(classes) > 1}
+    reads = [read for tree in [*trees.values(), *(readers or {}).values()]
+             for read in types.reads(tree)]
+    untyped = {attr for attr, cls, _ in reads if cls is None and attr in ambiguous}
+    unlisted = sorted({f"?{name}" for name in untyped ^ set(untyped_owners)})
     dead = []
     for module, tree in trees.items():
         for cls in tree.body:
@@ -117,12 +250,18 @@ def _dead_methods(trees: dict, named: set, overrides: set) -> list:
             for node in cls.body:
                 if (not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
                         or node.name.startswith("__")
-                        or node.name in named
+                        or f"{cls.name}.{node.name}" in named
+                        or (node.name in named and node.name not in ambiguous)
                         or (module, cls.name, node.name) in overrides):
                     continue
-                if package_reads[node.name] == _attribute_reads(node)[node.name]:
+                if not any(
+                        attr == node.name and fn is not node
+                        and (cls.name in types.mro(receiver) if receiver else
+                             node.name not in ambiguous
+                             or cls.name in untyped_owners.get(node.name, ()))
+                        for attr, receiver, fn in reads):
                     dead.append(f"{module}:{cls.name}.{node.name}")
-    return dead
+    return unlisted + dead
 
 
 def _overrides(trees: dict) -> set:
@@ -139,11 +278,33 @@ def _overrides(trees: dict) -> set:
     return out
 
 
+# ambiguous method name -> the classes whose method an untyped read of it
+# (a receiver no annotation types) may reach in the package or the benchmark
+UNTYPED_OWNERS = {
+    # a component family given as either kind
+    "component": {"FormalMorphism", "Prenatural"},
+    "out_pair": {"FormalMorphism", "Prenatural"},
+    "shift": {"FormalMorphism", "Prenatural"},
+    "validate": {"FormalMorphism", "Prenatural"},
+    # SplitData.retract through a loop variable
+    "compose": {"GradedMap"},
+    # hom spaces, and an H0Category passed unannotated
+    "dim": {"GradedSpace", "H0Category"},
+    # a field passed unannotated (fld.is_zero)
+    "is_zero": {"Field"},
+    # the benchmark's own classes: gen.DG.build and its job outcomes
+    "build": set(),
+    "passed": set(),
+}
+
+
 def test_every_method_is_used_named_or_an_override():
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(PACKAGE.glob("*.py"))}
+    readers = {path.name: ast.parse(path.read_text(), str(path))
+               for path in sorted((ROOT / "perfbench").glob("*.py"))}
     assert _dead_methods(trees, _named_by_benchmark_or_readme(),
-                         _overrides(trees)) == []
+                         _overrides(trees), readers, UNTYPED_OWNERS) == []
 
 
 def test_dead_method_check():
@@ -162,6 +323,42 @@ def test_dead_method_check():
         "def caller(a): a.used()\n")}
     assert _dead_methods(trees, {"named"}, {("m.py", "A", "error")}) == [
         "m.py:A.lonely", "m.py:A.lonely_property"]
+
+
+def test_dead_method_check_matches_by_owner():
+    # Z.is_zero and Y.is_zero share a name: a read through a typed receiver
+    # (an annotated parameter, a local built by a constructor, a typed
+    # field, a function's annotated return) counts for its class only, so
+    # Z.is_zero, read nowhere by type, is dead although Y.is_zero is read;
+    # an untyped read of the ambiguous name counts only for the classes
+    # listed for it, and is reported when the name is not listed; a bare
+    # word names only a name no other class defines (W.scale), a
+    # qualified word any (Y.size)
+    source = (
+        "class Y:\n"
+        "    def is_zero(self): pass\n"
+        "    def size(self): pass\n"
+        "    def scale(self): pass\n"
+        "class Z:\n"
+        "    y: Y\n"
+        "    def is_zero(self): pass\n"
+        "    def size(self): pass\n"
+        "    def make(self) -> 'Y': return Y()\n"
+        "class W:\n"
+        "    def scale(self): pass\n"
+        "    def only(self): pass\n"
+        "def typed(z: Z) -> Y: return z.y.is_zero() or z.make().is_zero()\n"
+        "def built():\n"
+        "    y = typed(Z())\n"
+        "    return y.is_zero() and Z().make()\n"
+        "def untyped(v): return v.is_zero() or v.only()\n")
+    trees = {"m.py": ast.parse(source)}
+    named = {"Y.size", "scale"}
+    assert _dead_methods(trees, named, set(), None, {"is_zero": {"Y"}}) == [
+        "m.py:Y.scale", "m.py:Z.is_zero", "m.py:Z.size", "m.py:W.scale"]
+    assert _dead_methods(trees, named, set())[0] == "?is_zero"
+    assert "m.py:Z.is_zero" not in _dead_methods(
+        trees, named, set(), None, {"is_zero": {"Y", "Z"}})
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:

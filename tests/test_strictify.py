@@ -53,6 +53,8 @@ from helpers import (
     f1_strict,
     nilpotent_category,
     point_category,
+    projection_phi_is_f,
+    psi_phi_is_identity,
     random_f1_functor,
     short_f2_functor,
     sq_functor,
@@ -287,8 +289,8 @@ def test_strictification_bundle_fixture():
     assert compose_formal(strict_part, phi, 5) == f.morphism
     assert compose_formal(f.morphism, psi, 5) == strict_part
     # phi = (r1, F) is an A-infinity functor (A, m) -> (model, m_model)
-    assert functor_defect(s.phi_functor.morphism, f.source, s.transported,
-                          5).is_zero()
+    assert not functor_defect(s.phi_functor.morphism, f.source, s.transported,
+                              5).components
     # the transported structure is strictly unital with decomposed units
     assert s.transported.units is not None
     assert check_strict_units(s.transported).passed
@@ -382,13 +384,38 @@ def _non_associative_identity():
 
 def test_square_is_checked_up_to_the_bound():
     # F has an arity-3 component; strictified to arity 2, projection . phi
-    # equals F's components up to arity 2
+    # equals F's components up to arity 2 (projection_phi_is_f, which
+    # conftest.py runs on every strictification, compares the same)
     f = random_f1_functor(random.Random(248), QQ, density=0.5)
     assert max(n for n, _ in f.morphism.components) == 3
     s = strictify(f, max_arity=2)
     square = compose_formal(s.projection.morphism, s.phi_functor.morphism, 2)
     assert square.components == {key: t for key, t in f.morphism.components.items()
                                  if key[0] <= 2}
+
+
+def test_phi_psi_oracles_reject_tampering():
+    # strictify derives psi . phi = Id and projection . phi = F; the oracles
+    # that conftest.py runs on every strictification reject a changed psi,
+    # a changed kernel part of phi and a changed A'-part of phi
+    s = strictify(fixture_functor(seed=11, density=0.9), max_arity=4)
+    assert psi_phi_is_identity(s) and projection_phi_is_f(s)
+
+    def bumped(functor, allowed=lambda key, out: True):
+        m = functor.morphism
+        return dataclasses.replace(functor, morphism=dataclasses.replace(
+            m, components=bump_coefficient(QQ, m.components, 1, allowed)))
+
+    def kernel(key, out):
+        return out < s.model.blocks.kdims[(key[1][0], key[1][-1])]
+
+    psi = dataclasses.replace(s, psi_functor=bumped(s.psi_functor))
+    assert not psi_phi_is_identity(psi) and projection_phi_is_f(psi)
+    phi_k = dataclasses.replace(s, phi_functor=bumped(s.phi_functor, kernel))
+    assert not psi_phi_is_identity(phi_k) and projection_phi_is_f(phi_k)
+    phi_a = dataclasses.replace(s, phi_functor=bumped(
+        s.phi_functor, lambda key, out: not kernel(key, out)))
+    assert not projection_phi_is_f(phi_a)
 
 
 def test_source_premise_is_certified_to_the_bound():
