@@ -62,7 +62,6 @@ from .pullback import (
     ConeError,
     F1Error,
     FibrationReport,
-    InternalConsistencyError,
     PullbackCategory,
     UniversalReport,
     build_pullback,

@@ -257,17 +257,6 @@ def cmd_induce(args) -> int:
     return _finish(_report_json("induce", checks, extra), args.strict)
 
 
-# command name -> its function, named at call time: a cmd_* rebound on
-# this module after the parser is built is the one that runs
-_COMMANDS = {
-    "validate": lambda args: cmd_validate(args),
-    "classify": lambda args: cmd_classify(args),
-    "strictify": lambda args: cmd_strictify(args),
-    "pullback": lambda args: cmd_pullback(args),
-    "induce": lambda args: cmd_induce(args),
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """Raises a usage error as a DocumentError, so that `main` reports it
     as JSON with exit 2 instead of printing usage text and exiting."""
@@ -335,7 +324,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                                 f"for {args.command}: strict units need m2")
         if args.p is not None and args.field != "Fp":
             raise DocumentError("<args>", 0, "--p needs --field Fp")
-        return _COMMANDS[args.command](args)
+        # names read at call time: a cmd_* rebound on this module after the
+        # parser is built is the one that runs
+        return {"validate": cmd_validate, "classify": cmd_classify,
+                "strictify": cmd_strictify, "pullback": cmd_pullback,
+                "induce": cmd_induce}[args.command](args)
     except (DocumentError, OSError) as exc:
         print(json.dumps({"command": args.command, "error": str(exc),
                           "overall": "error"}, sort_keys=True, indent=2))

@@ -3,10 +3,12 @@
 A structure is a flat degree-2 prenatural endotransformation of the identity
 whose self-composition vanishes; a functor is a formal morphism F with
 l_compose(F, D_source) = r_compose(F, D_target).  Holding a value certifies
-its equation up to the recorded arity bound: `build` checks it on new data
-and stores the family in canonical form (every coefficient reduced, no
-zeros), `derived` takes it from certified values by a lemma, whose premises
-`certify_premise` checks past their recorded bounds.
+its equation up to the recorded arity bound.  `build` is the one admission
+step: it checks new data and stores the family (and a category's units) in
+canonical form, every coefficient reduced and no zeros.  `derived` takes a
+value from certified values by a lemma, whose premises `certify_premise`
+checks past their recorded bounds; the package's own constructions are
+canonical by how they are made, and are not validated again.
 """
 from __future__ import annotations
 
@@ -178,15 +180,13 @@ def _canonical(fam):
                                     for key, t in fam.components.items()})
 
 
-def _certify_structure(structure: Prenatural, max_arity: int) -> Prenatural:
-    """Certify m . m = 0 up to max_arity on the canonical form of the
-    structure, and return that form.  The sum is read one arity at a time:
-    a defect stops it at its first nonzero arity, with the witness that
-    `structure_defect(...).first_nonzero()` names (it sorts by arity)."""
-    structure = _canonical(structure)
+def _certify_structure(structure: Prenatural, max_arity: int) -> None:
+    """Certify m . m = 0 up to max_arity on a structure already admitted
+    (by `build`) or made by the package.  The sum is read one arity at a
+    time: a defect stops it at its first nonzero arity, with the witness
+    that `structure_defect(...).first_nonzero()` names (it sorts by arity)."""
     _certify((part for _, part in double_sum(structure, structure, max_arity)),
              StructureDefectError)
-    return structure
 
 
 @dataclass
@@ -220,8 +220,18 @@ class AInftyCategory:
             raise AInftyError("structures must be flat: arity-0 part must vanish")
         iv = quiver.degree_interval()
         bound, _ = _choose_bound(max_arity, (iv, iv, 2))
-        structure = _certify_structure(structure, bound)
-        return AInftyCategory.derived(structure, units, bound)
+        structure = _canonical(structure)
+        _certify_structure(structure, bound)
+        if units is None:
+            return AInftyCategory.derived(structure, None, bound)
+        # reduced and checked with their zeros, so that an index outside
+        # hom(x, x) is named whatever its coefficient; stored without them
+        p = quiver.fld.characteristic
+        units = {x: {i: c % p if p else c for i, c in u.items()}
+                 for x, u in units.items()}
+        cat = AInftyCategory.derived(structure, units, bound)
+        cat.units = {x: {i: c for i, c in u.items() if c} for x, u in units.items()}
+        return cat
 
     @staticmethod
     def derived(structure: Prenatural, units: Optional[Dict[str, Vec]],
@@ -529,18 +539,22 @@ class H0Category:
         return self._tables[key]
 
     def is_iso(self, x: str, y: str, f: Sequence[Scalar]) -> bool:
-        """Two-sided invertibility of a degree-0 class, by one linear solve
-        for g: y -> x with [m2(g, f)] = 1_x and [m2(f, g)] = 1_y."""
-        fld = self.cat.fld
-        dx, dy = self.dim(x, x), self.dim(y, y)
+        """Invertibility of a degree-0 class f: x -> y, by one linear solve
+        for g: y -> x with [m2(g, f)] = 1_x.
+
+        Composing with an iso is a bijection, so none exists unless H0(x,
+        y), H0(y, x), End x and End y have one dimension d.  Then a left
+        inverse is two-sided: e = f g is an idempotent of End y, and a |->
+        f a g is an isomorphism End x -> e End(y) e; were e != 1, the Peirce
+        decomposition would give dim End y >= d + 1.  So f g = 1_y is
+        forced, and the (y, x, y) table is never read."""
+        fld, d = self.cat.fld, self.dim(x, x)
+        if not d == self.dim(y, y) == self.dim(x, y) == self.dim(y, x):
+            return False
         gf = self.table(x, y, x)        # row i: g = e_i
-        fg = self.table(y, x, y)        # column i: g = e_i
-        cols = [_combine(fld, f, gf[i], dx)
-                + _combine(fld, f, [row[i] for row in fg], dy)
-                for i in range(self.dim(y, x))]
-        rows = [[col[r] for col in cols] for r in range(dx + dy)]
-        rhs = list(self.unit_coords[x]) + list(self.unit_coords[y])
-        return solve_dense(fld, rows, rhs) is not None
+        cols = [_combine(fld, f, gf[i], d) for i in range(d)]
+        rows = [[col[r] for col in cols] for r in range(d)]
+        return solve_dense(fld, rows, list(self.unit_coords[x])) is not None
 
     def isos(self, x: str, y: str) -> Iterator[List[Scalar]]:
         """The invertible classes x -> y, in coordinate order; prime fields
@@ -577,18 +591,15 @@ def build_h0(cat: AInftyCategory) -> H0Category:
     Its laws are not re-checked: the certified u2 gives the unit laws, and
     the arity-3 structure relation makes m2 associative on classes (Seidel,
     Fukaya Categories and Picard-Lefschetz Theory, ch. I (1c)), a premise
-    certified to 3 when the structure's bound does not cover it.
+    certified to 3 when the structure's bound does not cover it.  Each unit
+    has a class: check_strict_units makes 1_x a degree-0 cocycle (u1 at
+    arity 1 is m1(1_x) = 0, beside its degree check).
     """
     if cat.units is None:
         raise AInftyError("units required")
     certify_premise(cat, 3)
-    unit_coords: Dict[str, List[Scalar]] = {}
-    for x in cat.objects:
-        coords = cat.pair_cohomology(x, x).coords(cat.unit_vec(x), 0)
-        if coords is None:
-            raise AInftyError(f"unit of {x} is not a degree-0 cocycle class")
-        unit_coords[x] = coords
-    return H0Category(cat, unit_coords)
+    return H0Category(cat, {x: cat.pair_cohomology(x, x).coords(cat.unit_vec(x), 0)
+                            for x in cat.objects})
 
 
 def cohomology_matrix(functor: AInftyFunctor, x: str, y: str,

@@ -7,7 +7,7 @@ values the field makes (zero, one, ``from_int``, parses, inverses) and
 so that all linear algebra stays exact and field-agnostic.  The contraction
 engine (``quiver.accumulate``), ``quiver.eval_multilinear``, ``Prenatural.sub``,
 ``core._combine`` and the sums of ``linear`` (``vec_add``, ``GradedMap``'s
-``apply``, ``compose`` and ``add``) instead accumulate raw values with plain
+``apply`` and ``compose``) instead accumulate raw values with plain
 ``+`` and ``*`` and reduce once, through :meth:`Field.reduced` or ``% p``.
 """
 from __future__ import annotations

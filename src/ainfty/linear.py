@@ -53,11 +53,13 @@ class GradedSpace:
     """Finite based Z-graded space: an ordered basis of (name, degree)."""
 
     basis: Tuple[Tuple[str, int], ...]
+    _index: Dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        names = [n for n, _ in self.basis]
-        if len(set(names)) != len(names):
+        index = {n: i for i, (n, _) in enumerate(self.basis)}
+        if len(index) != len(self.basis):
             raise LinearError("basis names must be unique within a space")
+        object.__setattr__(self, "_index", index)
 
     @property
     def dim(self) -> int:
@@ -70,10 +72,9 @@ class GradedSpace:
         return self.basis[i][0]
 
     def index(self, name: str) -> int:
-        for i, (n, _) in enumerate(self.basis):
-            if n == name:
-                return i
-        raise LinearError(f"no basis element named {name!r}")
+        if name not in self._index:
+            raise LinearError(f"no basis element named {name!r}")
+        return self._index[name]
 
     def indices_of_degree(self, d: int) -> List[int]:
         return [i for i, (_, deg) in enumerate(self.basis) if deg == d]

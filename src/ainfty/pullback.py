@@ -13,11 +13,12 @@ bound, from it, from strictify's values and from premises that
   m_P's A''-part is m'' lifted, so alpha . m_P = m'' . alpha entry for
   entry.
 - The product morphism Id_K x G: P -> (model, m_model) is the identity on
-  kernel parts, with no kernel part in its other outputs (the lemma
-  _kernel_block_is_identity checks), so its kernel-part equation holds by
-  construction; its A'-part is G . alpha, whose equation follows from G's
-  (the premise) and the strict projection model -> A'.  beta =
-  psi . (Id_K x G) is then a composite of functors.
+  kernel parts, with no kernel part in its other outputs (the kernel-block
+  lemma: build_pullback_quiver makes it Blocks.family(id_K, Blocks.lift(G)),
+  which moves every output of G past the kernel block), so its kernel-part
+  equation holds by construction; its A'-part is G . alpha, whose equation
+  follows from G's (the premise) and the strict projection model -> A'.
+  beta = psi . (Id_K x G) is then a composite of functors.
 - A commuting cone induces N with cone_l as its A''-part and the kernel
   part of phi . cone_i on the kernel, so alpha . N = cone_l and
   (Id_K x G) . N = phi . cone_i, both functors once the legs are (the
@@ -29,8 +30,9 @@ The lemmas join functors across categories, so the categories must match,
 structure and all (`same_category`): F's target and G's, each cone leg's
 target and F's or G's source, and the two legs' sources.  A mismatch is an
 AInftyError before any engine call.  The one exact check kept is the cone,
-F . cone_i = G . cone_l, a premise.  The square and the triangles are
-derived (build_pullback, UniversalReport), not recomputed.
+F . cone_i = G . cone_l, a premise.  The square, the kernel block and the
+triangles are derived (build_pullback, build_pullback_quiver,
+UniversalReport), not recomputed.
 """
 from __future__ import annotations
 
@@ -44,6 +46,7 @@ from .core import (
     CheckReport,
     EssentialCertificate,
     IsoLiftCertificate,
+    _certify_structure,
     _choose_bound,
     certify_premise,
     check_F1,
@@ -82,10 +85,6 @@ class ConeError(AInftyError):
             f"cone does not commute at arity {arity}, objects {objs}, inputs {in_t}"
         )
         self.arity, self.objs, self.in_t = arity, objs, in_t
-
-
-class InternalConsistencyError(AInftyError):
-    pass
 
 
 def pair_name(x: str, y: str) -> str:
@@ -171,6 +170,8 @@ def build_pullback(
     """The pullback category with both projections; F is strictified on
     check_F1's splits.  m_P . m_P = 0 and G's equation are certified, alpha
     and beta derived (see the module docstring).  F1Error when F1 fails.
+    m_P is made by the package from canonical parts (regrouped sums, m''
+    as `build` stored it), so it is certified, not admitted again.
     The square commutes by construction: F . beta = F . psi . (Id_K x G) =
     projection . (Id_K x G) = G . alpha, by strictify's projection . phi = F
     and psi = phi^-1, and as the product morphism's A'-part is G . alpha."""
@@ -200,8 +201,8 @@ def build_pullback(
                           g.source.unit_vec(y))
             for p, (x, y) in pairs.items()
         }
-    category = AInftyCategory.build(blocks.quiver, structure.components, units,
-                                    max_arity=bound)
+    _certify_structure(structure, bound)
+    category = AInftyCategory.derived(structure, units, bound)
     alpha = AInftyFunctor.derived(blocks.projection(), category, g.source, bound)
     beta = strict.psi_functor.compose(
         AInftyFunctor.derived(product, category, strict.transported, bound))
@@ -223,8 +224,8 @@ class UniversalReport:
     # part by how N is built, its A'-part G.cone_l = F.cone_i by the cone
     # check; so beta.N = psi.(Id_K x G).N = psi.phi.cone_i = cone_i
     triangles = True
-    # _kernel_block_is_identity: the product triangle forces N's kernel
-    # part; without it induce_functor raises and returns no report
+    # the kernel-block lemma (module docstring): the product triangle
+    # forces N's kernel part, alpha's its A''-part
     uniqueness = True
 
 
@@ -248,9 +249,6 @@ def induce_functor(
             (cone_l.target, p.g.source, "cone_l must land in the source of G")):
         if not same_category(a, b):
             raise AInftyError(mismatch)
-    if not _kernel_block_is_identity(p):
-        raise InternalConsistencyError(
-            "the product morphism is not the identity on kernel parts")
     certify_premise(cone_i, bound)
     certify_premise(cone_l, bound)
     lhs = compose_formal(p.f.morphism, cone_i.morphism, bound)
@@ -276,22 +274,6 @@ def induce_functor(
                               object_map, comps)
     return UniversalReport(
         AInftyFunctor.derived(morphism, cone_i.source, p.category, bound))
-
-
-def _kernel_block_is_identity(p: PullbackCategory) -> bool:
-    """The uniqueness lemma's hypothesis: the product morphism maps the
-    kernel part of its input, and nothing else, to its output's."""
-    one = p.category.fld.one
-    kdims = p.blocks.kdims
-    seen = 0
-    for (n, pobjs), table in p.product_morphism.components.items():
-        x, y = pobjs[0], pobjs[-1]
-        for in_t, vec in table.items():
-            identity = n == 1 and in_t[0] < kdims[(x, y)]
-            if p.blocks.vec(x, y, vec, {}) != ({in_t[0]: one} if identity else {}):
-                return False
-            seen += identity
-    return seen == sum(kdims.values())
 
 
 # -- fibration closure ----------------------------------------------------------

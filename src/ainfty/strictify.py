@@ -5,12 +5,13 @@ quiver with homs Ker(F1) (+) A'-hom and, in its coordinates, the
 isomorphism phi = (r1, F): A -> model (phi^1 = decompose, phi^n = (0, F^n)
 for n >= 2), its inverse psi, the structure m_model = phi . m . psi that
 makes phi an A-infinity functor, and the strict projection onto the
-A'-summand, under which F becomes projection . phi.  Only phi's equation
-is certified: with phi.psi = Id it pins m_model = phi.m.psi, and as bar
-composition is associative (Lefevre-Hasegawa, arXiv:math/0310337) the rest
-is derived: m_model.m_model = phi.m.m.psi = 0, psi.m_model = m.psi and
-projection.m_model = F.m.psi = m'.projection.  psi.phi = Id and
-projection.phi = F hold by construction (build_phi_psi, strictify).
+A'-summand, under which F becomes projection . phi.  Nothing here is
+certified beyond the premises (m.m = 0 on A, F's equation): psi.phi = Id
+and projection.phi = F hold by construction (build_phi_psi, strictify),
+and as bar composition is associative (Lefevre-Hasegawa,
+arXiv:math/0310337) the equations follow from m_model = phi.m.psi:
+phi.m = phi.m.psi.phi = m_model.phi, m_model.m_model = phi.m.m.psi = 0,
+psi.m_model = m.psi and projection.m_model = F.m.psi = m'.projection.
 
 `Blocks` owns the K (+) M layout, here and in the pullback: it builds the
 homs, with a "k:" basis prefix for the kernel part and an "a:" prefix for
@@ -157,7 +158,7 @@ def build_split_model(functor: AInftyFunctor) -> SplitModel:
     check_F1's splits; StrictifyError when F1 fails.
 
     The two are mutually inverse because every split satisfies the five
-    splitting identities, which split_surjection certifies per pair.
+    splitting identities, which split_surjection forces per pair.
     """
     f1 = check_F1(functor)
     if not f1.passed:
@@ -220,9 +221,10 @@ def transport_structure(model: SplitModel, phi: FormalMorphism,
     model coordinates.
 
     phi . m = m_model . phi holds by construction, as psi is phi's two-sided
-    inverse to max_arity (see build_phi_psi); strictify certifies it.  So
-    the endpoints phi . psi are the identity: the sum is regrouped under the
-    model's `Identity`, phi . psi unformed."""
+    inverse to max_arity (see build_phi_psi): phi . m = phi . m . psi . phi
+    = m_model . phi, so strictify derives phi's equation.  The endpoints
+    phi . psi are the identity: the sum is regrouped under the model's
+    `Identity`, phi . psi unformed."""
     ident = identity_formal(model.quiver)
     inner = r_compose(psi, model.base.structure, max_arity)
     conj = accumulate({}, 1, phi, inner.frm, inner, inner.to, max_arity)
@@ -285,7 +287,7 @@ def strictify(functor: AInftyFunctor,
     certify_premise(base, bound)
     transported = AInftyCategory.derived(m_model, units_model, bound)
     projection = strict_projection(model, transported, bound)
-    phi_functor = AInftyFunctor.build(phi, base, transported, max_arity=bound)
+    phi_functor = AInftyFunctor.derived(phi, base, transported, bound)
     psi_functor = AInftyFunctor.derived(psi, transported, base, bound)
     return Strictification(model, transported, projection, phi_functor,
                            psi_functor, bound, total)

@@ -8,13 +8,18 @@ import sys
 
 import pytest
 
+from ainfty.core import H0Category
 from ainfty.fields import Field
 
 from helpers import (
+    h0_is_iso_by_classes,
+    kernel_block_is_identity,
+    phi_is_functor,
     projection_phi_is_f,
     psi_phi_is_identity,
     split_identity_failures,
     square_commutes,
+    structure_is_admissible,
     triangles_hold,
 )
 
@@ -26,15 +31,20 @@ def _check_split(data, m):
 
 
 def _check_strictify(s, functor, max_arity=None):
-    assert psi_phi_is_identity(s) and projection_phi_is_f(s)
+    assert psi_phi_is_identity(s) and projection_phi_is_f(s) and phi_is_functor(s)
 
 
 def _check_pullback(p, f, g, max_arity=None):
-    assert square_commutes(p)
+    assert square_commutes(p) and kernel_block_is_identity(p)
+    assert structure_is_admissible(p.category)
 
 
 def _check_induce(rep, p, cone_i, cone_l):
     assert triangles_hold(p, rep.functor.morphism, cone_i.morphism)
+
+
+def _check_is_iso(out, h0, x, y, f):
+    assert out == h0_is_iso_by_classes(h0, x, y, f)
 
 
 # each construction whose identities the package derives, with the oracle
@@ -46,6 +56,8 @@ FORCED = [
         ("strictify", "strictify", _check_strictify),
         ("pullback", "build_pullback", _check_pullback),
         ("pullback", "induce_functor", _check_induce))]
+# the same for methods, wrapped on their class
+FORCED_METHODS = [(H0Category, "is_iso", _check_is_iso)]
 
 
 def _oracle_checked(fn, check):
@@ -62,7 +74,10 @@ def forced_identity_oracles(monkeypatch):
     """Every call of a construction in FORCED, from the package or from a
     test, has its result checked by the matching oracle when it returns.
     The wrapper is bound wherever a caller looks the construction up: in
-    every ainfty module and every module of the test directory."""
+    every ainfty module and every module of the test directory, and on the
+    class for a method in FORCED_METHODS."""
+    for cls, name, check in FORCED_METHODS:
+        monkeypatch.setattr(cls, name, _oracle_checked(vars(cls)[name], check))
     wrapped = [(fn, _oracle_checked(fn, check)) for fn, check in FORCED]
     for mod in list(sys.modules.values()):
         name = getattr(mod, "__name__", "")

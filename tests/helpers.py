@@ -28,7 +28,13 @@ from ainfty.linear import (
     vec_add,
     vec_scale,
 )
-from ainfty.core import AInftyCategory, AInftyFunctor, CheckReport, arity1_map
+from ainfty.core import (
+    AInftyCategory,
+    AInftyFunctor,
+    CheckReport,
+    arity1_map,
+    functor_defect,
+)
 from ainfty.pullback import build_pullback, induce_functor
 from ainfty.quiver import (
     Components,
@@ -1326,6 +1332,37 @@ def projection_phi_is_f(s) -> bool:
     f_n = {key: t for key, t in f.components.items() if key[0] <= s.arity_bound}
     return compose_formal(s.projection.morphism, s.phi_functor.morphism,
                           s.arity_bound).components == f_n
+
+
+def phi_is_functor(s) -> bool:
+    """phi . m = m_model . phi up to a Strictification's bound."""
+    phi = s.phi_functor
+    return not functor_defect(phi.morphism, phi.source, phi.target,
+                              s.arity_bound).components
+
+
+def kernel_block_is_identity(p) -> bool:
+    """The kernel-block lemma on a PullbackCategory: the product morphism
+    maps the kernel part of its input, and nothing else, to its output's,
+    with every kernel basis element present."""
+    one = p.category.fld.one
+    kdims = p.blocks.kdims
+    seen = 0
+    for (n, pobjs), table in p.product_morphism.components.items():
+        x, y = pobjs[0], pobjs[-1]
+        for in_t, vec in table.items():
+            identity = n == 1 and in_t[0] < kdims[(x, y)]
+            kernel_part = {i: c for i, c in vec.items() if i < kdims[(x, y)]}
+            if kernel_part != ({in_t[0]: one} if identity else {}):
+                return False
+            seen += identity
+    return seen == sum(kdims.values())
+
+
+def structure_is_admissible(cat: AInftyCategory) -> bool:
+    """What `AInftyCategory.build` would admit of a category's structure:
+    well-formed, canonical and flat."""
+    return cat.structure.validate() and cat.structure.is_flat()
 
 
 def square_commutes(p) -> bool:

@@ -1,0 +1,190 @@
+"""Mutation runs over src/ainfty: does the test suite notice a broken line?
+
+Each mutant is one exact snippet of one package file and its replacement.
+The script copies the repository into a temporary directory, then for one
+mutant at a time writes the mutated file, runs the mutant's test subset
+there with ``pytest -x`` and puts the file back.  A mutant is killed when
+the subset fails and survives when it passes.  It prints one line per
+mutant and then the totals, and exits 1 when a mutant survives that is not
+listed as equivalent.
+
+    python tests/mutate.py
+
+Standard library only, no options; it is not collected by pytest, and
+``test_mutation_sites_occur_once`` checks that every snippet still occurs
+exactly once, so the list cannot rot silently.  Runs take a few minutes.
+"""
+from __future__ import annotations
+
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+# (name, file under src/ainfty, exact snippet, replacement, test subset)
+MUTANTS = [
+    # -- the contraction engine
+    ("accumulate drops arity-0 room", "quiver.py",
+     "room = max_arity - (r - 1 - (k is not None and 1 < k))",
+     "room = max_arity - (r - 1)", ["tests/test_quiver.py"]),
+    ("accumulate sign flip", "quiver.py",
+     "signs[k] = -signs[k - 1] if odd else signs[k - 1]",
+     "signs[k] = signs[k - 1]", ["tests/test_quiver.py"]),
+    ("_slots sign flip", "quiver.py",
+     "if flips and flips[key]:\n                    sign = -sign",
+     "if flips and flips[key]:\n                    sign = sign",
+     ["tests/test_quiver.py"]),
+    ("double sum starts at arity 1", "quiver.py",
+     "for n in range(min(shortest, 1), max_arity + 1):",
+     "for n in range(1, max_arity + 1):", ["tests/test_quiver.py"]),
+    ("_flips parity", "quiver.py",
+     "if (degree - 1) % 2 == 0:", "if (degree - 1) % 2 == 1:",
+     ["tests/test_quiver.py"]),
+    ("regroup keeps raw sums", "quiver.py",
+     "for (path, acc, oi), c in fld.reduced(flat).items():",
+     "for (path, acc, oi), c in flat.items():", ["tests/test_quiver.py"]),
+    # -- arity bounds
+    ("feasibility bound takes the max", "core.py",
+     "most = c // a if most is None else min(most, c // a)",
+     "most = c // a if most is None else max(most, c // a)",
+     ["tests/test_core.py"]),
+    ("feasibility bound floors the least arity", "core.py",
+     "least = max(least, -(c // -a))", "least = max(least, c // a)",
+     ["tests/test_core.py"]),
+    ("_choose_bound total flag", "core.py",
+     "return max_arity, full is not None and max_arity >= full",
+     "return max_arity, full is not None and max_arity > full",
+     ["tests/test_core.py", "tests/test_strictify.py"]),
+    # -- certification
+    ("functor_defect m_B arity-0 sign", "core.py",
+     "flat[((x,), in_t, oi)] = flat.get(((x,), in_t, oi), 0) - c",
+     "flat[((x,), in_t, oi)] = flat.get(((x,), in_t, oi), 0) + c",
+     ["tests/test_core.py"]),
+    ("functor_defect m_B.F sign", "core.py",
+     "accumulate(flat, -1, m_b, f, None, f, max_arity)",
+     "accumulate(flat, 1, m_b, f, None, f, max_arity)", ["tests/test_core.py"]),
+    ("_certify_structure one arity short", "core.py",
+     "double_sum(structure, structure, max_arity)),",
+     "double_sum(structure, structure, max_arity - 1)),", ["tests/test_core.py"]),
+    ("certify_premise never extends", "core.py",
+     "if value.total or value.arity_bound >= n:", "if True:",
+     ["tests/test_strictify.py", "tests/test_pullback.py"]),
+    ("build admits without _canonical", "core.py",
+     "structure = _canonical(structure)", "structure = structure",
+     ["tests/test_core.py"]),
+    ("build stores units unreduced", "core.py",
+     "units = {x: {i: c % p if p else c for i, c in u.items()}",
+     "units = {x: {i: c for i, c in u.items()}", ["tests/test_pullback.py"]),
+    ("build keeps zeros in units", "core.py",
+     "cat.units = {x: {i: c for i, c in u.items() if c} for x, u in units.items()}",
+     "cat.units = units", ["tests/test_pullback.py"]),
+    ("u2 left-unit sign", "core.py",
+     "sign = fld.one if sp.degree(i) % 2 == 0 else minus_one",
+     "sign = fld.one", ["tests/test_core.py"]),
+    ("_strictly_unital skips arity 2", "core.py",
+     "if n >= 2 and any(_unit_slot_residues(fld, source.units, objs, table)):",
+     "if n >= 3 and any(_unit_slot_residues(fld, source.units, objs, table)):",
+     ["tests/test_core.py", "tests/test_pullback.py"]),
+    # -- classifiers
+    ("is_iso dimension guard", "core.py",
+     "if not d == self.dim(y, y) == self.dim(x, y) == self.dim(y, x):",
+     "if False:", ["tests/test_core.py"]),
+    ("is_iso rank test", "core.py",
+     "return solve_dense(fld, rows, list(self.unit_coords[x])) is not None",
+     "return solve_dense(fld, rows, list(self.unit_coords[x])) is None",
+     ["tests/test_core.py"]),
+    ("isos dimension guard", "core.py",
+     "if d == self.dim(y, x) == self.dim(x, x) == self.dim(y, y):",
+     "if True:", ["tests/test_core.py"]),
+    ("_units_lift rank test", "core.py",
+     "if mat and len(rref(fld, mat)[1]) != len(mat):",
+     "if mat and len(rref(fld, mat)[1]) > len(mat):", ["tests/test_core.py"]),
+    ("hom-level rank test", "core.py",
+     "if len(rref(fld, rows)[1]) != ds:", "if len(rref(fld, rows)[1]) > ds:",
+     ["tests/test_core.py"]),
+    ("check_F1 reads F1 uncertified", "core.py",
+     "certify_premise(functor, 1)     # the classifiers read F1 as a chain map",
+     "pass", ["tests/test_core.py"]),
+    # -- constructions
+    ("build_phi_psi minus", "strictify.py",
+     "minus = fld.from_int(-1)", "minus = fld.from_int(1)",
+     ["tests/test_strictify.py"]),
+    ("transport sign", "strictify.py",
+     "conj = accumulate({}, 1, phi, inner.frm, inner, inner.to, max_arity)",
+     "conj = accumulate({}, -1, phi, inner.frm, inner, inner.to, max_arity)",
+     ["tests/test_strictify.py"]),
+    ("Blocks.vec keeps the whole kernel vector", "strictify.py",
+     "out = {i: c for i, c in k.items() if i < kdim}", "out = dict(k)",
+     ["tests/test_pullback.py"]),
+    ("id_K coefficient", "pullback.py",
+     "id_k = {(1, pair): {(i,): {i: one} for i in range(kdim)}",
+     "id_k = {(1, pair): {(i,): {i: 2 * one} for i in range(kdim)}",
+     ["tests/test_pullback.py"]),
+    ("cone check skipped", "pullback.py",
+     "if bad is not None:\n        raise ConeError(*bad)",
+     "if False:\n        raise ConeError(*bad)", ["tests/test_pullback.py"]),
+    # -- parsers and spaces
+    ("_once lets a record repeat", "documents.py",
+     "    if key in seen:\n        raise DocumentError(path, ln, f\"{key[0]} record repeats",
+     "    if False:\n        raise DocumentError(path, ln, f\"{key[0]} record repeats",
+     ["tests/test_documents.py", "tests/test_cli.py"]),
+    ("GradedSpace allows repeated names", "linear.py",
+     "if len(index) != len(self.basis):", "if False:", ["tests/test_linear.py"]),
+]
+
+# name -> why no input can tell the mutant from the code
+EQUIVALENT = {
+    "feasibility bound takes the max":
+        "both slopes lo - 1 and 1 - hi are positive only if lo > 1 > hi, "
+        "and a degree interval has lo <= hi, so `most` is set at most once "
+        "and min is never taken",
+}
+
+
+def _run(copy: pathlib.Path, tests) -> bool:
+    """Whether the test subset passes in the copy."""
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         *tests], cwd=copy, env=env, stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL)
+    return proc.returncode == 0
+
+
+def main() -> int:
+    ignore = shutil.ignore_patterns(".git", "__pycache__", "*.pyc", ".pytest_cache")
+    killed, survived = 0, []
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = pathlib.Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=ignore)
+        for name, module, snippet, replacement, tests in MUTANTS:
+            path = copy / "src" / "ainfty" / module
+            original = path.read_text()
+            if original.count(snippet) != 1:
+                print(f"{name}: snippet not found exactly once in {module}")
+                return 2
+            path.write_text(original.replace(snippet, replacement))
+            try:
+                passed = _run(copy, tests)
+            finally:
+                path.write_text(original)
+            verdict = "survived" if passed else "killed"
+            if passed:
+                survived.append(name)
+                if name in EQUIVALENT:
+                    verdict += f" (equivalent: {EQUIVALENT[name]})"
+            else:
+                killed += 1
+            print(f"{verdict:8} {module}: {name}", flush=True)
+    print(f"{len(MUTANTS)} mutants: {killed} killed, {len(survived)} survived, "
+          f"{sum(n in EQUIVALENT for n in survived)} of them equivalent")
+    return 1 if any(n not in EQUIVALENT for n in survived) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -319,6 +319,7 @@ def test_dg_category_units_pass(rng):
     ({"o0": {7: 1}}, "unit of o0 names indices [7] outside hom(o0, o0)"),
     ({"o0": {-1: 1}}, "unit of o0 names indices [-1] outside hom(o0, o0)"),
     ({}, "units missing for ['o0']"),
+    ({"o0": {7: 0}}, "unit of o0 names indices [7] outside hom(o0, o0)"),
 ])
 def test_unit_gaps_are_violations(units, message):
     # build refuses what the document reader refuses, as a unit violation
@@ -444,6 +445,23 @@ def test_sq_functor_defect_zero():
     f = sq_functor(QQ)
     assert not functor_defect(f.morphism, f.source, f.target, 3).components
     assert f.strictly_unital
+
+
+def test_unit_in_a_higher_component_is_not_strictly_unital():
+    # F: point -> span{1, x}, x in degree -1 with m1 = 0, maps 1 to 1 and
+    # has F2(1, 1) = x: a functor whose arity-2 part meets the unit
+    point = point_category(QQ)
+    q = GradedQuiver(QQ, ("b",), {("b", "b"): GradedSpace((("1", 0), ("x", -1)))})
+    m2 = {(0, 0): {0: QQ.one}, (0, 1): {1: QQ.from_int(-1)}, (1, 0): {1: QQ.one}}
+    b = AInftyCategory.build(q, {(2, ("b",) * 3): m2}, units={"b": {0: QQ.one}})
+    comps = {(1, ("o0", "o0")): {(0,): {0: QQ.one}},
+             (2, ("o0",) * 3): {(0, 0): {1: QQ.one}}}
+    f = AInftyFunctor.build(FormalMorphism(point.quiver, q, {"o0": "b"}, comps),
+                            point, b)
+    assert f.total and not f.strictly_unital
+    del comps[(2, ("o0",) * 3)]
+    strict = FormalMorphism(point.quiver, q, {"o0": "b"}, comps)
+    assert AInftyFunctor.build(strict, point, b).strictly_unital
 
 
 def _loop_quiver(rng, fld, names):
@@ -944,10 +962,28 @@ def test_isofibration_work_is_one_lift_per_pair(monkeypatch):
                     if f.object_map[a] == b:
                         mat = cohomology_matrix(f, x, a, 0)
                         bound += 5 ** (h0s.dim(x, a) - len(rref(F5, mat)[1]))
-        calls = _counted_is_iso(monkeypatch)
-        assert check_isofibration(f).verdict == "pass"
-        assert 0 < len(calls) <= bound
-        monkeypatch.undo()
+        # a context of its own: undoing the whole fixture would unbind the
+        # oracles conftest.py binds for the rest of the test
+        with monkeypatch.context() as mp:
+            calls = _counted_is_iso(mp)
+            assert check_isofibration(f).verdict == "pass"
+            assert 0 < len(calls) <= bound
+
+
+@pytest.mark.parametrize("fld", [QQ, F5], ids=["Q", "F5"])
+def test_one_sided_inverse_is_not_an_iso(fld):
+    # x = k is a retract of y = k^2: the inclusion 0>0 has the projection as
+    # a left inverse, [m2(g, f)] = 1_x, but no right one; is_iso refuses it
+    # by dimension (End y is M_2(k)), where a left-inverse solve would not
+    cat = endo_complex_category(fld, {"x": (("a", 0),),
+                                      "y": (("b", 0), ("c", 0))}, {})
+    h0 = cat.h0()
+    dims = [h0.dim(s, t) for s, t in (("x", "x"), ("y", "y"), ("x", "y"), ("y", "x"))]
+    assert dims == [1, 4, 2, 2]
+    f = [fld.one, fld.zero]
+    assert h0.table("x", "y", "x")[0][0] == h0.unit_coords["x"]
+    assert not h0.is_iso("x", "y", f)
+    assert h0.is_iso("y", "y", h0.unit_coords["y"])
 
 
 def test_isos_skip_homs_whose_dimensions_differ(monkeypatch):
