@@ -110,7 +110,8 @@ def arity_feasibility_bound(
     satisfies t + degree - n in [lo', hi'], that is when
     n*(lo-1) <= hi'-degree and n*(1-hi) <= degree-lo'.  Both are linear in
     n, so the feasible arities form an interval [least, most].  Returns 0
-    when it is empty, None when it has no upper end.
+    when it is empty, None when it has no upper end.  At most one slope is
+    positive, since both would need lo > 1 > hi, so `most` is set once.
     """
     if src_interval is None or tgt_interval is None:
         return 0
@@ -118,7 +119,7 @@ def arity_feasibility_bound(
     least, most = 1, None
     for a, c in ((lo - 1, hi2 - degree), (1 - hi, degree - lo2)):
         if a > 0:
-            most = c // a if most is None else min(most, c // a)
+            most = c // a
         elif a < 0:
             least = max(least, -(c // -a))
         elif c < 0:

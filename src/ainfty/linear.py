@@ -4,7 +4,9 @@ Vectors are sparse ``{basis index: scalar}`` dictionaries.  Maps between
 graded spaces carry a degree shift and are stored sparsely; elimination is
 done densely per degree block with deterministic pivoting (leftmost nonzero
 column, first nonzero row), so kernels, sections and cohomology
-representatives are reproducible across runs.
+representatives are reproducible across runs.  Each cohomology degree is
+eliminated once, and that one reduction serves both the representatives
+and every class-coordinate query.
 """
 from __future__ import annotations
 
@@ -289,49 +291,44 @@ def split_surjection(m: GradedMap) -> SplitData:
 
 @dataclass
 class Cohomology:
-    """Degreewise cohomology of (space, d) with chosen representatives."""
+    """Degreewise cohomology of (space, d) with chosen representatives.
+
+    ``cohomology`` eliminates each degree once, as
+    ``rref([boundaries | cocycles | I])``: row operations on the pool half
+    do not depend on the appended I, so its pivots pick the representatives
+    (the cocycles adding pivots past the boundary span), and the I half
+    answers every ``coords`` query of the degree.
+    """
 
     space: GradedSpace
     d: GradedMap
     dims: Dict[int, int]
     reps: Dict[int, List[Vec]]
-    _image: Dict[int, List[Vec]]
-    # degree -> (indices, len(reps + image), rref([reps | image | I]), its pivots)
+    # degree -> (indices, the I half T, rank of [boundaries | cocycles],
+    #            the rows whose pivot is a representative's column)
     _reduced: Dict[int, tuple] = field(default_factory=dict, repr=False, compare=False)
 
     def coords(self, v: Vec, degree: int) -> Optional[List[Scalar]]:
         """Class coordinates of a degree-homogeneous cocycle, or None.
 
-        The degree's ``[reps | image]`` block is eliminated once, as
-        ``rref([block | I])``; with T its ``I`` half, block . x = v is solvable
-        iff T . v vanishes past the block's rank, and then x (free coordinates
-        zero) reads off T . v.
+        rref([P | I]) = [TP | T] with T invertible and TP in echelon form, so
+        v lies in the span of P, the cocycles, iff T . v vanishes past P's
+        rank.  Then T . v holds v's unique coordinates on P's pivot columns,
+        a basis of the cocycles whose boundary part spans the boundaries, so
+        the class coordinates are T . v on the representatives' rows.
         """
         fld = self.d.fld
         for si, c in v.items():
             if self.space.degree(si) != degree and not fld.is_zero(c):
                 raise LinearError("vector is not homogeneous of the stated degree")
-        if degree not in self._reduced:
-            idx = self.space.indices_of_degree(degree)
-            cols = self.reps.get(degree, []) + self._image.get(degree, [])
-            mat, pivots = rref(fld, [
-                [col.get(si, fld.zero) for col in cols]
-                + [fld.one if j == r else fld.zero for j in range(len(idx))]
-                for r, si in enumerate(idx)
-            ]) if idx else ([], [])
-            self._reduced[degree] = (idx, len(cols), mat,
-                                     [pc for pc in pivots if pc < len(cols)])
-        idx, ncols, mat, pivots = self._reduced[degree]
-        if not idx:
-            return [] if not v else None
-        tv = [fld.zero] * len(mat)
+        idx, t, rank, rep_rows = self._reduced.get(degree, ([], [], 0, []))
+        tv = [fld.zero] * len(t)
         for r, si in enumerate(idx):
             if not fld.is_zero(v.get(si, fld.zero)):
-                tv = [fld.add(t, fld.mul(row[ncols + r], v[si])) for t, row in zip(tv, mat)]
-        if any(not fld.is_zero(t) for t in tv[len(pivots):]):
+                tv = [fld.add(x, fld.mul(row[r], v[si])) for x, row in zip(tv, t)]
+        if any(not fld.is_zero(x) for x in tv[rank:]):
             return None
-        x = dict(zip(pivots, tv))
-        return [x.get(c, fld.zero) for c in range(len(self.reps.get(degree, [])))]
+        return [tv[i] for i in rep_rows]
 
 
 def cohomology(space: GradedSpace, d: GradedMap) -> Cohomology:
@@ -345,33 +342,23 @@ def cohomology(space: GradedSpace, d: GradedMap) -> Cohomology:
         si = sorted(dd.entries)[0][1]
         raise NotSquareZeroError(space.name(si))
     fld = d.fld
-    dims: Dict[int, int] = {}
-    reps: Dict[int, List[Vec]] = {}
-    image: Dict[int, List[Vec]] = {}
+    coh = Cohomology(space, d, {}, {})
     for deg in space.degrees():
-        idx = space.indices_of_degree(deg)
-        # cocycles in this degree
-        rows_out = space.indices_of_degree(deg + 1)
-        block = [[d.entries.get((ti, si), fld.zero) for si in idx] for ti in rows_out]
-        if rows_out:
-            null = nullspace_dense(fld, block)
-        else:
-            null = [[fld.one if j == i else fld.zero for j in range(len(idx))]
-                    for i in range(len(idx))]
-        cocycles = [{idx[j]: x for j, x in enumerate(v) if not fld.is_zero(x)} for v in null]
-        # boundaries from one degree below
-        below = space.indices_of_degree(deg - 1)
-        bnd = [d.apply({si: fld.one}) for si in below]
-        bnd = [v for v in bnd if v]
-        image[deg] = bnd
-        # representatives: cocycles adding new pivots past the boundary span
-        chosen: List[Vec] = []
-        pool = bnd + cocycles
-        rows = [[col.get(si, fld.zero) for col in pool] for si in idx]
-        _, pivots = rref(fld, rows) if idx else ([], [])
-        for p in pivots:
-            if p >= len(bnd):
-                chosen.append(cocycles[p - len(bnd)])
-        reps[deg] = chosen
-        dims[deg] = len(chosen)
-    return Cohomology(space, d, dims, reps, image)
+        rows_out, idx, block = _degree_block(d, deg)
+        null = nullspace_dense(fld, block) if rows_out else [
+            [fld.one if j == i else fld.zero for j in range(len(idx))]
+            for i in range(len(idx))]
+        _, below, bnd = _degree_block(d, deg - 1)
+        mat, pivots = rref(fld, [
+            bnd[r] + [v[r] for v in null]
+            + [fld.one if j == r else fld.zero for j in range(len(idx))]
+            for r in range(len(idx))])
+        npool = len(below) + len(null)
+        rank = sum(p < npool for p in pivots)
+        rep_rows = [i for i, p in enumerate(pivots[:rank]) if p >= len(below)]
+        coh.reps[deg] = [
+            {si: x for si, x in zip(idx, null[pivots[i] - len(below)])
+             if not fld.is_zero(x)} for i in rep_rows]
+        coh.dims[deg] = len(rep_rows)
+        coh._reduced[deg] = (idx, [row[npool:] for row in mat], rank, rep_rows)
+    return coh

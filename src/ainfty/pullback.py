@@ -113,8 +113,13 @@ def build_pullback_quiver(
     into the split model."""
     model = strict.model
     f = model.functor
-    pairs = {pair_name(x, y): (x, y) for x in model.base.objects
-             for y in g.source.objects if f.object_map[x] == g.object_map[y]}
+    pairs: Dict[str, Tuple[str, str]] = {}
+    for x, y in [(x, y) for x in model.base.objects for y in g.source.objects
+                 if f.object_map[x] == g.object_map[y]]:
+        if (name := pair_name(x, y)) in pairs:
+            raise AInftyError(f"pullback objects {pairs[name]} and {(x, y)} "
+                              f"share the name {name!r}")
+        pairs[name] = (x, y)
     objects = tuple(sorted(pairs))
     kernel = {(p1, p2): model.splits[(pairs[p1][0], pairs[p2][0])].kernel
               for p1 in objects for p2 in objects}

@@ -264,13 +264,13 @@ def strictify(functor: AInftyFunctor,
     as the written documents promise, by construction: the projection is
     strict and reads the A'-part, where Blocks.family puts F in phi."""
     model = build_split_model(functor)
-    base, split, tgt = (q.degree_interval() for q in (
-        model.base.quiver, model.quiver, model.functor.target.quiver))
-    # m and m.m on the base and the model; the functor equations of F,
-    # projection, phi and psi
+    # the model's hom Ker F1(x, y) + A'(Fx, Fy) has A(x, y)'s degrees, F1
+    # being degreewise split surjective, so its interval is the base's: m
+    # and m.m on both; the functor equations of F and projection, phi, psi
+    base, tgt = (q.degree_interval() for q in (
+        model.base.quiver, model.functor.target.quiver))
     bound, total = _choose_bound(
-        max_arity, (base, base, 2), (split, split, 2), (base, tgt, 1),
-        (split, tgt, 1), (base, split, 1), (split, base, 1))
+        max_arity, (base, base, 2), (base, tgt, 1), (base, base, 1))
     if bound < 2 and not total:
         raise StrictifyError(f"arity bound {bound} is below 2: "
                              "strict units need m2")

@@ -32,6 +32,8 @@ def _check_split(data, m):
 
 def _check_strictify(s, functor, max_arity=None):
     assert psi_phi_is_identity(s) and projection_phi_is_f(s) and phi_is_functor(s)
+    # strictify bounds the model's families by the base's degree interval
+    assert s.model.quiver.degree_interval() == s.model.base.quiver.degree_interval()
 
 
 def _check_pullback(p, f, g, max_arity=None):

@@ -902,6 +902,27 @@ def sq_functor(fld: Field) -> AInftyFunctor:
     return AInftyFunctor.build(m, a, ap)
 
 
+def discrete_category(fld: Field, objects: Tuple[str, ...]) -> AInftyCategory:
+    """hom(x, x) spanned by the unit 1 alone, and no other homs."""
+    q = GradedQuiver(fld, objects, {(x, x): GradedSpace((("1", 0),))
+                                    for x in objects})
+    comps = {(2, (x, x, x)): {(0, 0): {0: fld.one}} for x in objects}
+    return AInftyCategory.build(q, comps, units={x: {0: fld.one} for x in objects})
+
+
+def colliding_pair_functors(fld: Field) -> Tuple[AInftyFunctor, AInftyFunctor]:
+    """F: {a&b, a} -> {s, t} and G: {c, b&c} -> {s, t}, whose pullback
+    pairs (a&b, c) and (a, b&c) are both named a&b&c."""
+    tgt = discrete_category(fld, ("s", "t"))
+
+    def onto(src, object_map):
+        m = FormalMorphism(src.quiver, tgt.quiver, object_map, {
+            (1, (x, x)): {(0,): {0: fld.one}} for x in src.objects})
+        return AInftyFunctor.build(m, src, tgt)
+    return (onto(discrete_category(fld, ("a&b", "a")), {"a&b": "s", "a": "t"}),
+            onto(discrete_category(fld, ("c", "b&c")), {"c": "s", "b&c": "t"}))
+
+
 def short_f2_functor(units: bool) -> AInftyFunctor:
     """F = Id + F^2(e, 1) = t on the algebra of 1, e (degree 0) and t
     (degree -1) with the signed unit products only, certified to arity 2:

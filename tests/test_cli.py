@@ -19,6 +19,7 @@ from ainfty.fields import Field
 from ainfty.documents import load_category, serialize_category, serialize_functor
 
 from helpers import (
+    colliding_pair_functors,
     nilpotent_category,
     sq_functor,
     square_zero_extension,
@@ -182,6 +183,19 @@ def test_pullback_f1_failure_exit_one(tmp_path, capsys):
     code, rep = run(capsys, "pullback", str(tmp_path / "f.afun"),
                     str(tmp_path / "g.afun"), "--out", str(tmp_path / "o"))
     assert code == 1 and rep["checks"]["f1"]["verdict"] == "fail"
+
+
+def test_pullback_object_name_collision_exit_one(tmp_path, capsys):
+    f, g = colliding_pair_functors(QQ)
+    for name, cat in (("a.acat", f.source), ("b.acat", g.source),
+                      ("t.acat", f.target)):
+        (tmp_path / name).write_text(serialize_category(cat))
+    (tmp_path / "f.afun").write_text(serialize_functor(f, "a.acat", "t.acat"))
+    (tmp_path / "g.afun").write_text(serialize_functor(g, "b.acat", "t.acat"))
+    code, rep = run(capsys, "pullback", str(tmp_path / "f.afun"),
+                    str(tmp_path / "g.afun"), "--out", str(tmp_path / "o"))
+    assert code == 1 and rep["overall"] == "fail"
+    assert "share the name 'a&b&c'" in rep["error"]
 
 
 def test_induce_self_cone(tmp_path, capsys):

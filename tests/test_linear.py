@@ -257,7 +257,9 @@ def _coords_by_solve(coh, v, degree):
     fld = coh.d.fld
     idx = coh.space.indices_of_degree(degree)
     reps = coh.reps.get(degree, [])
-    cols = reps + coh._image.get(degree, [])
+    image = [coh.d.apply({si: fld.one})
+             for si in coh.space.indices_of_degree(degree - 1)]
+    cols = reps + image
     rows = [[col.get(si, fld.zero) for col in cols] for si in idx]
     rhs = [v.get(si, fld.zero) for si in idx]
     sol = solve_dense(fld, rows, rhs) if idx else ([] if not v else None)
@@ -315,6 +317,7 @@ def test_cohomology_coords_match_per_call_solve(fld, rng):
 
 
 def test_cohomology_coords_reduce_each_degree_once(qq, monkeypatch):
+    """coords reads the reduction cohomology made; it eliminates nothing."""
     sp = GradedSpace((("e", 0), ("t", -1), ("z", 0)))
     coh = cohomology(sp, GradedMap(qq, sp, sp, 1, {(0, 1): qq.one}))
     calls = []
@@ -324,7 +327,22 @@ def test_cohomology_coords_reduce_each_degree_once(qq, monkeypatch):
     for v in ({2: qq.one}, {0: qq.one}, {0: qq.one, 2: qq.from_int(2)}):
         coh.coords(v, 0)
     assert coh.coords({1: qq.one}, -1) is None
-    assert len(calls) == 2
+    assert len(calls) == 0
+
+
+@pytest.mark.parametrize("fld", [Field.rationals(), Field.prime(5)])
+def test_cohomology_eliminates_each_degree_at_most_twice(fld, rng, monkeypatch):
+    """Per degree, cohomology makes one rref for the cocycles (none when
+    the degree above is empty) and one for [boundaries | cocycles | I]."""
+    calls = []
+    real = linear_module.rref
+    monkeypatch.setattr(linear_module, "rref",
+                        lambda *a: calls.append(1) or real(*a))
+    for _ in range(10):
+        sp, d = _random_complex(fld, rng)
+        calls.clear()
+        cohomology(sp, d)
+        assert len(calls) <= 2 * len(sp.degrees())
 
 
 # -- sums reduced once ---------------------------------------------------------

@@ -45,6 +45,7 @@ from ainfty.strictify import strictify
 from helpers import (
     beta_two_step,
     bump_coefficient,
+    colliding_pair_functors,
     cyclic_garbage,
     doubled_object_functor,
     eval_basis,
@@ -137,6 +138,14 @@ def test_pullback_empty_when_images_disjoint():
     assert p.category.objects == ()
     rep = certify_fibration_closure(p)
     assert rep.sections["alpha_f1"].passed
+
+
+def test_pullback_object_names_must_not_collide():
+    # (a&b, c) and (a, b&c) would both be the object a&b&c
+    f, g = colliding_pair_functors(QQ)
+    with pytest.raises(AInftyError, match=r"\('a&b', 'c'\) and \('a', 'b&c'\) "
+                                          r"share the name 'a&b&c'"):
+        build_pullback(f, g)
 
 
 def test_pullback_quiver_one_object_inclusion():
