@@ -375,8 +375,8 @@ def functor_defect(morphism: FormalMorphism, source: AInftyCategory,
     f, m_a, m_b = morphism, source.structure, target.structure
     if m_a.target.objects != f.source.objects or f.target.objects != m_b.source.objects:
         raise QuiverError("functor_defect: F must map m_A's objects to m_B's")
-    flat = accumulate({}, 1, f, m_a.frm, m_a, m_a.to, max_arity)
-    accumulate(flat, -1, m_b, f, None, f, max_arity)
+    flat = accumulate({}, 1, f, m_a, max_arity)
+    accumulate(flat, -1, m_b, f, max_arity)
     for x in f.source.objects:
         for in_t, vec in m_b.component(0, (f.object_map[x],)).items():
             for oi, c in vec.items():

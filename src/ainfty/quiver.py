@@ -20,8 +20,10 @@ the stored dicts and filling in the dict passed to a constructor leaves the
 family as it was.  Vectors are shared, not copied: nothing writes into a
 vector it did not build.  `validate` also says whether every coefficient is
 reduced and nonzero, the canonical form that `build` stores.  The identity
-is a type, `Identity`, which the engine tests instead of the data; an
-identity built by hand is composed in full, with the same result.
+is a type, `Identity`, which the engine tests instead of the data.
+`compose_formal` and `r_compose` compose an identity built by hand in full,
+with the same result; a prenatural is inserted only between `Identity`
+endpoints (the double sum), and any other endpoints raise QuiverError.
 """
 from __future__ import annotations
 
@@ -295,70 +297,52 @@ def _flips(q: GradedQuiver, degree: int) -> Dict[Tuple[str, str, int], bool]:
 _Flat = Dict[Tuple[Tuple[str, ...], Tuple[int, ...], int], Scalar]
 
 
-def accumulate(flat: _Flat, sign: int, outer, right, ins: Optional[Prenatural],
-               left, max_arity: int) -> _Flat:
+def accumulate(flat: _Flat, sign: int, outer, blocks, max_arity: int) -> _Flat:
     """Add sign times the sum, under each component of `outer`, over words
-    of blocks into `flat`, and return `flat`.
+    of `blocks` into `flat`, and return `flat`.
 
-    With `ins` None the word is a plain block sum, every block from one
-    family (`right` and `left` are then the same family).  With a prenatural
-    `ins` the word has exactly one `ins` block: the blocks right of it
-    (applied first) come from `right`, the insertion's domain morphism, the
-    blocks left of it from `left`, its codomain morphism, and the insertion
-    carries the Koszul sign (-1)**((deg ins - 1) * reduced degree of the
-    inputs to its right), read off the outer's inputs once per (entry,
-    slot): a formal-morphism block's inputs (shift 1 - n) have the reduced
-    degree of its output.  A family given on both sides is inverted once;
-    when `right` and `left` are both an `Identity` the sum is a double sum.
+    A formal morphism `blocks` gives a plain block sum, every block from it.
+    A prenatural is inserted once among identity blocks, which is the double
+    sum (`_add_double_sum`); its endpoints must both be an `Identity`, or
+    QuiverError is raised, as the words between other endpoints are not
+    summed here.
 
-    The words under one (entry, slot) are swept one block at a time: each
-    partial word (end object, path, inputs, coefficient) is extended by the
-    entries of the next block's bucket that start at its end object and
-    leave room for the blocks after it (arity >= 1 each, an insertion 0).
-    No `Field` method runs per word: each adds its signed product into
-    `flat`, keyed (path, inputs, output index), so over F_p the sums stay
-    unreduced ints until `regroup` reduces them.
+    The block sum under one entry is swept one block at a time: each partial
+    word (end object, path, inputs, coefficient) is extended by the entries
+    of the next block's bucket that start at its end object and leave room
+    for the blocks after it (arity >= 1 each).  No `Field` method runs per
+    word: each adds its signed product into `flat`, keyed (path, inputs,
+    output index), so over F_p the sums stay unreduced ints until `regroup`
+    reduces them.
     """
-    if ins is not None and isinstance(right, Identity) and isinstance(left, Identity):
-        for _ in _add_double_sum(flat, sign, outer, ins, max_arity):
+    if isinstance(blocks, Prenatural):
+        if not (isinstance(blocks.frm, Identity) and isinstance(blocks.to, Identity)):
+            raise QuiverError("an inserted prenatural must go between Identity endpoints")
+        for _ in _add_double_sum(flat, sign, outer, blocks, max_arity):
             pass
         return flat
-    right_inv = _invert(right)
-    left_inv = right_inv if left is right else _invert(left)
-    ins_inv = None if ins is None else _invert(ins)
-    flips = {} if ins is None else _flips(outer.source, ins.degree)
+    inv = _invert(blocks)
     get = flat.get
     for (r, Y), table in outer.components.items():
         if r == 0:
             continue
         for in_t, out_vec in table.items():
-            # signs[k - 1]: sign times the sign of an insertion at slot k; it
-            # flips past each slot j < k whose input in_t[r - j] `flips` marks
-            signs = [sign] * r
-            if flips:
-                for k in range(1, r):
-                    odd = flips[(Y[k - 1], Y[k], in_t[r - k])]
-                    signs[k] = -signs[k - 1] if odd else signs[k - 1]
-            for k in ([None] if ins is None else range(1, r + 1)):
-                invs = ([left_inv] * r if k is None else
-                        [right_inv] * (k - 1) + [ins_inv] + [left_inv] * (r - k))
-                buckets = invs[0].get(((Y[0], Y[1]), in_t[r - 1]), {})
-                room = max_arity - (r - 1 - (k is not None and 1 < k))
-                words = [(epath[-1], epath, ein, ec)
-                         for lst in buckets.values() for epath, ein, ec in lst
-                         if len(ein) <= room]
-                for j in range(2, r + 1):
-                    buckets = invs[j - 1].get(((Y[j - 1], Y[j]), in_t[r - j]), {})
-                    room = max_arity - (r - j - (k is not None and j < k))
-                    words = [(epath[-1], path + epath[1:], ein + acc, coeff * ec)
-                             for end, path, acc, coeff in words
-                             for epath, ein, ec in buckets.get(end, ())
-                             if len(ein) + len(acc) <= room]
-                for oi, x in out_vec.items():
-                    x *= signs[k - 1 if k else 0]
-                    for _, path, acc, coeff in words:
-                        key = (path, acc, oi)
-                        flat[key] = get(key, 0) + coeff * x
+            room = max_arity - (r - 1)
+            words = [(epath[-1], epath, ein, ec)
+                     for lst in inv.get(((Y[0], Y[1]), in_t[r - 1]), {}).values()
+                     for epath, ein, ec in lst if len(ein) <= room]
+            for j in range(2, r + 1):
+                buckets = inv.get(((Y[j - 1], Y[j]), in_t[r - j]), {})
+                room = max_arity - (r - j)
+                words = [(epath[-1], path + epath[1:], ein + acc, coeff * ec)
+                         for end, path, acc, coeff in words
+                         for epath, ein, ec in buckets.get(end, ())
+                         if len(ein) + len(acc) <= room]
+            for oi, x in out_vec.items():
+                x *= sign
+                for _, path, acc, coeff in words:
+                    key = (path, acc, oi)
+                    flat[key] = get(key, 0) + coeff * x
     return flat
 
 
@@ -371,10 +355,9 @@ def regroup(fld: Field, flat: _Flat) -> Components:
     return result
 
 
-def _expand(outer, right, ins: Optional[Prenatural], left,
-            max_arity: int) -> Components:
+def _expand(outer, blocks, max_arity: int) -> Components:
     """`accumulate` into a fresh dict, regrouped."""
-    return regroup(right.source.fld, accumulate({}, 1, outer, right, ins, left, max_arity))
+    return regroup(blocks.source.fld, accumulate({}, 1, outer, blocks, max_arity))
 
 
 def double_sum(outer, ins: Prenatural, max_arity: int
@@ -391,7 +374,9 @@ def double_sum(outer, ins: Prenatural, max_arity: int
 def _add_double_sum(flat: _Flat, sign: int, outer, ins: Prenatural,
                     max_arity: int) -> Iterator[int]:
     """Add sign times the arity-n words of the double sum into `flat`, then
-    yield n, for n from 0 (when `ins` has an arity-0 part) or 1 to max_arity.
+    yield n, for n from 0 (when `ins` has an arity-0 part) or 1 to max_arity
+    or to the last arity a word reaches, widest outer arity - 1 + longest
+    insertion arity, whichever comes first.
 
     The double sum over (entry, slot k) of outer(..., ins(...), ...): an
     `ins` entry with e inputs in the bucket of slot k replaces that slot,
@@ -419,7 +404,7 @@ def _add_double_sum(flat: _Flat, sign: int, outer, ins: Prenatural,
     widest = max(rows, default=0)
     slots: Dict[int, list] = {}
     get = flat.get
-    for n in range(min(shortest, 1), max_arity + 1):
+    for n in range(min(shortest, 1), min(max_arity, widest - 1 + longest) + 1):
         for r in range(max(1, n + 1 - longest), min(n + 2 - shortest, widest + 1)):
             if r not in slots:
                 slots[r] = _slots(r, rows.get(r, ()), index, flips, sign)
@@ -456,16 +441,6 @@ def _slots(r: int, rows, index, flips, start: int) -> list:
     return out
 
 
-def _composites(g_frm: FormalMorphism, g_to: FormalMorphism, f_frm: FormalMorphism,
-                f_to: FormalMorphism, max_arity: int) -> Tuple[FormalMorphism, FormalMorphism]:
-    """The endpoints g_frm . f_frm and g_to . f_to of a composite; one
-    shared object when both pairs share theirs."""
-    frm = compose_formal(g_frm, f_frm, max_arity)
-    if g_frm is g_to and f_frm is f_to:
-        return frm, frm
-    return frm, compose_formal(g_to, f_to, max_arity)
-
-
 def compose_formal(g: FormalMorphism, f: FormalMorphism, max_arity: int) -> FormalMorphism:
     """Composition (g . f)^n as the partition sum over blocks of f.
 
@@ -478,7 +453,7 @@ def compose_formal(g: FormalMorphism, f: FormalMorphism, max_arity: int) -> Form
         return f
     other = f if isinstance(g, Identity) else g if isinstance(f, Identity) else None
     if other is None:
-        comps = _expand(g, f, None, f, max_arity)
+        comps = _expand(g, f, max_arity)
     else:
         comps = {key: table for key, table in other.components.items()
                  if key[0] <= max_arity}
@@ -487,48 +462,37 @@ def compose_formal(g: FormalMorphism, f: FormalMorphism, max_arity: int) -> Form
 
 
 def r_compose(f: FormalMorphism, t: Prenatural, max_arity: int) -> Prenatural:
-    """Precompose a prenatural with a formal morphism: t^r over f-blocks."""
+    """Precompose a prenatural with a formal morphism: t^r over f-blocks,
+    between the endpoints t.frm . f and t.to . f (one object when t's are)."""
     if f.target.objects != t.source.objects:
         raise QuiverError("r_compose: target(f) must be the prenatural's source")
-    comps = _expand(t, f, None, f, max_arity)
+    comps = _expand(t, f, max_arity)
     for x in f.source.objects:
         table = t.components.get((0, (f.object_map[x],)))
         if table:
             comps[(0, (x,))] = table
-    frm, to = _composites(t.frm, t.to, f, f, max_arity)
+    frm = compose_formal(t.frm, f, max_arity)
+    to = frm if t.to is t.frm else compose_formal(t.to, f, max_arity)
     return Prenatural(frm, to, t.degree, comps)
 
 
-def _insert(outer, outer_frm: FormalMorphism, outer_to: FormalMorphism,
-            outer_degree: int, t: Prenatural, max_arity: int) -> Prenatural:
-    """outer over words with one t-block: t.to-blocks left of the insertion,
-    t.frm-blocks right of it.  A formal morphism enters as its own endpoints
-    with degree 1, so the result has degree outer_degree + deg t - 1."""
-    comps = _expand(outer, t.frm, t, t.to, max_arity)
-    frm, to = _composites(outer_frm, outer_to, t.frm, t.to, max_arity)
-    return Prenatural(frm, to, outer_degree + t.degree - 1, comps)
-
-
 def l_compose(f: FormalMorphism, t: Prenatural, max_arity: int) -> Prenatural:
-    """Postcompose: f^j over words with one t-block among endpoint blocks.
-
-    Blocks left of the insertion come from t's codomain morphism, blocks
-    right of it from t's domain morphism; the insertion carries the Koszul
-    sign (-1)**((deg t - 1) * reduced degree of the inputs to its right).
-    """
+    """Postcompose: f^j over words with one t-block among identity blocks,
+    the double sum, between f and f; t's endpoints must be an `Identity`."""
     if t.target.objects != f.source.objects:
         raise QuiverError("l_compose: the prenatural must land in source(f)")
-    return _insert(f, f, f, 1, t, max_arity)
+    return Prenatural(f, f, t.degree, _expand(f, t, max_arity))
 
 
 def compose_prenatural(d: Prenatural, d_prime: Prenatural, max_arity: int) -> Prenatural:
-    """The coderivation composite: d^r over blocks with one d'-insertion.
-
-    The result has degree deg(d) + deg(d') - 1 (bar degrees add).
-    """
+    """The coderivation composite: d^r over words with one d'-insertion
+    among identity blocks, between d's own endpoints; d''s endpoints must be
+    an `Identity`.  The result has degree deg(d) + deg(d') - 1 (bar degrees
+    add)."""
     if d_prime.target.objects != d.source.objects:
         raise QuiverError("compose_prenatural: endpoint mismatch")
-    return _insert(d, d.frm, d.to, d.degree, d_prime, max_arity)
+    return Prenatural(d.frm, d.to, d.degree + d_prime.degree - 1,
+                      _expand(d, d_prime, max_arity))
 
 
 # -- evaluation --------------------------------------------------------------

@@ -42,7 +42,6 @@ from .quiver import (
     compose_formal,
     eval_multilinear,
     identity_formal,
-    r_compose,
     regroup,
 )
 
@@ -222,13 +221,17 @@ def transport_structure(model: SplitModel, phi: FormalMorphism,
 
     phi . m = m_model . phi holds by construction, as psi is phi's two-sided
     inverse to max_arity (see build_phi_psi): phi . m = phi . m . psi . phi
-    = m_model . phi, so strictify derives phi's equation.  The endpoints
-    phi . psi are the identity: the sum is regrouped under the model's
-    `Identity`, phi . psi unformed."""
+    = m_model . phi, so strictify derives phi's equation.  Bar composition
+    is associative, so the sum is (phi . m) . psi: the double sum phi . m
+    between phi and phi, then its block sum over psi.  Its endpoints phi .
+    psi are the identity: it is regrouped under the model's `Identity`,
+    phi . psi unformed."""
+    fld = model.quiver.fld
+    phi_m = Prenatural(phi, phi, 2, regroup(
+        fld, accumulate({}, 1, phi, model.base.structure, max_arity)))
     ident = identity_formal(model.quiver)
-    inner = r_compose(psi, model.base.structure, max_arity)
-    conj = accumulate({}, 1, phi, inner.frm, inner, inner.to, max_arity)
-    return Prenatural(ident, ident, 2, regroup(model.quiver.fld, conj))
+    return Prenatural(ident, ident, 2, regroup(
+        fld, accumulate({}, 1, phi_m, psi, max_arity)))
 
 
 def strict_projection(model: SplitModel, transported: AInftyCategory,

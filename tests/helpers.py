@@ -750,6 +750,15 @@ def outer_after_words(outer, quiver: GradedQuiver, max_arity: int,
     return comps
 
 
+def outer_after_insertion(outer, quiver: GradedQuiver, t: Prenatural,
+                          max_arity: int) -> Components:
+    """outer after the insertion of t on every word of the quiver up to
+    max_arity; t's endpoints need not be identities, which the engine
+    refuses to insert between."""
+    return outer_after_words(outer, quiver, max_arity,
+                             lambda w: insertion_expand_word(t, w))
+
+
 def coderivation_expand_combo(pren: Prenatural,
                               combo: Dict[Word, Scalar]) -> Dict[Word, Scalar]:
     fld = pren.source.fld
@@ -1293,13 +1302,15 @@ def f1_strict(f: AInftyFunctor) -> FormalMorphism:
 
 
 def transported_structure_two_step(s, max_arity: int) -> Prenatural:
-    """decompose . (phi . m . psi) . recompose: m conjugated on the base
-    quiver first, then carried into model coordinates."""
+    """(decompose . ((phi . m) . psi)) . recompose: m conjugated on the base
+    quiver first, under its identity as phi . psi = Id, then carried into
+    model coordinates."""
     phi, psi = strictification_base_phi_psi(s, max_arity)
     m = s.model.base.structure
-    m_hat = l_compose(phi, r_compose(psi, m, max_arity), max_arity)
-    return l_compose(s.model.decompose,
-                     r_compose(s.model.recompose, m_hat, max_arity), max_arity)
+    m_hat = r_compose(psi, l_compose(phi, m, max_arity), max_arity)
+    m_hat = Prenatural(m.frm, m.to, 2, m_hat.components)
+    return r_compose(s.model.recompose,
+                     l_compose(s.model.decompose, m_hat, max_arity), max_arity)
 
 
 def beta_two_step(p, max_arity: int) -> FormalMorphism:

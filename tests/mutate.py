@@ -28,19 +28,26 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 # (name, file under src/ainfty, exact snippet, replacement, test subset)
 MUTANTS = [
     # -- the contraction engine
-    ("accumulate drops arity-0 room", "quiver.py",
-     "room = max_arity - (r - 1 - (k is not None and 1 < k))",
-     "room = max_arity - (r - 1)", ["tests/test_quiver.py"]),
-    ("accumulate sign flip", "quiver.py",
-     "signs[k] = -signs[k - 1] if odd else signs[k - 1]",
-     "signs[k] = signs[k - 1]", ["tests/test_quiver.py"]),
+    ("accumulate inserts between any endpoints", "quiver.py",
+     "if not (isinstance(blocks.frm, Identity) and isinstance(blocks.to, Identity)):",
+     "if False:", ["tests/test_quiver.py"]),
     ("_slots sign flip", "quiver.py",
      "if flips and flips[key]:\n                    sign = -sign",
      "if flips and flips[key]:\n                    sign = sign",
      ["tests/test_quiver.py"]),
     ("double sum starts at arity 1", "quiver.py",
-     "for n in range(min(shortest, 1), max_arity + 1):",
-     "for n in range(1, max_arity + 1):", ["tests/test_quiver.py"]),
+     "for n in range(min(shortest, 1), min(max_arity, widest - 1 + longest) + 1):",
+     "for n in range(1, min(max_arity, widest - 1 + longest) + 1):",
+     ["tests/test_quiver.py"]),
+    ("double sum stops one arity short", "quiver.py",
+     "min(max_arity, widest - 1 + longest)", "min(max_arity, widest - 2 + longest)",
+     ["tests/test_quiver.py"]),
+    ("double sum yields one arity past the last word", "quiver.py",
+     "min(max_arity, widest - 1 + longest)", "min(max_arity, widest + longest)",
+     ["tests/test_quiver.py"]),
+    ("double sum arity-0 reach", "quiver.py",
+     "min(n + 2 - shortest, widest + 1)", "min(n + 2 - max(shortest, 1), widest + 1)",
+     ["tests/test_quiver.py"]),
     ("_flips parity", "quiver.py",
      "if (degree - 1) % 2 == 0:", "if (degree - 1) % 2 == 1:",
      ["tests/test_quiver.py"]),
@@ -61,8 +68,8 @@ MUTANTS = [
      "flat[((x,), in_t, oi)] = flat.get(((x,), in_t, oi), 0) + c",
      ["tests/test_core.py"]),
     ("functor_defect m_B.F sign", "core.py",
-     "accumulate(flat, -1, m_b, f, None, f, max_arity)",
-     "accumulate(flat, 1, m_b, f, None, f, max_arity)", ["tests/test_core.py"]),
+     "accumulate(flat, -1, m_b, f, max_arity)",
+     "accumulate(flat, 1, m_b, f, max_arity)", ["tests/test_core.py"]),
     ("_certify_structure one arity short", "core.py",
      "double_sum(structure, structure, max_arity)),",
      "double_sum(structure, structure, max_arity - 1)),", ["tests/test_core.py"]),
@@ -110,8 +117,8 @@ MUTANTS = [
      "minus = fld.from_int(-1)", "minus = fld.from_int(1)",
      ["tests/test_strictify.py"]),
     ("transport sign", "strictify.py",
-     "conj = accumulate({}, 1, phi, inner.frm, inner, inner.to, max_arity)",
-     "conj = accumulate({}, -1, phi, inner.frm, inner, inner.to, max_arity)",
+     "accumulate({}, 1, phi_m, psi, max_arity)",
+     "accumulate({}, -1, phi_m, psi, max_arity)",
      ["tests/test_strictify.py"]),
     ("Blocks.vec keeps the whole kernel vector", "strictify.py",
      "out = {i: c for i, c in k.items() if i < kdim}", "out = dict(k)",

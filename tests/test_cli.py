@@ -497,6 +497,18 @@ def test_validate_max_arity_caps_bound(capsys):
     assert rep["checks"][str(GOLDEN / "a.acat")]["details"]["arity_bound"] == 2
 
 
+@pytest.mark.parametrize("command, doc", [("validate", "a.acat"),
+                                          ("classify", "f.afun")])
+def test_huge_max_arity_returns_one_report(capsys, command, doc):
+    # the sums stop at the last arity a word reaches, so a bound of 10**9
+    # answers at once, and is reported as given
+    code, rep = run(capsys, command, str(GOLDEN / doc),
+                    "--max-arity", "1000000000")
+    assert code == 0 and rep["overall"] == "pass"
+    details = rep if command == "classify" else rep["checks"][str(GOLDEN / doc)]["details"]
+    assert details["arity_bound"] == 10 ** 9
+
+
 @pytest.mark.parametrize("command, args", [
     ("validate", ["{d}/a.acat", "--max-arity", "-3"]),
     ("pullback", ["{d}/f.afun", "{d}/g.afun", "--out", "{d}/o",

@@ -500,8 +500,8 @@ def _by_hand(cat):
 def _defect_cases(rng, fld):
     """(F, A, B, bound, small): an F1 functor twisted to F^2 != 0 and a
     twisted strict one (defect 0), each with one coefficient bumped, and
-    random morphisms between unchecked categories with arity-0 parts, one
-    of them over a hand-built identity; small cases take the oracle."""
+    a random morphism between unchecked categories with arity-0 parts;
+    small cases take the oracle."""
     for f in (random_f1_functor(rng, fld),
               twisted_functor(sq_functor(fld), rng, max_arity=3)):
         bound = min(f.arity_bound, 3)
@@ -516,7 +516,6 @@ def _defect_cases(rng, fld):
     a, b = _curved(rng, qa, 2), _curved(rng, qb, 2)
     f = random_formal_morphism(rng, qa, qb, max_arity=2, density=0.7)
     yield f, a, b, 2, True
-    yield f, _by_hand(a), b, 2, True
 
 
 def _oracle_defect(f, a, b, bound):
@@ -543,7 +542,8 @@ def _oracle_defect(f, a, b, bound):
 def test_functor_defect_is_one_sum_of_both_sides(seed, p):
     # the one-accumulator defect equals the public composition
     # l_compose(F, m_A) - r_compose(F, m_B) and, on small cases, the word
-    # oracle; its endpoints are F, and build raises the reference witness
+    # oracle; its endpoints are F, and build raises the reference witness.
+    # m_A over a hand-built identity is not inserted
     rng = random.Random(seed)
     fld = QQ if p == 0 else Field.prime(p)
     for f, a, b, bound, small in _defect_cases(rng, fld):
@@ -558,6 +558,8 @@ def test_functor_defect_is_one_sum_of_both_sides(seed, p):
             assert {x for (n, (x, *_)) in right.components if n == 0} == set(
                 a.objects)
             assert defect.components == _oracle_defect(f, a, b, bound)
+            with pytest.raises(QuiverError, match="between Identity endpoints"):
+                functor_defect(f, _by_hand(a), b, bound)
         if not want.components:
             assert AInftyFunctor.build(f, a, b, bound).arity_bound == bound
         else:
@@ -567,8 +569,8 @@ def test_functor_defect_is_one_sum_of_both_sides(seed, p):
 
 
 def test_functor_defect_over_a_hand_built_identity(monkeypatch):
-    # a source structure over a hand-built identity takes the block sweep
-    # with an insertion instead of the double sum, with the same defect
+    # a source structure over a hand-built identity is refused before any
+    # sum: F . m_A is the double sum, which needs Identity endpoints
     rng = random.Random(7)
     qa, qb = _loop_quiver(rng, F5, ("x0",)), _loop_quiver(rng, F5, ("y0", "y1"))
     a, b = _curved(rng, qa, 3), _curved(rng, qb, 3)
@@ -579,7 +581,8 @@ def test_functor_defect_over_a_hand_built_identity(monkeypatch):
     def no_double_sum(*args):
         raise AssertionError("double sum over a hand-built identity")
     monkeypatch.setattr(quiver, "_add_double_sum", no_double_sum)
-    assert functor_defect(f, _by_hand(a), b, 3) == defect
+    with pytest.raises(QuiverError, match="between Identity endpoints"):
+        functor_defect(f, _by_hand(a), b, 3)
 
 
 def test_functor_defect_endpoint_mismatch():

@@ -740,16 +740,15 @@ def _while_in(monkeypatch, module, name):
 
 
 def test_readme_engine_call_counts(monkeypatch):
-    # an endpoint shared by frm and to is composed once, and a functor
-    # defect is one sum whose endpoints are F, with no composite
+    # m . m keeps m's own endpoints, and a functor defect is one sum whose
+    # endpoints are F: neither forms a composite
     golden = pathlib.Path(__file__).parent / "golden" / "readme"
     f = load_functor(str(golden / "f.afun")).functor
     g = load_functor(str(golden / "g.afun")).functor
     bound = f.source.arity_bound
     composed = _count_calls(monkeypatch, "compose_formal")
     structure_defect(f.source.structure, bound)
-    assert len(composed) == 1
-    composed.clear()
+    assert len(composed) == 0
     functor_defect(f.morphism, f.source, f.target, bound)
     assert len(composed) == 0
 
@@ -768,7 +767,8 @@ def test_readme_engine_call_counts(monkeypatch):
         monkeypatch.setattr(cls, "build", staticmethod(certified))
 
     # the pullback structure and the transported structure are closed
-    # forms: one right-hand side, and one conjugation phi . m . psi
+    # forms: one right-hand side, and one conjugation (phi . m) . psi summed
+    # by the engine itself, with no r_compose
     engine = {}
     inside_of = {}
     for module, name in (("ainfty.pullback", "build_pullback_structure"),
@@ -785,26 +785,26 @@ def test_readme_engine_call_counts(monkeypatch):
         monkeypatch, "compose_formal",
         when=lambda: not (certifying or inside_of["strictify"]
                           or inside_of["build_pullback_structure"]))
-    # strictify composes only in model coordinates: N - 1 times solving psi
-    # and once for the endpoints of m . psi; psi . phi = Id and projection .
-    # phi = F are derived; the transport sums phi . (m . psi) under the
-    # model's identity and forms no phi . psi; no decompose/recompose operand
+    # strictify composes only in model coordinates, N - 1 times solving psi;
+    # psi . phi = Id and projection . phi = F are derived; the transport
+    # sums (phi . m) . psi under the model's identity and forms no endpoint
+    # composite; no decompose/recompose operand
     strictify_composed = _count_calls(
         monkeypatch, "compose_formal",
         when=lambda: bool(inside_of["strictify"]) and not certifying)
     p = build_pullback(f, g)
     assert p.arity_bound > 1
     strict = p.strictification
-    assert len(strictify_composed) == strict.arity_bound
+    assert len(strictify_composed) == strict.arity_bound - 1
     assert not any(arg is strict.model.decompose or arg is strict.model.recompose
                    for args in strictify_composed for arg in args)
     assert {key: len(calls) for key, calls in engine.items()} == {
         ("build_pullback_structure", "r_compose"): 1,
         ("build_pullback_structure", "l_compose"): 0,
-        ("transport_structure", "r_compose"): 1,
+        ("transport_structure", "r_compose"): 0,
         ("transport_structure", "l_compose"): 0,
         # strictify transports once, straight into model coordinates
-        ("strictify", "r_compose"): 1,
+        ("strictify", "r_compose"): 0,
         ("strictify", "l_compose"): 0,
     }
     # beta is one composite, psi_functor . product

@@ -33,6 +33,7 @@ from helpers import (
     engine_defect_map,
     eval_basis,
     insertion_expand_word,
+    outer_after_insertion,
     outer_after_words,
     random_flat_prenatural,
     random_formal_morphism,
@@ -236,8 +237,9 @@ def test_identity_endpoint_double_sum_matches_oracles(seed, field, degree, bound
 @settings(max_examples=25, deadline=None)
 def test_double_sum_stream_matches_oracles(seed, field, bound):
     """The double sum one arity at a time: the arities run without a gap
-    from 0 (when the insertion has an arity-0 part) or 1 up to the bound,
-    each part is the whole sum restricted to its arity, and the merged parts
+    from 0 (when the insertion has an arity-0 part) or 1 up to the bound or
+    the last arity a word reaches, whichever comes first, each part is the
+    whole sum restricted to its arity, and the merged parts
     are compose_prenatural and the dense oracles: the word expansion for an
     insertion with arity-0 parts, the explicit double sum for m . m."""
     rng = random.Random(seed)
@@ -256,7 +258,9 @@ def test_double_sum_stream_matches_oracles(seed, field, bound):
         whole = compose_prenatural(outer, ins, bound)
         parts = list(quiver.double_sum(outer, ins, bound))
         start = 1 if ins.is_flat() else 0
-        assert [n for n, _ in parts] == list(range(start, bound + 1))
+        reach = max((n for n, _ in outer.components), default=0) - 1 + max(
+            (n for n, _ in ins.components), default=0)
+        assert [n for n, _ in parts] == list(range(start, min(bound, reach) + 1))
         merged = {}
         for n, part in parts:
             assert part == {key: tb for key, tb in whole.components.items()
@@ -281,9 +285,8 @@ def test_validate_range_checks_input_indices(qq):
 
 
 def test_structure_defect_makes_no_invert_call(monkeypatch):
-    # the double sum indexes the structure in its own pass, and the identity
-    # endpoints compose without the engine, so the block sweep's index is
-    # never built
+    # the double sum indexes the structure in its own pass, and m . m keeps
+    # m's own endpoints, so the block sweep's index is never built
     golden = pathlib.Path(__file__).parent / "golden" / "readme" / "a.acat"
     cat = parse_category(golden.read_text(), "a.acat")
 
@@ -292,6 +295,18 @@ def test_structure_defect_makes_no_invert_call(monkeypatch):
     monkeypatch.setattr(quiver, "_invert", no_invert)
     assert not structure_defect(cat.structure, cat.arity_bound).components
     assert [n for n, _ in quiver.double_sum(cat.structure, cat.structure, 3)] == [1, 2, 3]
+
+
+def test_double_sum_stops_at_the_last_arity_a_word_reaches():
+    # a word of m . m has arity at most widest - 1 + widest, so a bound of
+    # 10**9 yields the same parts as that arity, and no more
+    golden = pathlib.Path(__file__).parent / "golden" / "readme" / "a.acat"
+    m = parse_category(golden.read_text(), "a.acat").structure
+    widest = max(n for n, _ in m.components)
+    parts = list(quiver.double_sum(m, m, 10 ** 9))
+    assert len(parts) <= widest + widest
+    assert parts == list(quiver.double_sum(m, m, 2 * widest - 1))
+    assert [n for n, _ in parts] == list(range(1, 2 * widest))
 
 
 def test_identity_operand_composes_without_the_engine(monkeypatch):
@@ -318,7 +333,8 @@ def test_identity_operand_composes_without_the_engine(monkeypatch):
 def test_identity_is_known_by_its_type(monkeypatch):
     # an Identity takes its quiver alone; the same data built by hand is
     # composed in full and gives the same composites, and the composite of
-    # two identities is an Identity
+    # two identities is an Identity.  A prenatural is inserted only between
+    # Identity values: one between hand-built identities is refused
     rng = random.Random(5)
     q = small_quiver(rng, n_objects=2, max_dim=2)
     ident = identity_formal(q)
@@ -343,8 +359,15 @@ def test_identity_is_known_by_its_type(monkeypatch):
     assert compose_formal(g, hand, 2) == g == compose_formal(hand, g, 2)
     assert [id(f) for f in swept] == [id(g), id(hand)]
     mm = compose_prenatural(m, m, 3)
-    assert mm.components and compose_prenatural(m_hand, m_hand, 3) == mm
-    assert [id(t) for t in summed] == [id(m)]
+    assert mm.components and compose_prenatural(m_hand, m, 3) == mm
+    assert [id(t) for t in summed] == [id(m), id(m_hand)]
+    for insert in (lambda: compose_prenatural(m_hand, m_hand, 3),
+                   lambda: compose_prenatural(m, m_hand, 3),
+                   lambda: l_compose(g, m_hand, 3),
+                   lambda: quiver.accumulate({}, 1, m, m_hand, 3)):
+        with pytest.raises(QuiverError, match="between Identity endpoints"):
+            insert()
+    assert len(summed) == 2
 
 
 def test_near_identities_are_composed_in_full(qq):
@@ -460,21 +483,25 @@ def test_law_3_r_r_composes(seed):
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=15, deadline=None)
 def test_law_4_l_l_composes(seed):
-    _, _, _, f, g, da, db, dc = _setup_lr(None, seed)
+    # L_f(d) lies between f and f, so L_g of it is the word oracle
+    qa, _, _, f, g, da, db, dc = _setup_lr(None, seed)
     bound = 4
-    lhs = l_compose(g, l_compose(f, da, bound), bound)
+    lhs = outer_after_insertion(g, qa, l_compose(f, da, bound), bound)
     rhs = l_compose(compose_formal(g, f, bound), da, bound)
-    assert lhs == rhs
+    assert lhs == rhs.components
 
 
 @given(st.integers(0, 10 ** 6))
 @settings(max_examples=15, deadline=None)
 def test_law_5_l_r_commute(seed):
-    _, _, _, f, g, da, db, dc = _setup_lr(None, seed)
+    # (g . d) . f = g . (d . f), the associativity that the transport
+    # (phi . m) . psi rests on; R_f(d) lies between f and f, so L_g of it
+    # is the word oracle
+    qa, _, _, f, g, da, db, dc = _setup_lr(None, seed)
     bound = 4
-    lhs = l_compose(g, r_compose(f, db, bound), bound)
+    lhs = outer_after_insertion(g, qa, r_compose(f, db, bound), bound)
     rhs = r_compose(f, l_compose(g, db, bound), bound)
-    assert lhs == rhs
+    assert lhs == rhs.components
 
 
 @given(st.integers(0, 10 ** 6))
@@ -503,8 +530,8 @@ def test_law_2_r_of_square(seed):
     d = random_flat_prenatural(rng, qb, degree=2, max_arity=2)
     bound = 4
     lhs = r_compose(f, compose_prenatural(d, d, bound), bound)
-    rhs = compose_prenatural(d, r_compose(f, d, bound), bound)
-    assert lhs == rhs
+    rhs = outer_after_insertion(d, qa, r_compose(f, d, bound), bound)
+    assert lhs.components == rhs
 
 
 @given(st.integers(0, 10 ** 6))
@@ -518,9 +545,9 @@ def test_mixed_module_identity(seed):
     da = random_flat_prenatural(rng, qa, degree=rng.choice([1, 2, 3]), max_arity=2)
     db = random_flat_prenatural(rng, qb, degree=rng.choice([1, 2, 3]), max_arity=2)
     bound = 4
-    lhs = compose_prenatural(db, l_compose(f, da, bound), bound)
+    lhs = outer_after_insertion(db, qa, l_compose(f, da, bound), bound)
     rhs = compose_prenatural(r_compose(f, db, bound), da, bound)
-    assert lhs == rhs
+    assert lhs == rhs.components
 
 
 def test_degree_bookkeeping_validates(rng):
@@ -548,7 +575,9 @@ def _differing_endpoints(rng, src, tgt):
 @given(st.integers(0, 10 ** 6), st.sampled_from(sorted(FIELDS)))
 @settings(max_examples=25, deadline=None)
 def test_differing_endpoints_match_bar_oracle(seed, field):
-    # t: f => g with f != g; g-blocks left of the insertion, f-blocks right
+    # t: f => g with f != g precomposes with k against the bar oracle, and
+    # an outer d: p => q takes an insertion between identities against the
+    # word oracle, keeping its own endpoints; inserting t is refused
     rng = random.Random(seed)
     q0, qa, qb, qc = (small_quiver(rng, FIELDS[field], n_objects=2, max_dim=3)
                       for _ in range(4))
@@ -559,18 +588,19 @@ def test_differing_endpoints_match_bar_oracle(seed, field):
     k = _nonzero(random_formal_morphism(rng, q0, qa, max_arity=2, density=0.9))
     p, q = map(_nonzero, _differing_endpoints(rng, qb, qc))
     d = _nonzero(random_prenatural(rng, p, q, rng.choice([1, 2]), 0, 2, density=0.9))
+    ident = identity_formal(qb)
+    s = _nonzero(random_prenatural(rng, ident, ident, rng.choice([1, 2]), 0, 2,
+                                   density=0.9))
     bound = 3
-
-    def insertion(w):
-        return insertion_expand_word(t, w)
-
-    lt = l_compose(h, t, bound)
-    assert lt.components == outer_after_words(h, qa, bound, insertion)
-    assert (lt.frm, lt.to) == (compose_formal(h, f, bound), compose_formal(h, g, bound))
-    dt = compose_prenatural(d, t, bound)
-    assert dt.components == outer_after_words(d, qa, bound, insertion)
-    assert (dt.frm, dt.to) == (compose_formal(p, f, bound), compose_formal(q, g, bound))
-    assert dt.degree == d.degree + t.degree - 1
+    for insert in (lambda: l_compose(h, t, bound),
+                   lambda: compose_prenatural(d, t, bound),
+                   lambda: quiver.accumulate({}, 1, h, t, bound)):
+        with pytest.raises(QuiverError, match="between Identity endpoints"):
+            insert()
+    ds = compose_prenatural(d, s, bound)
+    assert ds.components == outer_after_words(
+        d, qb, bound, lambda w: insertion_expand_word(s, w))
+    assert ds.frm is p and ds.to is q and ds.degree == d.degree + s.degree - 1
     rt = r_compose(k, t, bound)
     assert rt.components == outer_after_words(
         t, q0, bound, lambda w: bar_expand_word(k, w))
@@ -578,22 +608,25 @@ def test_differing_endpoints_match_bar_oracle(seed, field):
 
 
 def test_arity_zero_insertion_with_endpoints_at_the_bound():
-    # t has only an arity-0 part and its endpoints reach arity 3 = the
-    # bound, so a word can give one endpoint block all the room that the
-    # empty insertion block leaves: l_compose(h, t, 3) must keep it.  A
-    # room test that charges the insertion block one input drops such
-    # words, and differs from the oracle on seeds 1, 7, 9 and 11
+    # t has only an arity-0 part, between identities, and h has entries of
+    # arity 4 = the bound + 1: an empty insertion block in one of their
+    # slots gives a word of arity 3, which l_compose(h, t, 3) must keep.
+    # A double sum that reads only outer entries of arity <= n drops them
+    reached = 0
     for seed in range(12):
         rng = random.Random(seed)
-        qa, qb, qc = (small_quiver(rng, F5, n_objects=2, max_dim=3)
-                      for _ in range(3))
-        f = random_formal_morphism(rng, qa, qb, max_arity=3, density=0.9)
-        g = random_formal_morphism(rng, qa, qb, max_arity=3, density=0.9,
-                                   object_map=dict(f.object_map))
-        t = random_prenatural(rng, f, g, rng.choice([1, 2]), 0, 0, density=0.9)
-        h = random_formal_morphism(rng, qb, qc, max_arity=3, density=0.9)
+        qa, qc = (stepped_quiver(rng, F5, 2) for _ in range(2))
+        x = qa.objects[0]
+        b = rng.randrange(qa.space(x, x).dim)
+        ident = identity_formal(qa)
+        degree = qa.space(x, x).degree(b)
+        t = random_prenatural(rng, ident, ident, degree, 0, 0, density=0.9)
+        t = Prenatural(ident, ident, degree, {**t.components, (0, (x,)): {(): {b: F5.one}}})
+        h = random_formal_morphism(rng, qa, qc, max_arity=4, density=0.9)
+        reached += any(n == 4 for n, _ in h.components)
         assert l_compose(h, t, 3).components == outer_after_words(
             h, qa, 3, lambda w: insertion_expand_word(t, w)), seed
+    assert reached >= 8
 
 
 @given(st.integers(0, 10 ** 6))
@@ -608,13 +641,16 @@ def test_shared_endpoint_equals_copied_endpoint(seed):
     k = random_formal_morphism(rng, q0, qa, max_arity=2, density=0.9)
     d = random_flat_prenatural(rng, qb, 2, 2, density=0.9)
     bound = 3
-    for op in (lambda t: l_compose(h, t, bound),
-               lambda t: r_compose(k, t, bound),
-               lambda t: compose_prenatural(d, t, bound)):
-        a, b = op(shared), op(copied)
-        assert a.components == b.components and a.degree == b.degree
-        assert a.frm == b.frm and a.to == b.to
-        assert a.frm is a.to and b.frm is not b.to
+    a, b = r_compose(k, shared, bound), r_compose(k, copied, bound)
+    assert a.components == b.components and a.degree == b.degree
+    assert a.frm == b.frm and a.to == b.to
+    assert a.frm is a.to and b.frm is not b.to
+    # neither is inserted: their endpoints are not identities
+    for t in (shared, copied):
+        for insert in (lambda: l_compose(h, t, bound),
+                       lambda: compose_prenatural(d, t, bound)):
+            with pytest.raises(QuiverError, match="between Identity endpoints"):
+                insert()
 
 
 # -- deferred reduction ----------------------------------------------------------
@@ -634,12 +670,12 @@ def _assert_reduced(fam):
 @settings(max_examples=25, deadline=None)
 def test_results_hold_reduced_nonzero_coefficients(seed, field):
     """Every coefficient the four entry points store is nonzero, and over
-    F_p a residue in [1, p), through the sweep and the identity-endpoint
-    double sum, with and without the insertion sign."""
+    F_p a residue in [1, p), through the block sum and the double sum, with
+    and without the insertion sign; t between f and g is not inserted."""
     rng = random.Random(seed)
     fld = FIELDS[field]
     qa, qb, qc = (stepped_quiver(rng, fld, 2) for _ in range(3))
-    ident = identity_formal(qb)
+    ident, qa_ident = identity_formal(qb), identity_formal(qa)
     f = _nonzero(random_formal_morphism(rng, qa, qb, 2, density=0.9))
     g = _nonzero(random_formal_morphism(rng, qa, qb, 2, density=0.9,
                                         object_map=dict(f.object_map)))
@@ -650,9 +686,13 @@ def test_results_hold_reduced_nonzero_coefficients(seed, field):
     d = _nonzero(random_prenatural(rng, ident, ident, 2, 1, 3, density=0.9))
     bound = 4
     for result in (compose_formal(h, f, bound), r_compose(f, s, bound),
-                   l_compose(h, t, bound), l_compose(h, s, bound),
-                   compose_prenatural(d, t, bound), compose_prenatural(d, s, bound)):
+                   r_compose(f, d, bound), r_compose(qa_ident, t, bound),
+                   l_compose(h, s, bound), compose_prenatural(d, s, bound)):
         _assert_reduced(result)
+    for insert in (lambda: l_compose(h, t, bound),
+                   lambda: compose_prenatural(d, t, bound)):
+        with pytest.raises(QuiverError, match="between Identity endpoints"):
+            insert()
 
 
 @pytest.mark.parametrize("field", sorted(FIELDS))
@@ -701,6 +741,8 @@ def test_compose_prenatural_leaves_no_garbage_cycles():
     assert m.frm is m.to and m.frm.components == ident.components
     t0 = random_prenatural(rng, ident, ident, 1, 0, 2, density=0.9)
     assert any(n == 0 for n, _ in t0.components)
+    with pytest.raises(QuiverError, match="between Identity endpoints"):
+        l_compose(g, t, 4)
     calls = {
         "compose_prenatural": lambda: compose_prenatural(m, m, 4),
         "compose_prenatural, identity endpoints, arity 0":
@@ -710,7 +752,6 @@ def test_compose_prenatural_leaves_no_garbage_cycles():
         "r_compose": lambda: r_compose(u, m, 4),
         "r_compose, differing endpoints": lambda: r_compose(u, t, 4),
         "l_compose": lambda: l_compose(u, m, 4),
-        "l_compose, differing endpoints": lambda: l_compose(g, t, 4),
         "paths": lambda: list(q.paths(3)),
         "basis_tuples": lambda: [list(q.basis_tuples(objs)) for objs in q.paths(3)],
     }

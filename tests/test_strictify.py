@@ -321,11 +321,12 @@ def test_projection_display():
 
 
 def test_strict_input_transport_degenerates():
-    # if F is strict the transported structure is the conjugated original
+    # if F is strict the transported structure is the conjugated original,
+    # associated as (decompose . m) . recompose
     f = sq_functor(QQ)
     s = strictify(f)
-    conj = l_compose(s.model.decompose,
-                     r_compose(s.model.recompose, f.source.structure, 4), 4)
+    conj = r_compose(s.model.recompose,
+                     l_compose(s.model.decompose, f.source.structure, 4), 4)
     assert s.transported.structure == conj
 
 
