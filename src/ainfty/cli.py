@@ -216,7 +216,7 @@ def cmd_pullback(args) -> int:
     checks["structure_squares_to_zero"] = CheckReport("pass")
     checks["square_commutativity"] = CheckReport("pass")
     if p.category.units is not None:
-        # AInftyCategory.build raises unless the units pass check_strict_units
+        # AInftyCategory.derived raises unless the units pass check_strict_units
         checks["unit_closure"] = CheckReport("pass")
     fib = certify_fibration_closure(
         p,

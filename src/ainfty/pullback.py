@@ -4,10 +4,10 @@ The pullback quiver has objects (x, y) with F0 x = G0 y and homs
 Ker(F1)(x1, x2) (+) A''(y1, y2): the split model's `Blocks` layout over a
 second quiver, which owns every block read and write here.  Its structure
 m_P is a closed form: m'' on the A''-parts plus the kernel part of
-m_model . (Id_K x G).  Only m_P . m_P = 0 is certified, the headline
-verdict.  Three lemmas derive the functors, each up to the pullback's
-bound, from it, from strictify's values and from premises that
-`certify_premise` checks first:
+m_model . (Id_K x G).  Nothing about P is certified: four lemmas derive
+the functors and then m_P . m_P = 0, each up to the pullback's bound, from
+strictify's values and from premises that `certify_premise` checks first
+(G's equation and m'' . m'' = 0):
 
 - alpha, the strict projection onto A'', is a functor with no premise:
   m_P's A''-part is m'' lifted, so alpha . m_P = m'' . alpha entry for
@@ -19,6 +19,13 @@ bound, from it, from strictify's values and from premises that
   equation holds by construction; its A'-part is G . alpha, whose equation
   follows from G's (the premise) and the strict projection model -> A'.
   beta = psi . (Id_K x G) is then a composite of functors.
+- m_P . m_P = 0.  The two lemmas above do not use it, so each projection
+  F, alpha or Id_K x G, has F o b_P^2 = b^2 o F = 0 on the bar
+  constructions: m'' . m'' = 0 is a premise, and m_model . m_model =
+  phi.m.m.psi = 0 is derived in strictify.  At the lowest arity n where
+  D = m_P . m_P is nonzero, the arity-n part of F o b_P^2 is F^1 D^n; the
+  two arity-1 maps are jointly injective (the kernel-block lemma), so
+  D = 0 by induction on the arity.
 - A commuting cone induces N with cone_l as its A''-part and the kernel
   part of phi . cone_i on the kernel, so alpha . N = cone_l and
   (Id_K x G) . N = phi . cone_i, both functors once the legs are (the
@@ -46,7 +53,7 @@ from .core import (
     CheckReport,
     EssentialCertificate,
     IsoLiftCertificate,
-    _certify_structure,
+    F1Result,
     _choose_bound,
     certify_premise,
     check_F1,
@@ -157,12 +164,14 @@ def build_pullback_structure(
     max_arity: int,
 ) -> Prenatural:
     """m'' on the A''-parts plus the kernel part of m_model . (Id_K x G),
-    from one r_compose for every arity.  build_pullback certifies its
-    self-composition and derives the functors (see the module docstring)."""
+    from one r_compose for every arity, solved at the arities present in
+    rhs or m'' only.  build_pullback derives its self-composition and the
+    functors (see the module docstring)."""
     ident = identity_formal(blocks.quiver)
     rhs = r_compose(product, m_model, max_arity)
     comps: Components = {}
-    for n in range(1, max_arity + 1):
+    for n in sorted({n for n, _ in (*rhs.components, *g.source.structure.components)
+                     if 1 <= n <= max_arity}):
         comps.update(solve_pullback_arity(blocks, rhs, g, n))
     return Prenatural(ident, ident, 2, comps)
 
@@ -173,13 +182,15 @@ def build_pullback(
     max_arity: Optional[int] = None,
 ) -> PullbackCategory:
     """The pullback category with both projections; F is strictified on
-    check_F1's splits.  m_P . m_P = 0 and G's equation are certified, alpha
-    and beta derived (see the module docstring).  F1Error when F1 fails.
-    m_P is made by the package from canonical parts (regrouped sums, m''
-    as `build` stored it), so it is certified, not admitted again.
+    check_F1's splits.  G's equation and m'' . m'' = 0 are certified, m_P's
+    relation, alpha and beta derived (see the module docstring).  F1Error
+    when F1 fails.  m_P is made by the package from canonical parts
+    (regrouped sums, m'' as `build` stored it), so it is not admitted again.
     The square commutes by construction: F . beta = F . psi . (Id_K x G) =
     projection . (Id_K x G) = G . alpha, by strictify's projection . phi = F
-    and psi = phi^-1, and as the product morphism's A'-part is G . alpha."""
+    and psi = phi^-1, and as the product morphism's A'-part is G . alpha.
+    alpha's F1 splits are read off the block layout
+    (`Blocks.projection_splits`), not eliminated."""
     if not same_category(g.target, f.target):
         raise AInftyError("the two functors must share their target")
     f1 = check_F1(f)
@@ -192,6 +203,7 @@ def build_pullback(
     bound, total = _choose_bound(max_arity, (iv, iv, 1), (iv, iv, 2))
     strict = strictify(f, max_arity=bound)
     certify_premise(g, bound)
+    certify_premise(g.source, bound)
     blocks, product, pairs = build_pullback_quiver(strict, g)
     splits = strict.model.splits
     structure = build_pullback_structure(
@@ -206,9 +218,9 @@ def build_pullback(
                           g.source.unit_vec(y))
             for p, (x, y) in pairs.items()
         }
-    _certify_structure(structure, bound)
     category = AInftyCategory.derived(structure, units, bound)
     alpha = AInftyFunctor.derived(blocks.projection(), category, g.source, bound)
+    alpha._f1 = F1Result(True, blocks.projection_splits())
     beta = strict.psi_functor.compose(
         AInftyFunctor.derived(product, category, strict.transported, bound))
     return PullbackCategory(category, alpha, beta, product, blocks, pairs,

@@ -131,6 +131,30 @@ class Blocks:
         comps = self.lift(identity_formal(self.other).components)
         return FormalMorphism(self.quiver, self.other, dict(self.over), comps)
 
+    def projection_splits(self) -> Dict[Pair, SplitData]:
+        """The projection's arity-1 splits per pair, read off the layout:
+        the kernel is the kernel block, named ker{k} in (degree, column)
+        order, include and retract are its coordinates, and the section is
+        m |-> (0, m).  They are split_surjection's: per degree, [M | I] with
+        M = [0 | I] is already reduced, its pivots the M-columns, so the
+        free columns are the kernel block's and no pivot row touches them."""
+        fld = self.quiver.fld
+        one = fld.one
+        out: Dict[Pair, SplitData] = {}
+        for x, y in itertools.product(self.quiver.objects, repeat=2):
+            src = self.quiver.space(x, y)
+            tgt = self.other.space(self.over[x], self.over[y])
+            kdim, mdim = self.kdims[(x, y)], tgt.dim
+            cols = list(enumerate(sorted(range(kdim), key=src.degree)))
+            kernel = GradedSpace(tuple((f"ker{k}", src.degree(c)) for k, c in cols))
+            out[(x, y)] = SplitData(
+                GradedMap(fld, src, tgt, 0, {(i, kdim + i): one for i in range(mdim)}),
+                kernel,
+                GradedMap(fld, kernel, src, 0, {(c, k): one for k, c in cols}),
+                GradedMap(fld, src, kernel, 0, {(k, c): one for k, c in cols}),
+                GradedMap(fld, tgt, src, 0, {(kdim + i, i): one for i in range(mdim)}))
+        return out
+
 
 def _columns(*maps: GradedMap) -> Dict[Tuple[int, ...], Vec]:
     """The arity-1 table of the block row [maps[0] | maps[1] | ...]."""
@@ -189,9 +213,12 @@ def build_phi_psi(model: SplitModel, max_arity: int
     kernel part of decompose is r1, so phi is the family of the two.
     psi^1 = recompose; phi . psi = Id solved arity by arity gives psi^n =
     -s1 . (F . psi)^n for n >= 2, composed while psi^n is still zero and
-    read with the section of the split at the block's end objects.
-    psi . phi = Id follows: formal morphisms with invertible arity-1 parts
-    form a group up to any bound, so phi's right inverse is its inverse.
+    read with the section of the split at the block's end objects.  A word
+    of two or more psi-blocks under F reaches at most F's widest arity times
+    psi's widest, so past that psi^n and every later arity are zero and the
+    loop stops.  psi . phi = Id follows: formal morphisms with invertible
+    arity-1 parts form a group up to any bound, so phi's right inverse is
+    its inverse.
     """
     base = model.base
     fld = base.fld
@@ -202,7 +229,10 @@ def build_phi_psi(model: SplitModel, max_arity: int
                          model.blocks.family(model.decompose.components, f_n))
     minus = fld.from_int(-1)
     psi_comps: Components = dict(model.recompose.components)
+    f_widest = max((n for n, _ in f.components), default=0)
     for n in range(2, max_arity + 1):
+        if n > f_widest * max((m for m, _ in psi_comps), default=0):
+            break
         psi = FormalMorphism(model.quiver, base.quiver, dict(ident_map), psi_comps)
         for (m, objs), table in compose_formal(f, psi, n).components.items():
             if m == n:

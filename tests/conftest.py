@@ -12,11 +12,13 @@ from ainfty.core import H0Category
 from ainfty.fields import Field
 
 from helpers import (
+    alpha_splits_are_eliminated,
     h0_is_iso_by_classes,
     kernel_block_is_identity,
     phi_is_functor,
     projection_phi_is_f,
     psi_phi_is_identity,
+    pullback_squares_to_zero,
     split_identity_failures,
     square_commutes,
     structure_is_admissible,
@@ -39,6 +41,7 @@ def _check_strictify(s, functor, max_arity=None):
 def _check_pullback(p, f, g, max_arity=None):
     assert square_commutes(p) and kernel_block_is_identity(p)
     assert structure_is_admissible(p.category)
+    assert pullback_squares_to_zero(p) and alpha_splits_are_eliminated(p)
 
 
 def _check_induce(rep, p, cone_i, cone_l):

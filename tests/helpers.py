@@ -25,6 +25,7 @@ from ainfty.linear import (
     Vec,
     rref,
     solve_dense,
+    split_surjection,
     vec_add,
     vec_scale,
 )
@@ -34,6 +35,7 @@ from ainfty.core import (
     CheckReport,
     arity1_map,
     functor_defect,
+    structure_defect,
 )
 from ainfty.pullback import build_pullback, induce_functor
 from ainfty.quiver import (
@@ -1395,6 +1397,21 @@ def structure_is_admissible(cat: AInftyCategory) -> bool:
     """What `AInftyCategory.build` would admit of a category's structure:
     well-formed, canonical and flat."""
     return cat.structure.validate() and cat.structure.is_flat()
+
+
+def pullback_squares_to_zero(p) -> bool:
+    """m_P . m_P = 0 up to a PullbackCategory's bound."""
+    return structure_defect(p.category.structure,
+                            p.arity_bound).first_nonzero() is None
+
+
+def alpha_splits_are_eliminated(p) -> bool:
+    """alpha's recorded F1 splits of a PullbackCategory are the ones
+    split_surjection finds on its arity-1 maps."""
+    alpha, f1 = p.alpha, p.alpha._f1
+    return f1 is not None and f1.passed and f1.splits == {
+        (x, y): split_surjection(arity1_map(alpha.morphism, x, y))
+        for x, y in itertools.product(alpha.source.objects, repeat=2)}
 
 
 def square_commutes(p) -> bool:

@@ -116,6 +116,13 @@ MUTANTS = [
     ("build_phi_psi minus", "strictify.py",
      "minus = fld.from_int(-1)", "minus = fld.from_int(1)",
      ["tests/test_strictify.py"]),
+    ("psi recursion stops at the reach itself", "strictify.py",
+     "if n > f_widest * max(", "if n >= f_widest * max(",
+     ["tests/test_strictify.py"]),
+    ("layout section without the kernel offset", "strictify.py",
+     "{(kdim + i, i): one for i in range(mdim)}",
+     "{(i, i): one for i in range(mdim)}",
+     ["tests/test_pullback.py"]),
     ("transport sign", "strictify.py",
      "accumulate({}, 1, phi_m, psi, max_arity)",
      "accumulate({}, -1, phi_m, psi, max_arity)",
@@ -126,6 +133,11 @@ MUTANTS = [
     ("id_K coefficient", "pullback.py",
      "id_k = {(1, pair): {(i,): {i: one} for i in range(kdim)}",
      "id_k = {(1, pair): {(i,): {i: 2 * one} for i in range(kdim)}",
+     ["tests/test_pullback.py"]),
+    ("pullback premise m''.m'' = 0 dropped", "pullback.py",
+     "    certify_premise(g.source, bound)\n", "", ["tests/test_strictify.py"]),
+    ("pullback loop leaves arity 1 out", "pullback.py",
+     "if 1 <= n <= max_arity}", "if 1 < n <= max_arity}",
      ["tests/test_pullback.py"]),
     ("cone check skipped", "pullback.py",
      "if bad is not None:\n        raise ConeError(*bad)",

@@ -342,7 +342,8 @@ def _counted(monkeypatch, module, names):
 
 def test_readme_cohomology_and_f1_computed_once(tmp_path, monkeypatch, capsys):
     # F1 and each hom's cohomology are computed once per functor and pair;
-    # under pullback F and G share their target, loaded once
+    # under pullback F and G share their target, loaded once, and alpha's
+    # splits are read off the pullback's block layout, not eliminated
     calls = _counted(monkeypatch, "ainfty.linear", ["cohomology", "split_surjection"])
     for name in README_INPUTS:
         shutil.copy(GOLDEN / name, tmp_path / name)
@@ -355,7 +356,7 @@ def test_readme_cohomology_and_f1_computed_once(tmp_path, monkeypatch, capsys):
         assert code == 0
         counts[command] = dict(calls)
     assert counts == {"classify": {"cohomology": 3, "split_surjection": 1},
-                      "pullback": {"cohomology": 4, "split_surjection": 2}}
+                      "pullback": {"cohomology": 4, "split_surjection": 1}}
 
 
 def _named_categories(docs):
@@ -507,6 +508,37 @@ def test_huge_max_arity_returns_one_report(capsys, command, doc):
     assert code == 0 and rep["overall"] == "pass"
     details = rep if command == "classify" else rep["checks"][str(GOLDEN / doc)]["details"]
     assert details["arity_bound"] == 10 ** 9
+
+
+def _without_bound(text):
+    """A report or document without its arity-bound lines."""
+    return [line for line in text.splitlines()
+            if not line.startswith("maxarity") and '"arity_bound"' not in line]
+
+
+def test_huge_max_arity_constructions_return_one_report(tmp_path, capsys):
+    # psi's recursion and the pullback's arity loop stop where the data
+    # stops: strictify, pullback and induce at a bound of 10**9 answer with
+    # one report each, the bound as given, and the reports and documents of
+    # bound 6 but for the bound itself
+    outputs = {}
+    for bound in ("6", "1000000000"):
+        work = tmp_path / bound
+        work.mkdir()
+        for name in README_INPUTS:
+            shutil.copy(GOLDEN / name, work / name)
+        for command, args, written in README_RUNS[2:]:
+            argv = [a if a.startswith("--") else str(work / a) for a in args]
+            code = main([command, *argv, "--max-arity", bound])
+            out = capsys.readouterr().out
+            rep = json.loads(out)
+            assert code == 0 and rep["overall"] == "pass"
+            details = rep["checks"].get("strictification", {}).get("details", rep)
+            assert details["arity_bound"] == int(bound)
+            texts = [out] + [(work / rel).read_text() for rel in written]
+            outputs.setdefault(bound, []).extend(
+                _without_bound(t.replace(str(work), "<tmp>")) for t in texts)
+    assert outputs["1000000000"] == outputs["6"]
 
 
 @pytest.mark.parametrize("command, args", [

@@ -23,7 +23,6 @@ from ainfty.core import (
     AInftyError,
     AInftyFunctor,
     FunctorDefectError,
-    StructureDefectError,
     check_F1,
     check_strict_units,
     functor_defect,
@@ -57,6 +56,7 @@ from helpers import (
     pasting_mismatches,
     point_category,
     product_mismatches,
+    pullback_squares_to_zero,
     pullback_structure_by_recursion,
     random_diffeo,
     random_dg_category,
@@ -643,9 +643,10 @@ def test_one_step_transport_and_beta_match_two_step(char):
 
 @pytest.mark.parametrize("arity", [1, 2, 3])
 def test_tampered_kernel_block_is_rejected(monkeypatch, arity):
-    # the closed-form structure is not re-checked, and beta's functor
-    # equation is derived from it; the pullback's m.m = 0 must still catch
-    # a wrong kernel-block coefficient
+    # the closed-form structure is not re-checked: m_P . m_P = 0 and beta's
+    # functor equation are derived from it; the oracle that conftest.py
+    # runs on every pullback recomputes m_P . m_P and rejects a wrong
+    # kernel-block coefficient
     pullback = importlib.import_module("ainfty.pullback")
     f, g = twisted_pair(seed=3)
     solve = pullback.solve_pullback_arity
@@ -661,8 +662,9 @@ def test_tampered_kernel_block_is_rejected(monkeypatch, arity):
         return bump_coefficient(g.source.fld, comps, n, kernel_block)
 
     monkeypatch.setattr(pullback, "solve_pullback_arity", tampered)
-    with pytest.raises(StructureDefectError):
-        build_pullback(f, g, max_arity=3)
+    # the construction itself, without the oracle conftest.py wraps it in
+    p = inspect.unwrap(pullback.build_pullback)(f, g, max_arity=3)
+    assert not pullback_squares_to_zero(p)
 
 
 def _coefficients(obj):
@@ -785,8 +787,10 @@ def test_readme_engine_call_counts(monkeypatch):
         monkeypatch, "compose_formal",
         when=lambda: not (certifying or inside_of["strictify"]
                           or inside_of["build_pullback_structure"]))
-    # strictify composes only in model coordinates, N - 1 times solving psi;
-    # psi . phi = Id and projection . phi = F are derived; the transport
+    # strictify composes only in model coordinates, solving psi up to F's
+    # widest arity times psi's, never for the README's strict F (psi^1
+    # alone: test_psi_recursion_stops_where_the_words_stop counts a twisted
+    # F); psi . phi = Id and projection . phi = F are derived; the transport
     # sums (phi . m) . psi under the model's identity and forms no endpoint
     # composite; no decompose/recompose operand
     strictify_composed = _count_calls(
@@ -795,7 +799,8 @@ def test_readme_engine_call_counts(monkeypatch):
     p = build_pullback(f, g)
     assert p.arity_bound > 1
     strict = p.strictification
-    assert len(strictify_composed) == strict.arity_bound - 1
+    assert max(n for n, _ in f.morphism.components) == 1
+    assert len(strictify_composed) == 0
     assert not any(arg is strict.model.decompose or arg is strict.model.recompose
                    for args in strictify_composed for arg in args)
     assert {key: len(calls) for key, calls in engine.items()} == {
@@ -811,8 +816,7 @@ def test_readme_engine_call_counts(monkeypatch):
     assert len(composed) == 1
     assert composed[0][1] is p.product_morphism
     # strictify derives phi's functor equation and the rest; build_pullback
-    # certifies m_P . m_P = 0 without admitting m_P, and derives alpha and
-    # beta: neither calls a builder
+    # derives m_P . m_P = 0, alpha and beta: neither calls a builder
     assert builds == []
 
     # composites and identities are derived from their operands' equations
@@ -856,8 +860,9 @@ def test_unreduced_units_keep_strict_unitality():
 
 def test_readme_pullback_admits_nothing_twice(monkeypatch):
     # `build` is the one admission step: the README pullback validates no
-    # family, in strictify or anywhere else, and certifies m_P . m_P = 0
-    # once; a premise certified past its bound is not validated either
+    # family, in strictify or anywhere else, and sums no m . m, m_P . m_P
+    # = 0 being derived; a premise certified past its bound is not
+    # validated either
     golden = pathlib.Path(__file__).parent / "golden" / "readme"
     f = load_functor(str(golden / "f.afun")).functor
     g = load_functor(str(golden / "g.afun")).functor
@@ -872,15 +877,12 @@ def test_readme_pullback_admits_nothing_twice(monkeypatch):
     monkeypatch.setattr(quiver, "_validate_family",
                         lambda fam, *args: validated.append(fam)
                         or validate(fam, *args))
-    for mod in (core, importlib.import_module("ainfty.pullback")):
-        monkeypatch.setattr(mod, "_certify_structure",
-                            lambda m, n: certified.append(m) or certify(m, n))
+    monkeypatch.setattr(core, "_certify_structure",
+                        lambda m, n: certified.append(m) or certify(m, n))
     # the construction itself: the oracles conftest.py runs on its result
     # validate m_P on purpose
-    p = inspect.unwrap(build_pullback)(f, g)
-    assert validated == []
-    assert len(certified) == 1 and certified[0] is p.category.structure
-    certified.clear()
+    inspect.unwrap(build_pullback)(f, g)
+    assert validated == [] and certified == []
     core.certify_premise(short, 3)
     assert validated == [] and certified == [short.structure]
 

@@ -62,6 +62,8 @@ from helpers import (
     sq_functor,
     square_zero_extension,
     strictification_base_phi_psi,
+    terminal_category,
+    to_terminal,
     twist_structure,
     twisted_functor,
 )
@@ -425,10 +427,16 @@ def test_phi_psi_oracles_reject_tampering():
 
 def test_source_premise_is_certified_to_the_bound():
     # m.m = 0 on the source up to the bound is the premise of the derived
-    # transported category; a shorter certified bound is extended first
+    # transported category, and on G's source of the pullback's derived
+    # relation; a shorter certified bound is extended first, and fails with
+    # the source's own witness (along the terminal category's identity the
+    # pullback is the source itself, under other object names)
     f = _non_associative_identity()
     assert f.source.arity_bound == 2 and not f.source.total
-    for run in (strictify, lambda f: build_pullback(f, f)):
+    term = terminal_category(F5)
+    for run in (strictify, lambda f: build_pullback(f, f),
+                lambda f: build_pullback(AInftyFunctor.identity(term),
+                                         to_terminal(f.source, term))):
         with pytest.raises(StructureDefectError) as exc:
             run(f)
         assert exc.value.witness == (3, ("o",) * 4, (0, 0, 0))
@@ -637,6 +645,27 @@ def test_phi_psi_in_model_coordinates(fld, seed):
             got = {key: t for key, t in psi.components.items() if key[0] == n}
             assert got == want
         assert compose_formal(phi, psi, bound) == identity_formal(model.quiver)
+
+
+def test_psi_recursion_stops_where_the_words_stop(monkeypatch):
+    # psi^n = -s1 . (F . psi)^n needs a word of two or more psi-blocks
+    # under F, which reaches at most F's widest arity times psi's widest: a
+    # strict F composes nothing, and a twisted F with F^2 and psi^2 solves
+    # n = 2, ..., N while N <= 4, then stops however high the bound
+    calls = []
+    compose = STRICTIFY.compose_formal
+    monkeypatch.setattr(STRICTIFY, "compose_formal",
+                        lambda g, f, n: calls.append(n) or compose(g, f, n))
+    model = build_split_model(sq_functor(QQ))
+    assert build_phi_psi(model, 10 ** 9)[1] == model.recompose and calls == []
+    model = build_split_model(fixture_functor())
+    psis = {}
+    for bound in (3, 4, 8, 10 ** 9):
+        calls.clear()
+        psis[bound] = build_phi_psi(model, bound)[1]
+        assert calls == list(range(2, min(bound, 4) + 1))
+    assert max(n for n, _ in psis[4].components) == 2
+    assert psis[8] == psis[10 ** 9] == psis[4]
 
 
 def test_shifted_phi_coefficient_is_rejected(monkeypatch):
