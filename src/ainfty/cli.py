@@ -213,18 +213,18 @@ def cmd_pullback(args) -> int:
         return _finish(_report_json("pullback", checks), args.strict)
     checks["f1"] = CheckReport("pass")
     p = build_pullback(f, g, max_arity=args.max_arity)
-    checks["structure_squares_to_zero"] = CheckReport("pass")
-    checks["square_commutativity"] = CheckReport("pass")
+    # build_pullback returns only once these hold (ainfty.pullback's lemmas;
+    # AInftyCategory.derived runs check_strict_units on P's units)
+    checks["structure_squares_to_zero"] = CheckReport.derived(
+        "pullback.projections_injective", ["G's equation", "m''.m'' = 0"])
+    checks["square_commutativity"] = CheckReport.derived(
+        "pullback.square", ["projection.phi = F", "psi.phi = Id"])
     if p.category.units is not None:
-        # AInftyCategory.derived raises unless the units pass check_strict_units
-        checks["unit_closure"] = CheckReport("pass")
+        checks["unit_closure"] = CheckReport.derived(
+            "pullback.unit_pairs", ["F strictly unital", "G strictly unital"])
     fib = certify_fibration_closure(
-        p,
-        f_isolifts=certs.resolve_isolifts("F", f),
-        f_essentials=certs.resolve_essentials("F", f),
-        alpha_isolifts=certs.resolve_isolifts("alpha", p.alpha),
-        alpha_essentials=certs.resolve_essentials("alpha", p.alpha),
-    )
+        p, f_isolifts=certs.resolve_isolifts("F", f),
+        f_essentials=certs.resolve_essentials("F", f))
     checks.update(fib.sections)
     _write(args.out, {
         "pullback.acat": serialize_category(p.category),

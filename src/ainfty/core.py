@@ -88,6 +88,13 @@ class CheckReport:
     def passed(self) -> bool:
         return self.verdict == "pass"
 
+    @staticmethod
+    def derived(lemma: str, premises: Sequence[str]) -> "CheckReport":
+        """A clause that follows by `lemma` from `premises`, which are
+        certified or passed: a pass that names both, not a recomputation."""
+        return CheckReport("pass", [], {"method": "derived", "lemma": lemma,
+                                        "premises": list(premises)})
+
 
 def combined_verdict(verdicts: Iterable[str]) -> str:
     """fail if any verdict fails, pass if all pass, undecided otherwise."""
@@ -794,10 +801,6 @@ class QEReport:
     verdict: str
     hom_level: CheckReport
     essential: CheckReport
-
-    @property
-    def passed(self) -> bool:
-        return self.verdict == "pass"
 
 
 def check_quasi_equivalence(

@@ -19,8 +19,9 @@ strictify's values and from premises that `certify_premise` checks first
   equation holds by construction; its A'-part is G . alpha, whose equation
   follows from G's (the premise) and the strict projection model -> A'.
   beta = psi . (Id_K x G) is then a composite of functors.
-- m_P . m_P = 0.  The two lemmas above do not use it, so each projection
-  F, alpha or Id_K x G, has F o b_P^2 = b^2 o F = 0 on the bar
+- m_P . m_P = 0 (pullback.projections_injective).  The two lemmas above
+  do not use it, so each projection F, alpha or Id_K x G, has
+  F o b_P^2 = b^2 o F = 0 on the bar
   constructions: m'' . m'' = 0 is a premise, and m_model . m_model =
   phi.m.m.psi = 0 is derived in strictify.  At the lowest arity n where
   D = m_P . m_P is nonzero, the arity-n part of F o b_P^2 is F^1 D^n; the
@@ -39,10 +40,12 @@ target and F's or G's source, and the two legs' sources.  A mismatch is an
 AInftyError before any engine call.  The one exact check kept is the cone,
 F . cone_i = G . cone_l, a premise.  The square, the kernel block and the
 triangles are derived (build_pullback, build_pullback_quiver,
-UniversalReport), not recomputed.
+UniversalReport), not recomputed, and so are alpha's fibration clauses,
+from F's (certify_fibration_closure).
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -60,9 +63,6 @@ from .core import (
     check_isofibration,
     check_quasi_equivalence,
     combined_verdict,
-    _essential_surjectivity,
-    _hom_level_quasi_iso,
-    kernel_acyclicity,
     same_category,
 )
 from .quiver import (
@@ -186,11 +186,14 @@ def build_pullback(
     relation, alpha and beta derived (see the module docstring).  F1Error
     when F1 fails.  m_P is made by the package from canonical parts
     (regrouped sums, m'' as `build` stored it), so it is not admitted again.
-    The square commutes by construction: F . beta = F . psi . (Id_K x G) =
-    projection . (Id_K x G) = G . alpha, by strictify's projection . phi = F
-    and psi = phi^-1, and as the product morphism's A'-part is G . alpha.
-    alpha's F1 splits are read off the block layout
-    (`Blocks.projection_splits`), not eliminated."""
+    pullback.square, the square commutes by construction: F . beta =
+    F . psi . (Id_K x G) = projection . (Id_K x G) = G . alpha, by
+    strictify's projection . phi = F and psi = phi^-1, and as the product
+    morphism's A'-part is G . alpha.  pullback.layout_split: alpha's F1
+    splits are read off the block layout (`Blocks.projection_splits`), not
+    eliminated.  pullback.unit_pairs: with F and G strictly unital, P's
+    units are the pairs (r 1_x, 1_y), which AInftyCategory.derived checks
+    with check_strict_units."""
     if not same_category(g.target, f.target):
         raise AInftyError("the two functors must share their target")
     f1 = check_F1(f)
@@ -300,20 +303,62 @@ class FibrationReport:
     sections: Dict[str, CheckReport]
 
 
+# alpha's clauses: the F clauses each is reported under, and the name of its
+# lemma in certify_fibration_closure's docstring
+_F2, _QE = "f_isofibration", "f_quasi_equivalence"
+ALPHA_CLAUSES = {
+    "alpha_isofibration_isofib": ((_F2,), "pullback.alpha_lifts_isos"),
+    "alpha_kernel_acyclicity_ff": ((_F2, _QE), "pullback.alpha_kernel_is_Fs"),
+    "alpha_hom_level_ff": ((_F2, _QE), "pullback.alpha_split_acyclic_kernel"),
+    "alpha_essential_surjectivity_exsurj": ((_F2, _QE),
+                                            "pullback.alpha_lifts_objects"),
+}
+
+
 def certify_fibration_closure(
     p: PullbackCategory,
     f_isolifts: Optional[List[IsoLiftCertificate]] = None,
     f_essentials: Optional[List[EssentialCertificate]] = None,
     alpha_isolifts: Optional[List[IsoLiftCertificate]] = None,
-    alpha_essentials: Optional[List[EssentialCertificate]] = None,
 ) -> FibrationReport:
-    """F1 closure unconditionally; F2 and acyclicity clause by clause."""
-    sections: Dict[str, CheckReport] = {}
-    alpha_f1 = check_F1(p.alpha)
-    sections["alpha_f1"] = CheckReport(
-        "pass" if alpha_f1.passed else "fail",
-        [] if alpha_f1.passed else [str(alpha_f1.failure)],
-    )
+    """alpha's fibration clauses, derived from F's; nothing about P is
+    computed.
+
+    alpha's F1 holds by its block layout (pullback.layout_split: the
+    section m -> (0, m) splits alpha1 onto, build_pullback).  With units on
+    F, G and P, F's F2 and quasi-equivalence are computed, and each clause
+    of ALPHA_CLAUSES is reported as derived once the F clauses it names
+    pass: F2 under F's F2, the other three under F's F2 and
+    quasi-equivalence, the hypotheses of the closure theorem.  All four
+    lemmas rest on one fact: P's arity-1 complex is the fibre product
+    A x_{A'} A'' through phi1 = (r1, F1), so 0 -> P -> A (+) A'' -> A' -> 0
+    is exact (Weibel, An Introduction to Homological Algebra, 1.3).
+
+    - pullback.alpha_kernel_is_Fs: alpha's kernel complex is F's kernel
+      complex, acyclic because F1 is onto (build_pullback's premise) and a
+      quasi-isomorphism.
+    - pullback.alpha_split_acyclic_kernel: alpha1 is split onto with an
+      acyclic kernel, so it is a quasi-isomorphism.
+    - pullback.alpha_lifts_objects: for b'' in A'', F's essential
+      surjectivity gives x with F x ~ G b''; F2 lifts that iso to x -> x'
+      with F x' = G b'', so (x', b'') is an object of P over b''.
+    - pullback.alpha_lifts_isos: at an object (x, y) of P, an iso
+      v: y -> b'' gives the iso [G v] out of G y = F x; F2 lifts it to an
+      iso [u]: x -> x' with [F u] = [G v].  By exactness the pair
+      ([u], [v]) comes from a class c of H0(P).  The kernel K of H0(P) ->
+      H0(A) x H0(A'') is the image of the connecting map, and K.K = 0: the
+      product of connecting classes (m1 a1, 0) and (m1 a2, 0) is m1 of
+      (m2(a1, m1 a2), 0).  The inverse pair lifts the same way to d, so
+      d c and c d are 1 + n with n.n = 0, and c is invertible.
+
+    alpha_isolifts is deprecated and read only to warn: it is removed with
+    the benchmark change of ROADMAP item 23, which stops passing it.
+    """
+    if alpha_isolifts is not None:
+        warnings.warn("alpha_isolifts is ignored, alpha's F2 being derived "
+                      "from F's; it is removed with the benchmark change of "
+                      "ROADMAP item 23", DeprecationWarning, stacklevel=2)
+    sections = {"alpha_f1": CheckReport.derived("pullback.layout_split", [])}
     unital = (p.f.source.units is not None and p.f.target.units is not None
               and p.g.source.units is not None
               and p.category.units is not None)
@@ -321,23 +366,14 @@ def certify_fibration_closure(
         sections["f_isofibration"] = CheckReport(
             "undecided", ["units required for the F2 clauses"])
         return FibrationReport(sections)
-    f_iso = check_isofibration(p.f, f_isolifts)
-    sections["f_isofibration"] = f_iso
-    if f_iso.passed:
-        sections["alpha_isofibration_isofib"] = check_isofibration(
-            p.alpha, alpha_isolifts)
+    sections["f_isofibration"] = check_isofibration(p.f, f_isolifts)
     f_qe = check_quasi_equivalence(p.f, f_essentials)
     sections["f_quasi_equivalence"] = CheckReport(
         f_qe.verdict, f_qe.hom_level.witnesses + f_qe.essential.witnesses)
-    if f_iso.passed and f_qe.passed:
-        sections["alpha_kernel_acyclicity_ff"] = kernel_acyclicity(p.alpha)
-        sections["alpha_hom_level_ff"] = _hom_level_quasi_iso(p.alpha)
-        sections["alpha_essential_surjectivity_exsurj"] = _essential_surjectivity(
-            p.alpha, alpha_essentials)
-        clause_keys = [
-            "alpha_f1", "alpha_isofibration_isofib", "alpha_kernel_acyclicity_ff",
-            "alpha_hom_level_ff", "alpha_essential_surjectivity_exsurj",
-        ]
-        sections["alpha_acyclic_fibration"] = CheckReport(
-            combined_verdict(sections[k].verdict for k in clause_keys))
+    for key, (premises, lemma) in ALPHA_CLAUSES.items():
+        if all(sections[k].passed for k in premises):
+            sections[key] = CheckReport.derived(lemma, premises)
+    if all(key in sections for key in ALPHA_CLAUSES):
+        sections["alpha_acyclic_fibration"] = CheckReport(combined_verdict(
+            sections[k].verdict for k in ("alpha_f1", *ALPHA_CLAUSES)))
     return FibrationReport(sections)

@@ -12,9 +12,11 @@ from ainfty.core import H0Category
 from ainfty.fields import Field
 
 from helpers import (
+    alpha_clauses_computed,
     alpha_splits_are_eliminated,
     h0_is_iso_by_classes,
     kernel_block_is_identity,
+    oracle_running,
     phi_is_functor,
     projection_phi_is_f,
     psi_phi_is_identity,
@@ -44,6 +46,21 @@ def _check_pullback(p, f, g, max_arity=None):
     assert pullback_squares_to_zero(p) and alpha_splits_are_eliminated(p)
 
 
+def _check_closure(out, p, *args, **kwargs):
+    # alpha's F2 appears once F's passes, its other three clauses once F's
+    # F2 and quasi-equivalence pass; each has the verdict computed on alpha
+    sections = out.sections
+    passed = {key for key, rep in sections.items() if rep.passed}
+    gates = {"alpha_isofibration_isofib": {"f_isofibration"}, **dict.fromkeys(
+        ("alpha_kernel_acyclicity_ff", "alpha_hom_level_ff",
+         "alpha_essential_surjectivity_exsurj"),
+        {"f_isofibration", "f_quasi_equivalence"})}
+    keys = [key for key, gate in gates.items() if gate <= passed]
+    assert keys == [key for key in gates if key in sections]
+    assert alpha_clauses_computed(p, keys) == {
+        key: sections[key].verdict for key in keys}
+
+
 def _check_induce(rep, p, cone_i, cone_l):
     assert triangles_hold(p, rep.functor.morphism, cone_i.morphism)
 
@@ -60,7 +77,8 @@ FORCED = [
         ("linear", "split_surjection", _check_split),
         ("strictify", "strictify", _check_strictify),
         ("pullback", "build_pullback", _check_pullback),
-        ("pullback", "induce_functor", _check_induce))]
+        ("pullback", "induce_functor", _check_induce),
+        ("pullback", "certify_fibration_closure", _check_closure))]
 # the same for methods, wrapped on their class
 FORCED_METHODS = [(H0Category, "is_iso", _check_is_iso)]
 
@@ -69,7 +87,8 @@ def _oracle_checked(fn, check):
     @functools.wraps(fn)
     def checked(*args, **kwargs):
         out = fn(*args, **kwargs)
-        check(out, *args, **kwargs)
+        with oracle_running():
+            check(out, *args, **kwargs)
         return out
     return checked
 

@@ -139,6 +139,20 @@ MUTANTS = [
     ("pullback loop leaves arity 1 out", "pullback.py",
      "if 1 <= n <= max_arity}", "if 1 < n <= max_arity}",
      ["tests/test_pullback.py"]),
+    # -- the fibration closure: each alpha clause derived without a premise
+    ("alpha F2 derived without F's F2", "pullback.py",
+     '"alpha_isofibration_isofib": ((_F2,),', '"alpha_isofibration_isofib": ((),',
+     ["tests/test_small_scope.py"]),
+    ("alpha kernel clause derived without F's quasi-equivalence", "pullback.py",
+     '"alpha_kernel_acyclicity_ff": ((_F2, _QE),',
+     '"alpha_kernel_acyclicity_ff": ((_F2,),', ["tests/test_small_scope.py"]),
+    ("alpha hom level derived without F's quasi-equivalence", "pullback.py",
+     '"alpha_hom_level_ff": ((_F2, _QE),', '"alpha_hom_level_ff": ((_F2,),',
+     ["tests/test_small_scope.py"]),
+    ("alpha essential surjectivity derived without F's F2", "pullback.py",
+     '"alpha_essential_surjectivity_exsurj": ((_F2, _QE),',
+     '"alpha_essential_surjectivity_exsurj": ((_QE,),',
+     ["tests/test_small_scope.py"]),
     ("cone check skipped", "pullback.py",
      "if bad is not None:\n        raise ConeError(*bad)",
      "if False:\n        raise ConeError(*bad)", ["tests/test_pullback.py"]),

@@ -12,7 +12,7 @@ def test_mutation_sites_occur_once():
     # a snippet that vanished or repeats would mutate nothing, or the wrong
     # line; each occurs exactly once in the whole package, in its own file
     sources = {path.name: path.read_text() for path in PACKAGE.glob("*.py")}
-    assert len(MUTANTS) >= 20
+    assert len(MUTANTS) >= 43
     for name, module, snippet, replacement, tests in MUTANTS:
         counts = {m: text.count(snippet) for m, text in sources.items()
                   if snippet in text}

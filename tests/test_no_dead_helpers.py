@@ -292,9 +292,8 @@ UNTYPED_OWNERS = {
     "dim": {"GradedSpace", "H0Category"},
     # a field passed unannotated (fld.is_zero)
     "is_zero": {"Field"},
-    # the benchmark's own classes: gen.DG.build and its job outcomes
+    # the benchmark's own class gen.DG.build
     "build": set(),
-    "passed": set(),
 }
 
 

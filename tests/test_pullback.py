@@ -72,6 +72,7 @@ from helpers import (
     triangles_hold,
     twist_structure,
     twisted_functor,
+    unit_isolifts,
 )
 
 QQ = Field.rationals()
@@ -556,6 +557,53 @@ def test_closure_identity_f():
     p = build_pullback(f, g)
     rep = certify_fibration_closure(p)
     assert rep.sections["alpha_acyclic_fibration"].passed
+
+
+ALPHA_CLAUSE_KEYS = ("alpha_isofibration_isofib", "alpha_kernel_acyclicity_ff",
+                     "alpha_hom_level_ff", "alpha_essential_surjectivity_exsurj")
+
+
+@pytest.mark.parametrize("fld", [QQ, F5], ids=["Q", "F5"])
+def test_closure_computes_nothing_about_the_pullback(fld):
+    # alpha's clauses are derived from F's: the closure itself, without the
+    # oracle conftest.py wraps it in, builds no H0 and no cohomology of P
+    f = sq_functor(fld)
+    p = build_pullback(f, AInftyFunctor.identity(f.target))
+    closure = inspect.unwrap(certify_fibration_closure)
+    sections = closure(p, f_isolifts=unit_isolifts(f) if fld is QQ else None).sections
+    assert p.category._h0 is None and p.category._coh == {}
+    for key in ALPHA_CLAUSE_KEYS:
+        assert sections[key].verdict == "pass", key
+        assert sections[key].details["method"] == "derived", key
+        assert set(sections[key].details["premises"]) <= {
+            "f_isofibration", "f_quasi_equivalence"}, key
+
+
+def test_rational_closure_needs_no_alpha_certificates():
+    # over Q, F's certificates decide F's F2; alpha's F2 and essential
+    # surjectivity follow from it, with no certificate for alpha
+    f = sq_functor(QQ)
+    p = build_pullback(f, AInftyFunctor.identity(f.target))
+    sections = certify_fibration_closure(p, f_isolifts=unit_isolifts(f)).sections
+    assert sections["f_isofibration"].verdict == "pass"
+    assert sections["alpha_isofibration_isofib"].verdict == "pass"
+    assert sections["alpha_essential_surjectivity_exsurj"].verdict == "pass"
+    # without F's certificates F2 is undecided, and nothing is derived from it
+    sections = certify_fibration_closure(p).sections
+    assert sections["f_isofibration"].verdict == "undecided"
+    assert not set(ALPHA_CLAUSE_KEYS) & set(sections)
+
+
+@pytest.mark.parametrize("fld", [QQ, F5], ids=["Q", "F5"])
+def test_alpha_isolifts_warns_and_changes_no_verdict(fld):
+    f = sq_functor(fld)
+    p = build_pullback(f, AInftyFunctor.identity(f.target))
+    f_lifts = unit_isolifts(f) if fld is QQ else None
+    plain = certify_fibration_closure(p, f_isolifts=f_lifts).sections
+    with pytest.warns(DeprecationWarning, match="ROADMAP item 23"):
+        given = certify_fibration_closure(
+            p, f_isolifts=f_lifts, alpha_isolifts=unit_isolifts(p.alpha)).sections
+    assert given == plain
 
 
 def test_multi_object_f_with_per_pair_kernels():
