@@ -38,10 +38,11 @@ The lemmas join functors across categories, so the categories must match,
 structure and all (`same_category`): F's target and G's, each cone leg's
 target and F's or G's source, and the two legs' sources.  A mismatch is an
 AInftyError before any engine call.  The one exact check kept is the cone,
-F . cone_i = G . cone_l, a premise.  The square, the kernel block and the
-triangles are derived (build_pullback, build_pullback_quiver,
-UniversalReport), not recomputed, and so are alpha's fibration clauses,
-from F's (certify_fibration_closure).
+F . cone_i = G . cone_l, a premise; its left side is read off phi . cone_i,
+whose A'-part it is (projection . phi = F, strictify).  The square, the
+kernel block and the triangles are derived (build_pullback,
+build_pullback_quiver, UniversalReport), not recomputed, and so are alpha's
+fibration clauses, from F's (certify_fibration_closure).
 """
 from __future__ import annotations
 
@@ -259,8 +260,9 @@ def induce_functor(
     cone_i lands in the original source of F (it is carried into the split
     model through phi = (r1, F)); cone_l lands in the source of G, and the
     legs share their source category.  Both legs' equations are certified
-    up to the bound, then F . cone_i = G . cone_l is checked exactly.  N is
-    cone_l on A'' and phi . cone_i on the kernel; see UniversalReport.
+    up to the bound, then F . cone_i = G . cone_l is checked exactly, with
+    F . cone_i the A'-part of phi . cone_i.  N is cone_l on A'' and
+    phi . cone_i on the kernel; see UniversalReport.
     """
     bound = p.arity_bound
     for a, b, mismatch in (
@@ -271,13 +273,15 @@ def induce_functor(
             raise AInftyError(mismatch)
     certify_premise(cone_i, bound)
     certify_premise(cone_l, bound)
-    lhs = compose_formal(p.f.morphism, cone_i.morphism, bound)
-    rhs = compose_formal(p.g.morphism, cone_l.morphism, bound)
-    bad = first_difference(lhs.components, rhs.components)
-    if bad is not None:
-        raise ConeError(*bad)
     strict = p.strictification
     i_model = compose_formal(strict.phi_functor.morphism, cone_i.morphism, bound)
+    # projection . phi = F by construction, so F . cone_i is the A'-part
+    # of phi . cone_i
+    lhs = strict.model.blocks.m_part(i_model.components, i_model.object_map)
+    rhs = compose_formal(p.g.morphism, cone_l.morphism, bound)
+    bad = first_difference(lhs, rhs.components)
+    if bad is not None:
+        raise ConeError(*bad)
 
     c_objects = cone_i.source.quiver.objects
     object_map = {}

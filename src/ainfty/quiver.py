@@ -24,6 +24,13 @@ is a type, `Identity`, which the engine tests instead of the data.
 `compose_formal` and `r_compose` compose an identity built by hand in full,
 with the same result; a prenatural is inserted only between `Identity`
 endpoints (the double sum), and any other endpoints raise QuiverError.
+
+Sums are kept in two formats that share no code.  Every sum that is kept
+(composites, functor defects) is keyed by (path, inputs, output index).
+The stream of sums that must vanish, `double_sum`, which certifies m . m,
+keys each word by one tuple of basis tokens, ints that each fix a basis
+element of one hom and the parity of its reduced degree, and decodes back
+into paths and inputs only the sums that do not cancel.
 """
 from __future__ import annotations
 
@@ -318,8 +325,7 @@ def accumulate(flat: _Flat, sign: int, outer, blocks, max_arity: int) -> _Flat:
     if isinstance(blocks, Prenatural):
         if not (isinstance(blocks.frm, Identity) and isinstance(blocks.to, Identity)):
             raise QuiverError("an inserted prenatural must go between Identity endpoints")
-        for _ in _add_double_sum(flat, sign, outer, blocks, max_arity):
-            pass
+        _add_double_sum(flat, sign, outer, blocks, max_arity)
         return flat
     inv = _invert(blocks)
     get = flat.get
@@ -360,33 +366,20 @@ def _expand(outer, blocks, max_arity: int) -> Components:
     return regroup(blocks.source.fld, accumulate({}, 1, outer, blocks, max_arity))
 
 
-def double_sum(outer, ins: Prenatural, max_arity: int
-               ) -> Iterator[Tuple[int, Components]]:
-    """`_add_double_sum` one output arity at a time: yields (n, the arity-n
-    part of outer over words with one `ins` block among identity blocks),
-    each part regrouped from its own dict."""
-    flat: _Flat = {}
-    for n in _add_double_sum(flat, 1, outer, ins, max_arity):
-        yield n, regroup(outer.source.fld, flat)
-        flat.clear()
-
-
 def _add_double_sum(flat: _Flat, sign: int, outer, ins: Prenatural,
-                    max_arity: int) -> Iterator[int]:
-    """Add sign times the arity-n words of the double sum into `flat`, then
-    yield n, for n from 0 (when `ins` has an arity-0 part) or 1 to max_arity
-    or to the last arity a word reaches, widest outer arity - 1 + longest
-    insertion arity, whichever comes first.
+                    max_arity: int) -> None:
+    """Add sign times the double sum into `flat`, arity by arity, for n
+    from 0 (when `ins` has an arity-0 part) or 1 to max_arity or to the last
+    arity a word reaches, widest outer arity - 1 + longest insertion arity,
+    whichever comes first.
 
     The double sum over (entry, slot k) of outer(..., ins(...), ...): an
     `ins` entry with e inputs in the bucket of slot k replaces that slot,
-    giving a word of arity r - 1 + e.  Arity n reads only the outer entries
-    of arity <= n + 1 - (least arity of `ins`), so a consumer that stops
-    early leaves the rest unread (the arity-n part of m . m reads only
-    m^1..m^n).  The insertion is indexed by (slot pair, output index, input
-    count) once per call, and an outer entry's slots and signs when its
-    arity is first needed: each (outer entry, slot, insertion entry) triple
-    is visited once.
+    giving a word of arity r - 1 + e.  The insertion is indexed by (slot
+    pair, output index, input count) once per call, and an outer entry's
+    slots and signs when its arity is first needed: each (outer entry, slot,
+    insertion entry) triple is visited once.  The sums that must vanish are
+    streamed by `double_sum` instead.
     """
     arities = {n for n, _ in ins.components}
     shortest, longest = min(arities, default=1), max(arities, default=0)
@@ -397,10 +390,7 @@ def _add_double_sum(flat: _Flat, sign: int, outer, ins: Prenatural,
             for b, c in vec.items():
                 index.setdefault((x, y, b), {}).setdefault(e, []).append((objs, in_t, c))
     flips = _flips(outer.source, ins.degree)
-    rows: Dict[int, List[Tuple[Tuple[str, ...], Dict[Tuple[int, ...], Vec]]]] = {}
-    for (r, Y), table in outer.components.items():
-        if r:
-            rows.setdefault(r, []).append((Y, table))
+    rows = _rows(outer)
     widest = max(rows, default=0)
     slots: Dict[int, list] = {}
     get = flat.get
@@ -416,7 +406,14 @@ def _add_double_sum(flat: _Flat, sign: int, outer, ins: Prenatural,
                         for epath, ein, ec in entries:
                             key = (head + epath + tail, before + ein + after, oi)
                             flat[key] = get(key, 0) + ec * x
-        yield n
+
+
+def _rows(fam) -> Dict[int, List[Tuple[Tuple[str, ...], Dict[Tuple[int, ...], Vec]]]]:
+    """fam's (objects, table) pairs by arity."""
+    rows: Dict[int, list] = {}
+    for (r, Y), table in fam.components.items():
+        rows.setdefault(r, []).append((Y, table))
+    return rows
 
 
 def _slots(r: int, rows, index, flips, start: int) -> list:
@@ -439,6 +436,131 @@ def _slots(r: int, rows, index, flips, start: int) -> list:
                 if flips and flips[key]:
                     sign = -sign
     return out
+
+
+# -- the certification stream: words keyed by basis tokens --------------------
+
+_Tokens = Dict[Tuple[str, str], List[int]]
+
+
+def double_sum(outer, ins: Prenatural, max_arity: int
+               ) -> Iterator[Tuple[int, Components]]:
+    """The double sum one output arity at a time: yields (n, the arity-n
+    part of outer over words with one `ins` block among identity blocks),
+    for n from 0 (when `ins` has an arity-0 part) or 1 to max_arity or to
+    the last arity a word reaches, widest outer arity - 1 + longest
+    insertion arity, whichever comes first.
+
+    This is the stream of sums that must vanish (m . m), so it is summed in
+    token space and decodes only what does not cancel.  Each basis element
+    of the source quiver is a token (`_tokens`), and a word is keyed by one
+    int tuple, its input tokens, with its output index; tokens fix the path,
+    so each part's nonzero sums are decoded back into components, and on an
+    accepted structure nothing is.  An arity-0 word keys its object as a
+    negative token.  Arity n reads only the outer entries of arity
+    <= n + 1 - (least arity of `ins`), and tokenizes only the insertion
+    arities it reaches, so a consumer that stops early leaves the rest
+    unread (the arity-n part of m . m reads only m^1..m^n); each (outer
+    entry, slot, insertion entry) triple is visited once.
+    """
+    q = outer.source
+    tokens, cells = _tokens(q)
+    flip = (ins.degree - 1) % 2
+    rows = _rows(outer)
+    ins_rows = rows if ins is outer else _rows(ins)
+    shortest, longest = min(ins_rows, default=1), max(ins_rows, default=0)
+    widest = max(rows, default=0)
+    slots: Dict[int, list] = {}
+    buckets: Dict[int, Dict[int, list]] = {}
+    if shortest == 0:
+        point = _insertions(ins, ins_rows[0], tokens, q.objects)
+    flat: Dict[Tuple[Tuple[int, ...], int], Scalar] = {}
+    get = flat.get
+    for n in range(min(shortest, 1), min(max_arity, widest - 1 + longest) + 1):
+        for r in range(max(1, n + 1 - longest), min(n + 2 - shortest, widest + 1)):
+            if r not in slots:
+                slots[r] = _token_slots(r, rows.get(r, ()), tokens, flip)
+            e = n + 1 - r
+            if e not in buckets:
+                buckets[e] = _insertions(ins, ins_rows.get(e, ()), tokens, None)
+            bucket = buckets[e] if n else point
+            for t, before, after, out in slots[r]:
+                entries = bucket.get(t)
+                if entries:
+                    for oi, x in out:
+                        for ein, ec in entries:
+                            key = (before + ein + after, oi)
+                            flat[key] = get(key, 0) + ec * x
+        yield n, _decoded(q, flat, cells)
+        flat.clear()
+
+
+def _tokens(q: GradedQuiver) -> Tuple[_Tokens, List[Tuple[str, str, int]]]:
+    """Each basis element b of hom(x, y) numbered: its token 2 i + odd, odd
+    when its reduced degree is, at tokens[(x, y)][b], and cells[i] = (x, y,
+    b)."""
+    tokens: _Tokens = {}
+    cells: List[Tuple[str, str, int]] = []
+    for (x, y), sp in q.hom.items():
+        toks = tokens[(x, y)] = []
+        for b, (_, deg) in enumerate(sp.basis):
+            toks.append(2 * len(cells) + (deg % 2 == 0))
+            cells.append((x, y, b))
+    return tokens, cells
+
+
+def _insertions(ins: Prenatural, rows, tokens: _Tokens, objects) -> Dict[int, list]:
+    """The entries of `rows`, all of one arity of `ins`, by output token:
+    (input tokens, coefficient).  Given `objects`, an arity-0 entry at x
+    keys (~index of x,) instead of (), for the arity-0 words."""
+    bucket: Dict[int, list] = {}
+    for objs, table in rows:
+        e = len(objs) - 1
+        outs = tokens[ins.out_pair(objs)]
+        lists = [tokens[(objs[e - 1 - i], objs[e - i])] for i in range(e)]
+        for in_t, vec in table.items():
+            ein = ((~objects.index(objs[0]),) if objects
+                   else tuple([lst[b] for lst, b in zip(lists, in_t)]))
+            for b, c in vec.items():
+                bucket.setdefault(outs[b], []).append((ein, c))
+    return bucket
+
+
+def _token_slots(r: int, rows, tokens: _Tokens, flip: int) -> list:
+    """Per (arity-r outer entry, slot k): the token of slot k, the tokens
+    left and right of it, and the entry's output items times the sign of
+    slot k, which flips past each slot j < k whose token is odd when `flip`
+    is set."""
+    out = []
+    for Y, table in rows:
+        lists = [tokens[(Y[r - 1 - i], Y[r - i])] for i in range(r)]
+        for in_t, out_vec in table.items():
+            toks = tuple([lst[b] for lst, b in zip(lists, in_t)])
+            items, negated, sign = out_vec.items(), None, 1
+            for i in range(r - 1, -1, -1):
+                t = toks[i]
+                if sign == -1 and negated is None:
+                    negated = [(oi, -x) for oi, x in items]
+                out.append((t, toks[:i], toks[i + 1:], items if sign == 1 else negated))
+                if flip and t & 1:
+                    sign = -sign
+    return out
+
+
+def _decoded(q: GradedQuiver, flat, cells) -> Components:
+    """The nonzero sums of a token-keyed `flat`, reduced once, as
+    components: a word's path runs from the source of its last token (f_1)
+    through the target of each token from the last to the first."""
+    result: Components = {}
+    for (toks, oi), c in q.fld.reduced(flat).items():
+        if toks[0] < 0:
+            key, inputs = (0, (q.objects[~toks[0]],)), ()
+        else:
+            word = [cells[t >> 1] for t in toks]
+            path = (word[-1][0],) + tuple([y for _, y, _ in reversed(word)])
+            key, inputs = (len(toks), path), tuple([b for _, _, b in word])
+        result.setdefault(key, {}).setdefault(inputs, {})[oi] = c
+    return result
 
 
 def compose_formal(g: FormalMorphism, f: FormalMorphism, max_arity: int) -> FormalMorphism:

@@ -109,6 +109,22 @@ class Blocks:
                 out[key] = table
         return out
 
+    def m_part(self, comps: Components, ends: Dict[str, str]) -> Components:
+        """The M-part of a family landing in `quiver`: each output past the
+        kernel block moved back by it, the kernel part dropped.  `ends` maps
+        each key's end objects to objects of `quiver`."""
+        out: Components = {}
+        for key, table in comps.items():
+            kdim = self.kdims[(ends[key[1][0]], ends[key[1][-1]])]
+            part = {}
+            for in_t, vec in table.items():
+                m = {i - kdim: c for i, c in vec.items() if i >= kdim}
+                if m:
+                    part[in_t] = m
+            if part:
+                out[key] = part
+        return out
+
     def lift(self, m_comps: Components) -> Components:
         """An `other`-family along every path of `quiver` over its objects,
         each input moved past its kernel block; outputs stay as they are."""

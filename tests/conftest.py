@@ -10,6 +10,7 @@ import pytest
 
 from ainfty.core import H0Category
 from ainfty.fields import Field
+from ainfty.quiver import compose_formal
 
 from helpers import (
     alpha_clauses_computed,
@@ -62,6 +63,10 @@ def _check_closure(out, p, *args, **kwargs):
 
 
 def _check_induce(rep, p, cone_i, cone_l):
+    # the cone is read off phi . cone_i; recompute both of its sides
+    bound = p.arity_bound
+    assert compose_formal(p.f.morphism, cone_i.morphism, bound) == compose_formal(
+        p.g.morphism, cone_l.morphism, bound)
     assert triangles_hold(p, rep.functor.morphism, cone_i.morphism)
 
 

@@ -25,6 +25,14 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
+# the arity loops of the two double sums, told apart by their slot builders
+PATH_LOOP = (
+    "for n in range(min(shortest, 1), min(max_arity, widest - 1 + longest) + 1):\n"
+    "        for r in range(max(1, n + 1 - longest), min(n + 2 - shortest, widest + 1)):\n"
+    "            if r not in slots:\n"
+    "                slots[r] = _slots(")
+TOKEN_LOOP = PATH_LOOP.replace("_slots(", "_token_slots(")
+
 # (name, file under src/ainfty, exact snippet, replacement, test subset)
 MUTANTS = [
     # -- the contraction engine
@@ -36,17 +44,38 @@ MUTANTS = [
      "if flips and flips[key]:\n                    sign = sign",
      ["tests/test_quiver.py"]),
     ("double sum starts at arity 1", "quiver.py",
-     "for n in range(min(shortest, 1), min(max_arity, widest - 1 + longest) + 1):",
-     "for n in range(1, min(max_arity, widest - 1 + longest) + 1):",
+     PATH_LOOP, PATH_LOOP.replace("range(min(shortest, 1),", "range(1,"),
      ["tests/test_quiver.py"]),
     ("double sum stops one arity short", "quiver.py",
-     "min(max_arity, widest - 1 + longest)", "min(max_arity, widest - 2 + longest)",
-     ["tests/test_quiver.py"]),
-    ("double sum yields one arity past the last word", "quiver.py",
-     "min(max_arity, widest - 1 + longest)", "min(max_arity, widest + longest)",
+     PATH_LOOP, PATH_LOOP.replace("widest - 1 + longest", "widest - 2 + longest"),
      ["tests/test_quiver.py"]),
     ("double sum arity-0 reach", "quiver.py",
-     "min(n + 2 - shortest, widest + 1)", "min(n + 2 - max(shortest, 1), widest + 1)",
+     PATH_LOOP, PATH_LOOP.replace("min(n + 2 - shortest,", "min(n + 2 - max(shortest, 1),"),
+     ["tests/test_quiver.py"]),
+    # -- the certification stream, summed over basis tokens
+    ("stream starts at arity 1", "quiver.py",
+     TOKEN_LOOP, TOKEN_LOOP.replace("range(min(shortest, 1),", "range(1,"),
+     ["tests/test_quiver.py"]),
+    ("stream stops one arity short", "quiver.py",
+     TOKEN_LOOP, TOKEN_LOOP.replace("widest - 1 + longest", "widest - 2 + longest"),
+     ["tests/test_quiver.py"]),
+    ("stream yields one arity past the last word", "quiver.py",
+     TOKEN_LOOP, TOKEN_LOOP.replace("widest - 1 + longest", "widest + longest"),
+     ["tests/test_quiver.py"]),
+    ("stream arity-0 reach", "quiver.py",
+     TOKEN_LOOP, TOKEN_LOOP.replace("min(n + 2 - shortest,", "min(n + 2 - max(shortest, 1),"),
+     ["tests/test_quiver.py"]),
+    ("stream drops the odd-token sign flip", "quiver.py",
+     "if flip and t & 1:\n                    sign = -sign",
+     "if flip and t & 1:\n                    sign = sign", ["tests/test_quiver.py"]),
+    ("stream decodes the path unreversed", "quiver.py",
+     "for _, y, _ in reversed(word)", "for _, y, _ in word", ["tests/test_quiver.py"]),
+    ("stream tokenizes each insertion arity one arity late", "quiver.py",
+     "buckets[e] = _insertions(ins, ins_rows.get(e, ()), tokens, None)",
+     "buckets[e] = _insertions(ins, ins_rows.get(e - 1, ()), tokens, None)",
+     ["tests/test_quiver.py"]),
+    ("stream drops the arity-0 object token", "quiver.py",
+     "ein = ((~objects.index(objs[0]),) if objects", "ein = (() if objects",
      ["tests/test_quiver.py"]),
     ("_flips parity", "quiver.py",
      "if (degree - 1) % 2 == 0:", "if (degree - 1) % 2 == 1:",
@@ -153,6 +182,9 @@ MUTANTS = [
      '"alpha_essential_surjectivity_exsurj": ((_F2, _QE),',
      '"alpha_essential_surjectivity_exsurj": ((_QE,),',
      ["tests/test_small_scope.py"]),
+    ("cone check without the kernel offset", "strictify.py",
+     "m = {i - kdim: c for i, c in vec.items() if i >= kdim}",
+     "m = {i: c for i, c in vec.items() if i >= kdim}", ["tests/test_pullback.py"]),
     ("cone check skipped", "pullback.py",
      "if bad is not None:\n        raise ConeError(*bad)",
      "if False:\n        raise ConeError(*bad)", ["tests/test_pullback.py"]),

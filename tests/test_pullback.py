@@ -873,12 +873,12 @@ def test_readme_engine_call_counts(monkeypatch):
     p.alpha.compose(AInftyFunctor.identity(p.category))
     assert builds == []
 
-    # induce_functor composes three times and certifies nothing: the two
-    # sides of the cone and phi . cone_i; N is derived, and the triangles
-    # and uniqueness take no composite
+    # induce_functor composes twice and certifies nothing: phi . cone_i,
+    # whose A'-part is F . cone_i, and G . cone_l; N is derived, and the
+    # triangles and uniqueness take no composite
     induced = _count_calls(monkeypatch, "compose_formal")
     rep = induce_functor(p, p.beta, p.alpha)
-    assert len(induced) == 3 and builds == []
+    assert len(induced) == 2 and builds == []
     assert rep.triangles and rep.uniqueness
     assert _alpha_triangle(p, rep, p.alpha)
 
@@ -1086,8 +1086,9 @@ def test_categories_must_match_in_structure(monkeypatch, where):
     def no_engine(*args):
         raise AssertionError("engine called")
     # every block sweep inverts its families and every double sum runs
-    # _add_double_sum, whichever entry point (composite, defect) they serve
-    for name in ("_expand", "_invert", "_add_double_sum"):
+    # _add_double_sum, whichever entry point (composite, defect) they
+    # serve, or numbers the basis, when it streams m . m
+    for name in ("_expand", "_invert", "_add_double_sum", "_tokens"):
         monkeypatch.setattr(importlib.import_module("ainfty.quiver"), name,
                             no_engine)
     with pytest.raises(AInftyError, match="must share their"):

@@ -241,10 +241,12 @@ def test_double_sum_stream_matches_oracles(seed, field, bound):
     the last arity a word reaches, whichever comes first, each part is the
     whole sum restricted to its arity, and the merged parts
     are compose_prenatural and the dense oracles: the word expansion for an
-    insertion with arity-0 parts, the explicit double sum for m . m."""
+    insertion with arity-0 parts, the explicit double sum for m . m.  With
+    up to three objects a basis index recurs across hom pairs, so a part
+    decoded to the wrong path or inputs shows."""
     rng = random.Random(seed)
     fld = FIELDS[field]
-    q = stepped_quiver(rng, fld, rng.randint(1, 2))
+    q = stepped_quiver(rng, fld, rng.randint(1, 3))
     ident = identity_formal(q)
     m = random_flat_prenatural(rng, q, degree=2, max_arity=3, density=0.6)
     # t has an arity-0 part: its degree is that of an element of hom(x, x)
