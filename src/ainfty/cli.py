@@ -187,13 +187,11 @@ def cmd_strictify(args) -> int:
         "projection.afun": serialize_functor(s.projection, "model.acat", target_abs),
         "phi.afun": serialize_functor(s.phi_functor, source_abs, "model.acat"),
         "psi.afun": serialize_functor(s.psi_functor, "model.acat", source_abs)})
-    checks = {
-        "strictification": CheckReport(
-            "pass", [],
-            {"arity_bound": s.arity_bound, "total": s.total,
-             "outputs": ["model.acat", "projection.afun", "phi.afun",
-                         "psi.afun"]}),
-    }
+    check = CheckReport.derived("strictify.conjugation",
+                                ["m.m = 0 on A", "F's equation"])
+    check.details.update(arity_bound=s.arity_bound, total=s.total, outputs=[
+        "model.acat", "projection.afun", "phi.afun", "psi.afun"])
+    checks = {"strictification": check}
     return _finish(_report_json("strictify", checks), args.strict)
 
 
@@ -247,8 +245,17 @@ def cmd_induce(args) -> int:
     p = build_pullback(fdoc.functor, gdoc.functor, max_arity=args.max_arity)
     rep = induce_functor(p, idoc.functor, ldoc.functor)
     # a returned report has passed the cone check and derived the rest
-    checks = {name: CheckReport("pass") for name in (
-        "cone_commutes", "a_infinity", "triangles", "uniqueness")}
+    checks = {
+        "cone_commutes": CheckReport("pass", [], {
+            "method": "exact", "arity_bound": rep.functor.arity_bound,
+            "total": rep.cone_total}),
+        "a_infinity": CheckReport.derived("pullback.induced_functor", [
+            "cone_i's equation", "cone_l's equation", "F.cone_i = G.cone_l"]),
+        "triangles": CheckReport.derived(
+            "pullback.triangles", ["F.cone_i = G.cone_l", "psi.phi = Id"]),
+        "uniqueness": CheckReport.derived(
+            "pullback.uniqueness", ["alpha.N = cone_l", "(Id_K x G).N = phi.cone_i"]),
+    }
     _write(args.out, {
         "induced.afun": serialize_functor(
             rep.functor, _ref_path(args.cone_i, idoc.source_path), "pullback.acat"),

@@ -222,10 +222,10 @@ class AInftyCategory:
         units: Optional[Dict[str, Vec]] = None,
         max_arity: Optional[int] = None,
     ) -> "AInftyCategory":
+        if any(n < 1 for n, _ in components):
+            raise AInftyError("structures must be flat: arity-0 part must vanish")
         ident = identity_formal(quiver)
         structure = Prenatural(ident, ident, 2, components)
-        if not structure.is_flat():
-            raise AInftyError("structures must be flat: arity-0 part must vanish")
         iv = quiver.degree_interval()
         bound, _ = _choose_bound(max_arity, (iv, iv, 2))
         structure = _canonical(structure)
@@ -376,18 +376,13 @@ def _unit_slot_residues(fld: Field, units: Dict[str, Vec],
 
 def functor_defect(morphism: FormalMorphism, source: AInftyCategory,
                    target: AInftyCategory, max_arity: int) -> Prenatural:
-    """F . m_A - m_B . F up to max_arity: the words of both sides and m_B's
-    arity-0 table at each F x, summed in one dict and reduced once; its
-    endpoints are F."""
+    """F . m_A - m_B . F up to max_arity: the words of both sides, summed in
+    one dict and reduced once; its endpoints are F."""
     f, m_a, m_b = morphism, source.structure, target.structure
     if m_a.target.objects != f.source.objects or f.target.objects != m_b.source.objects:
         raise QuiverError("functor_defect: F must map m_A's objects to m_B's")
     flat = accumulate({}, 1, f, m_a, max_arity)
     accumulate(flat, -1, m_b, f, max_arity)
-    for x in f.source.objects:
-        for in_t, vec in m_b.component(0, (f.object_map[x],)).items():
-            for oi, c in vec.items():
-                flat[((x,), in_t, oi)] = flat.get(((x,), in_t, oi), 0) - c
     return Prenatural(f, f, m_a.degree, regroup(f.target.fld, flat))
 
 

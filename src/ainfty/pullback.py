@@ -27,12 +27,13 @@ strictify's values and from premises that `certify_premise` checks first
   D = m_P . m_P is nonzero, the arity-n part of F o b_P^2 is F^1 D^n; the
   two arity-1 maps are jointly injective (the kernel-block lemma), so
   D = 0 by induction on the arity.
-- A commuting cone induces N with cone_l as its A''-part and the kernel
-  part of phi . cone_i on the kernel, so alpha . N = cone_l and
-  (Id_K x G) . N = phi . cone_i, both functors once the legs are (the
-  premises).  At the lowest arity n where D = N b_C - b_P N is nonzero,
-  alpha^1 D^n = 0 and (Id_K x G)^1 D^n = 0; the two are jointly injective
-  (the kernel-block lemma again), so D = 0 by induction on the arity.
+- N is a functor (pullback.induced_functor).  A commuting cone induces N
+  with cone_l as its A''-part and the kernel part of phi . cone_i on the
+  kernel, so alpha . N = cone_l and (Id_K x G) . N = phi . cone_i, both
+  functors once the legs are (the premises).  At the lowest arity n where
+  D = N b_C - b_P N is nonzero, alpha^1 D^n = 0 and (Id_K x G)^1 D^n = 0;
+  the two are jointly injective (the kernel-block lemma again), so D = 0
+  by induction on the arity.
 
 The lemmas join functors across categories, so the categories must match,
 structure and all (`same_category`): F's target and G's, each cone leg's
@@ -235,18 +236,23 @@ def build_pullback(
 
 @dataclass
 class UniversalReport:
-    """functor: N, derived, not certified.  Its lemma: alpha . N = cone_l
-    and product . N = phi . cone_i are functors (the legs are certified up
-    to the bound first), so at N's lowest nonzero defect arity both arity-1
-    maps kill the defect, and they are jointly injective; alpha and the
-    product morphism are functors by their own lemmas (module docstring)."""
+    """functor: N, derived, not certified.  Its lemma
+    (pullback.induced_functor): alpha . N = cone_l and product . N =
+    phi . cone_i are functors (the legs are certified up to the bound
+    first), so at N's lowest nonzero defect arity both arity-1 maps kill
+    the defect, and they are jointly injective; alpha and the product
+    morphism are functors by their own lemmas (module docstring).
+    cone_total: whether the cone check's bound covers every arity of a
+    formal morphism from the cone's source to F's target."""
     functor: AInftyFunctor
-    # alpha.N = cone_l, N's A''-part; (Id_K x G).N = phi.cone_i, its kernel
-    # part by how N is built, its A'-part G.cone_l = F.cone_i by the cone
-    # check; so beta.N = psi.(Id_K x G).N = psi.phi.cone_i = cone_i
+    cone_total: bool
+    # pullback.triangles: alpha.N = cone_l, N's A''-part; (Id_K x G).N =
+    # phi.cone_i, its kernel part by how N is built, its A'-part G.cone_l =
+    # F.cone_i by the cone check; so beta.N = psi.(Id_K x G).N =
+    # psi.phi.cone_i = cone_i
     triangles = True
-    # the kernel-block lemma (module docstring): the product triangle
-    # forces N's kernel part, alpha's its A''-part
+    # pullback.uniqueness, the kernel-block lemma (module docstring): the
+    # product triangle forces N's kernel part, alpha's its A''-part
     uniqueness = True
 
 
@@ -296,8 +302,11 @@ def induce_functor(
                             ends=object_map)
     morphism = FormalMorphism(cone_i.source.quiver, p.category.quiver,
                               object_map, comps)
+    _, cone_total = _choose_bound(bound, (cone_i.source.quiver.degree_interval(),
+                                          p.f.target.quiver.degree_interval(), 1))
     return UniversalReport(
-        AInftyFunctor.derived(morphism, cone_i.source, p.category, bound))
+        AInftyFunctor.derived(morphism, cone_i.source, p.category, bound),
+        cone_total)
 
 
 # -- fibration closure ----------------------------------------------------------

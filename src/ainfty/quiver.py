@@ -6,8 +6,8 @@ Conventions, fixed once for the whole package:
   the first-applied input.  The object tuple is (x_0, ..., x_n) with
   f_j in hom(x_{j-1}, x_j), so tuple position i holds f_{n-i}.
 * A formal morphism component of arity n has degree shift 1-n; a prenatural
-  of degree g has arity-n shift g-n (arity 0 included: an element of
-  hom(F0 x, G0 x) of degree g).
+  of degree g has arity-n shift g-n.  Every arity is >= 1: families are
+  flat, and both constructors raise QuiverError on an arity-0 key.
 * Reduced degree of a basis element is deg - 1.  Inserting a prenatural of
   degree g past inputs of total reduced degree R contributes the Koszul sign
   (-1)**((g-1) * R).  Compositions of formal morphisms carry no signs.
@@ -25,12 +25,14 @@ is a type, `Identity`, which the engine tests instead of the data.
 with the same result; a prenatural is inserted only between `Identity`
 endpoints (the double sum), and any other endpoints raise QuiverError.
 
-Sums are kept in two formats that share no code.  Every sum that is kept
-(composites, functor defects) is keyed by (path, inputs, output index).
-The stream of sums that must vanish, `double_sum`, which certifies m . m,
-keys each word by one tuple of basis tokens, ints that each fix a basis
-element of one hom and the parity of its reduced degree, and decodes back
-into paths and inputs only the sums that do not cancel.
+Basis tokens are ints that each fix a basis element of one hom and the
+parity of its reduced degree (`_tokens`).  The two double sums share the
+arity schedule (`_rows`, `_schedule`), the tokens and the sign rule, a
+flip past each odd token, and differ only in their keys.  Every sum that is
+kept (composites, functor defects) is keyed by (path, inputs, output
+index).  The stream of sums that must vanish, `double_sum`, which certifies
+m . m, keys each word by its tuple of input tokens and decodes back into
+paths and inputs only the sums that do not cancel.
 """
 from __future__ import annotations
 
@@ -95,9 +97,12 @@ class GradedQuiver:
 
 
 def normalize_components(comps: Components) -> Components:
-    """A fresh copy of comps without empty vectors or empty tables."""
+    """A fresh copy of comps without empty vectors or empty tables;
+    QuiverError on a key of arity < 1, as families are flat."""
     out: Components = {}
     for key, table in comps.items():
+        if key[0] < 1:
+            raise QuiverError(f"no component of arity {key[0]}: families are flat")
         clean = {it: v for it, v in table.items() if v}
         if clean:
             out[key] = clean
@@ -126,7 +131,7 @@ class FormalMorphism:
         return self.components.get((n, objs), {})
 
     def validate(self) -> bool:
-        return _validate_family(self, allow_arity0=False)
+        return _validate_family(self)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FormalMorphism):
@@ -164,11 +169,8 @@ class Prenatural:
     def component(self, n: int, objs: Tuple[str, ...]) -> Dict[Tuple[int, ...], Vec]:
         return self.components.get((n, objs), {})
 
-    def is_flat(self) -> bool:
-        return not any(n == 0 for (n, _) in self.components)
-
     def validate(self) -> bool:
-        return _validate_family(self, allow_arity0=True)
+        return _validate_family(self)
 
     def sub(self, other: "Prenatural") -> "Prenatural":
         """self - other in one pass over other's entries, each difference
@@ -222,14 +224,12 @@ def first_difference(a: Components, b: Components
     return None
 
 
-def _validate_family(fam, allow_arity0: bool) -> bool:
+def _validate_family(fam) -> bool:
     """Raise QuiverError at the first malformed entry; return whether every
     coefficient is canonical, reduced and nonzero."""
     src, tgt = fam.source, fam.target
     p, canonical = tgt.fld.characteristic, True
     for (n, objs), table in fam.components.items():
-        if n == 0 and not allow_arity0:
-            raise QuiverError("formal morphisms have no arity-0 linear part")
         if len(objs) != n + 1:
             raise QuiverError(f"object tuple {objs} has wrong length for arity {n}")
         for x in objs:
@@ -292,13 +292,21 @@ def _invert(fam) -> _Inv:
     return inv
 
 
-def _flips(q: GradedQuiver, degree: int) -> Dict[Tuple[str, str, int], bool]:
-    """{(x, y, b): b in hom(x, y) has odd reduced degree}, the inputs past
-    which an insertion of this degree flips sign; {} when (degree - 1) is even."""
-    if (degree - 1) % 2 == 0:
-        return {}
-    return {(x, y, b): deg % 2 == 0 for (x, y), sp in q.hom.items()
-            for b, (_, deg) in enumerate(sp.basis)}
+_Tokens = Dict[Tuple[str, str], List[int]]
+
+
+def _tokens(q: GradedQuiver) -> Tuple[_Tokens, List[Tuple[str, str, int]]]:
+    """Each basis element b of hom(x, y) numbered: its token 2 i + odd, odd
+    when its reduced degree is, at tokens[(x, y)][b], and cells[i] = (x, y,
+    b)."""
+    tokens: _Tokens = {}
+    cells: List[Tuple[str, str, int]] = []
+    for (x, y), sp in q.hom.items():
+        toks = tokens[(x, y)] = []
+        for b, (_, deg) in enumerate(sp.basis):
+            toks.append(2 * len(cells) + (deg % 2 == 0))
+            cells.append((x, y, b))
+    return tokens, cells
 
 
 _Flat = Dict[Tuple[Tuple[str, ...], Tuple[int, ...], int], Scalar]
@@ -330,8 +338,6 @@ def accumulate(flat: _Flat, sign: int, outer, blocks, max_arity: int) -> _Flat:
     inv = _invert(blocks)
     get = flat.get
     for (r, Y), table in outer.components.items():
-        if r == 0:
-            continue
         for in_t, out_vec in table.items():
             room = max_arity - (r - 1)
             words = [(epath[-1], epath, ein, ec)
@@ -368,36 +374,32 @@ def _expand(outer, blocks, max_arity: int) -> Components:
 
 def _add_double_sum(flat: _Flat, sign: int, outer, ins: Prenatural,
                     max_arity: int) -> None:
-    """Add sign times the double sum into `flat`, arity by arity, for n
-    from 0 (when `ins` has an arity-0 part) or 1 to max_arity or to the last
-    arity a word reaches, widest outer arity - 1 + longest insertion arity,
-    whichever comes first.
+    """Add sign times the double sum into `flat`, arity by arity on
+    `_schedule`.
 
     The double sum over (entry, slot k) of outer(..., ins(...), ...): an
     `ins` entry with e inputs in the bucket of slot k replaces that slot,
-    giving a word of arity r - 1 + e.  The insertion is indexed by (slot
-    pair, output index, input count) once per call, and an outer entry's
-    slots and signs when its arity is first needed: each (outer entry, slot,
-    insertion entry) triple is visited once.  The sums that must vanish are
-    streamed by `double_sum` instead.
+    giving a word of arity r - 1 + e.  The insertion is indexed by (output
+    token, input count) once per call, and an outer entry's slots and signs
+    when its arity is first needed: each (outer entry, slot, insertion
+    entry) triple is visited once.  The sums that must vanish are streamed
+    by `double_sum` instead.
     """
-    arities = {n for n, _ in ins.components}
-    shortest, longest = min(arities, default=1), max(arities, default=0)
-    index: Dict[Tuple[str, str, int], Dict[int, List[_Entry]]] = {}
+    tokens, _ = _tokens(outer.source)
+    index: Dict[int, Dict[int, List[_Entry]]] = {}
     for (e, objs), table in ins.components.items():
-        x, y = ins.out_pair(objs)
+        outs = tokens[ins.out_pair(objs)]
         for in_t, vec in table.items():
             for b, c in vec.items():
-                index.setdefault((x, y, b), {}).setdefault(e, []).append((objs, in_t, c))
-    flips = _flips(outer.source, ins.degree)
+                index.setdefault(outs[b], {}).setdefault(e, []).append((objs, in_t, c))
+    flip = (ins.degree - 1) % 2
     rows = _rows(outer)
-    widest = max(rows, default=0)
     slots: Dict[int, list] = {}
     get = flat.get
-    for n in range(min(shortest, 1), min(max_arity, widest - 1 + longest) + 1):
-        for r in range(max(1, n + 1 - longest), min(n + 2 - shortest, widest + 1)):
+    for n, arities in _schedule(rows, {e for e, _ in ins.components}, max_arity):
+        for r in arities:
             if r not in slots:
-                slots[r] = _slots(r, rows.get(r, ()), index, flips, sign)
+                slots[r] = _slots(r, rows.get(r, ()), index, tokens, flip, sign)
             e = n + 1 - r
             for lengths, head, tail, before, after, out in slots[r]:
                 entries = lengths.get(e)
@@ -416,74 +418,77 @@ def _rows(fam) -> Dict[int, List[Tuple[Tuple[str, ...], Dict[Tuple[int, ...], Ve
     return rows
 
 
-def _slots(r: int, rows, index, flips, start: int) -> list:
+def _schedule(rows, ins_rows, max_arity: int) -> Iterator[Tuple[int, range]]:
+    """The arities of a double sum, from the outer family's arities (`rows`)
+    and the insertion's (`ins_rows`): (n, the outer arities r whose words
+    with one insertion of arity n + 1 - r have arity n), for n from 1 to
+    max_arity or to the last arity a word reaches, widest outer arity - 1 +
+    longest insertion arity, whichever comes first."""
+    shortest, longest = min(ins_rows, default=1), max(ins_rows, default=0)
+    widest = max(rows, default=0)
+    for n in range(1, min(max_arity, widest - 1 + longest) + 1):
+        yield n, range(max(1, n + 1 - longest), min(n + 2 - shortest, widest + 1))
+
+
+def _slots(r: int, rows, index, tokens: _Tokens, flip: int, start: int) -> list:
     """Per (arity-r outer entry, slot k) whose insertion bucket is not
     empty: the bucket's entries by input count, the objects and inputs left
     and right of slot k, and the entry's output items times `start` and the
-    sign of slot k, which flips past each slot j < k that `flips` marks."""
+    sign of slot k, which flips past each slot j < k whose token is odd when
+    `flip` is set."""
     out = []
     for Y, table in rows:
+        lists = [tokens[(Y[r - 1 - i], Y[r - i])] for i in range(r)]
         for in_t, out_vec in table.items():
             items, negated, sign = out_vec.items(), None, start
-            for k in range(1, r + 1):
-                key = (Y[k - 1], Y[k], in_t[r - k])
-                lengths = index.get(key)
+            for i in range(r - 1, -1, -1):
+                t = lists[i][in_t[i]]
+                lengths = index.get(t)
                 if lengths:
                     if sign == -1 and negated is None:
                         negated = [(oi, -x) for oi, x in items]
-                    out.append((lengths, Y[:k - 1], Y[k + 1:], in_t[:r - k],
-                                in_t[r - k + 1:], items if sign == 1 else negated))
-                if flips and flips[key]:
+                    out.append((lengths, Y[:r - 1 - i], Y[r + 1 - i:], in_t[:i],
+                                in_t[i + 1:], items if sign == 1 else negated))
+                if flip and t & 1:
                     sign = -sign
     return out
 
 
 # -- the certification stream: words keyed by basis tokens --------------------
 
-_Tokens = Dict[Tuple[str, str], List[int]]
-
-
 def double_sum(outer, ins: Prenatural, max_arity: int
                ) -> Iterator[Tuple[int, Components]]:
-    """The double sum one output arity at a time: yields (n, the arity-n
-    part of outer over words with one `ins` block among identity blocks),
-    for n from 0 (when `ins` has an arity-0 part) or 1 to max_arity or to
-    the last arity a word reaches, widest outer arity - 1 + longest
-    insertion arity, whichever comes first.
+    """The double sum one output arity at a time, on `_schedule`: yields
+    (n, the arity-n part of outer over words with one `ins` block among
+    identity blocks).
 
     This is the stream of sums that must vanish (m . m), so it is summed in
-    token space and decodes only what does not cancel.  Each basis element
-    of the source quiver is a token (`_tokens`), and a word is keyed by one
-    int tuple, its input tokens, with its output index; tokens fix the path,
-    so each part's nonzero sums are decoded back into components, and on an
-    accepted structure nothing is.  An arity-0 word keys its object as a
-    negative token.  Arity n reads only the outer entries of arity
-    <= n + 1 - (least arity of `ins`), and tokenizes only the insertion
-    arities it reaches, so a consumer that stops early leaves the rest
-    unread (the arity-n part of m . m reads only m^1..m^n); each (outer
-    entry, slot, insertion entry) triple is visited once.
+    token space and decodes only what does not cancel.  A word is keyed by
+    one int tuple, its input tokens, with its output index; tokens fix the
+    path, so each part's nonzero sums are decoded back into components, and
+    on an accepted structure nothing is.  Arity n reads only the outer
+    entries of arity <= n + 1 - (least arity of `ins`), and tokenizes only
+    the insertion arities it reaches, so a consumer that stops early leaves
+    the rest unread (the arity-n part of m . m reads only m^1..m^n); each
+    (outer entry, slot, insertion entry) triple is visited once.
     """
     q = outer.source
     tokens, cells = _tokens(q)
     flip = (ins.degree - 1) % 2
     rows = _rows(outer)
     ins_rows = rows if ins is outer else _rows(ins)
-    shortest, longest = min(ins_rows, default=1), max(ins_rows, default=0)
-    widest = max(rows, default=0)
     slots: Dict[int, list] = {}
     buckets: Dict[int, Dict[int, list]] = {}
-    if shortest == 0:
-        point = _insertions(ins, ins_rows[0], tokens, q.objects)
     flat: Dict[Tuple[Tuple[int, ...], int], Scalar] = {}
     get = flat.get
-    for n in range(min(shortest, 1), min(max_arity, widest - 1 + longest) + 1):
-        for r in range(max(1, n + 1 - longest), min(n + 2 - shortest, widest + 1)):
+    for n, arities in _schedule(rows, ins_rows, max_arity):
+        for r in arities:
             if r not in slots:
                 slots[r] = _token_slots(r, rows.get(r, ()), tokens, flip)
             e = n + 1 - r
             if e not in buckets:
-                buckets[e] = _insertions(ins, ins_rows.get(e, ()), tokens, None)
-            bucket = buckets[e] if n else point
+                buckets[e] = _insertions(ins, ins_rows.get(e, ()), tokens)
+            bucket = buckets[e]
             for t, before, after, out in slots[r]:
                 entries = bucket.get(t)
                 if entries:
@@ -495,32 +500,16 @@ def double_sum(outer, ins: Prenatural, max_arity: int
         flat.clear()
 
 
-def _tokens(q: GradedQuiver) -> Tuple[_Tokens, List[Tuple[str, str, int]]]:
-    """Each basis element b of hom(x, y) numbered: its token 2 i + odd, odd
-    when its reduced degree is, at tokens[(x, y)][b], and cells[i] = (x, y,
-    b)."""
-    tokens: _Tokens = {}
-    cells: List[Tuple[str, str, int]] = []
-    for (x, y), sp in q.hom.items():
-        toks = tokens[(x, y)] = []
-        for b, (_, deg) in enumerate(sp.basis):
-            toks.append(2 * len(cells) + (deg % 2 == 0))
-            cells.append((x, y, b))
-    return tokens, cells
-
-
-def _insertions(ins: Prenatural, rows, tokens: _Tokens, objects) -> Dict[int, list]:
+def _insertions(ins: Prenatural, rows, tokens: _Tokens) -> Dict[int, list]:
     """The entries of `rows`, all of one arity of `ins`, by output token:
-    (input tokens, coefficient).  Given `objects`, an arity-0 entry at x
-    keys (~index of x,) instead of (), for the arity-0 words."""
+    (input tokens, coefficient)."""
     bucket: Dict[int, list] = {}
     for objs, table in rows:
         e = len(objs) - 1
         outs = tokens[ins.out_pair(objs)]
         lists = [tokens[(objs[e - 1 - i], objs[e - i])] for i in range(e)]
         for in_t, vec in table.items():
-            ein = ((~objects.index(objs[0]),) if objects
-                   else tuple([lst[b] for lst, b in zip(lists, in_t)]))
+            ein = tuple([lst[b] for lst, b in zip(lists, in_t)])
             for b, c in vec.items():
                 bucket.setdefault(outs[b], []).append((ein, c))
     return bucket
@@ -553,13 +542,10 @@ def _decoded(q: GradedQuiver, flat, cells) -> Components:
     through the target of each token from the last to the first."""
     result: Components = {}
     for (toks, oi), c in q.fld.reduced(flat).items():
-        if toks[0] < 0:
-            key, inputs = (0, (q.objects[~toks[0]],)), ()
-        else:
-            word = [cells[t >> 1] for t in toks]
-            path = (word[-1][0],) + tuple([y for _, y, _ in reversed(word)])
-            key, inputs = (len(toks), path), tuple([b for _, _, b in word])
-        result.setdefault(key, {}).setdefault(inputs, {})[oi] = c
+        word = [cells[t >> 1] for t in toks]
+        path = (word[-1][0],) + tuple([y for _, y, _ in reversed(word)])
+        result.setdefault((len(toks), path), {}).setdefault(
+            tuple([b for _, _, b in word]), {})[oi] = c
     return result
 
 
@@ -588,14 +574,9 @@ def r_compose(f: FormalMorphism, t: Prenatural, max_arity: int) -> Prenatural:
     between the endpoints t.frm . f and t.to . f (one object when t's are)."""
     if f.target.objects != t.source.objects:
         raise QuiverError("r_compose: target(f) must be the prenatural's source")
-    comps = _expand(t, f, max_arity)
-    for x in f.source.objects:
-        table = t.components.get((0, (f.object_map[x],)))
-        if table:
-            comps[(0, (x,))] = table
     frm = compose_formal(t.frm, f, max_arity)
     to = frm if t.to is t.frm else compose_formal(t.to, f, max_arity)
-    return Prenatural(frm, to, t.degree, comps)
+    return Prenatural(frm, to, t.degree, _expand(t, f, max_arity))
 
 
 def l_compose(f: FormalMorphism, t: Prenatural, max_arity: int) -> Prenatural:

@@ -8,7 +8,7 @@ makes phi an A-infinity functor, and the strict projection onto the
 A'-summand, under which F becomes projection . phi.  Nothing here is
 certified beyond the premises (m.m = 0 on A, F's equation): psi.phi = Id
 and projection.phi = F hold by construction (build_phi_psi, strictify),
-and as bar composition is associative (Lefevre-Hasegawa,
+and (strictify.conjugation) as bar composition is associative (Lefevre-Hasegawa,
 arXiv:math/0310337) the equations follow from m_model = phi.m.psi:
 phi.m = phi.m.psi.phi = m_model.phi, m_model.m_model = phi.m.m.psi = 0,
 psi.m_model = m.psi and projection.m_model = F.m.psi = m'.projection.

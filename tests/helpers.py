@@ -535,7 +535,7 @@ def random_prenatural(rng: random.Random, frm: FormalMorphism,
                       to: FormalMorphism, degree: int, min_arity: int,
                       max_arity: int, density: float = 0.4) -> Prenatural:
     """Unconstrained degree-g prenatural frm => to with components of arity
-    min_arity..max_arity (arity 0 allowed); frm and to share an object map."""
+    min_arity..max_arity, min_arity >= 1; frm and to share an object map."""
     quiver, fld = frm.source, frm.source.fld
     comps: Components = {}
     for n in range(min_arity, max_arity + 1):
@@ -1455,8 +1455,8 @@ def kernel_block_is_identity(p) -> bool:
 
 def structure_is_admissible(cat: AInftyCategory) -> bool:
     """What `AInftyCategory.build` would admit of a category's structure:
-    well-formed, canonical and flat."""
-    return cat.structure.validate() and cat.structure.is_flat()
+    well-formed and canonical (the constructor has made it flat)."""
+    return cat.structure.validate()
 
 
 def pullback_squares_to_zero(p) -> bool:

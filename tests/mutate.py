@@ -25,60 +25,42 @@ import tempfile
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-# the arity loops of the two double sums, told apart by their slot builders
-PATH_LOOP = (
-    "for n in range(min(shortest, 1), min(max_arity, widest - 1 + longest) + 1):\n"
-    "        for r in range(max(1, n + 1 - longest), min(n + 2 - shortest, widest + 1)):\n"
-    "            if r not in slots:\n"
-    "                slots[r] = _slots(")
-TOKEN_LOOP = PATH_LOOP.replace("_slots(", "_token_slots(")
-
 # (name, file under src/ainfty, exact snippet, replacement, test subset)
 MUTANTS = [
     # -- the contraction engine
     ("accumulate inserts between any endpoints", "quiver.py",
      "if not (isinstance(blocks.frm, Identity) and isinstance(blocks.to, Identity)):",
      "if False:", ["tests/test_quiver.py"]),
-    ("_slots sign flip", "quiver.py",
-     "if flips and flips[key]:\n                    sign = -sign",
-     "if flips and flips[key]:\n                    sign = sign",
+    ("constructors admit an arity-0 key", "quiver.py",
+     "if key[0] < 1:", "if key[0] < 0:", ["tests/test_quiver.py"]),
+    ("_slots drops the odd-token sign flip", "quiver.py",
+     "in_t[i + 1:], items if sign == 1 else negated))\n"
+     "                if flip and t & 1:\n                    sign = -sign",
+     "in_t[i + 1:], items if sign == 1 else negated))\n"
+     "                if flip and t & 1:\n                    sign = sign",
      ["tests/test_quiver.py"]),
-    ("double sum starts at arity 1", "quiver.py",
-     PATH_LOOP, PATH_LOOP.replace("range(min(shortest, 1),", "range(1,"),
+    # -- the arity schedule of both double sums
+    ("_schedule stops one arity short", "quiver.py",
+     "min(max_arity, widest - 1 + longest)", "min(max_arity, widest - 2 + longest)",
      ["tests/test_quiver.py"]),
-    ("double sum stops one arity short", "quiver.py",
-     PATH_LOOP, PATH_LOOP.replace("widest - 1 + longest", "widest - 2 + longest"),
+    ("_schedule yields one arity past the last word", "quiver.py",
+     "min(max_arity, widest - 1 + longest)", "min(max_arity, widest + longest)",
      ["tests/test_quiver.py"]),
-    ("double sum arity-0 reach", "quiver.py",
-     PATH_LOOP, PATH_LOOP.replace("min(n + 2 - shortest,", "min(n + 2 - max(shortest, 1),"),
+    ("_schedule skips the shortest insertion arity", "quiver.py",
+     "min(n + 2 - shortest, widest + 1)", "min(n + 1 - shortest, widest + 1)",
      ["tests/test_quiver.py"]),
     # -- the certification stream, summed over basis tokens
-    ("stream starts at arity 1", "quiver.py",
-     TOKEN_LOOP, TOKEN_LOOP.replace("range(min(shortest, 1),", "range(1,"),
-     ["tests/test_quiver.py"]),
-    ("stream stops one arity short", "quiver.py",
-     TOKEN_LOOP, TOKEN_LOOP.replace("widest - 1 + longest", "widest - 2 + longest"),
-     ["tests/test_quiver.py"]),
-    ("stream yields one arity past the last word", "quiver.py",
-     TOKEN_LOOP, TOKEN_LOOP.replace("widest - 1 + longest", "widest + longest"),
-     ["tests/test_quiver.py"]),
-    ("stream arity-0 reach", "quiver.py",
-     TOKEN_LOOP, TOKEN_LOOP.replace("min(n + 2 - shortest,", "min(n + 2 - max(shortest, 1),"),
-     ["tests/test_quiver.py"]),
     ("stream drops the odd-token sign flip", "quiver.py",
-     "if flip and t & 1:\n                    sign = -sign",
-     "if flip and t & 1:\n                    sign = sign", ["tests/test_quiver.py"]),
+     "toks[i + 1:], items if sign == 1 else negated))\n"
+     "                if flip and t & 1:\n                    sign = -sign",
+     "toks[i + 1:], items if sign == 1 else negated))\n"
+     "                if flip and t & 1:\n                    sign = sign",
+     ["tests/test_quiver.py"]),
     ("stream decodes the path unreversed", "quiver.py",
      "for _, y, _ in reversed(word)", "for _, y, _ in word", ["tests/test_quiver.py"]),
     ("stream tokenizes each insertion arity one arity late", "quiver.py",
-     "buckets[e] = _insertions(ins, ins_rows.get(e, ()), tokens, None)",
-     "buckets[e] = _insertions(ins, ins_rows.get(e - 1, ()), tokens, None)",
-     ["tests/test_quiver.py"]),
-    ("stream drops the arity-0 object token", "quiver.py",
-     "ein = ((~objects.index(objs[0]),) if objects", "ein = (() if objects",
-     ["tests/test_quiver.py"]),
-    ("_flips parity", "quiver.py",
-     "if (degree - 1) % 2 == 0:", "if (degree - 1) % 2 == 1:",
+     "buckets[e] = _insertions(ins, ins_rows.get(e, ()), tokens)",
+     "buckets[e] = _insertions(ins, ins_rows.get(e - 1, ()), tokens)",
      ["tests/test_quiver.py"]),
     ("regroup keeps raw sums", "quiver.py",
      "for (path, acc, oi), c in fld.reduced(flat).items():",
@@ -92,10 +74,6 @@ MUTANTS = [
      "return max_arity, full is not None and max_arity > full",
      ["tests/test_core.py", "tests/test_strictify.py"]),
     # -- certification
-    ("functor_defect m_B arity-0 sign", "core.py",
-     "flat[((x,), in_t, oi)] = flat.get(((x,), in_t, oi), 0) - c",
-     "flat[((x,), in_t, oi)] = flat.get(((x,), in_t, oi), 0) + c",
-     ["tests/test_core.py"]),
     ("functor_defect m_B.F sign", "core.py",
      "accumulate(flat, -1, m_b, f, max_arity)",
      "accumulate(flat, 1, m_b, f, max_arity)", ["tests/test_core.py"]),
@@ -105,6 +83,9 @@ MUTANTS = [
     ("certify_premise never extends", "core.py",
      "if value.total or value.arity_bound >= n:", "if True:",
      ["tests/test_strictify.py", "tests/test_pullback.py"]),
+    ("build leaves curvature to the constructor", "core.py",
+     "if any(n < 1 for n, _ in components):", "if False:",
+     ["tests/test_core.py"]),
     ("build admits without _canonical", "core.py",
      "structure = _canonical(structure)", "structure = structure",
      ["tests/test_core.py"]),

@@ -466,7 +466,7 @@ def test_unit_in_a_higher_component_is_not_strictly_unital():
 
 def _loop_quiver(rng, fld, names):
     """Random homs between all objects, every loop with a degree-2 element
-    (room for an arity-0 structure component) and odd degrees for signs."""
+    too, and odd degrees for signs."""
     hom = {}
     for a in names:
         for b in names:
@@ -477,15 +477,10 @@ def _loop_quiver(rng, fld, names):
     return GradedQuiver(fld, names, hom)
 
 
-def _curved(rng, q, bound):
-    """An unchecked category on q: a random degree-2 structure, plus an
-    arity-0 element of degree 2 at every object."""
-    m = random_flat_prenatural(rng, q, 2, bound, density=0.5)
-    comps = dict(m.components)
-    for x in q.objects:
-        top = q.space(x, x).dim - 1
-        comps[(0, (x,))] = {(): {top: q.fld.from_int(rng.choice((-1, 1, 2)))}}
-    return AInftyCategory.derived(Prenatural(m.frm, m.to, 2, comps), None, bound)
+def _unchecked(rng, q, bound):
+    """An unchecked category on q: a random flat degree-2 structure."""
+    return AInftyCategory.derived(
+        random_flat_prenatural(rng, q, 2, bound, density=0.5), None, bound)
 
 
 def _by_hand(cat):
@@ -500,8 +495,8 @@ def _by_hand(cat):
 def _defect_cases(rng, fld):
     """(F, A, B, bound, small): an F1 functor twisted to F^2 != 0 and a
     twisted strict one (defect 0), each with one coefficient bumped, and
-    a random morphism between unchecked categories with arity-0 parts;
-    small cases take the oracle."""
+    a random morphism between unchecked categories; small cases take the
+    oracle."""
     for f in (random_f1_functor(rng, fld),
               twisted_functor(sq_functor(fld), rng, max_arity=3)):
         bound = min(f.arity_bound, 3)
@@ -513,7 +508,7 @@ def _defect_cases(rng, fld):
         yield bumped, f.source, f.target, bound, False
     qa = _loop_quiver(rng, fld, ("x0", "x1"))
     qb = _loop_quiver(rng, fld, ("y0", "y1"))
-    a, b = _curved(rng, qa, 2), _curved(rng, qb, 2)
+    a, b = _unchecked(rng, qa, 2), _unchecked(rng, qb, 2)
     f = random_formal_morphism(rng, qa, qb, max_arity=2, density=0.7)
     yield f, a, b, 2, True
 
@@ -554,9 +549,6 @@ def test_functor_defect_is_one_sum_of_both_sides(seed, p):
         assert defect.frm is f and defect.to is f
         assert defect.degree == want.degree == 2
         if small:
-            # m_B's arity-0 table enters at every object
-            assert {x for (n, (x, *_)) in right.components if n == 0} == set(
-                a.objects)
             assert defect.components == _oracle_defect(f, a, b, bound)
             with pytest.raises(QuiverError, match="between Identity endpoints"):
                 functor_defect(f, _by_hand(a), b, bound)
@@ -573,7 +565,7 @@ def test_functor_defect_over_a_hand_built_identity(monkeypatch):
     # sum: F . m_A is the double sum, which needs Identity endpoints
     rng = random.Random(7)
     qa, qb = _loop_quiver(rng, F5, ("x0",)), _loop_quiver(rng, F5, ("y0", "y1"))
-    a, b = _curved(rng, qa, 3), _curved(rng, qb, 3)
+    a, b = _unchecked(rng, qa, 3), _unchecked(rng, qb, 3)
     f = random_formal_morphism(rng, qa, qb, max_arity=3, density=0.8)
     defect = functor_defect(f, a, b, 3)
     assert defect.components

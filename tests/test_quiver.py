@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ainfty import quiver
-from ainfty.core import structure_defect
+from ainfty.core import AInftyCategory, AInftyError, structure_defect
 from ainfty.documents import parse_category
 from ainfty.fields import Field
 from ainfty.linear import GradedSpace
@@ -212,15 +212,15 @@ def stepped_quiver(rng: random.Random, fld, n_objects):
 @settings(max_examples=25, deadline=None)
 def test_identity_endpoint_double_sum_matches_oracles(seed, field, degree, bound):
     """On identity endpoints compose_prenatural and l_compose are the
-    classical double sum: insertions of either parity with arity-0 parts,
-    words up to arity 5 cut at bounds 1..4, checked against the dense
-    oracles over Q and over F_2, F_3 and F_5, where sums cancel often."""
+    classical double sum: flat insertions of either parity, words up to
+    arity 5 cut at bounds 1..4, checked against the dense oracles over Q
+    and over F_2, F_3 and F_5, where sums cancel often."""
     rng = random.Random(seed)
     fld = FIELDS[field]
     q = stepped_quiver(rng, fld, rng.randint(1, 2))
     ident = identity_formal(q)
-    t = random_prenatural(rng, ident, ident, degree, 0, 3, density=0.6)
-    d = random_prenatural(rng, ident, ident, rng.randint(0, 3), 0, 3, density=0.6)
+    t = random_flat_prenatural(rng, q, degree, 3, density=0.6)
+    d = random_flat_prenatural(rng, q, rng.randint(0, 3), 3, density=0.6)
     h = random_formal_morphism(rng, q, stepped_quiver(rng, fld, 1), 3, density=0.6)
     for expand in (insertion_expand_word, coderivation_expand_word):
         def words(w):
@@ -233,36 +233,30 @@ def test_identity_endpoint_double_sum_matches_oracles(seed, field, degree, bound
         q, m, bound)
 
 
-@given(st.integers(0, 10 ** 6), st.sampled_from(sorted(FIELDS)), st.integers(1, 5))
+@given(st.integers(0, 10 ** 6), st.sampled_from(sorted(FIELDS)), st.integers(1, 5),
+       st.integers(-1, 2))
 @settings(max_examples=25, deadline=None)
-def test_double_sum_stream_matches_oracles(seed, field, bound):
+def test_double_sum_stream_matches_oracles(seed, field, bound, degree):
     """The double sum one arity at a time: the arities run without a gap
-    from 0 (when the insertion has an arity-0 part) or 1 up to the bound or
-    the last arity a word reaches, whichever comes first, each part is the
-    whole sum restricted to its arity, and the merged parts
-    are compose_prenatural and the dense oracles: the word expansion for an
-    insertion with arity-0 parts, the explicit double sum for m . m.  With
-    up to three objects a basis index recurs across hom pairs, so a part
-    decoded to the wrong path or inputs shows."""
+    from 1 up to the bound or the last arity a word reaches, whichever
+    comes first, each part is the whole sum restricted to its arity, and
+    the merged parts are compose_prenatural and the dense oracles: the word
+    expansion for a flat insertion of either parity, the explicit double sum
+    for m . m.  With up to three objects a basis index recurs across hom
+    pairs, so a part decoded to the wrong path or inputs shows."""
     rng = random.Random(seed)
     fld = FIELDS[field]
     q = stepped_quiver(rng, fld, rng.randint(1, 3))
     ident = identity_formal(q)
     m = random_flat_prenatural(rng, q, degree=2, max_arity=3, density=0.6)
-    # t has an arity-0 part: its degree is that of an element of hom(x, x)
-    x = q.objects[0]
-    b = rng.randrange(q.space(x, x).dim)
-    degree = q.space(x, x).degree(b)
-    t = random_prenatural(rng, ident, ident, degree, 0, 3, density=0.6)
-    t = Prenatural(ident, ident, degree, {**t.components, (0, (x,)): {(): {b: fld.one}}})
-    d = random_prenatural(rng, ident, ident, rng.randint(0, 3), 1, 3, density=0.6)
+    d = random_flat_prenatural(rng, q, rng.randint(0, 3), 3, density=0.6)
+    t = random_flat_prenatural(rng, q, degree, 3, density=0.6)
     for outer, ins in ((m, m), (d, t)):
         whole = compose_prenatural(outer, ins, bound)
         parts = list(quiver.double_sum(outer, ins, bound))
-        start = 1 if ins.is_flat() else 0
         reach = max((n for n, _ in outer.components), default=0) - 1 + max(
             (n for n, _ in ins.components), default=0)
-        assert [n for n, _ in parts] == list(range(start, min(bound, reach) + 1))
+        assert [n for n, _ in parts] == list(range(1, min(bound, reach) + 1))
         merged = {}
         for n, part in parts:
             assert part == {key: tb for key, tb in whole.components.items()
@@ -413,20 +407,26 @@ def test_prenatural_zero_argument(rng):
     assert not compose_prenatural(zero, d, 4).components
 
 
-def test_arity_zero_insertion(qq):
-    # d' with only an arity-0 part inserts as an extra input
-    sp = GradedSpace((("a", 0), ("b", 1)))
+def test_arity_zero_key_is_refused_by_both_constructors(qq):
+    # families are flat: a key of arity < 1 is a QuiverError when either
+    # constructor runs, through dataclasses.replace too, even with an empty
+    # table; AInftyCategory.build names curvature as an AInftyError instead
+    sp = GradedSpace((("a", 0), ("b", 1), ("c", 2)))
     q = GradedQuiver(qq, ("o",), {("o", "o"): sp})
     ident = identity_formal(q)
-    d = Prenatural(ident, ident, 2, {
-        (2, ("o", "o", "o")): {(0, 1): {1: qq.one}},
-    })
-    dp = Prenatural(ident, ident, 1, {(0, ("o",)): {(): {1: qq.one}}})
-    comp = compose_prenatural(d, dp, 3)
-    # insertions of b into (a, _) and (_, b): surviving term d^2(a, b<-insert)
-    assert (1, ("o", "o")) in comp.components
-    table = comp.components[(1, ("o", "o"))]
-    assert table == {(0,): {1: qq.one}}
+    one = {(1, ("o", "o")): {(0,): {1: qq.one}}}
+    f = FormalMorphism(q, q, {"o": "o"}, {(1, ("o", "o")): {(0,): {0: qq.one}}})
+    m = Prenatural(ident, ident, 2, one)
+    for key, table in (((0, ("o",)), {(): {2: qq.one}}), ((0, ("o",)), {}),
+                       ((-1, ()), {(): {2: qq.one}})):
+        for make in (lambda c: FormalMorphism(q, q, {"o": "o"}, c),
+                     lambda c: Prenatural(ident, ident, 2, c),
+                     lambda c: dataclasses.replace(f, components=c),
+                     lambda c: dataclasses.replace(m, components=c)):
+            with pytest.raises(QuiverError, match="families are flat"):
+                make({**one, key: table})
+        with pytest.raises(AInftyError, match="structures must be flat"):
+            AInftyCategory.build(q, {**one, key: table})
 
 
 # -- l/r composition ----------------------------------------------------------
@@ -585,13 +585,13 @@ def test_differing_endpoints_match_bar_oracle(seed, field):
                       for _ in range(4))
     f, g = map(_nonzero, _differing_endpoints(rng, qa, qb))
     assume(f != g)
-    t = _nonzero(random_prenatural(rng, f, g, rng.choice([1, 2]), 0, 2, density=0.9))
+    t = _nonzero(random_prenatural(rng, f, g, rng.choice([1, 2]), 1, 2, density=0.9))
     h = _nonzero(random_formal_morphism(rng, qb, qc, max_arity=2, density=0.9))
     k = _nonzero(random_formal_morphism(rng, q0, qa, max_arity=2, density=0.9))
     p, q = map(_nonzero, _differing_endpoints(rng, qb, qc))
-    d = _nonzero(random_prenatural(rng, p, q, rng.choice([1, 2]), 0, 2, density=0.9))
+    d = _nonzero(random_prenatural(rng, p, q, rng.choice([1, 2]), 1, 2, density=0.9))
     ident = identity_formal(qb)
-    s = _nonzero(random_prenatural(rng, ident, ident, rng.choice([1, 2]), 0, 2,
+    s = _nonzero(random_prenatural(rng, ident, ident, rng.choice([1, 2]), 1, 2,
                                    density=0.9))
     bound = 3
     for insert in (lambda: l_compose(h, t, bound),
@@ -609,21 +609,16 @@ def test_differing_endpoints_match_bar_oracle(seed, field):
     assert (rt.frm, rt.to) == (compose_formal(f, k, bound), compose_formal(g, k, bound))
 
 
-def test_arity_zero_insertion_with_endpoints_at_the_bound():
-    # t has only an arity-0 part, between identities, and h has entries of
-    # arity 4 = the bound + 1: an empty insertion block in one of their
-    # slots gives a word of arity 3, which l_compose(h, t, 3) must keep.
-    # A double sum that reads only outer entries of arity <= n drops them
+def test_insertion_with_outer_entries_past_the_bound():
+    # h has entries of arity 4 = the bound + 1 and the bound itself, and t
+    # arity-1 parts of either parity: every word of l_compose(h, t, 3) has
+    # arity 1 to 3, the outer arity or more, so the entries of arity 4 add
+    # nothing, and those of arity 3 take arity-1 insertions in each slot
     reached = 0
     for seed in range(12):
         rng = random.Random(seed)
         qa, qc = (stepped_quiver(rng, F5, 2) for _ in range(2))
-        x = qa.objects[0]
-        b = rng.randrange(qa.space(x, x).dim)
-        ident = identity_formal(qa)
-        degree = qa.space(x, x).degree(b)
-        t = random_prenatural(rng, ident, ident, degree, 0, 0, density=0.9)
-        t = Prenatural(ident, ident, degree, {**t.components, (0, (x,)): {(): {b: F5.one}}})
+        t = random_flat_prenatural(rng, qa, rng.randint(0, 3), 2, density=0.9)
         h = random_formal_morphism(rng, qa, qc, max_arity=4, density=0.9)
         reached += any(n == 4 for n, _ in h.components)
         assert l_compose(h, t, 3).components == outer_after_words(
@@ -637,7 +632,7 @@ def test_shared_endpoint_equals_copied_endpoint(seed):
     rng = random.Random(seed)
     q0, qa, qb = (small_quiver(rng, n_objects=2, max_dim=3) for _ in range(3))
     f = random_formal_morphism(rng, qa, qb, max_arity=2, density=0.9)
-    shared = random_prenatural(rng, f, f, rng.choice([1, 2]), 0, 2, density=0.9)
+    shared = random_prenatural(rng, f, f, rng.choice([1, 2]), 1, 2, density=0.9)
     copied = Prenatural(f, copy.copy(f), shared.degree, shared.components)
     h = random_formal_morphism(rng, qb, q0, max_arity=2, density=0.9)
     k = random_formal_morphism(rng, q0, qa, max_arity=2, density=0.9)
@@ -682,8 +677,8 @@ def test_results_hold_reduced_nonzero_coefficients(seed, field):
     g = _nonzero(random_formal_morphism(rng, qa, qb, 2, density=0.9,
                                         object_map=dict(f.object_map)))
     h = _nonzero(random_formal_morphism(rng, qb, qc, 2, density=0.9))
-    t = _nonzero(random_prenatural(rng, f, g, rng.randint(1, 2), 0, 2, density=0.9))
-    s = _nonzero(random_prenatural(rng, ident, ident, rng.randint(0, 3), 0, 3,
+    t = _nonzero(random_prenatural(rng, f, g, rng.randint(1, 2), 1, 2, density=0.9))
+    s = _nonzero(random_prenatural(rng, ident, ident, rng.randint(0, 3), 1, 3,
                                    density=0.9))
     d = _nonzero(random_prenatural(rng, ident, ident, 2, 1, 3, density=0.9))
     bound = 4
@@ -737,18 +732,18 @@ def test_compose_prenatural_leaves_no_garbage_cycles():
     f = random_formal_morphism(rng, q, qb, max_arity=2)
     f2 = random_formal_morphism(rng, q, qb, max_arity=2, object_map=f.object_map)
     g = random_formal_morphism(rng, qb, qc, max_arity=2)
-    t = random_prenatural(rng, f, f2, 2, 0, 2)
+    t = random_prenatural(rng, f, f2, 2, 1, 2)
     assert t.frm is not t.to and t.components
     ident = identity_formal(q)
     assert m.frm is m.to and m.frm.components == ident.components
-    t0 = random_prenatural(rng, ident, ident, 1, 0, 2, density=0.9)
-    assert any(n == 0 for n, _ in t0.components)
+    t1 = random_flat_prenatural(rng, q, 1, 2, density=0.9)
+    assert t1.components
     with pytest.raises(QuiverError, match="between Identity endpoints"):
         l_compose(g, t, 4)
     calls = {
         "compose_prenatural": lambda: compose_prenatural(m, m, 4),
-        "compose_prenatural, identity endpoints, arity 0":
-            lambda: compose_prenatural(m, t0, 4),
+        "compose_prenatural, odd degree insertion":
+            lambda: compose_prenatural(m, t1, 4),
         "compose_formal": lambda: compose_formal(g, f, 4),
         "compose_formal, identity operand": lambda: compose_formal(f, ident, 4),
         "r_compose": lambda: r_compose(u, m, 4),
