@@ -36,7 +36,6 @@ from .core import (
     FunctorDefectError,
     H0Category,
     IsoLiftCertificate,
-    QEReport,
     StructureDefectError,
     UnitAxiomError,
     build_h0,

@@ -142,6 +142,16 @@ def _certs(args) -> RawCertificates:
     return RawCertificates()
 
 
+def _f1_report(f1) -> CheckReport:
+    """check_F1's verdict, the kernel dimension of each pair split, and on
+    a failure the first pair and degree where F1 is not onto."""
+    return CheckReport(
+        "pass" if f1.passed else "fail",
+        [] if f1.passed else [f"pair {f1.failure[0]}, degree {f1.failure[1]}"],
+        {"kernel_dims": {f"{x},{y}": s.kernel.dim
+                         for (x, y), s in f1.splits.items()}})
+
+
 def cmd_classify(args) -> int:
     doc = load_functor(args.functor, args.max_arity, loaded={})
     functor = doc.functor
@@ -149,14 +159,8 @@ def cmd_classify(args) -> int:
     certs = _certs(args)
     tags = set(certs.isolifts) | set(certs.essentials) or {"self"}
     tag = "self" if "self" in tags else sorted(tags)[0]
-    checks: Dict[str, CheckReport] = {}
     f1 = check_F1(functor)
-    checks["f1"] = CheckReport(
-        "pass" if f1.passed else "fail",
-        [] if f1.passed else [f"pair {f1.failure[0]}, degree {f1.failure[1]}"],
-        {"kernel_dims": {f"{x},{y}": s.kernel.dim
-                         for (x, y), s in f1.splits.items()}},
-    )
+    checks: Dict[str, CheckReport] = {"f1": _f1_report(f1)}
     essentials = None
     if functor.source.units is not None and functor.target.units is not None:
         checks["f2_isofibration"] = check_isofibration(
@@ -164,11 +168,7 @@ def cmd_classify(args) -> int:
         essentials = certs.resolve_essentials(tag, functor)
     else:
         checks["f2_isofibration"] = CheckReport("undecided", ["units required"])
-    qe = check_quasi_equivalence(functor, essentials)
-    checks["quasi_equivalence"] = CheckReport(
-        qe.verdict, qe.hom_level.witnesses + qe.essential.witnesses,
-        {"hom_level": qe.hom_level.verdict,
-         "essential_surjectivity": qe.essential.verdict})
+    checks["quasi_equivalence"] = check_quasi_equivalence(functor, essentials)
     if f1.passed:
         checks["kernel_acyclicity"] = kernel_acyclicity(functor)
     extra = {"arity_bound": functor.arity_bound, "total": functor.total}
@@ -204,12 +204,9 @@ def cmd_pullback(args) -> int:
     _check_field(args, args.g, g.source.fld)
     certs = _certs(args)
     f1 = check_F1(f)
-    checks: Dict[str, CheckReport] = {}
+    checks: Dict[str, CheckReport] = {"f1": _f1_report(f1)}
     if not f1.passed:
-        checks["f1"] = CheckReport(
-            "fail", [f"pair {f1.failure[0]}, degree {f1.failure[1]}"])
         return _finish(_report_json("pullback", checks), args.strict)
-    checks["f1"] = CheckReport("pass")
     p = build_pullback(f, g, max_arity=args.max_arity)
     # build_pullback returns only once these hold (ainfty.pullback's lemmas;
     # AInftyCategory.derived runs check_strict_units on P's units)

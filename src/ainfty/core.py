@@ -193,7 +193,7 @@ def _certify_structure(structure: Prenatural, max_arity: int) -> None:
     (by `build`) or made by the package.  The sum is read one arity at a
     time: a defect stops it at its first nonzero arity, with the witness
     that `structure_defect(...).first_nonzero()` names (it sorts by arity)."""
-    _certify((part for _, part in double_sum(structure, structure, max_arity)),
+    _certify((part for _, part in double_sum(structure, max_arity)),
              StructureDefectError)
 
 
@@ -791,21 +791,18 @@ def kernel_acyclicity(functor: AInftyFunctor) -> CheckReport:
     return CheckReport(verdict, witnesses, {"nonacyclic": dims_out})
 
 
-@dataclass
-class QEReport:
-    verdict: str
-    hom_level: CheckReport
-    essential: CheckReport
-
-
 def check_quasi_equivalence(
     functor: AInftyFunctor,
     certificates: Optional[List[EssentialCertificate]] = None,
-) -> QEReport:
-    """Hom-level quasi-isomorphisms plus essential surjectivity of H0."""
+) -> CheckReport:
+    """Hom-level quasi-isomorphisms plus essential surjectivity of H0: both
+    witness lists, and each sub-verdict in the details."""
     hom = _hom_level_quasi_iso(functor)
     ess = _essential_surjectivity(functor, certificates)
-    return QEReport(combined_verdict([hom.verdict, ess.verdict]), hom, ess)
+    return CheckReport(combined_verdict([hom.verdict, ess.verdict]),
+                       hom.witnesses + ess.witnesses,
+                       {"hom_level": hom.verdict,
+                        "essential_surjectivity": ess.verdict})
 
 
 def _hom_level_quasi_iso(functor: AInftyFunctor) -> CheckReport:

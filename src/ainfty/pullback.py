@@ -380,9 +380,7 @@ def certify_fibration_closure(
             "undecided", ["units required for the F2 clauses"])
         return FibrationReport(sections)
     sections["f_isofibration"] = check_isofibration(p.f, f_isolifts)
-    f_qe = check_quasi_equivalence(p.f, f_essentials)
-    sections["f_quasi_equivalence"] = CheckReport(
-        f_qe.verdict, f_qe.hom_level.witnesses + f_qe.essential.witnesses)
+    sections["f_quasi_equivalence"] = check_quasi_equivalence(p.f, f_essentials)
     for key, (premises, lemma) in ALPHA_CLAUSES.items():
         if all(sections[k].passed for k in premises):
             sections[key] = CheckReport.derived(lemma, premises)

@@ -28,11 +28,12 @@ endpoints (the double sum), and any other endpoints raise QuiverError.
 Basis tokens are ints that each fix a basis element of one hom and the
 parity of its reduced degree (`_tokens`).  The two double sums share the
 arity schedule (`_rows`, `_schedule`), the tokens and the sign rule, a
-flip past each odd token, and differ only in their keys.  Every sum that is
-kept (composites, functor defects) is keyed by (path, inputs, output
-index).  The stream of sums that must vanish, `double_sum`, which certifies
-m . m, keys each word by its tuple of input tokens and decodes back into
-paths and inputs only the sums that do not cancel.
+flip past each odd token.  The kept one, `_add_double_sum` (composites,
+functor defects), inserts any flat prenatural and keys each word by
+(path, inputs, output index).  The stream, `double_sum`, is m . m of one
+structure, the sum that must vanish: it reads each arity of m once for
+both roles, keys each word by its tuple of input tokens and decodes back
+into paths and inputs only the sums that do not cancel.
 """
 from __future__ import annotations
 
@@ -57,6 +58,7 @@ class GradedQuiver:
     fld: Field
     objects: Tuple[str, ...]
     hom: Dict[Tuple[str, str], GradedSpace] = field(default_factory=dict)
+    _interval: Optional[Tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.objects)) != len(self.objects):
@@ -64,15 +66,15 @@ class GradedQuiver:
         for (x, y) in self.hom:
             if x not in self.objects or y not in self.objects:
                 raise QuiverError(f"hom pair ({x},{y}) outside the object set")
+        degs = [d for sp in self.hom.values() for _, d in sp.basis]
+        object.__setattr__(self, "_interval", (min(degs), max(degs)) if degs else None)
 
     def space(self, x: str, y: str) -> GradedSpace:
         return self.hom.get((x, y), EMPTY_SPACE)
 
     def degree_interval(self) -> Optional[Tuple[int, int]]:
-        degs = [d for sp in self.hom.values() for _, d in sp.basis]
-        if not degs:
-            return None
-        return min(degs), max(degs)
+        """The least and greatest basis degree, or None with no basis."""
+        return self._interval
 
     def paths(self, n: int) -> Iterator[Tuple[str, ...]]:
         """Object tuples (x_0..x_n) whose consecutive homs are all nonzero."""
@@ -456,40 +458,30 @@ def _slots(r: int, rows, index, tokens: _Tokens, flip: int, start: int) -> list:
 
 # -- the certification stream: words keyed by basis tokens --------------------
 
-def double_sum(outer, ins: Prenatural, max_arity: int
-               ) -> Iterator[Tuple[int, Components]]:
-    """The double sum one output arity at a time, on `_schedule`: yields
-    (n, the arity-n part of outer over words with one `ins` block among
-    identity blocks).
+def double_sum(m: Prenatural, max_arity: int) -> Iterator[Tuple[int, Components]]:
+    """m . m one output arity at a time, on `_schedule`: yields (n, the
+    arity-n part of m over words with one m block among identity blocks).
 
-    This is the stream of sums that must vanish (m . m), so it is summed in
-    token space and decodes only what does not cancel.  A word is keyed by
-    one int tuple, its input tokens, with its output index; tokens fix the
+    This is the stream of sums that must vanish, so it is summed in token
+    space and decodes only what does not cancel.  A word is keyed by one
+    int tuple, its input tokens, with its output index; tokens fix the
     path, so each part's nonzero sums are decoded back into components, and
-    on an accepted structure nothing is.  Arity n reads only the outer
-    entries of arity <= n + 1 - (least arity of `ins`), and tokenizes only
-    the insertion arities it reaches, so a consumer that stops early leaves
-    the rest unread (the arity-n part of m . m reads only m^1..m^n); each
-    (outer entry, slot, insertion entry) triple is visited once.
+    on an accepted structure nothing is.  Step n reads m's arity-n entries
+    once (`_token_pass`), as outer entries and as insertions together, so a
+    consumer that stops at arity n has read only m^1..m^n; each (outer
+    entry, slot, insertion entry) triple is visited once.
     """
-    q = outer.source
+    q = m.source
     tokens, cells = _tokens(q)
-    flip = (ins.degree - 1) % 2
-    rows = _rows(outer)
-    ins_rows = rows if ins is outer else _rows(ins)
-    slots: Dict[int, list] = {}
-    buckets: Dict[int, Dict[int, list]] = {}
+    rows = _rows(m)
+    passes: list = [None]           # passes[r]: (slots, bucket) of m's arity r
     flat: Dict[Tuple[Tuple[int, ...], int], Scalar] = {}
     get = flat.get
-    for n, arities in _schedule(rows, ins_rows, max_arity):
+    for n, arities in _schedule(rows, rows, max_arity):
+        passes.append(_token_pass(n, rows.get(n, ()), tokens))
         for r in arities:
-            if r not in slots:
-                slots[r] = _token_slots(r, rows.get(r, ()), tokens, flip)
-            e = n + 1 - r
-            if e not in buckets:
-                buckets[e] = _insertions(ins, ins_rows.get(e, ()), tokens)
-            bucket = buckets[e]
-            for t, before, after, out in slots[r]:
+            bucket = passes[n + 1 - r][1]
+            for t, before, after, out in passes[r][0]:
                 entries = bucket.get(t)
                 if entries:
                     for oi, x in out:
@@ -500,40 +492,31 @@ def double_sum(outer, ins: Prenatural, max_arity: int
         flat.clear()
 
 
-def _insertions(ins: Prenatural, rows, tokens: _Tokens) -> Dict[int, list]:
-    """The entries of `rows`, all of one arity of `ins`, by output token:
-    (input tokens, coefficient)."""
+def _token_pass(r: int, rows, tokens: _Tokens) -> Tuple[list, Dict[int, list]]:
+    """One read of the arity-r entries of a structure m, each tokenized
+    once: per (entry, slot k), the token of slot k, the tokens left and
+    right of it and the entry's output items times the sign of slot k,
+    which flips past each slot j < k whose token is odd (m has degree 2);
+    and the entries by output token, (input tokens, coefficient), as
+    insertions."""
+    slots: list = []
     bucket: Dict[int, list] = {}
-    for objs, table in rows:
-        e = len(objs) - 1
-        outs = tokens[ins.out_pair(objs)]
-        lists = [tokens[(objs[e - 1 - i], objs[e - i])] for i in range(e)]
-        for in_t, vec in table.items():
-            ein = tuple([lst[b] for lst, b in zip(lists, in_t)])
-            for b, c in vec.items():
-                bucket.setdefault(outs[b], []).append((ein, c))
-    return bucket
-
-
-def _token_slots(r: int, rows, tokens: _Tokens, flip: int) -> list:
-    """Per (arity-r outer entry, slot k): the token of slot k, the tokens
-    left and right of it, and the entry's output items times the sign of
-    slot k, which flips past each slot j < k whose token is odd when `flip`
-    is set."""
-    out = []
     for Y, table in rows:
         lists = [tokens[(Y[r - 1 - i], Y[r - i])] for i in range(r)]
+        outs = tokens[(Y[0], Y[r])]
         for in_t, out_vec in table.items():
             toks = tuple([lst[b] for lst, b in zip(lists, in_t)])
+            for b, c in out_vec.items():
+                bucket.setdefault(outs[b], []).append((toks, c))
             items, negated, sign = out_vec.items(), None, 1
             for i in range(r - 1, -1, -1):
                 t = toks[i]
                 if sign == -1 and negated is None:
                     negated = [(oi, -x) for oi, x in items]
-                out.append((t, toks[:i], toks[i + 1:], items if sign == 1 else negated))
-                if flip and t & 1:
+                slots.append((t, toks[:i], toks[i + 1:], items if sign == 1 else negated))
+                if t & 1:
                     sign = -sign
-    return out
+    return slots, bucket
 
 
 def _decoded(q: GradedQuiver, flat, cells) -> Components:

@@ -51,16 +51,20 @@ MUTANTS = [
      ["tests/test_quiver.py"]),
     # -- the certification stream, summed over basis tokens
     ("stream drops the odd-token sign flip", "quiver.py",
-     "toks[i + 1:], items if sign == 1 else negated))\n"
-     "                if flip and t & 1:\n                    sign = -sign",
-     "toks[i + 1:], items if sign == 1 else negated))\n"
-     "                if flip and t & 1:\n                    sign = sign",
+     "items if sign == 1 else negated))\n"
+     "                if t & 1:\n                    sign = -sign",
+     "items if sign == 1 else negated))\n"
+     "                if t & 1:\n                    sign = sign",
      ["tests/test_quiver.py"]),
     ("stream decodes the path unreversed", "quiver.py",
      "for _, y, _ in reversed(word)", "for _, y, _ in word", ["tests/test_quiver.py"]),
-    ("stream tokenizes each insertion arity one arity late", "quiver.py",
-     "buckets[e] = _insertions(ins, ins_rows.get(e, ()), tokens)",
-     "buckets[e] = _insertions(ins, ins_rows.get(e - 1, ()), tokens)",
+    ("stream inserts at each slot entries of the slot's own arity", "quiver.py",
+     "bucket = passes[n + 1 - r][1]", "bucket = passes[r][1]",
+     ["tests/test_quiver.py"]),
+    ("stream reads two arities ahead", "quiver.py",
+     "passes.append(_token_pass(n, rows.get(n, ()), tokens))",
+     "passes.append(_token_pass(n, rows.get(n, ()), tokens))\n"
+     "        [_token_pass(k, rows.get(k, ()), tokens) for k in (n + 1, n + 2)]",
      ["tests/test_quiver.py"]),
     ("regroup keeps raw sums", "quiver.py",
      "for (path, acc, oi), c in fld.reduced(flat).items():",
@@ -78,8 +82,8 @@ MUTANTS = [
      "accumulate(flat, -1, m_b, f, max_arity)",
      "accumulate(flat, 1, m_b, f, max_arity)", ["tests/test_core.py"]),
     ("_certify_structure one arity short", "core.py",
-     "double_sum(structure, structure, max_arity)),",
-     "double_sum(structure, structure, max_arity - 1)),", ["tests/test_core.py"]),
+     "double_sum(structure, max_arity)),",
+     "double_sum(structure, max_arity - 1)),", ["tests/test_core.py"]),
     ("certify_premise never extends", "core.py",
      "if value.total or value.arity_bound >= n:", "if True:",
      ["tests/test_strictify.py", "tests/test_pullback.py"]),
