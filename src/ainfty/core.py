@@ -35,14 +35,13 @@ from .quiver import (
     GradedQuiver,
     Prenatural,
     QuiverError,
-    accumulate,
     compose_formal,
     double_sum,
     eval_multilinear,
     first_difference,
+    functor_sum,
     identity_formal,
     compose_prenatural,
-    regroup,
 )
 
 DEFAULT_ARITY_BOUND = 6
@@ -376,14 +375,12 @@ def _unit_slot_residues(fld: Field, units: Dict[str, Vec],
 
 def functor_defect(morphism: FormalMorphism, source: AInftyCategory,
                    target: AInftyCategory, max_arity: int) -> Prenatural:
-    """F . m_A - m_B . F up to max_arity: the words of both sides, summed in
-    one dict and reduced once; its endpoints are F."""
+    """F . m_A - m_B . F up to max_arity, both sides summed in one dict
+    over source tokens (`functor_sum`); its endpoints are F."""
     f, m_a, m_b = morphism, source.structure, target.structure
     if m_a.target.objects != f.source.objects or f.target.objects != m_b.source.objects:
         raise QuiverError("functor_defect: F must map m_A's objects to m_B's")
-    flat = accumulate({}, 1, f, m_a, max_arity)
-    accumulate(flat, -1, m_b, f, max_arity)
-    return Prenatural(f, f, m_a.degree, regroup(f.target.fld, flat))
+    return Prenatural(f, f, m_a.degree, functor_sum(f, m_a, m_b, max_arity))
 
 
 @dataclass

@@ -26,14 +26,15 @@ with the same result; a prenatural is inserted only between `Identity`
 endpoints (the double sum), and any other endpoints raise QuiverError.
 
 Basis tokens are ints that each fix a basis element of one hom and the
-parity of its reduced degree (`_tokens`).  The two double sums share the
-arity schedule (`_rows`, `_schedule`), the tokens and the sign rule, a
-flip past each odd token.  The kept one, `_add_double_sum` (composites,
-functor defects), inserts any flat prenatural and keys each word by
-(path, inputs, output index).  The stream, `double_sum`, is m . m of one
-structure, the sum that must vanish: it reads each arity of m once for
-both roles, keys each word by its tuple of input tokens and decodes back
-into paths and inputs only the sums that do not cancel.
+parity of its reduced degree (`_tokens`, once per quiver).  The sums that
+must vanish key each word by its tuple of input tokens and decode back
+into paths and inputs only the sums that do not cancel: `double_sum`, m . m
+of one structure, reads each arity of m once for both roles, and
+`functor_sum` adds F . m_A and -m_B . F into one dict.  The kept double
+sum, `_add_double_sum` (composites), inserts any flat prenatural and keys
+each word by (path, inputs, output index).  Both double sums share the
+arity schedule (`_rows`, `_schedule`) and the sign rule, a flip past each
+odd token.
 """
 from __future__ import annotations
 
@@ -59,6 +60,8 @@ class GradedQuiver:
     objects: Tuple[str, ...]
     hom: Dict[Tuple[str, str], GradedSpace] = field(default_factory=dict)
     _interval: Optional[Tuple[int, int]] = field(init=False, repr=False, compare=False)
+    _numbering: Optional[tuple] = field(default=None, init=False, repr=False,
+                                        compare=False)
 
     def __post_init__(self) -> None:
         if len(set(self.objects)) != len(self.objects):
@@ -300,15 +303,17 @@ _Tokens = Dict[Tuple[str, str], List[int]]
 def _tokens(q: GradedQuiver) -> Tuple[_Tokens, List[Tuple[str, str, int]]]:
     """Each basis element b of hom(x, y) numbered: its token 2 i + odd, odd
     when its reduced degree is, at tokens[(x, y)][b], and cells[i] = (x, y,
-    b)."""
-    tokens: _Tokens = {}
-    cells: List[Tuple[str, str, int]] = []
-    for (x, y), sp in q.hom.items():
-        toks = tokens[(x, y)] = []
-        for b, (_, deg) in enumerate(sp.basis):
-            toks.append(2 * len(cells) + (deg % 2 == 0))
-            cells.append((x, y, b))
-    return tokens, cells
+    b).  A quiver is numbered once, on first use, and keeps its numbering."""
+    if q._numbering is None:
+        tokens: _Tokens = {}
+        cells: List[Tuple[str, str, int]] = []
+        for (x, y), sp in q.hom.items():
+            toks = tokens[(x, y)] = []
+            for b, (_, deg) in enumerate(sp.basis):
+                toks.append(2 * len(cells) + (deg % 2 == 0))
+                cells.append((x, y, b))
+        object.__setattr__(q, "_numbering", (tokens, cells))
+    return q._numbering
 
 
 _Flat = Dict[Tuple[Tuple[str, ...], Tuple[int, ...], int], Scalar]
@@ -333,8 +338,7 @@ def accumulate(flat: _Flat, sign: int, outer, blocks, max_arity: int) -> _Flat:
     reduces them.
     """
     if isinstance(blocks, Prenatural):
-        if not (isinstance(blocks.frm, Identity) and isinstance(blocks.to, Identity)):
-            raise QuiverError("an inserted prenatural must go between Identity endpoints")
+        _check_inserted(blocks)
         _add_double_sum(flat, sign, outer, blocks, max_arity)
         return flat
     inv = _invert(blocks)
@@ -358,6 +362,13 @@ def accumulate(flat: _Flat, sign: int, outer, blocks, max_arity: int) -> _Flat:
                     key = (path, acc, oi)
                     flat[key] = get(key, 0) + coeff * x
     return flat
+
+
+def _check_inserted(ins: Prenatural) -> None:
+    """QuiverError unless ins goes between `Identity` endpoints: a double
+    sum inserts it among identity blocks and sums no other words."""
+    if not (isinstance(ins.frm, Identity) and isinstance(ins.to, Identity)):
+        raise QuiverError("an inserted prenatural must go between Identity endpoints")
 
 
 def regroup(fld: Field, flat: _Flat) -> Components:
@@ -384,8 +395,8 @@ def _add_double_sum(flat: _Flat, sign: int, outer, ins: Prenatural,
     giving a word of arity r - 1 + e.  The insertion is indexed by (output
     token, input count) once per call, and an outer entry's slots and signs
     when its arity is first needed: each (outer entry, slot, insertion
-    entry) triple is visited once.  The sums that must vanish are streamed
-    by `double_sum` instead.
+    entry) triple is visited once.  The sums that must vanish are summed
+    over tokens instead (`double_sum`, `functor_sum`).
     """
     tokens, _ = _tokens(outer.source)
     index: Dict[int, Dict[int, List[_Entry]]] = {}
@@ -456,7 +467,10 @@ def _slots(r: int, rows, index, tokens: _Tokens, flip: int, start: int) -> list:
     return out
 
 
-# -- the certification stream: words keyed by basis tokens --------------------
+# -- the sums that must vanish: words keyed by basis tokens --------------------
+
+_TokenFlat = Dict[Tuple[Tuple[int, ...], int], Scalar]
+
 
 def double_sum(m: Prenatural, max_arity: int) -> Iterator[Tuple[int, Components]]:
     """m . m one output arity at a time, on `_schedule`: yields (n, the
@@ -467,7 +481,7 @@ def double_sum(m: Prenatural, max_arity: int) -> Iterator[Tuple[int, Components]
     int tuple, its input tokens, with its output index; tokens fix the
     path, so each part's nonzero sums are decoded back into components, and
     on an accepted structure nothing is.  Step n reads m's arity-n entries
-    once (`_token_pass`), as outer entries and as insertions together, so a
+    once (`_token_slots`), as outer entries and as insertions together, so a
     consumer that stops at arity n has read only m^1..m^n; each (outer
     entry, slot, insertion entry) triple is visited once.
     """
@@ -475,10 +489,11 @@ def double_sum(m: Prenatural, max_arity: int) -> Iterator[Tuple[int, Components]
     tokens, cells = _tokens(q)
     rows = _rows(m)
     passes: list = [None]           # passes[r]: (slots, bucket) of m's arity r
-    flat: Dict[Tuple[Tuple[int, ...], int], Scalar] = {}
+    flat: _TokenFlat = {}
     get = flat.get
     for n, arities in _schedule(rows, rows, max_arity):
-        passes.append(_token_pass(n, rows.get(n, ()), tokens))
+        tokenized, slots = _token_slots(n, rows.get(n, ()), tokens)
+        passes.append((slots, _token_bucket(tokenized, tokens)))
         for r in arities:
             bucket = passes[n + 1 - r][1]
             for t, before, after, out in passes[r][0]:
@@ -492,22 +507,103 @@ def double_sum(m: Prenatural, max_arity: int) -> Iterator[Tuple[int, Components]
         flat.clear()
 
 
-def _token_pass(r: int, rows, tokens: _Tokens) -> Tuple[list, Dict[int, list]]:
-    """One read of the arity-r entries of a structure m, each tokenized
-    once: per (entry, slot k), the token of slot k, the tokens left and
-    right of it and the entry's output items times the sign of slot k,
-    which flips past each slot j < k whose token is odd (m has degree 2);
-    and the entries by output token, (input tokens, coefficient), as
-    insertions."""
+def functor_sum(f: FormalMorphism, m_a: Prenatural, m_b: Prenatural,
+                max_arity: int) -> Components:
+    """F . m_A - m_B . F up to max_arity, the sum that vanishes on a functor,
+    summed over the source's tokens.  Both sides add into one dict keyed by
+    (the word's input tokens, output index), so they cancel before any
+    decode: an accepted functor decodes nothing.  F's entries are tokenized
+    once (`_token_slots`), for their slots under one m_A entry, signed as in
+    `double_sum`, and as blocks under m_B.  m_A must go between `Identity`
+    endpoints, or QuiverError is raised before any sum."""
+    _check_inserted(m_a)
+    q = f.source
+    tokens, cells = _tokens(q)
+    f_rows = {r: _token_slots(r, rows, tokens)
+              for r, rows in sorted(_rows(f).items()) if r <= max_arity}
+    # F . m_A: F's slot records by token, in increasing arity, against the
+    # m_A entries with that output token, tokenized only when one meets one
+    by_token: Dict[int, list] = {}
+    for r, (_, slots) in f_rows.items():
+        for t, before, after, out in slots:
+            by_token.setdefault(t, []).append((r, before, after, out))
+    flat: _TokenFlat = {}
+    get = flat.get
+    for (e, Y), table in m_a.components.items():
+        room = max_arity + 1 - e
+        if room < 1:
+            continue
+        outs, lists = tokens[(Y[0], Y[e])], None
+        for in_t, vec in table.items():
+            ein = None
+            for b, c in vec.items():
+                recs = by_token.get(outs[b])
+                if recs is None:
+                    continue
+                if ein is None:
+                    if lists is None:
+                        lists = [tokens[(Y[e - 1 - i], Y[e - i])] for i in range(e)]
+                    ein = tuple([lst[i] for lst, i in zip(lists, in_t)])
+                for r, before, after, out in recs:
+                    if r > room:
+                        break
+                    for oi, x in out:
+                        key = (before + ein + after, oi)
+                        flat[key] = get(key, 0) + c * x
+    # m_B . F, negated: under each m_B entry, words (end object, input
+    # tokens, coefficient) of F blocks end to end, block j's output its
+    # j-th input.  F's entries by target token and start object, and all
+    # of them under None, as block 1 starts anywhere
+    b_tokens = _tokens(f.target)[0]
+    index: Dict[int, Dict[Optional[str], list]] = {}
+    for entries, _ in f_rows.values():
+        for Y, row in entries:
+            outs = b_tokens[f.out_pair(Y)]
+            for toks, vec in row:
+                for b, c in vec.items():
+                    starts = index.setdefault(outs[b], {None: []})
+                    starts[None].append((Y[-1], toks, c))
+                    starts.setdefault(Y[0], []).append((Y[-1], toks, c))
+    for (r, Z), table in m_b.components.items():
+        if r > max_arity:
+            continue
+        lists = [b_tokens[(Z[j - 1], Z[j])] for j in range(1, r + 1)]
+        for in_t, out_vec in table.items():
+            words = [(None, (), 1)] if r == 1 else [
+                w for w in index.get(lists[0][in_t[r - 1]], {}).get(None, ())
+                if len(w[1]) <= max_arity + 1 - r]
+            for j in range(2, r):
+                starts = index.get(lists[j - 1][in_t[r - j]], {})
+                room = max_arity - (r - j)
+                words = [(y, toks + acc, coeff * c) for last, acc, coeff in words
+                         for y, toks, c in starts.get(last, ())
+                         if len(toks) + len(acc) <= room]
+            starts = index.get(lists[r - 1][in_t[0]], {})
+            for last, acc, coeff in words:
+                for _, toks, c in starts.get(last, ()):
+                    if len(toks) + len(acc) <= max_arity:
+                        word, x = toks + acc, coeff * c
+                        for oi, d in out_vec.items():
+                            key = (word, oi)
+                            flat[key] = get(key, 0) - x * d
+    return _decoded(q, flat, cells)
+
+
+def _token_slots(r: int, rows, tokens: _Tokens) -> Tuple[list, list]:
+    """One read of a family's arity-r entries, each tokenized once: the
+    entries per object tuple Y, (Y, [(input tokens, output vector)]), and
+    per (entry, slot k) the token of slot k, the tokens left and right of
+    it and the entry's output items times the sign of slot k, which flips
+    past each slot j < k whose token is odd (the inserted m has degree 2)."""
+    entries: list = []
     slots: list = []
-    bucket: Dict[int, list] = {}
     for Y, table in rows:
         lists = [tokens[(Y[r - 1 - i], Y[r - i])] for i in range(r)]
-        outs = tokens[(Y[0], Y[r])]
+        row: list = []
+        entries.append((Y, row))
         for in_t, out_vec in table.items():
             toks = tuple([lst[b] for lst, b in zip(lists, in_t)])
-            for b, c in out_vec.items():
-                bucket.setdefault(outs[b], []).append((toks, c))
+            row.append((toks, out_vec))
             items, negated, sign = out_vec.items(), None, 1
             for i in range(r - 1, -1, -1):
                 t = toks[i]
@@ -516,7 +612,19 @@ def _token_pass(r: int, rows, tokens: _Tokens) -> Tuple[list, Dict[int, list]]:
                 slots.append((t, toks[:i], toks[i + 1:], items if sign == 1 else negated))
                 if t & 1:
                     sign = -sign
-    return slots, bucket
+    return entries, slots
+
+
+def _token_bucket(entries, tokens: _Tokens) -> Dict[int, list]:
+    """A structure's tokenized entries by output token, (input tokens,
+    coefficient), as insertions."""
+    bucket: Dict[int, list] = {}
+    for Y, row in entries:
+        outs = tokens[(Y[0], Y[-1])]
+        for toks, out_vec in row:
+            for b, c in out_vec.items():
+                bucket.setdefault(outs[b], []).append((toks, c))
+    return bucket
 
 
 def _decoded(q: GradedQuiver, flat, cells) -> Components:

@@ -28,8 +28,8 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 # (name, file under src/ainfty, exact snippet, replacement, test subset)
 MUTANTS = [
     # -- the contraction engine
-    ("accumulate inserts between any endpoints", "quiver.py",
-     "if not (isinstance(blocks.frm, Identity) and isinstance(blocks.to, Identity)):",
+    ("a double sum inserts between any endpoints", "quiver.py",
+     "if not (isinstance(ins.frm, Identity) and isinstance(ins.to, Identity)):",
      "if False:", ["tests/test_quiver.py"]),
     ("constructors admit an arity-0 key", "quiver.py",
      "if key[0] < 1:", "if key[0] < 0:", ["tests/test_quiver.py"]),
@@ -62,10 +62,30 @@ MUTANTS = [
      "bucket = passes[n + 1 - r][1]", "bucket = passes[r][1]",
      ["tests/test_quiver.py"]),
     ("stream reads two arities ahead", "quiver.py",
-     "passes.append(_token_pass(n, rows.get(n, ()), tokens))",
-     "passes.append(_token_pass(n, rows.get(n, ()), tokens))\n"
-     "        [_token_pass(k, rows.get(k, ()), tokens) for k in (n + 1, n + 2)]",
+     "tokenized, slots = _token_slots(n, rows.get(n, ()), tokens)",
+     "tokenized, slots = _token_slots(n, rows.get(n, ()), tokens)\n"
+     "        [_token_slots(k, rows.get(k, ()), tokens) for k in (n + 1, n + 2)]",
      ["tests/test_quiver.py"]),
+    # -- the functor defect, summed over source tokens; the first mutant
+    # breaks the slot signs that the stream shares, run against a test whose
+    # first cases build no structure, so only F . m_A can kill it
+    ("F.m_A drops the odd-token flip", "quiver.py",
+     "items if sign == 1 else negated))\n"
+     "                if t & 1:\n                    sign = -sign",
+     "items if sign == 1 else negated))\n"
+     "                if t & 1:\n                    sign = sign",
+     ["tests/test_core.py::test_functor_defect_is_one_sum_of_both_sides"]),
+    ("F.m_A join drops its arity bound", "quiver.py",
+     "if r > room:\n                        break",
+     "if False:\n                        break", ["tests/test_core.py"]),
+    ("m_B.F sign", "quiver.py",
+     "flat[key] = get(key, 0) - x * d", "flat[key] = get(key, 0) + x * d",
+     ["tests/test_core.py"]),
+    ("m_B.F sweep drops its arity room bound", "quiver.py",
+     "if len(toks) + len(acc) <= max_arity:", "if True:", ["tests/test_core.py"]),
+    ("the defect decodes with the target quiver's cells", "quiver.py",
+     "return _decoded(q, flat, cells)",
+     "return _decoded(q, flat, _tokens(f.target)[1])", ["tests/test_core.py"]),
     ("regroup keeps raw sums", "quiver.py",
      "for (path, acc, oi), c in fld.reduced(flat).items():",
      "for (path, acc, oi), c in flat.items():", ["tests/test_quiver.py"]),
@@ -78,9 +98,6 @@ MUTANTS = [
      "return max_arity, full is not None and max_arity > full",
      ["tests/test_core.py", "tests/test_strictify.py"]),
     # -- certification
-    ("functor_defect m_B.F sign", "core.py",
-     "accumulate(flat, -1, m_b, f, max_arity)",
-     "accumulate(flat, 1, m_b, f, max_arity)", ["tests/test_core.py"]),
     ("_certify_structure one arity short", "core.py",
      "double_sum(structure, max_arity)),",
      "double_sum(structure, max_arity - 1)),", ["tests/test_core.py"]),

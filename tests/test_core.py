@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from ainfty import core, quiver
 from ainfty.fields import Field
-from ainfty.documents import load_category, parse_category, parse_certificates
+from ainfty.documents import (load_category, load_functor, parse_category,
+                              parse_certificates)
 from ainfty.linear import GradedSpace, rref, vec_add, vec_scale
 from ainfty.quiver import (
     FormalMorphism,
@@ -465,13 +466,15 @@ def test_unit_in_a_higher_component_is_not_strictly_unital():
     assert AInftyFunctor.build(strict, point, b).strictly_unital
 
 
-def _loop_quiver(rng, fld, names):
+def _loop_quiver(rng, fld, names, odd=False):
     """Random homs between all objects, every loop with a degree-2 element
-    too, and odd degrees for signs."""
+    too, and odd degrees for signs; with `odd`, the other element of each
+    hom is one of odd degree, so that both parities occur."""
     hom = {}
     for a in names:
         for b in names:
-            degs = [rng.randint(-1, 1) for _ in range(rng.randint(1, 2))]
+            degs = ([rng.choice((-1, 1))] if odd else
+                    [rng.randint(-1, 1) for _ in range(rng.randint(1, 2))])
             degs += [2] if a == b else []
             hom[(a, b)] = GradedSpace(tuple((f"{a}{b}{i}", d)
                                             for i, d in enumerate(degs)))
@@ -494,10 +497,21 @@ def _by_hand(cat):
 
 
 def _defect_cases(rng, fld):
-    """(F, A, B, bound, small): an F1 functor twisted to F^2 != 0 and a
-    twisted strict one (defect 0), each with one coefficient bumped, and
-    a random morphism between unchecked categories; small cases take the
+    """(F, A, B, bound, small): random morphisms between unchecked
+    categories, one of them from three objects onto two, x0 and x1 both
+    sent to y0, so that the source tokens, not the target pairs, fix the
+    path; then an F1 functor twisted to F^2 != 0 and a twisted strict one
+    (defect 0), each with one coefficient bumped.  Small cases take the
     oracle."""
+    qb = _loop_quiver(rng, fld, ("y0", "y1"))
+    qa = _loop_quiver(rng, fld, ("x0", "x1"))
+    a, b = _unchecked(rng, qa, 2), _unchecked(rng, qb, 2)
+    yield random_formal_morphism(rng, qa, qb, max_arity=2, density=0.7), a, b, 2, True
+    q3 = _loop_quiver(rng, fld, ("x0", "x1", "x2"), odd=True)
+    a3, b3 = _unchecked(rng, q3, 3), _unchecked(rng, qb, 3)
+    f3 = random_formal_morphism(rng, q3, qb, max_arity=3, density=0.5,
+                                object_map={"x0": "y0", "x1": "y0", "x2": "y1"})
+    yield f3, a3, b3, 3, True
     for f in (random_f1_functor(rng, fld),
               twisted_functor(sq_functor(fld), rng, max_arity=3)):
         bound = min(f.arity_bound, 3)
@@ -507,11 +521,6 @@ def _defect_cases(rng, fld):
                                 dict(f.morphism.object_map),
                                 bump_coefficient(fld, f.morphism.components, top))
         yield bumped, f.source, f.target, bound, False
-    qa = _loop_quiver(rng, fld, ("x0", "x1"))
-    qb = _loop_quiver(rng, fld, ("y0", "y1"))
-    a, b = _unchecked(rng, qa, 2), _unchecked(rng, qb, 2)
-    f = random_formal_morphism(rng, qa, qb, max_arity=2, density=0.7)
-    yield f, a, b, 2, True
 
 
 def _oracle_defect(f, a, b, bound):
@@ -563,7 +572,8 @@ def test_functor_defect_is_one_sum_of_both_sides(seed, p):
 
 def test_functor_defect_over_a_hand_built_identity(monkeypatch):
     # a source structure over a hand-built identity is refused before any
-    # sum: F . m_A is the double sum, which needs Identity endpoints
+    # sum, or any numbering of tokens: F . m_A inserts m_A, which needs
+    # Identity endpoints
     rng = random.Random(7)
     qa, qb = _loop_quiver(rng, F5, ("x0",)), _loop_quiver(rng, F5, ("y0", "y1"))
     a, b = _unchecked(rng, qa, 3), _unchecked(rng, qb, 3)
@@ -571,11 +581,54 @@ def test_functor_defect_over_a_hand_built_identity(monkeypatch):
     defect = functor_defect(f, a, b, 3)
     assert defect.components
 
-    def no_double_sum(*args):
-        raise AssertionError("double sum over a hand-built identity")
-    monkeypatch.setattr(quiver, "_add_double_sum", no_double_sum)
+    def no_sum(*args):
+        raise AssertionError("a sum over a hand-built identity")
+    for name in ("_tokens", "_token_slots", "_add_double_sum"):
+        monkeypatch.setattr(quiver, name, no_sum)
     with pytest.raises(QuiverError, match="between Identity endpoints"):
         functor_defect(f, _by_hand(a), b, 3)
+
+
+def test_accepted_functor_cancels_in_token_space(monkeypatch):
+    # build on an accepted functor, the README functor and a twisted one
+    # between two-object categories, runs no path-keyed sum and decodes no
+    # entry: both sides cancel over tokens.  A bumped functor raises the
+    # witness of the path-keyed composites
+    readme = pathlib.Path(__file__).parent / "golden" / "readme"
+    base = nilpotent_category(F5, (("a", -1), ("e", 0)))
+    doubled = doubled_object_functor(base).source
+    twisted = twisted_functor(AInftyFunctor.identity(doubled), random.Random(4),
+                              max_arity=2, density=0.5)
+    assert len(twisted.target.objects) == 2
+    assert any(n >= 2 for n, _ in twisted.morphism.components)
+    bound = twisted.arity_bound
+    bumped = FormalMorphism(twisted.morphism.source, twisted.morphism.target,
+                            dict(twisted.morphism.object_map),
+                            bump_coefficient(F5, twisted.morphism.components, 2))
+    want = l_compose(bumped, twisted.source.structure, bound).sub(
+        r_compose(bumped, twisted.target.structure, bound)).first_nonzero()
+    assert want is not None
+    accepted = [load_functor(str(readme / "f.afun")).functor, twisted]
+    decoded = []
+    decode = quiver._decoded
+
+    def counted(q, flat, cells):
+        out = decode(q, flat, cells)
+        decoded.append(len(out))
+        return out
+
+    def no_path_sum(*args):
+        raise AssertionError("a path-keyed sum")
+    monkeypatch.setattr(quiver, "_decoded", counted)
+    monkeypatch.setattr(quiver, "accumulate", no_path_sum)
+    monkeypatch.setattr(quiver, "regroup", no_path_sum)
+    for f in accepted:
+        decoded.clear()
+        AInftyFunctor.build(f.morphism, f.source, f.target, f.arity_bound)
+        assert decoded == [0]
+    with pytest.raises(FunctorDefectError) as exc:
+        AInftyFunctor.build(bumped, twisted.source, twisted.target, bound)
+    assert exc.value.witness == want
 
 
 def test_functor_defect_endpoint_mismatch():

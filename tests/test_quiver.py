@@ -12,6 +12,7 @@ from ainfty import quiver
 from ainfty.core import (
     AInftyCategory,
     AInftyError,
+    AInftyFunctor,
     StructureDefectError,
     structure_defect,
 )
@@ -308,12 +309,12 @@ def test_stream_reads_each_arity_of_the_structure_once(monkeypatch):
     golden = pathlib.Path(__file__).parent / "golden" / "readme" / "a.acat"
     cat = parse_category(golden.read_text(), "a.acat")
     read = []
-    token_pass = quiver._token_pass
+    token_slots = quiver._token_slots
 
     def counted(r, rows, tokens):
         read.append(r)
-        return token_pass(r, rows, tokens)
-    monkeypatch.setattr(quiver, "_token_pass", counted)
+        return token_slots(r, rows, tokens)
+    monkeypatch.setattr(quiver, "_token_slots", counted)
     AInftyCategory.build(cat.quiver, cat.structure.components)
     assert read and len(read) == len(set(read))
     sp = cat.quiver.space("o", "o")
@@ -326,6 +327,29 @@ def test_stream_reads_each_arity_of_the_structure_once(monkeypatch):
         AInftyCategory.build(cat.quiver, comps)
     assert exc.value.witness[0] == 2
     assert read == [1, 2]
+
+
+def test_a_quiver_is_numbered_once():
+    # one category build and two functor builds over one quiver number its
+    # basis once, on first use, and keep that numbering; it takes no part
+    # in equality
+    readme = pathlib.Path(__file__).parent / "golden" / "readme"
+    a = parse_category((readme / "a.acat").read_text(), "a.acat")
+    b = parse_category((readme / "b.acat").read_text(), "b.acat")
+    q = GradedQuiver(a.fld, a.objects, dict(a.quiver.hom))
+    assert q._numbering is None
+    cat = AInftyCategory.build(q, a.structure.components)
+    numbering = q._numbering
+    assert numbering is not None
+    target = b.quiver._numbering
+    assert target is not None
+    comps = {(1, ("o", "o")): {(0,): {0: 1}}}        # the README functor
+    for _ in range(2):
+        AInftyFunctor.build(FormalMorphism(q, b.quiver, {"o": "p"}, comps), cat, b)
+        assert q._numbering is numbering and b.quiver._numbering is target
+    fresh = GradedQuiver(a.fld, a.objects, dict(a.quiver.hom))
+    assert fresh == q and fresh._numbering is None
+    assert quiver._tokens(fresh) == numbering
 
 
 def test_identity_operand_composes_without_the_engine(monkeypatch):
