@@ -481,7 +481,7 @@ def double_sum(m: Prenatural, max_arity: int) -> Iterator[Tuple[int, Components]
     int tuple, its input tokens, with its output index; tokens fix the
     path, so each part's nonzero sums are decoded back into components, and
     on an accepted structure nothing is.  Step n reads m's arity-n entries
-    once (`_token_slots`), as outer entries and as insertions together, so a
+    once (`_token_pass`), as outer entries and as insertions together, so a
     consumer that stops at arity n has read only m^1..m^n; each (outer
     entry, slot, insertion entry) triple is visited once.
     """
@@ -492,8 +492,7 @@ def double_sum(m: Prenatural, max_arity: int) -> Iterator[Tuple[int, Components]
     flat: _TokenFlat = {}
     get = flat.get
     for n, arities in _schedule(rows, rows, max_arity):
-        tokenized, slots = _token_slots(n, rows.get(n, ()), tokens)
-        passes.append((slots, _token_bucket(tokenized, tokens)))
+        passes.append(_token_pass(n, rows.get(n, ()), tokens, tokens))
         for r in arities:
             bucket = passes[n + 1 - r][1]
             for t, before, after, out in passes[r][0]:
@@ -513,18 +512,21 @@ def functor_sum(f: FormalMorphism, m_a: Prenatural, m_b: Prenatural,
     summed over the source's tokens.  Both sides add into one dict keyed by
     (the word's input tokens, output index), so they cancel before any
     decode: an accepted functor decodes nothing.  F's entries are tokenized
-    once (`_token_slots`), for their slots under one m_A entry, signed as in
+    once (`_token_pass`), for their slots under one m_A entry, signed as in
     `double_sum`, and as blocks under m_B.  m_A must go between `Identity`
     endpoints, or QuiverError is raised before any sum."""
     _check_inserted(m_a)
     q = f.source
     tokens, cells = _tokens(q)
-    f_rows = {r: _token_slots(r, rows, tokens)
-              for r, rows in sorted(_rows(f).items()) if r <= max_arity}
+    b_tokens = _tokens(f.target)[0]
+    om = f.object_map
+    f_outs = {(x, y): b_tokens.get((om[x], om[y])) for x in om for y in om}
+    f_passes = {r: _token_pass(r, rows, tokens, f_outs)
+                for r, rows in sorted(_rows(f).items()) if r <= max_arity}
     # F . m_A: F's slot records by token, in increasing arity, against the
     # m_A entries with that output token, tokenized only when one meets one
     by_token: Dict[int, list] = {}
-    for r, (_, slots) in f_rows.items():
+    for r, (slots, _) in f_passes.items():
         for t, before, after, out in slots:
             by_token.setdefault(t, []).append((r, before, after, out))
     flat: _TokenFlat = {}
@@ -552,18 +554,17 @@ def functor_sum(f: FormalMorphism, m_a: Prenatural, m_b: Prenatural,
                         flat[key] = get(key, 0) + c * x
     # m_B . F, negated: under each m_B entry, words (end object, input
     # tokens, coefficient) of F blocks end to end, block j's output its
-    # j-th input.  F's entries by target token and start object, and all
-    # of them under None, as block 1 starts anywhere
-    b_tokens = _tokens(f.target)[0]
+    # j-th input.  F's entries by target token and start object (the source
+    # of its last token), and all of them under None, as block 1 starts
+    # anywhere
     index: Dict[int, Dict[Optional[str], list]] = {}
-    for entries, _ in f_rows.values():
-        for Y, row in entries:
-            outs = b_tokens[f.out_pair(Y)]
-            for toks, vec in row:
-                for b, c in vec.items():
-                    starts = index.setdefault(outs[b], {None: []})
-                    starts[None].append((Y[-1], toks, c))
-                    starts.setdefault(Y[0], []).append((Y[-1], toks, c))
+    for _, bucket in f_passes.values():
+        for t, entries in bucket.items():
+            starts = index.setdefault(t, {None: []})
+            for toks, c in entries:
+                w = (cells[toks[0] >> 1][1], toks, c)
+                starts[None].append(w)
+                starts.setdefault(cells[toks[-1] >> 1][0], []).append(w)
     for (r, Z), table in m_b.components.items():
         if r > max_arity:
             continue
@@ -589,21 +590,23 @@ def functor_sum(f: FormalMorphism, m_a: Prenatural, m_b: Prenatural,
     return _decoded(q, flat, cells)
 
 
-def _token_slots(r: int, rows, tokens: _Tokens) -> Tuple[list, list]:
-    """One read of a family's arity-r entries, each tokenized once: the
-    entries per object tuple Y, (Y, [(input tokens, output vector)]), and
-    per (entry, slot k) the token of slot k, the tokens left and right of
-    it and the entry's output items times the sign of slot k, which flips
-    past each slot j < k whose token is odd (the inserted m has degree 2)."""
-    entries: list = []
+def _token_pass(r: int, rows, tokens: _Tokens, out_tokens: _Tokens
+                ) -> Tuple[list, Dict[int, list]]:
+    """One read of a family's arity-r entries, each tokenized once: per
+    (entry, slot k), the token of slot k, the tokens left and right of it
+    and the entry's output items times the sign of slot k, which flips past
+    each slot j < k whose token is odd (the inserted m has degree 2); and
+    the entries by output token, (input tokens, coefficient), an output's
+    token read from `out_tokens` at the entry's (first, last) objects."""
     slots: list = []
+    bucket: Dict[int, list] = {}
     for Y, table in rows:
         lists = [tokens[(Y[r - 1 - i], Y[r - i])] for i in range(r)]
-        row: list = []
-        entries.append((Y, row))
+        outs = out_tokens[(Y[0], Y[r])]
         for in_t, out_vec in table.items():
             toks = tuple([lst[b] for lst, b in zip(lists, in_t)])
-            row.append((toks, out_vec))
+            for b, c in out_vec.items():
+                bucket.setdefault(outs[b], []).append((toks, c))
             items, negated, sign = out_vec.items(), None, 1
             for i in range(r - 1, -1, -1):
                 t = toks[i]
@@ -612,19 +615,7 @@ def _token_slots(r: int, rows, tokens: _Tokens) -> Tuple[list, list]:
                 slots.append((t, toks[:i], toks[i + 1:], items if sign == 1 else negated))
                 if t & 1:
                     sign = -sign
-    return entries, slots
-
-
-def _token_bucket(entries, tokens: _Tokens) -> Dict[int, list]:
-    """A structure's tokenized entries by output token, (input tokens,
-    coefficient), as insertions."""
-    bucket: Dict[int, list] = {}
-    for Y, row in entries:
-        outs = tokens[(Y[0], Y[-1])]
-        for toks, out_vec in row:
-            for b, c in out_vec.items():
-                bucket.setdefault(outs[b], []).append((toks, c))
-    return bucket
+    return slots, bucket
 
 
 def _decoded(q: GradedQuiver, flat, cells) -> Components:

@@ -62,9 +62,9 @@ MUTANTS = [
      "bucket = passes[n + 1 - r][1]", "bucket = passes[r][1]",
      ["tests/test_quiver.py"]),
     ("stream reads two arities ahead", "quiver.py",
-     "tokenized, slots = _token_slots(n, rows.get(n, ()), tokens)",
-     "tokenized, slots = _token_slots(n, rows.get(n, ()), tokens)\n"
-     "        [_token_slots(k, rows.get(k, ()), tokens) for k in (n + 1, n + 2)]",
+     "passes.append(_token_pass(n, rows.get(n, ()), tokens, tokens))",
+     "passes.append(_token_pass(n, rows.get(n, ()), tokens, tokens))\n"
+     "        [_token_pass(k, rows.get(k, ()), tokens, tokens) for k in (n + 1, n + 2)]",
      ["tests/test_quiver.py"]),
     # -- the functor defect, summed over source tokens; the first mutant
     # breaks the slot signs that the stream shares, run against a test whose

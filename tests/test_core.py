@@ -583,7 +583,7 @@ def test_functor_defect_over_a_hand_built_identity(monkeypatch):
 
     def no_sum(*args):
         raise AssertionError("a sum over a hand-built identity")
-    for name in ("_tokens", "_token_slots", "_add_double_sum"):
+    for name in ("_tokens", "_token_pass", "_add_double_sum"):
         monkeypatch.setattr(quiver, name, no_sum)
     with pytest.raises(QuiverError, match="between Identity endpoints"):
         functor_defect(f, _by_hand(a), b, 3)

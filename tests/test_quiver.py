@@ -309,12 +309,12 @@ def test_stream_reads_each_arity_of_the_structure_once(monkeypatch):
     golden = pathlib.Path(__file__).parent / "golden" / "readme" / "a.acat"
     cat = parse_category(golden.read_text(), "a.acat")
     read = []
-    token_slots = quiver._token_slots
+    token_pass = quiver._token_pass
 
-    def counted(r, rows, tokens):
+    def counted(r, rows, *args):
         read.append(r)
-        return token_slots(r, rows, tokens)
-    monkeypatch.setattr(quiver, "_token_slots", counted)
+        return token_pass(r, rows, *args)
+    monkeypatch.setattr(quiver, "_token_pass", counted)
     AInftyCategory.build(cat.quiver, cat.structure.components)
     assert read and len(read) == len(set(read))
     sp = cat.quiver.space("o", "o")
