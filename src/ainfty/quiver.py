@@ -27,18 +27,18 @@ endpoints (the double sum), and any other endpoints raise QuiverError.
 
 Basis tokens are ints that each fix a basis element of one hom and the
 parity of its reduced degree (`_tokens`, once per quiver).  The sums that
-must vanish key each word by its tuple of input tokens and decode back
-into paths and inputs only the sums that do not cancel: `double_sum`, m . m
-of one structure, reads each arity of m once for both roles, and
-`functor_sum` adds F . m_A and -m_B . F into one dict.  The kept double
-sum, `_add_double_sum` (composites), inserts any flat prenatural and keys
-each word by (path, inputs, output index).  Both double sums share the
-arity schedule (`_rows`, `_schedule`) and the sign rule, a flip past each
-odd token.
+must vanish key each word by one bytes object, its input tokens and then
+its output's token, 4 bytes each, and decode only the sums that do not
+cancel: `double_sum`, m . m of one structure, reads each arity of m once
+for both roles, and `functor_sum` adds F . m_A and -m_B . F into one dict.
+The kept sums stay keyed by (path, inputs, output index); the kept double
+sum, `_add_double_sum`, inserts any flat prenatural.  Both double sums
+share the arity schedule (`_rows`, `_schedule`) and the sign rule.
 """
 from __future__ import annotations
 
 import itertools
+import struct
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -298,11 +298,13 @@ def _invert(fam) -> _Inv:
 
 
 _Tokens = Dict[Tuple[str, str], List[int]]
+_Packed = Dict[Tuple[str, str], List[bytes]]
 
 
-def _tokens(q: GradedQuiver) -> Tuple[_Tokens, List[Tuple[str, str, int]]]:
+def _tokens(q: GradedQuiver) -> Tuple[_Tokens, List[Tuple[str, str, int]], _Packed]:
     """Each basis element b of hom(x, y) numbered: its token 2 i + odd, odd
-    when its reduced degree is, at tokens[(x, y)][b], and cells[i] = (x, y,
+    when its reduced degree is, at tokens[(x, y)][b], the token packed as a
+    4-byte native unsigned int at packed[(x, y)][b], and cells[i] = (x, y,
     b).  A quiver is numbered once, on first use, and keeps its numbering."""
     if q._numbering is None:
         tokens: _Tokens = {}
@@ -312,7 +314,8 @@ def _tokens(q: GradedQuiver) -> Tuple[_Tokens, List[Tuple[str, str, int]]]:
             for b, (_, deg) in enumerate(sp.basis):
                 toks.append(2 * len(cells) + (deg % 2 == 0))
                 cells.append((x, y, b))
-        object.__setattr__(q, "_numbering", (tokens, cells))
+        packed = {xy: [struct.pack("=I", t) for t in ts] for xy, ts in tokens.items()}
+        object.__setattr__(q, "_numbering", (tokens, cells, packed))
     return q._numbering
 
 
@@ -398,7 +401,7 @@ def _add_double_sum(flat: _Flat, sign: int, outer, ins: Prenatural,
     entry) triple is visited once.  The sums that must vanish are summed
     over tokens instead (`double_sum`, `functor_sum`).
     """
-    tokens, _ = _tokens(outer.source)
+    tokens = _tokens(outer.source)[0]
     index: Dict[int, Dict[int, List[_Entry]]] = {}
     for (e, objs), table in ins.components.items():
         outs = tokens[ins.out_pair(objs)]
@@ -467,75 +470,71 @@ def _slots(r: int, rows, index, tokens: _Tokens, flip: int, start: int) -> list:
     return out
 
 
-# -- the sums that must vanish: words keyed by basis tokens --------------------
-
-_TokenFlat = Dict[Tuple[Tuple[int, ...], int], Scalar]
-
+# -- the sums that must vanish: words keyed by packed basis tokens -------------
 
 def double_sum(m: Prenatural, max_arity: int) -> Iterator[Tuple[int, Components]]:
     """m . m one output arity at a time, on `_schedule`: yields (n, the
     arity-n part of m over words with one m block among identity blocks).
 
-    This is the stream of sums that must vanish, so it is summed in token
-    space and decodes only what does not cancel.  A word is keyed by one
-    int tuple, its input tokens, with its output index; tokens fix the
-    path, so each part's nonzero sums are decoded back into components, and
-    on an accepted structure nothing is.  Step n reads m's arity-n entries
-    once (`_token_pass`), as outer entries and as insertions together, so a
+    This stream must vanish, so it is summed in token space: each word is
+    keyed by one bytes object (`_token_pass`), and each part decodes only
+    its nonzero sums, none on an accepted structure.  Step n reads m's
+    arity-n entries once, as outer entries and as insertions together, so a
     consumer that stops at arity n has read only m^1..m^n; each (outer
-    entry, slot, insertion entry) triple is visited once.
+    entry, slot, output, insertion entry) is visited once.
     """
     q = m.source
-    tokens, cells = _tokens(q)
+    tokens, cells, packed = _tokens(q)
     rows = _rows(m)
     passes: list = [None]           # passes[r]: (slots, bucket) of m's arity r
-    flat: _TokenFlat = {}
+    flat: Dict[bytes, Scalar] = {}
     get = flat.get
     for n, arities in _schedule(rows, rows, max_arity):
-        passes.append(_token_pass(n, rows.get(n, ()), tokens, tokens))
+        passes.append(_token_pass(n, rows.get(n, ()), tokens, tokens, packed))
         for r in arities:
             bucket = passes[n + 1 - r][1]
-            for t, before, after, out in passes[r][0]:
+            for t, before, tail, x in passes[r][0]:
                 entries = bucket.get(t)
                 if entries:
-                    for oi, x in out:
-                        for ein, ec in entries:
-                            key = (before + ein + after, oi)
-                            flat[key] = get(key, 0) + ec * x
-        yield n, _decoded(q, flat, cells)
+                    for ein, ec in entries:
+                        key = before + ein + tail
+                        flat[key] = get(key, 0) + ec * x
+        yield n, _decoded(q, flat, cells, cells)
         flat.clear()
 
 
 def functor_sum(f: FormalMorphism, m_a: Prenatural, m_b: Prenatural,
                 max_arity: int) -> Components:
     """F . m_A - m_B . F up to max_arity, the sum that vanishes on a functor,
-    summed over the source's tokens.  Both sides add into one dict keyed by
-    (the word's input tokens, output index), so they cancel before any
-    decode: an accepted functor decodes nothing.  F's entries are tokenized
-    once (`_token_pass`), for their slots under one m_A entry, signed as in
-    `double_sum`, and as blocks under m_B.  m_A must go between `Identity`
-    endpoints, or QuiverError is raised before any sum."""
+    summed over the source's tokens.  Both sides add into one dict keyed as
+    in `double_sum`, each output's token from the target's numbering, so
+    they cancel before any decode: an accepted functor decodes nothing.
+    F's entries are tokenized once (`_token_pass`), for their signed slots
+    under one m_A entry and as blocks under m_B.  m_A must go between
+    `Identity` endpoints, or QuiverError is raised before any sum."""
     _check_inserted(m_a)
     q = f.source
-    tokens, cells = _tokens(q)
-    b_tokens = _tokens(f.target)[0]
+    tokens, cells, packed = _tokens(q)
+    b_tokens, b_cells, b_packed = _tokens(f.target)
     om = f.object_map
     f_outs = {(x, y): b_tokens.get((om[x], om[y])) for x in om for y in om}
-    f_passes = {r: _token_pass(r, rows, tokens, f_outs)
+    f_packed = {(x, y): b_packed.get((om[x], om[y])) for x in om for y in om}
+    f_passes = {r: _token_pass(r, rows, tokens, f_outs, f_packed)
                 for r, rows in sorted(_rows(f).items()) if r <= max_arity}
     # F . m_A: F's slot records by token, in increasing arity, against the
-    # m_A entries with that output token, tokenized only when one meets one
+    # m_A entries with that output token, packed only when one meets one
     by_token: Dict[int, list] = {}
     for r, (slots, _) in f_passes.items():
-        for t, before, after, out in slots:
-            by_token.setdefault(t, []).append((r, before, after, out))
-    flat: _TokenFlat = {}
+        for t, before, tail, x in slots:
+            by_token.setdefault(t, []).append((r, before, tail, x))
+    flat: Dict[bytes, Scalar] = {}
     get = flat.get
     for (e, Y), table in m_a.components.items():
         room = max_arity + 1 - e
         if room < 1:
             continue
-        outs, lists = tokens[(Y[0], Y[e])], None
+        outs = tokens[(Y[0], Y[e])]
+        lists = [packed[(Y[e - 1 - i], Y[e - i])] for i in range(e)]
         for in_t, vec in table.items():
             ein = None
             for b, c in vec.items():
@@ -543,91 +542,92 @@ def functor_sum(f: FormalMorphism, m_a: Prenatural, m_b: Prenatural,
                 if recs is None:
                     continue
                 if ein is None:
-                    if lists is None:
-                        lists = [tokens[(Y[e - 1 - i], Y[e - i])] for i in range(e)]
-                    ein = tuple([lst[i] for lst, i in zip(lists, in_t)])
-                for r, before, after, out in recs:
+                    ein = b"".join([lst[i] for lst, i in zip(lists, in_t)])
+                for r, before, tail, x in recs:
                     if r > room:
                         break
-                    for oi, x in out:
-                        key = (before + ein + after, oi)
-                        flat[key] = get(key, 0) + c * x
-    # m_B . F, negated: under each m_B entry, words (end object, input
-    # tokens, coefficient) of F blocks end to end, block j's output its
-    # j-th input.  F's entries by target token and start object (the source
-    # of its last token), and all of them under None, as block 1 starts
-    # anywhere
+                    key = before + ein + tail
+                    flat[key] = get(key, 0) + c * x
+    # m_B . F, negated: under each m_B entry, words (end object, packed
+    # inputs, coefficient) of F blocks end to end, block j's output its j-th
+    # input, rooms in bytes (4 a token).  F's entries by target token and
+    # start object (its last token's source), and all under None for block 1
     index: Dict[int, Dict[Optional[str], list]] = {}
     for _, bucket in f_passes.values():
         for t, entries in bucket.items():
             starts = index.setdefault(t, {None: []})
-            for toks, c in entries:
-                w = (cells[toks[0] >> 1][1], toks, c)
+            for word, c in entries:
+                toks = memoryview(word).cast("I")
+                w = (cells[toks[0] >> 1][1], word, c)
                 starts[None].append(w)
                 starts.setdefault(cells[toks[-1] >> 1][0], []).append(w)
     for (r, Z), table in m_b.components.items():
         if r > max_arity:
             continue
         lists = [b_tokens[(Z[j - 1], Z[j])] for j in range(1, r + 1)]
+        outs = b_packed[(Z[0], Z[r])]
         for in_t, out_vec in table.items():
-            words = [(None, (), 1)] if r == 1 else [
+            words = [(None, b"", 1)] if r == 1 else [
                 w for w in index.get(lists[0][in_t[r - 1]], {}).get(None, ())
-                if len(w[1]) <= max_arity + 1 - r]
+                if len(w[1]) <= 4 * (max_arity + 1 - r)]
             for j in range(2, r):
                 starts = index.get(lists[j - 1][in_t[r - j]], {})
-                room = max_arity - (r - j)
+                room = 4 * (max_arity - (r - j))
                 words = [(y, toks + acc, coeff * c) for last, acc, coeff in words
                          for y, toks, c in starts.get(last, ())
                          if len(toks) + len(acc) <= room]
             starts = index.get(lists[r - 1][in_t[0]], {})
             for last, acc, coeff in words:
                 for _, toks, c in starts.get(last, ()):
-                    if len(toks) + len(acc) <= max_arity:
+                    if len(toks) + len(acc) <= 4 * max_arity:
                         word, x = toks + acc, coeff * c
                         for oi, d in out_vec.items():
-                            key = (word, oi)
+                            key = word + outs[oi]
                             flat[key] = get(key, 0) - x * d
-    return _decoded(q, flat, cells)
+    return _decoded(q, flat, cells, b_cells)
 
 
-def _token_pass(r: int, rows, tokens: _Tokens, out_tokens: _Tokens
-                ) -> Tuple[list, Dict[int, list]]:
-    """One read of a family's arity-r entries, each tokenized once: per
-    (entry, slot k), the token of slot k, the tokens left and right of it
-    and the entry's output items times the sign of slot k, which flips past
-    each slot j < k whose token is odd (the inserted m has degree 2); and
-    the entries by output token, (input tokens, coefficient), an output's
-    token read from `out_tokens` at the entry's (first, last) objects."""
+def _token_pass(r: int, rows, tokens: _Tokens, out_tokens: _Tokens,
+                out_packed: _Packed) -> Tuple[list, Dict[int, list]]:
+    """One read of a family's arity-r entries, each tokenized and packed
+    once: per (entry, slot k, output), the token of slot k, the packed
+    tokens left of it, those right of it and then the output's, and the
+    output's coefficient times the sign of slot k, which flips past each
+    slot j < k whose token is odd (the inserted m has degree 2); and the
+    entries by output token, (packed inputs, coefficient).  An output's
+    token is read from `out_tokens` and `out_packed` at (first, last)."""
+    pack = struct.Struct(f"={r}I").pack
     slots: list = []
     bucket: Dict[int, list] = {}
     for Y, table in rows:
         lists = [tokens[(Y[r - 1 - i], Y[r - i])] for i in range(r)]
-        outs = out_tokens[(Y[0], Y[r])]
+        outs, packed = out_tokens[(Y[0], Y[r])], out_packed[(Y[0], Y[r])]
         for in_t, out_vec in table.items():
-            toks = tuple([lst[b] for lst, b in zip(lists, in_t)])
-            for b, c in out_vec.items():
-                bucket.setdefault(outs[b], []).append((toks, c))
-            items, negated, sign = out_vec.items(), None, 1
+            toks = [lst[b] for lst, b in zip(lists, in_t)]
+            word, items, sign = pack(*toks), out_vec.items(), 1
+            for b, c in items:
+                bucket.setdefault(outs[b], []).append((word, c))
             for i in range(r - 1, -1, -1):
-                t = toks[i]
-                if sign == -1 and negated is None:
-                    negated = [(oi, -x) for oi, x in items]
-                slots.append((t, toks[:i], toks[i + 1:], items if sign == 1 else negated))
+                t, before, after = toks[i], word[:4 * i], word[4 * i + 4:]
+                for b, c in items:
+                    slots.append((t, before, after + packed[b], c if sign == 1 else -c))
                 if t & 1:
                     sign = -sign
     return slots, bucket
 
 
-def _decoded(q: GradedQuiver, flat, cells) -> Components:
-    """The nonzero sums of a token-keyed `flat`, reduced once, as
-    components: a word's path runs from the source of its last token (f_1)
-    through the target of each token from the last to the first."""
+def _decoded(q: GradedQuiver, flat, cells, out_cells) -> Components:
+    """The nonzero sums of a bytes-keyed `flat`, reduced once, as
+    components: a key's inputs are read through `cells` and its last token,
+    the output, through `out_cells`; the path runs from the source of the
+    last input (f_1) through the target of each input, last to first."""
     result: Components = {}
-    for (toks, oi), c in q.fld.reduced(flat).items():
-        word = [cells[t >> 1] for t in toks]
+    for key, c in q.fld.reduced(flat).items():
+        toks = memoryview(key).cast("I")
+        word = [cells[t >> 1] for t in toks[:-1]]
         path = (word[-1][0],) + tuple([y for _, y, _ in reversed(word)])
-        result.setdefault((len(toks), path), {}).setdefault(
-            tuple([b for _, _, b in word]), {})[oi] = c
+        result.setdefault((len(word), path), {}).setdefault(
+            tuple([b for _, _, b in word]), {})[out_cells[toks[-1] >> 1][2]] = c
     return result
 
 

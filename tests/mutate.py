@@ -49,30 +49,37 @@ MUTANTS = [
     ("_schedule skips the shortest insertion arity", "quiver.py",
      "min(n + 2 - shortest, widest + 1)", "min(n + 1 - shortest, widest + 1)",
      ["tests/test_quiver.py"]),
-    # -- the certification stream, summed over basis tokens
+    # -- the certification stream, each word keyed by its packed tokens
     ("stream drops the odd-token sign flip", "quiver.py",
-     "items if sign == 1 else negated))\n"
+     "c if sign == 1 else -c))\n"
      "                if t & 1:\n                    sign = -sign",
-     "items if sign == 1 else negated))\n"
+     "c if sign == 1 else -c))\n"
      "                if t & 1:\n                    sign = sign",
      ["tests/test_quiver.py"]),
     ("stream decodes the path unreversed", "quiver.py",
-     "for _, y, _ in reversed(word)", "for _, y, _ in word", ["tests/test_quiver.py"]),
+     "path = (word[-1][0],) + tuple([y for _, y, _ in reversed(word)])",
+     "path = (word[-1][0],) + tuple([y for _, y, _ in word])",
+     ["tests/test_quiver.py"]),
+    ("stream key without its output token", "quiver.py",
+     "after + packed[b]", "after", ["tests/test_quiver.py"]),
+    ("slot tail drops the after-slice", "quiver.py",
+     "after + packed[b]", "packed[b]", ["tests/test_quiver.py"]),
     ("stream inserts at each slot entries of the slot's own arity", "quiver.py",
      "bucket = passes[n + 1 - r][1]", "bucket = passes[r][1]",
      ["tests/test_quiver.py"]),
     ("stream reads two arities ahead", "quiver.py",
-     "passes.append(_token_pass(n, rows.get(n, ()), tokens, tokens))",
-     "passes.append(_token_pass(n, rows.get(n, ()), tokens, tokens))\n"
-     "        [_token_pass(k, rows.get(k, ()), tokens, tokens) for k in (n + 1, n + 2)]",
+     "passes.append(_token_pass(n, rows.get(n, ()), tokens, tokens, packed))",
+     "passes.append(_token_pass(n, rows.get(n, ()), tokens, tokens, packed))\n"
+     "        [_token_pass(k, rows.get(k, ()), tokens, tokens, packed)\n"
+     "         for k in (n + 1, n + 2)]",
      ["tests/test_quiver.py"]),
     # -- the functor defect, summed over source tokens; the first mutant
     # breaks the slot signs that the stream shares, run against a test whose
     # first cases build no structure, so only F . m_A can kill it
     ("F.m_A drops the odd-token flip", "quiver.py",
-     "items if sign == 1 else negated))\n"
+     "c if sign == 1 else -c))\n"
      "                if t & 1:\n                    sign = -sign",
-     "items if sign == 1 else negated))\n"
+     "c if sign == 1 else -c))\n"
      "                if t & 1:\n                    sign = sign",
      ["tests/test_core.py::test_functor_defect_is_one_sum_of_both_sides"]),
     ("F.m_A join drops its arity bound", "quiver.py",
@@ -82,10 +89,14 @@ MUTANTS = [
      "flat[key] = get(key, 0) - x * d", "flat[key] = get(key, 0) + x * d",
      ["tests/test_core.py"]),
     ("m_B.F sweep drops its arity room bound", "quiver.py",
-     "if len(toks) + len(acc) <= max_arity:", "if True:", ["tests/test_core.py"]),
+     "if len(toks) + len(acc) <= 4 * max_arity:", "if True:", ["tests/test_core.py"]),
+    ("m_B.F key without its output token", "quiver.py",
+     "key = word + outs[oi]", "key = word", ["tests/test_core.py"]),
     ("the defect decodes with the target quiver's cells", "quiver.py",
-     "return _decoded(q, flat, cells)",
-     "return _decoded(q, flat, _tokens(f.target)[1])", ["tests/test_core.py"]),
+     "return _decoded(q, flat, cells, b_cells)",
+     "return _decoded(q, flat, b_cells, b_cells)", ["tests/test_core.py"]),
+    ("_decoded reads the output token through the source's cells", "quiver.py",
+     "out_cells[toks[-1] >> 1][2]", "cells[toks[-1] >> 1][2]", ["tests/test_core.py"]),
     ("regroup keeps raw sums", "quiver.py",
      "for (path, acc, oi), c in fld.reduced(flat).items():",
      "for (path, acc, oi), c in flat.items():", ["tests/test_quiver.py"]),

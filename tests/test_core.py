@@ -51,6 +51,7 @@ from helpers import (
     arity1_iso_by_rank,
     bar_expand_word,
     bump_coefficient,
+    double_sum_defect,
     doubled_object_functor,
     endo_complex_category,
     h0_basis_law_failures,
@@ -612,8 +613,8 @@ def test_accepted_functor_cancels_in_token_space(monkeypatch):
     decoded = []
     decode = quiver._decoded
 
-    def counted(q, flat, cells):
-        out = decode(q, flat, cells)
+    def counted(*args):
+        out = decode(*args)
         decoded.append(len(out))
         return out
 
@@ -629,6 +630,51 @@ def test_accepted_functor_cancels_in_token_space(monkeypatch):
     with pytest.raises(FunctorDefectError) as exc:
         AInftyFunctor.build(bumped, twisted.source, twisted.target, bound)
     assert exc.value.witness == want
+
+
+def test_defects_past_two_byte_tokens():
+    # the README category's hom placed after 2**15 filler elements, whose
+    # tokens pass 2**16: a bumped m2 is refused with the witness of the
+    # dense double sum on the small copy, shifted, and so is a bumped
+    # inclusion of the small category, whose source and target quivers have
+    # 3 and 2**15 + 3 basis elements, with the witness of the composites
+    readme = pathlib.Path(__file__).parent / "golden" / "readme"
+    a = parse_category((readme / "a.acat").read_text(), "a.acat")
+    k, bound = 2 ** 15, a.arity_bound
+    basis = tuple((f"f{i}", 0) for i in range(k)) + a.quiver.space("o", "o").basis
+    big = GradedQuiver(F5, ("o",), {("o", "o"): GradedSpace(basis)})
+
+    def up(it, v):
+        return tuple(i + k for i in it), {oi + k: c for oi, c in v.items()}
+
+    def shifted(comps):
+        return {key: dict(up(it, v) for it, v in table.items())
+                for key, table in comps.items()}
+    small = bump_coefficient(F5, a.structure.components, 2)
+    dense = double_sum_defect(a.quiver, Prenatural(a.structure.frm, a.structure.to,
+                                                   2, small), bound)
+    want = {}
+    for (n, objs, it), v in dense.items():
+        ins, vec = up(it, v)
+        want[(n, objs, ins)] = vec
+    assert want and min(want)[2][0] >= k
+    bumped = Prenatural(identity_formal(big), identity_formal(big), 2, shifted(small))
+    got = {(n, objs, it): v for _, part in quiver.double_sum(bumped, bound)
+           for (n, objs), table in part.items() for it, v in table.items()}
+    assert got == want
+    with pytest.raises(StructureDefectError) as exc:
+        AInftyCategory.build(big, shifted(small), max_arity=bound)
+    assert exc.value.witness == min(want)
+    b = AInftyCategory.build(big, shifted(a.structure.components), max_arity=bound)
+    inclusion = {(1, ("o", "o")): {(i,): {i + k: 1} for i in range(3)}}
+    AInftyFunctor.build(FormalMorphism(a.quiver, big, {"o": "o"}, inclusion), a, b, bound)
+    f = FormalMorphism(a.quiver, big, {"o": "o"}, bump_coefficient(F5, inclusion, 1))
+    want_f = l_compose(f, a.structure, bound).sub(r_compose(f, b.structure, bound))
+    assert want_f.first_nonzero() is not None
+    assert functor_defect(f, a, b, bound).components == want_f.components
+    with pytest.raises(FunctorDefectError) as exc:
+        AInftyFunctor.build(f, a, b, bound)
+    assert exc.value.witness == want_f.first_nonzero()
 
 
 def test_functor_defect_endpoint_mismatch():
