@@ -31,9 +31,10 @@ must vanish key each word by one bytes object, its input tokens and then
 its output's token, 4 bytes each, and decode only the sums that do not
 cancel: `double_sum`, m . m of one structure, reads each arity of m once
 for both roles, and `functor_sum` adds F . m_A and -m_B . F into one dict.
-The kept sums stay keyed by (path, inputs, output index); the kept double
-sum, `_add_double_sum`, inserts any flat prenatural.  Both double sums
-share the arity schedule (`_rows`, `_schedule`) and the sign rule.
+Every kept sum goes through `_expand`, keyed by (path, inputs, output
+index); the kept double sum, `_add_double_sum`, inserts any flat
+prenatural in one pass over the outer entries.  Only m . m runs on an
+arity schedule (`_schedule`); both double sums share the sign rule.
 """
 from __future__ import annotations
 
@@ -322,29 +323,26 @@ def _tokens(q: GradedQuiver) -> Tuple[_Tokens, List[Tuple[str, str, int]], _Pack
 _Flat = Dict[Tuple[Tuple[str, ...], Tuple[int, ...], int], Scalar]
 
 
-def accumulate(flat: _Flat, sign: int, outer, blocks, max_arity: int) -> _Flat:
-    """Add sign times the sum, under each component of `outer`, over words
-    of `blocks` into `flat`, and return `flat`.
+def _expand(outer, blocks, max_arity: int) -> Components:
+    """The sum, under each component of `outer`, over words of `blocks` of
+    arity <= max_arity: the one entry for every kept sum.
 
-    A formal morphism `blocks` gives a plain block sum, every block from it.
-    A prenatural is inserted once among identity blocks, which is the double
-    sum (`_add_double_sum`); its endpoints must both be an `Identity`, or
-    QuiverError is raised, as the words between other endpoints are not
-    summed here.
-
-    The block sum under one entry is swept one block at a time: each partial
-    word (end object, path, inputs, coefficient) is extended by the entries
-    of the next block's bucket that start at its end object and leave room
-    for the blocks after it (arity >= 1 each).  No `Field` method runs per
-    word: each adds its signed product into `flat`, keyed (path, inputs,
-    output index), so over F_p the sums stay unreduced ints until `regroup`
-    reduces them.
+    A formal morphism `blocks` is swept as a plain block sum, one block at
+    a time: each partial word (end object, path, inputs, coefficient) is
+    extended by the entries of the next block's bucket that start at its
+    end object and leave room for the blocks after it (arity >= 1 each).  A
+    prenatural is inserted once among identity blocks, the double sum
+    (`_add_double_sum`), and must go between `Identity` endpoints, or
+    QuiverError is raised.  Either sum adds its products, with no `Field`
+    call per word, into one dict keyed (path, inputs, output index), and
+    `_regrouped` reduces each sum once.
     """
+    fld = blocks.source.fld
     if isinstance(blocks, Prenatural):
         _check_inserted(blocks)
-        _add_double_sum(flat, sign, outer, blocks, max_arity)
-        return flat
+        return _regrouped(fld, _add_double_sum(outer, blocks, max_arity))
     inv = _invert(blocks)
+    flat: _Flat = {}
     get = flat.get
     for (r, Y), table in outer.components.items():
         for in_t, out_vec in table.items():
@@ -360,11 +358,10 @@ def accumulate(flat: _Flat, sign: int, outer, blocks, max_arity: int) -> _Flat:
                          for epath, ein, ec in buckets.get(end, ())
                          if len(ein) + len(acc) <= room]
             for oi, x in out_vec.items():
-                x *= sign
                 for _, path, acc, coeff in words:
                     key = (path, acc, oi)
                     flat[key] = get(key, 0) + coeff * x
-    return flat
+    return _regrouped(fld, flat)
 
 
 def _check_inserted(ins: Prenatural) -> None:
@@ -374,7 +371,7 @@ def _check_inserted(ins: Prenatural) -> None:
         raise QuiverError("an inserted prenatural must go between Identity endpoints")
 
 
-def regroup(fld: Field, flat: _Flat) -> Components:
+def _regrouped(fld: Field, flat: _Flat) -> Components:
     """The sums of `flat`, each reduced once by `Field.reduced`, regrouped
     into components without the zeros, in the order the words reached them."""
     result: Components = {}
@@ -383,23 +380,17 @@ def regroup(fld: Field, flat: _Flat) -> Components:
     return result
 
 
-def _expand(outer, blocks, max_arity: int) -> Components:
-    """`accumulate` into a fresh dict, regrouped."""
-    return regroup(blocks.source.fld, accumulate({}, 1, outer, blocks, max_arity))
+def _add_double_sum(outer, ins: Prenatural, max_arity: int) -> _Flat:
+    """The double sum over (entry, slot k) of outer(..., ins(...), ...), in
+    one pass over outer's entries: an `ins` entry with e inputs in the
+    bucket of slot k of an arity-r entry replaces that slot, giving a word
+    of arity r - 1 + e, kept when that is at most max_arity.
 
-
-def _add_double_sum(flat: _Flat, sign: int, outer, ins: Prenatural,
-                    max_arity: int) -> None:
-    """Add sign times the double sum into `flat`, arity by arity on
-    `_schedule`.
-
-    The double sum over (entry, slot k) of outer(..., ins(...), ...): an
-    `ins` entry with e inputs in the bucket of slot k replaces that slot,
-    giving a word of arity r - 1 + e.  The insertion is indexed by (output
-    token, input count) once per call, and an outer entry's slots and signs
-    when its arity is first needed: each (outer entry, slot, insertion
-    entry) triple is visited once.  The sums that must vanish are summed
-    over tokens instead (`double_sum`, `functor_sum`).
+    The insertion is indexed by (output token, input count) once per call.
+    Slot k's sign flips past each slot j < k whose token is odd, when ins
+    has even degree; each (outer entry, slot, insertion entry) triple is
+    visited once.  The sums that must vanish are summed over tokens instead
+    (`double_sum`, `functor_sum`).
     """
     tokens = _tokens(outer.source)[0]
     index: Dict[int, Dict[int, List[_Entry]]] = {}
@@ -409,21 +400,29 @@ def _add_double_sum(flat: _Flat, sign: int, outer, ins: Prenatural,
             for b, c in vec.items():
                 index.setdefault(outs[b], {}).setdefault(e, []).append((objs, in_t, c))
     flip = (ins.degree - 1) % 2
-    rows = _rows(outer)
-    slots: Dict[int, list] = {}
+    flat: _Flat = {}
     get = flat.get
-    for n, arities in _schedule(rows, {e for e, _ in ins.components}, max_arity):
-        for r in arities:
-            if r not in slots:
-                slots[r] = _slots(r, rows.get(r, ()), index, tokens, flip, sign)
-            e = n + 1 - r
-            for lengths, head, tail, before, after, out in slots[r]:
-                entries = lengths.get(e)
-                if entries:
-                    for oi, x in out:
-                        for epath, ein, ec in entries:
-                            key = (head + epath + tail, before + ein + after, oi)
-                            flat[key] = get(key, 0) + ec * x
+    for (r, Y), table in outer.components.items():
+        lists = [tokens[(Y[r - 1 - i], Y[r - i])] for i in range(r)]
+        for in_t, out_vec in table.items():
+            items, sign = out_vec.items(), 1
+            for i in range(r - 1, -1, -1):
+                t = lists[i][in_t[i]]
+                lengths = index.get(t)
+                if lengths:
+                    signed = items if sign == 1 else [(oi, -x) for oi, x in items]
+                    head, tail = Y[:r - 1 - i], Y[r + 1 - i:]
+                    before, after = in_t[:i], in_t[i + 1:]
+                    for e, entries in lengths.items():
+                        if r - 1 + e > max_arity:
+                            continue
+                        for oi, x in signed:
+                            for epath, ein, ec in entries:
+                                key = (head + epath + tail, before + ein + after, oi)
+                                flat[key] = get(key, 0) + ec * x
+                if flip and t & 1:
+                    sign = -sign
+    return flat
 
 
 def _rows(fam) -> Dict[int, List[Tuple[Tuple[str, ...], Dict[Tuple[int, ...], Vec]]]]:
@@ -434,40 +433,14 @@ def _rows(fam) -> Dict[int, List[Tuple[Tuple[str, ...], Dict[Tuple[int, ...], Ve
     return rows
 
 
-def _schedule(rows, ins_rows, max_arity: int) -> Iterator[Tuple[int, range]]:
-    """The arities of a double sum, from the outer family's arities (`rows`)
-    and the insertion's (`ins_rows`): (n, the outer arities r whose words
-    with one insertion of arity n + 1 - r have arity n), for n from 1 to
-    max_arity or to the last arity a word reaches, widest outer arity - 1 +
-    longest insertion arity, whichever comes first."""
-    shortest, longest = min(ins_rows, default=1), max(ins_rows, default=0)
-    widest = max(rows, default=0)
-    for n in range(1, min(max_arity, widest - 1 + longest) + 1):
-        yield n, range(max(1, n + 1 - longest), min(n + 2 - shortest, widest + 1))
-
-
-def _slots(r: int, rows, index, tokens: _Tokens, flip: int, start: int) -> list:
-    """Per (arity-r outer entry, slot k) whose insertion bucket is not
-    empty: the bucket's entries by input count, the objects and inputs left
-    and right of slot k, and the entry's output items times `start` and the
-    sign of slot k, which flips past each slot j < k whose token is odd when
-    `flip` is set."""
-    out = []
-    for Y, table in rows:
-        lists = [tokens[(Y[r - 1 - i], Y[r - i])] for i in range(r)]
-        for in_t, out_vec in table.items():
-            items, negated, sign = out_vec.items(), None, start
-            for i in range(r - 1, -1, -1):
-                t = lists[i][in_t[i]]
-                lengths = index.get(t)
-                if lengths:
-                    if sign == -1 and negated is None:
-                        negated = [(oi, -x) for oi, x in items]
-                    out.append((lengths, Y[:r - 1 - i], Y[r + 1 - i:], in_t[:i],
-                                in_t[i + 1:], items if sign == 1 else negated))
-                if flip and t & 1:
-                    sign = -sign
-    return out
+def _schedule(rows, max_arity: int) -> Iterator[Tuple[int, range]]:
+    """The arities of m . m, from m's arities (`rows`): (n, the outer
+    arities r whose words with one insertion of arity n + 1 - r have arity
+    n), for n from 1 to max_arity or to the last arity a word reaches,
+    2 widest - 1, whichever comes first."""
+    shortest, widest = min(rows, default=1), max(rows, default=0)
+    for n in range(1, min(max_arity, 2 * widest - 1) + 1):
+        yield n, range(max(1, n + 1 - widest), min(n + 2 - shortest, widest + 1))
 
 
 # -- the sums that must vanish: words keyed by packed basis tokens -------------
@@ -489,7 +462,7 @@ def double_sum(m: Prenatural, max_arity: int) -> Iterator[Tuple[int, Components]
     passes: list = [None]           # passes[r]: (slots, bucket) of m's arity r
     flat: Dict[bytes, Scalar] = {}
     get = flat.get
-    for n, arities in _schedule(rows, rows, max_arity):
+    for n, arities in _schedule(rows, max_arity):
         passes.append(_token_pass(n, rows.get(n, ()), tokens, tokens, packed))
         for r in arities:
             bucket = passes[n + 1 - r][1]

@@ -38,11 +38,10 @@ from .quiver import (
     FormalMorphism,
     GradedQuiver,
     Prenatural,
-    accumulate,
+    _expand,
     compose_formal,
     eval_multilinear,
     identity_formal,
-    regroup,
 )
 
 KER_PREFIX = "k:"
@@ -269,15 +268,12 @@ def transport_structure(model: SplitModel, phi: FormalMorphism,
     inverse to max_arity (see build_phi_psi): phi . m = phi . m . psi . phi
     = m_model . phi, so strictify derives phi's equation.  Bar composition
     is associative, so the sum is (phi . m) . psi: the double sum phi . m
-    between phi and phi, then its block sum over psi.  Its endpoints phi .
-    psi are the identity: it is regrouped under the model's `Identity`,
-    phi . psi unformed."""
-    fld = model.quiver.fld
-    phi_m = Prenatural(phi, phi, 2, regroup(
-        fld, accumulate({}, 1, phi, model.base.structure, max_arity)))
+    between phi and phi, then its block sum over psi, each one kept sum
+    (`quiver._expand`).  Its endpoints phi . psi are the identity: the sum
+    is put under the model's `Identity`, phi . psi unformed."""
+    phi_m = Prenatural(phi, phi, 2, _expand(phi, model.base.structure, max_arity))
     ident = identity_formal(model.quiver)
-    return Prenatural(ident, ident, 2, regroup(
-        fld, accumulate({}, 1, phi_m, psi, max_arity)))
+    return Prenatural(ident, ident, 2, _expand(phi_m, psi, max_arity))
 
 
 def strict_projection(model: SplitModel, transported: AInftyCategory,

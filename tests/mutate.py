@@ -33,18 +33,19 @@ MUTANTS = [
      "if False:", ["tests/test_quiver.py"]),
     ("constructors admit an arity-0 key", "quiver.py",
      "if key[0] < 1:", "if key[0] < 0:", ["tests/test_quiver.py"]),
-    ("_slots drops the odd-token sign flip", "quiver.py",
-     "in_t[i + 1:], items if sign == 1 else negated))\n"
+    ("kept double sum drops the odd-token sign flip", "quiver.py",
      "                if flip and t & 1:\n                    sign = -sign",
-     "in_t[i + 1:], items if sign == 1 else negated))\n"
      "                if flip and t & 1:\n                    sign = sign",
      ["tests/test_quiver.py"]),
-    # -- the arity schedule of both double sums
+    ("kept double sum admits a word one arity past the bound", "quiver.py",
+     "if r - 1 + e > max_arity:", "if r - 1 + e > max_arity + 1:",
+     ["tests/test_quiver.py"]),
+    # -- the arity schedule of m . m
     ("_schedule stops one arity short", "quiver.py",
-     "min(max_arity, widest - 1 + longest)", "min(max_arity, widest - 2 + longest)",
+     "min(max_arity, 2 * widest - 1)", "min(max_arity, 2 * widest - 2)",
      ["tests/test_quiver.py"]),
     ("_schedule yields one arity past the last word", "quiver.py",
-     "min(max_arity, widest - 1 + longest)", "min(max_arity, widest + longest)",
+     "min(max_arity, 2 * widest - 1)", "min(max_arity, 2 * widest)",
      ["tests/test_quiver.py"]),
     ("_schedule skips the shortest insertion arity", "quiver.py",
      "min(n + 2 - shortest, widest + 1)", "min(n + 1 - shortest, widest + 1)",
@@ -97,7 +98,7 @@ MUTANTS = [
      "return _decoded(q, flat, b_cells, b_cells)", ["tests/test_core.py"]),
     ("_decoded reads the output token through the source's cells", "quiver.py",
      "out_cells[toks[-1] >> 1][2]", "cells[toks[-1] >> 1][2]", ["tests/test_core.py"]),
-    ("regroup keeps raw sums", "quiver.py",
+    ("_regrouped keeps raw sums", "quiver.py",
      "for (path, acc, oi), c in fld.reduced(flat).items():",
      "for (path, acc, oi), c in flat.items():", ["tests/test_quiver.py"]),
     # -- arity bounds
@@ -165,9 +166,8 @@ MUTANTS = [
      "{(kdim + i, i): one for i in range(mdim)}",
      "{(i, i): one for i in range(mdim)}",
      ["tests/test_pullback.py"]),
-    ("transport sign", "strictify.py",
-     "accumulate({}, 1, phi_m, psi, max_arity)",
-     "accumulate({}, -1, phi_m, psi, max_arity)",
+    ("transport sums (phi . m) . psi one arity short", "strictify.py",
+     "_expand(phi_m, psi, max_arity)", "_expand(phi_m, psi, max_arity - 1)",
      ["tests/test_strictify.py"]),
     ("Blocks.vec keeps the whole kernel vector", "strictify.py",
      "out = {i: c for i, c in k.items() if i < kdim}", "out = dict(k)",

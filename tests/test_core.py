@@ -621,8 +621,8 @@ def test_accepted_functor_cancels_in_token_space(monkeypatch):
     def no_path_sum(*args):
         raise AssertionError("a path-keyed sum")
     monkeypatch.setattr(quiver, "_decoded", counted)
-    monkeypatch.setattr(quiver, "accumulate", no_path_sum)
-    monkeypatch.setattr(quiver, "regroup", no_path_sum)
+    monkeypatch.setattr(quiver, "_expand", no_path_sum)
+    monkeypatch.setattr(quiver, "_regrouped", no_path_sum)
     for f in accepted:
         decoded.clear()
         AInftyFunctor.build(f.morphism, f.source, f.target, f.arity_bound)

@@ -393,9 +393,9 @@ def test_identity_is_known_by_its_type(monkeypatch):
     expand, double = quiver._expand, quiver._add_double_sum
     monkeypatch.setattr(quiver, "_expand",
                         lambda *args: swept.append(args[0]) or expand(*args))
-    # (flat, sign, outer, ins, max_arity): the outer is the third argument
+    # (outer, ins, max_arity): the outer is the first argument
     monkeypatch.setattr(quiver, "_add_double_sum",
-                        lambda *args: summed.append(args[2]) or double(*args))
+                        lambda *args: summed.append(args[0]) or double(*args))
     assert compose_formal(ident, ident, 2) is ident
     assert compose_formal(g, ident, 2) == g == compose_formal(ident, g, 2)
     assert swept == []
@@ -407,7 +407,7 @@ def test_identity_is_known_by_its_type(monkeypatch):
     for insert in (lambda: compose_prenatural(m_hand, m_hand, 3),
                    lambda: compose_prenatural(m, m_hand, 3),
                    lambda: l_compose(g, m_hand, 3),
-                   lambda: quiver.accumulate({}, 1, m, m_hand, 3)):
+                   lambda: quiver._expand(m, m_hand, 3)):
         with pytest.raises(QuiverError, match="between Identity endpoints"):
             insert()
     assert len(summed) == 2
@@ -643,7 +643,7 @@ def test_differing_endpoints_match_bar_oracle(seed, field):
     bound = 3
     for insert in (lambda: l_compose(h, t, bound),
                    lambda: compose_prenatural(d, t, bound),
-                   lambda: quiver.accumulate({}, 1, h, t, bound)):
+                   lambda: quiver._expand(h, t, bound)):
         with pytest.raises(QuiverError, match="between Identity endpoints"):
             insert()
     ds = compose_prenatural(d, s, bound)
